@@ -39,13 +39,14 @@ perf-gate:
 
 # Prove the gate trips: inject a 2x slowdown into the measured values and
 # require exit code 1 (a gate that cannot fail gates nothing).  Each
-# deterministic row (vm, cache, rpc) is additionally injected on its own
-# so a row the gate silently stopped reading cannot pass the selftest.
+# row (vm, cache, rpc, mc) is additionally injected on its own so a row
+# the gate silently stopped reading cannot pass the selftest.
 perf-gate-selftest:
 	dune exec bench/perf_gate.exe -- --inject-slowdown; test $$? -eq 1
 	dune exec bench/perf_gate.exe -- --inject-row vm; test $$? -eq 1
 	dune exec bench/perf_gate.exe -- --inject-row cache; test $$? -eq 1
 	dune exec bench/perf_gate.exe -- --inject-row rpc; test $$? -eq 1
+	dune exec bench/perf_gate.exe -- --inject-row mc; test $$? -eq 1
 	@echo "perf-gate-selftest passed (gate trips on injected 2x slowdown, every row)"
 
 # Regenerate the committed gate reference after an INTENTIONAL perf

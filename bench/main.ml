@@ -984,11 +984,9 @@ module E14 = struct
     [
       (* scenario, cpus, mode, bound, max executions *)
       ("same-spl", 2, Mc.Naive, None, None);
-      ("same-spl", 2, Mc.Sleep_sets, None, None);
       ("same-spl", 2, Mc.Dpor, None, None);
       ("same-spl-buggy", 2, Mc.Dpor, None, None);
       ("handoff", 2, Mc.Naive, None, Some 20_000);
-      ("handoff", 2, Mc.Sleep_sets, None, None);
       ("handoff", 2, Mc.Dpor, None, None);
       ("herd", 2, Mc.Dpor, Some 2, None);
       ("interrupt-deadlock", 3, Mc.Dpor, None, None);
@@ -1006,11 +1004,6 @@ module E14 = struct
     | "interrupt-disciplined" ->
         Scenarios.interrupt_barrier_scenario ~disciplined:true
     | s -> failwith ("unknown mc scenario " ^ s)
-
-  let mode_name = function
-    | Mc.Naive -> "naive"
-    | Mc.Sleep_sets -> "sleep"
-    | Mc.Dpor -> "dpor"
 
   let verdict_of (r : Mc.result) =
     if r.Mc.verified then "verified"
@@ -1041,6 +1034,8 @@ module E14 = struct
         in
         let ms = (Unix.gettimeofday () -. t0) *. 1000. in
         let execs = r.Mc.stats.Mc.executions in
+        let transitions = r.Mc.stats.Mc.transitions in
+        let per_sec = float_of_int transitions /. Float.max 1e-6 (ms /. 1000.) in
         if mode = Mc.Naive && r.Mc.complete then
           Hashtbl.replace naive_execs (sname, cpus) execs;
         let ratio =
@@ -1057,13 +1052,14 @@ module E14 = struct
           [
             sname;
             i cpus;
-            mode_name mode;
+            Mc.mode_name mode;
             bound_s;
             i execs;
             i r.Mc.stats.Mc.pruned;
             (match ratio with None -> "-" | Some x -> Printf.sprintf "%.4f" x);
             verdict_of r;
             f1 ms;
+            Printf.sprintf "%.0f" per_sec;
           ]
           :: !rows;
         json :=
@@ -1071,17 +1067,18 @@ module E14 = struct
             ([
                ("scenario", Obs_json.String sname);
                ("cpus", Obs_json.Int cpus);
-               ("mode", Obs_json.String (mode_name mode));
+               ("mode", Obs_json.String (Mc.mode_name mode));
                ( "bound",
                  match bound with
                  | None -> Obs_json.String "unbounded"
                  | Some b -> Obs_json.Int b );
                ("executions", Obs_json.Int execs);
                ("pruned", Obs_json.Int r.Mc.stats.Mc.pruned);
-               ("transitions", Obs_json.Int r.Mc.stats.Mc.transitions);
+               ("transitions", Obs_json.Int transitions);
                ("complete", Obs_json.Bool r.Mc.complete);
                ("verdict", Obs_json.String (verdict_of r));
                ("wall_ms", Obs_json.Float ms);
+               ("transitions_per_sec", Obs_json.Float per_sec);
              ]
             @ (match ratio with
               | None -> []
@@ -1100,6 +1097,7 @@ module E14 = struct
           "vs naive";
           "verdict";
           "ms";
+          "trans/s";
         ]
       (List.rev !rows);
     let out = "BENCH_mc.json" in

@@ -1,11 +1,13 @@
 (* The engine perf regression harness.
 
-   Two measurements, both against fixed scenarios so numbers are
-   comparable across commits:
+   Measurements against fixed scenarios, so numbers are comparable
+   across commits:
 
    - single-domain engine throughput: the 16-cpu E1 contention scenario
      (one lock, shared data, Timed policy) run repeatedly on one domain;
      reported as scheduler steps/second of wall-clock time.
+   - model-checker throughput: DPOR over the E14 wakeup-herd cell,
+     reported as committed transitions/second of wall-clock time.
    - domain-parallel seed sweep: `Sim_explore.run` over a fixed seed set,
      sequential vs. fanned out across domains, with the verdicts checked
      equal; reported as wall-clock speedup.
@@ -304,6 +306,66 @@ let rpc_row () =
       ("throughput_speedup", Obs_json.Float speedup);
     ]
 
+(* ------------------------------------------------------------------ *)
+
+(* Model-checker host throughput: DPOR over the E14 wakeup-herd cell
+   (2 cpus, preemption bound 2), reported as committed transitions per
+   second of wall-clock time.  The exploration is deterministic — the
+   transition count is checked, so a change to what the checker explores
+   cannot pass as a speedup — and only the host cost per transition
+   moves.  Best-of-N with an interleaved calibration sample, like the
+   engine row, so the gate can pair the absolute and normalized
+   estimators. *)
+let mc_herd_transitions = 39_939
+
+(* The same cell's transitions/sec before the checker's bookkeeping
+   moved to interned process ids and int-array clocks and footprints,
+   measured with this harness (best of 10) on the host that measured the
+   committed reference. *)
+let mc_baseline_transitions_per_sec = 55_000.
+
+let mc_row ~repeats =
+  let module Mc = Mach_mc.Mc in
+  let check () =
+    Mc.check ~cpus:2 ~mode:Mc.Dpor ~bound:2
+      (fun () -> Mach_chaos.Chaos_scenarios.wakeup_herd ~sleepers:2 ())
+  in
+  ignore (check ());
+  let best = ref 0.0 and best_calib = ref 0.0 in
+  for _ = 1 to repeats do
+    let r, secs = wall check in
+    let t = r.Mc.stats.Mc.transitions in
+    if t <> mc_herd_transitions || not r.Mc.verified then begin
+      Printf.eprintf
+        "FATAL: mc herd cell explored %d transitions (verified=%b), expected \
+         %d verified\n"
+        t r.Mc.verified mc_herd_transitions;
+      exit 1
+    end;
+    let tps = float_of_int t /. secs in
+    if tps > !best then best := tps;
+    let c = calib_once () in
+    if c > !best_calib then best_calib := c
+  done;
+  let vs_baseline = !best /. mc_baseline_transitions_per_sec in
+  let vs_calib = !best /. !best_calib in
+  Printf.printf
+    "mc: DPOR herd cell x%d  transitions=%d  best transitions/sec=%.0f \
+     (%.2fx of pre-rework baseline)  normalized=%.6f\n%!"
+    repeats mc_herd_transitions !best vs_baseline vs_calib;
+  Obs_json.Obj
+    [
+      ("scenario", Obs_json.String "e14-herd-2cpu-bound2");
+      ("repeats", Obs_json.Int repeats);
+      ("transitions", Obs_json.Int mc_herd_transitions);
+      ("transitions_per_sec", Obs_json.Float !best);
+      ( "baseline_transitions_per_sec",
+        Obs_json.Float mc_baseline_transitions_per_sec );
+      ("vs_baseline", Obs_json.Float vs_baseline);
+      ("calib_ops_per_sec", Obs_json.Float !best_calib);
+      ("vs_calib", Obs_json.Float vs_calib);
+    ]
+
 let () =
   let fast = Array.exists (fun a -> a = "--fast") Sys.argv in
   let engine_only = Array.exists (fun a -> a = "--engine-only") Sys.argv in
@@ -314,15 +376,17 @@ let () =
      measured speedup is core-bound (recorded in the json). *)
   let domains = 8 in
   let _sps, engine_json = engine_throughput ~repeats ~iters in
-  (* The vm row is deterministic (simulated time), so it is cheap enough
-     to emit unconditionally — including --engine-only, which is what
-     the CI perf gate runs. *)
+  (* The vm, cache and rpc rows are deterministic (simulated time) and
+     the mc row takes about a second, so all are cheap enough to emit
+     unconditionally — including --engine-only, which is what the CI
+     perf gate runs. *)
   let fields =
     [
       ("engine", engine_json);
       ("vm", vm_row ());
       ("cache", cache_row ());
       ("rpc", rpc_row ());
+      ("mc", mc_row ~repeats);
     ]
   in
   let fields =

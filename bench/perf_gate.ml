@@ -16,15 +16,20 @@
    (--max-spans-overhead, default 0.03; the engine row is measured with
    spans disabled) fails on both estimators.
 
+   The model-checker row (mc: best-of-N DPOR transitions/sec on the E14
+   herd cell) is a host-time measurement too, so it is checked the same
+   way: `mc.vs_baseline` and `mc.vs_calib` against --min-ratio times
+   their committed references, failing only when both are below.
+
    Deterministic rows (vm.range_speedup, cache.read_speedup,
    rpc.throughput_speedup) are simulated-time makespan ratios and are
    checked directly against their committed floors — no estimator
    pairing needed.
 
    --inject-slowdown halves every measured value before the comparison;
-   --inject-row SECTION halves only that deterministic row.  CI runs
-   both once per pipeline to prove the gate actually trips on each row
-   (a gate that cannot fail gates nothing). *)
+   --inject-row SECTION halves only that row (vm, cache, rpc or mc).  CI
+   runs both once per pipeline to prove the gate actually trips on each
+   row (a gate that cannot fail gates nothing). *)
 
 module Obs_json = Mach_obs.Obs_json
 
@@ -49,15 +54,15 @@ let number = function
   | Some (Obs_json.Int n) -> Some (float_of_int n)
   | _ -> None
 
-let engine_field path field =
+let section_field section path field =
   let doc = json_of_file path in
-  match Obs_json.member "engine" doc with
-  | None -> die "%s: no \"engine\" object" path
-  | Some engine -> (
-      match number (Obs_json.member field engine) with
+  match Obs_json.member section doc with
+  | None -> die "%s: no \"%s\" object" path section
+  | Some obj -> (
+      match number (Obs_json.member field obj) with
       | Some f when f > 0. -> f
-      | Some _ -> die "%s: engine.%s must be positive" path field
-      | None -> die "%s: engine.%s missing" path field)
+      | Some _ -> die "%s: %s.%s must be positive" path section field
+      | None -> die "%s: %s.%s missing" path section field)
 
 let () =
   let perf = ref "BENCH_sim_perf.json" in
@@ -78,34 +83,37 @@ let () =
       ("--inject-slowdown", Arg.Set inject, " halve the measured value (gate selftest)");
       ( "--inject-row",
         Arg.Set_string inject_row,
-        "SECTION halve only that deterministic row's measured value (vm, \
-         cache or rpc; gate selftest per row)" );
+        "SECTION halve only that row's measured values (vm, cache, rpc or \
+         mc; gate selftest per row)" );
     ]
   in
   Arg.parse spec
     (fun a -> die "unexpected argument %S" a)
     "perf_gate [--perf FILE] [--reference FILE] [--min-ratio R] \
      [--max-spans-overhead F] [--inject-slowdown]";
-  let estimators =
-    List.map
-      (fun field ->
-        let m = engine_field !perf field in
-        let m = if !inject then m /. 2. else m in
-        (field, m, engine_field !reference field))
-      [ "vs_baseline"; "vs_calib" ]
+  let estimators section =
+    let injected = !inject || !inject_row = section in
+    ( injected,
+      List.map
+        (fun field ->
+          let m = section_field section !perf field in
+          let m = if injected then m /. 2. else m in
+          (field, m, section_field section !reference field))
+        [ "vs_baseline"; "vs_calib" ] )
   in
   (* A check fails only when it fails on EVERY estimator: regressions
      move both, host noise moves them in opposite directions. *)
-  let both_below floor_of label fail_msg =
+  let both_below ?(section = "engine") floor_of label fail_msg =
+    let injected, ests = estimators section in
     let bad =
       List.for_all
         (fun (field, m, r) ->
           let floor = floor_of r in
-          Printf.printf "perf-gate: %s: engine.%s measured=%.5f  floor=%.5f%s\n"
-            label field m floor
-            (if !inject then "  [injected 2x slowdown]" else "");
+          Printf.printf "perf-gate: %s: %s.%s measured=%.6f  floor=%.6f%s\n"
+            label section field m floor
+            (if injected then "  [injected 2x slowdown]" else "");
           m < floor)
-        estimators
+        ests
     in
     if bad then Printf.printf "perf-gate: FAIL: %s\n" fail_msg;
     bad
@@ -205,6 +213,20 @@ let () =
            or batching degraded to one message per port-lock hold)"
           floor)
   in
-  if ratio_failed || spans_failed || vm_failed || cache_failed || rpc_failed
+  (* The model checker's host cost per transition (E14 herd cell). *)
+  let mc_failed =
+    Obs_json.member "mc" (json_of_file !reference) <> None
+    && both_below ~section:"mc"
+         (fun r -> !min_ratio *. r)
+         "model checker"
+         (Printf.sprintf
+            "DPOR transitions/sec on the E14 herd cell is below %.0f%% of the \
+             committed reference on every estimator; the checker's per-execution \
+             or per-transition host cost has regressed"
+            (100. *. !min_ratio))
+  in
+  if
+    ratio_failed || spans_failed || vm_failed || cache_failed || rpc_failed
+    || mc_failed
   then exit 1
   else Printf.printf "perf-gate: OK\n"

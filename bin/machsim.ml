@@ -842,7 +842,7 @@ let mc_cmd =
       value
       & opt (conv (parse, print)) Mc.Dpor
       & info [ "mode" ] ~docv:"MODE"
-          ~doc:"Search mode: naive, sleep (sleep sets) or dpor.")
+          ~doc:"Search mode: naive (full enumeration) or dpor.")
   in
   let bound_arg =
     Arg.(

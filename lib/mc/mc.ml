@@ -1,16 +1,12 @@
 module C = Mach_sim.Sim_config
 module E = Mach_sim.Sim_engine
 
-type mode = Naive | Sleep_sets | Dpor
+type mode = Naive | Dpor
 
-let mode_name = function
-  | Naive -> "naive"
-  | Sleep_sets -> "sleep"
-  | Dpor -> "dpor"
+let mode_name = function Naive -> "naive" | Dpor -> "dpor"
 
 let mode_of_string = function
   | "naive" -> Some Naive
-  | "sleep" -> Some Sleep_sets
   | "dpor" -> Some Dpor
   | _ -> None
 
@@ -114,22 +110,57 @@ let trace_of_string s =
    change an outcome: same cell with a write on either side, the same
    thread's scheduling state, the shared run-queue order, or the same
    cpu's interrupt plumbing (a pending-queue access and an spl change on
-   one cpu conflict with each other: spl gates delivery). *)
-let access_conflict a b =
-  match (a, b) with
-  | C.Mc_cell x, C.Mc_cell y -> x.cell = y.cell && (x.write || y.write)
-  | C.Mc_thread x, C.Mc_thread y -> x = y
-  | C.Mc_runq, C.Mc_runq -> true
-  | C.Mc_intrq x, C.Mc_intrq y | C.Mc_spl x, C.Mc_spl y -> x = y
-  | C.Mc_intrq x, C.Mc_spl y | C.Mc_spl x, C.Mc_intrq y -> x = y
-  | _ -> false
+   one cpu conflict with each other: spl gates delivery).
 
-let fp_conflict f1 f2 =
-  List.exists (fun a -> List.exists (fun b -> access_conflict a b) f2) f1
+   A footprint is encoded once, at commit, as a sorted array of distinct
+   codes [(key lsl 1) lor write].  The key names the resource: a cell, a
+   thread, the run queue, or one cpu's interrupt plumbing (its intrq and
+   spl accesses share the key, so they conflict with each other).
+   Non-cell accesses count as writes, and a key touched both ways keeps
+   only its write, which conflicts with everything a read does.  Two
+   footprints then conflict iff a merge walk finds a shared key with a
+   write on either side. *)
+type footprint = int array
+
+let key_of = function
+  | C.Mc_cell { cell; _ } -> cell lsl 2
+  | C.Mc_thread t -> (t lsl 2) lor 1
+  | C.Mc_runq -> 2
+  | C.Mc_intrq c | C.Mc_spl c -> (c lsl 2) lor 3
+
+let code_of a =
+  let write = match a with C.Mc_cell { write; _ } -> write | _ -> true in
+  (key_of a lsl 1) lor Bool.to_int write
+
+let encode_footprint accesses : footprint =
+  let a = Array.of_list (List.map code_of accesses) in
+  Array.sort Int.compare a;
+  (* Keep the last code of each key run: its write, if it has one. *)
+  let n = Array.length a in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if i = n - 1 || a.(i + 1) asr 1 <> a.(i) asr 1 then begin
+      a.(!k) <- a.(i);
+      incr k
+    end
+  done;
+  if !k = n then a else Array.sub a 0 !k
+
+let footprint_conflict (f1 : footprint) (f2 : footprint) =
+  let n1 = Array.length f1 and n2 = Array.length f2 in
+  let rec walk i j =
+    i < n1 && j < n2
+    &&
+    let k1 = f1.(i) asr 1 and k2 = f2.(j) asr 1 in
+    if k1 < k2 then walk (i + 1) j
+    else if k1 > k2 then walk i (j + 1)
+    else (f1.(i) lor f2.(j)) land 1 = 1 || walk (i + 1) (j + 1)
+  in
+  walk 0 0
 
 (* Transitions on the same cpu are always dependent (program order). *)
 let dependent (t1 : C.mc_transition) fp1 (t2 : C.mc_transition) fp2 =
-  t1.mc_cpu = t2.mc_cpu || fp_conflict fp1 fp2
+  t1.mc_cpu = t2.mc_cpu || footprint_conflict fp1 fp2
 
 let same_transition (a : C.mc_transition) (b : C.mc_transition) =
   a.mc_cpu = b.mc_cpu
@@ -155,12 +186,13 @@ type node = {
   locked : bool;  (* prefix frozen by the domain fan-out: never backtrack *)
   explored : bool array;
   backtrack : bool array;  (* Dpor: candidates scheduled for exploration *)
-  mutable sleep : (C.mc_transition * C.mc_access list) list;
+  mutable sleep : (C.mc_transition * footprint) list;
   mutable chosen : int;
-  mutable fp : C.mc_access list;  (* footprint of [chosen], set at commit *)
-  mutable vc : (string * int) list;
-      (* per-process vector clock after [chosen]: process -> latest
-         happens-before depth (Dpor mode only) *)
+  mutable fp : footprint;  (* footprint of [chosen], set at commit *)
+  mutable pid : int;  (* interned process of [chosen], set at commit *)
+  mutable vc : int array;
+      (* vector clock after [chosen], indexed by interned process: the
+         latest happens-before depth, -1 for none (Dpor mode only) *)
 }
 
 type failure = {
@@ -201,7 +233,11 @@ type search = {
   mutable stack_arr : node array;  (* depth order; capacity >= stack_len *)
   mutable stack_len : int;  (* retained path length *)
   mutable depth : int;  (* current execution's depth *)
-  mutable pending_sleep : (C.mc_transition * C.mc_access list) list;
+  mutable replayed : int;
+      (* depths below this replay a prefix unchanged since its nodes were
+         committed: same footprints, clocks and backtrack marks *)
+  mutable pending_sleep : (C.mc_transition * footprint) list;
+  procs : (string, int) Hashtbl.t;  (* process name -> interned id *)
   mutable st_executions : int;
   mutable st_pruned : int;
   mutable st_transitions : int;
@@ -280,10 +316,18 @@ let proc_of (t : C.mc_transition) =
       else frame
   | C.Mc_deliver { intr; _ } -> Printf.sprintf "intr:%s@%d" intr t.C.mc_cpu
 
-let vc_get r p = match List.assoc_opt p r with Some v -> v | None -> -1
+(* Process ids are interned once per search, so vector clocks are int
+   arrays.  An older node's clock may be shorter than the current process
+   count: processes first seen after it read as -1. *)
+let intern s name =
+  match Hashtbl.find_opt s.procs name with
+  | Some id -> id
+  | None ->
+      let id = Hashtbl.length s.procs in
+      Hashtbl.add s.procs name id;
+      id
 
-let vc_put r p v =
-  if vc_get r p >= v then r else (p, v) :: List.remove_assoc p r
+let vc_get r p = if p < Array.length r then r.(p) else -1
 
 (* DPOR backward race scan, run when transition [d] commits.  [r] is the
    running vector-clock join of the transitions that happen-before [d]
@@ -296,26 +340,23 @@ let vc_put r p v =
    conservative superset of the classic "the racing thread or all"
    rule). *)
 let dpor_commit s node d =
-  if s.s_mode = Dpor then begin
-    let t = node.cands.(node.chosen) in
-    let p = proc_of t in
-    let r = ref [] in
-    for d' = d - 1 downto 0 do
-      let n' = s.stack_arr.(d') in
-      let t' = n'.cands.(n'.chosen) in
-      let p' = proc_of t' in
-      if p' = p || fp_conflict n'.fp node.fp then begin
-        if p' <> p && vc_get !r p' < d' then
-          Array.iteri
-            (fun i _ ->
-              if n'.costs.(i) <= n'.budget then n'.backtrack.(i) <- true)
-            n'.cands;
-        List.iter (fun (q, v) -> r := vc_put !r q v) n'.vc
-      end
-    done;
-    r := vc_put !r p d;
-    node.vc <- !r
-  end
+  let p = intern s (proc_of node.cands.(node.chosen)) in
+  node.pid <- p;
+  let r = Array.make (Hashtbl.length s.procs) (-1) in
+  for d' = d - 1 downto 0 do
+    let n' = s.stack_arr.(d') in
+    let p' = n'.pid in
+    if p' = p || footprint_conflict n'.fp node.fp then begin
+      if p' <> p && vc_get r p' < d' then
+        Array.iteri
+          (fun i _ ->
+            if n'.costs.(i) <= n'.budget then n'.backtrack.(i) <- true)
+          n'.cands;
+      Array.iteri (fun q v -> if v > r.(q) then r.(q) <- v) n'.vc
+    end
+  done;
+  r.(p) <- d;
+  node.vc <- r
 
 (* The hooks driving one execution.  Depths below the retained stack
    replay the stored choice; beyond it, fresh nodes pick the cheapest
@@ -366,8 +407,9 @@ let hooks_of s ~forced =
           backtrack = Array.make (Array.length cands) false;
           sleep = s.pending_sleep;
           chosen = -1;
-          fp = [];
-          vc = [];
+          fp = [||];
+          pid = -1;
+          vc = [||];
         }
       in
       let chosen =
@@ -407,19 +449,20 @@ let hooks_of s ~forced =
       chosen
     end
   in
-  let commit fp =
+  let commit accesses =
     let d = s.depth - 1 in
     let node = s.stack_arr.(d) in
-    node.fp <- fp;
     s.st_transitions <- s.st_transitions + 1;
-    dpor_commit s node d;
-    if s.s_mode <> Naive then
+    if s.s_mode = Dpor && d >= s.replayed then begin
+      let fp = encode_footprint accesses in
+      node.fp <- fp;
+      dpor_commit s node d;
       s.pending_sleep <-
         List.filter
           (fun (t, tfp) ->
             not (dependent t tfp node.cands.(node.chosen) fp))
           node.sleep
-    else s.pending_sleep <- []
+    end
   in
   { C.mc_choose = choose; mc_commit = commit }
 
@@ -436,11 +479,12 @@ let backtrack s =
         match next_candidate s node with
         | Some j ->
             node.explored.(node.chosen) <- true;
-            if s.s_mode <> Naive then
+            if s.s_mode = Dpor then
               node.sleep <- (node.cands.(node.chosen), node.fp) :: node.sleep;
             node.chosen <- j;
-            node.fp <- [];
+            node.fp <- [||];
             s.stack_len <- d + 1;
+            s.replayed <- d;
             true
         | None -> go (d - 1)
   in
@@ -505,6 +549,15 @@ let run_one s ~cpus ~max_steps ~forced scenario =
     | exception E.Kernel_panic r -> X_fail (None, r)
     | exception E.Step_limit -> X_truncated
   in
+  (* Pace the major GC at the execution boundary.  An execution promotes
+     a few thousand words, all dead once it ends, yet a search started on
+     a freshly compacted heap can run thousands of executions without the
+     runtime starting a major cycle, and the heap only grows (to about
+     three times the peak resident size of a paced search).  A fixed
+     slice per execution keeps it flat, and the search runs faster for
+     it; an automatic slice ([Gc.major_slice 0]) or a minor collection
+     here does neither. *)
+  ignore (Gc.major_slice 10_000);
   if s.depth > s.st_max_depth then s.st_max_depth <- s.depth;
   (match out with
   | X_cut -> s.st_pruned <- s.st_pruned + 1
@@ -536,7 +589,9 @@ let search_subtree ~mode ~bound ~cpus ~max_steps ~max_executions ~forced
       stack_arr = [||];
       stack_len = 0;
       depth = 0;
+      replayed = 0;
       pending_sleep = [];
+      procs = Hashtbl.create 16;
       st_executions = 0;
       st_pruned = 0;
       st_transitions = 0;
@@ -606,7 +661,9 @@ let probe_branch_point ~bound ~cpus ~max_steps scenario =
       stack_arr = [||];
       stack_len = 0;
       depth = 0;
+      replayed = 0;
       pending_sleep = [];
+      procs = Hashtbl.create 16;
       st_executions = 0;
       st_pruned = 0;
       st_transitions = 0;

@@ -11,14 +11,13 @@
     A run is fully determined by its choice trace, so any counterexample
     replays byte-identically from the printed trace alone.
 
-    Three search modes trade exhaustiveness bookkeeping for pruning:
-    [Naive] enumerates every schedule; [Sleep_sets] prunes schedules that
-    merely commute independent adjacent transitions (Godefroid's sleep
-    sets); [Dpor] additionally restricts branching to transitions that
+    Two search modes: [Naive] enumerates every schedule and is kept as
+    the reduction baseline; [Dpor] branches only on transitions that
     participate in a detected race (dynamic partial-order reduction,
-    Flanagan & Godefroid 2005, conservative backtrack-set variant).  All
-    three explore the same reachable states; the pruned modes just visit
-    exponentially fewer interleavings.
+    Flanagan & Godefroid 2005, conservative backtrack-set variant) and
+    prunes, with Godefroid's sleep sets, schedules that merely commute
+    independent transitions.  Both explore the same reachable states;
+    [Dpor] just visits exponentially fewer interleavings.
 
     An optional {e preemption bound} in the CHESS style caps the number
     of voluntary cpu switches (switching away from a cpu that could still
@@ -27,7 +26,7 @@
     intractable.  Unbounded mode ([bound] absent) is the sound,
     exhaustive mode used for verification claims. *)
 
-type mode = Naive | Sleep_sets | Dpor
+type mode = Naive | Dpor
 
 val mode_name : mode -> string
 val mode_of_string : string -> mode option
@@ -41,6 +40,21 @@ val trace_to_string : trace -> string
 (** One transition per line, parseable by {!trace_of_string}. *)
 
 val trace_of_string : string -> (trace, string) result
+
+(** {2 Dependence} *)
+
+type footprint
+(** The resources one transition touched, encoded once at commit for a
+    fast conflict test. *)
+
+val encode_footprint : Mach_sim.Sim_config.mc_access list -> footprint
+
+val footprint_conflict : footprint -> footprint -> bool
+(** Whether reordering two transitions with these footprints could
+    change an outcome: they share a cell and one of them writes it, or
+    they touch the same thread's scheduling state, the run queue, or the
+    same cpu's interrupt plumbing (its pending queues and its spl count
+    as one resource). *)
 
 type failure = {
   f_trace : trace;  (** the schedule that exhibits the failure *)

@@ -27,7 +27,16 @@ type class_stats = {
 let mu = Mutex.create ()
 let classes_tbl : (string, class_stats) Hashtbl.t = Hashtbl.create 64
 let edges_tbl : (string * string, int ref) Hashtbl.t = Hashtbl.create 64
-let held_stacks : (int, string list ref) Hashtbl.t = Hashtbl.create 64
+(* Keyed by thread id with a plain int hash: an entry comes and goes with
+   every outermost acquire/release pair, so this sits on the lock path. *)
+module Tid_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash t = t land max_int
+end)
+
+let held_stacks : string list ref Tid_tbl.t = Tid_tbl.create 64
 
 let class_of_name name =
   let buf = Buffer.create (String.length name) in
@@ -62,11 +71,11 @@ let class_stats_locked cls =
       cs
 
 let stack_locked tid =
-  match Hashtbl.find_opt held_stacks tid with
+  match Tid_tbl.find_opt held_stacks tid with
   | Some s -> s
   | None ->
       let s = ref [] in
-      Hashtbl.add held_stacks tid s;
+      Tid_tbl.add held_stacks tid s;
       s
 
 let note_acquire ~tid ~name ~contended ~wait_cycles =
@@ -93,14 +102,23 @@ let note_release ~tid ~name ~held_cycles =
   locked (fun () ->
       let cs = class_stats_locked cls in
       if held_cycles > 0 then cs.hold_cycles <- cs.hold_cycles + held_cycles;
-      let stack = stack_locked tid in
-      (* remove the first (innermost) occurrence; releases need not nest *)
-      let rec remove = function
-        | [] -> []
-        | c :: rest when c = cls -> rest
-        | c :: rest -> c :: remove rest
-      in
-      stack := remove !stack)
+      match Tid_tbl.find_opt held_stacks tid with
+      | None -> ()
+      | Some stack -> (
+          (* remove the first (innermost) occurrence; releases need not
+             nest *)
+          let rec remove = function
+            | [] -> []
+            | c :: rest when c = cls -> rest
+            | c :: rest -> c :: remove rest
+          in
+          match remove !stack with
+          (* Thread ids never repeat, so an emptied stack is dropped: the
+             table holds only threads that hold locks. *)
+          | [] -> Tid_tbl.remove held_stacks tid
+          | rest -> stack := rest))
+
+let held_threads () = locked (fun () -> Tid_tbl.length held_stacks)
 
 let first_attempt_rate cs =
   if cs.acquisitions = 0 then 1.0
@@ -132,7 +150,7 @@ let reset () =
   locked (fun () ->
       Hashtbl.reset classes_tbl;
       Hashtbl.reset edges_tbl;
-      Hashtbl.reset held_stacks)
+      Tid_tbl.reset held_stacks)
 
 let pp_report ?(top_n = 10) ppf () =
   let tops = top ~n:top_n in

@@ -33,7 +33,7 @@ val note_acquire :
 
 val note_release : tid:int -> name:string -> held_cycles:int -> unit
 (** Record a release; pops the innermost occurrence of the class from the
-    thread's held stack. *)
+    thread's held stack, and forgets the thread once its stack is empty. *)
 
 (** {1 Reading} *)
 
@@ -46,6 +46,9 @@ val classes : unit -> class_stats list
 
 val top : n:int -> class_stats list
 (** Top [n] classes by accumulated wait cycles. *)
+
+val held_threads : unit -> int
+(** Threads that currently hold at least one profiled lock. *)
 
 val edges : unit -> (string * string * int) list
 (** Waits-for edges (holder class, wanted class, count), most frequent

@@ -44,6 +44,9 @@ type t = {
   mutable disabled_spans : int;
 }
 
+(* A disabled trace gets no rings at all: [record] only counts discards,
+   so the model checker and seed sweeps, which build one engine per
+   execution with tracing off, allocate and scan nothing per run. *)
 let make ?(cpus = 1) ~capacity ~enabled () =
   let nrings = max 1 cpus + 1 in
   let per_ring = max 1 (capacity / nrings) in
@@ -51,8 +54,10 @@ let make ?(cpus = 1) ~capacity ~enabled () =
     per_ring;
     on = enabled;
     rings =
-      Array.init nrings (fun _ ->
-          { buf = Array.make per_ring None; next = 0; count = 0; overflowed = 0 });
+      (if not enabled then [||]
+       else
+         Array.init nrings (fun _ ->
+             { buf = Array.make per_ring None; next = 0; count = 0; overflowed = 0 }));
     seq = 0;
     disabled_discards = 0;
     dropped_spans = 0;

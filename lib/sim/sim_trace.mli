@@ -23,13 +23,16 @@ type t
 
 val make : ?cpus:int -> capacity:int -> enabled:bool -> unit -> t
 (** [capacity] is the {e total} event budget; it is divided evenly over
-    the per-cpu rings ([cpus]+1 of them, at least 1 slot each). *)
+    the per-cpu rings ([cpus]+1 of them, at least 1 slot each).  A
+    disabled trace allocates no rings: it retains nothing and only
+    counts discards. *)
 
 val enabled : t -> bool
 
 val capacity : t -> int
 (** Total events the trace can retain (per-ring capacity × rings; may be
-    slightly below the requested capacity due to even division). *)
+    slightly below the requested capacity due to even division; 0 when
+    disabled). *)
 
 val record :
   t -> step:int -> clock:int -> cpu:int -> context:string -> Obs_event.t -> unit

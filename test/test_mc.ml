@@ -14,6 +14,17 @@ open Test_support
 
 let same_spl ~disciplined () = Scenarios.same_spl_holder ~disciplined ()
 
+(* The exact exploration of a DPOR cell: (executions, pruned,
+   transitions, choice points).  Pinned so that a change to the checker's
+   bookkeeping that alters what it explores, not just how fast, fails
+   here rather than passing on an unchanged verdict. *)
+let check_exploration label (e, p, t, c) r =
+  let s = r.Mc.stats in
+  Alcotest.(check (list int))
+    (label ^ ": executions, pruned, transitions, choice points")
+    [ e; p; t; c ]
+    [ s.Mc.executions; s.Mc.pruned; s.Mc.transitions; s.Mc.choice_points ]
+
 let read_file path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
@@ -31,18 +42,21 @@ let test_same_spl_verified () =
   let r = Mc.check ~cpus:2 (same_spl ~disciplined:true) in
   check_bool "complete" true r.Mc.complete;
   check_bool "verified" true r.Mc.verified;
-  check_bool "no failure" true (r.Mc.failure = None)
+  check_bool "no failure" true (r.Mc.failure = None);
+  check_exploration "same-spl" (11, 0, 272, 45) r
 
 let test_event_wait_verified () =
   (* Section 6: the assert_wait / re-test / thread_block protocol never
      loses a wakeup under any interleaving (no fault injection). *)
   let r = Mc.check ~cpus:2 Chaos_scenarios.lost_wakeup_handoff in
   check_bool "complete" true r.Mc.complete;
-  check_bool "verified" true r.Mc.verified
+  check_bool "verified" true r.Mc.verified;
+  check_exploration "handoff" (84, 84, 3584, 418) r
 
 let test_same_spl_buggy_fails () =
   let r = Mc.check ~cpus:2 (same_spl ~disciplined:false) in
   check_bool "not verified" false r.Mc.verified;
+  check_exploration "same-spl-buggy" (1, 0, 14, 9) r;
   match r.Mc.failure with
   | None -> Alcotest.fail "expected a failing schedule"
   | Some f ->
@@ -119,20 +133,15 @@ let test_trace_round_trip () =
         (Mc.trace_to_string t)
 
 let test_modes_agree () =
-  (* All three modes explore the same state space: identical verdicts,
-     and the pruned modes visit no more schedules than naive. *)
+  (* Both modes explore the same state space: identical verdicts, and
+     DPOR visits no more schedules than naive enumeration. *)
   let naive = Mc.check ~cpus:2 ~mode:Mc.Naive (same_spl ~disciplined:true) in
-  let sleep =
-    Mc.check ~cpus:2 ~mode:Mc.Sleep_sets (same_spl ~disciplined:true)
-  in
   let dpor = Mc.check ~cpus:2 ~mode:Mc.Dpor (same_spl ~disciplined:true) in
   check_bool "naive verified" true naive.Mc.verified;
-  check_bool "sleep verified" true sleep.Mc.verified;
   check_bool "dpor verified" true dpor.Mc.verified;
-  check_bool "sleep prunes" true
-    (sleep.Mc.stats.Mc.executions <= naive.Mc.stats.Mc.executions);
-  check_bool "dpor prunes hardest" true
-    (dpor.Mc.stats.Mc.executions <= sleep.Mc.stats.Mc.executions);
+  check_exploration "naive same-spl" (21004, 0, 572248, 21003) naive;
+  check_bool "dpor prunes" true
+    (dpor.Mc.stats.Mc.executions <= naive.Mc.stats.Mc.executions);
   (* the acceptance bar: DPOR explores at most a quarter of the naive
      schedule count on the flagship scenario (it is in fact ~0.1%) *)
   check_bool "dpor <= 25% of naive" true
@@ -181,7 +190,8 @@ let test_range_matrix_overlap_serializes () =
                  ~expect_parallel:false ()))
       in
       check_bool (label ^ ": complete") true r.Mc.complete;
-      check_bool (label ^ ": verified") true r.Mc.verified)
+      check_bool (label ^ ": verified") true r.Mc.verified;
+      check_exploration label (248, 230, 15370, 1496) r)
     [
       ("overlap W/W", RL.Write, RL.Write);
       ("overlap R/W", RL.Read, RL.Write);
@@ -204,7 +214,8 @@ let test_range_matrix_disjoint_interleaves () =
       check_bool (label ^ ": complete") true r.Mc.complete;
       check_bool (label ^ ": verified") true r.Mc.verified;
       check_bool (label ^ ": some schedule interleaves the holds") true
-        !witnessed)
+        !witnessed;
+      check_exploration label (536, 534, 24618, 2520) r)
     [
       ("disjoint W/W", (0, 8), RL.Write, (8, 16), RL.Write);
       ("overlap R/R", (0, 8), RL.Read, (4, 12), RL.Read);
@@ -215,7 +226,7 @@ let test_range_matrix_disjoint_interleaves () =
    entry) and disjoint (both must succeed on every schedule). *)
 let test_range_map_fault_vs_deallocate () =
   List.iter
-    (fun overlapping ->
+    (fun (overlapping, explored) ->
       let r =
         Mc.check ~cpus:2 (Scenarios.vm_fault_vs_deallocate ~overlapping)
       in
@@ -224,8 +235,9 @@ let test_range_map_fault_vs_deallocate () =
         else "disjoint fault/deallocate"
       in
       check_bool (label ^ ": complete") true r.Mc.complete;
-      check_bool (label ^ ": verified") true r.Mc.verified)
-    [ false; true ]
+      check_bool (label ^ ": verified") true r.Mc.verified;
+      check_exploration label explored r)
+    [ (false, (1432, 1434, 233552, 10386)); (true, (464, 602, 85700, 5930)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Scache matrix at 3 cpus: two readers racing one writer               *)
@@ -246,7 +258,54 @@ let test_scache_rrw_matrix () =
   check_bool "complete" true r.Mc.complete;
   check_bool "verified (no reader/writer overlap on any schedule)" true
     r.Mc.verified;
-  check_bool "some schedule interleaves the two readers" true !witnessed
+  check_bool "some schedule interleaves the two readers" true !witnessed;
+  check_exploration "scache-rrw" (11093, 23200, 3509121, 108447) r
+
+(* ------------------------------------------------------------------ *)
+(* Footprint encoding vs the list-based dependence relation            *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference model: the dependence relation as a plain pairwise test
+   over access lists.  The checker encodes footprints into sorted int
+   arrays; the two must agree on every pair. *)
+let access_conflict a b =
+  match (a, b) with
+  | Config.Mc_cell x, Config.Mc_cell y -> x.cell = y.cell && (x.write || y.write)
+  | Config.Mc_thread x, Config.Mc_thread y -> x = y
+  | Config.Mc_runq, Config.Mc_runq -> true
+  | Config.Mc_intrq x, Config.Mc_intrq y | Config.Mc_spl x, Config.Mc_spl y ->
+      x = y
+  | Config.Mc_intrq x, Config.Mc_spl y | Config.Mc_spl x, Config.Mc_intrq y ->
+      x = y
+  | _ -> false
+
+let fp_conflict f1 f2 =
+  List.exists (fun a -> List.exists (fun b -> access_conflict a b) f2) f1
+
+let footprint_gen =
+  let open QCheck.Gen in
+  (* Small id ranges so that footprints share resources often; one large
+     id per kind guards the key packing. *)
+  let id = frequency [ (9, int_range 0 4); (1, return (1 lsl 40)) ] in
+  let access =
+    frequency
+      [
+        (4, map2 (fun cell write -> Config.Mc_cell { cell; write }) id bool);
+        (2, map (fun t -> Config.Mc_thread t) id);
+        (1, return Config.Mc_runq);
+        (2, map (fun c -> Config.Mc_intrq c) id);
+        (2, map (fun c -> Config.Mc_spl c) id);
+      ]
+  in
+  list_size (int_range 0 8) access
+
+let footprint_conflict_prop =
+  QCheck.Test.make ~count:2000
+    ~name:"encoded footprint conflict = list-based access_conflict"
+    (QCheck.make (QCheck.Gen.pair footprint_gen footprint_gen))
+    (fun (f1, f2) ->
+      Mc.footprint_conflict (Mc.encode_footprint f1) (Mc.encode_footprint f2)
+      = fp_conflict f1 f2)
 
 let test_faults_excluded () =
   let cfg =
@@ -307,5 +366,6 @@ let () =
           Alcotest.test_case "preemption bounding" `Quick test_preemption_bound;
           Alcotest.test_case "fault injection excluded" `Quick
             test_faults_excluded;
+          QCheck_alcotest.to_alcotest footprint_conflict_prop;
         ] );
     ]

@@ -194,6 +194,37 @@ let test_trace_disabled_vs_overflow () =
   check_int "clear empties" 0 (List.length (Trace.events on));
   check_int "clear resets dropped" 0 (Trace.dropped on)
 
+(* A disabled trace keeps no rings: it retains nothing, [clear] is safe
+   on it, and its discard counters stay exact across a [clear]. *)
+let test_trace_disabled_keeps_no_ring () =
+  let off = Trace.make ~cpus:4 ~capacity:65_536 ~enabled:false () in
+  check_int "no ring capacity" 0 (Trace.capacity off);
+  let feed ~spans ~raws =
+    for i = 1 to spans do
+      Trace.record off ~step:i ~clock:i ~cpu:(i mod 5 - 1) ~context:"t"
+        (Event.Span_close { kind = "lock"; site = "lock:l"; dur = i })
+    done;
+    for i = 1 to raws do
+      Trace.record off ~step:i ~clock:i ~cpu:(i mod 5 - 1) ~context:"t"
+        (Event.Raw { tag = "x"; detail = "" })
+    done
+  in
+  let expect label ~spans ~raws =
+    let d = Trace.drop_stats off in
+    check_bool (label ^ ": events = []") true (Trace.events off = []);
+    check_int (label ^ ": disabled spans") spans d.Trace.disabled_spans;
+    check_int (label ^ ": disabled events") raws d.Trace.disabled_events;
+    check_int (label ^ ": discards") (spans + raws) (Trace.disabled_discards off);
+    check_int (label ^ ": nothing overflowed") 0
+      (Trace.dropped off + d.Trace.dropped_spans + d.Trace.dropped_events)
+  in
+  feed ~spans:7 ~raws:5;
+  expect "fed" ~spans:7 ~raws:5;
+  Trace.clear off;
+  expect "cleared" ~spans:0 ~raws:0;
+  feed ~spans:2 ~raws:3;
+  expect "fed after clear" ~spans:2 ~raws:3
+
 (* ------------------------------------------------------------------ *)
 (* Chrome export + JSON round-trip                                      *)
 (* ------------------------------------------------------------------ *)
@@ -330,6 +361,37 @@ let test_profile_classes_and_edges () =
     (Profile.first_attempt_rate empty = 1.0);
   Profile.reset ();
   check_bool "reset clears classes" true (Profile.classes () = [])
+
+(* Thread ids never repeat, so the profiler must forget a thread once it
+   holds nothing; otherwise every thread of every run stays in its
+   held-stack table. *)
+let test_profile_forgets_released_threads () =
+  let module K = Mach_ksync.Ksync in
+  Profile.reset ();
+  Profile.note_acquire ~tid:7 ~name:"a1" ~contended:false ~wait_cycles:0;
+  Profile.note_acquire ~tid:7 ~name:"b1" ~contended:false ~wait_cycles:0;
+  Profile.note_release ~tid:7 ~name:"a1" ~held_cycles:5;
+  check_int "a thread still holding is kept" 1 (Profile.held_threads ());
+  Profile.note_release ~tid:7 ~name:"b1" ~held_cycles:5;
+  check_int "released thread forgotten" 0 (Profile.held_threads ());
+  let cfg = { Mach_sim.Sim_config.default with Mach_sim.Sim_config.cpus = 2 } in
+  ignore
+    (Mach_sim.Sim_engine.run ~cfg (fun () ->
+         let l = K.Slock.make ~name:"shared" () in
+         let ts =
+           List.init 8 (fun _ ->
+               Mach_sim.Sim_engine.spawn (fun () ->
+                   for _ = 1 to 3 do
+                     K.Slock.lock l;
+                     Mach_sim.Sim_engine.cycles 10;
+                     K.Slock.unlock l
+                   done))
+         in
+         List.iter Mach_sim.Sim_engine.join ts));
+  check_bool "the run was profiled" true
+    (List.exists (fun c -> c.Profile.cls = "shared") (Profile.classes ()));
+  check_int "no thread left after everything was released" 0
+    (Profile.held_threads ())
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: a traced simulation run                                  *)
@@ -702,6 +764,8 @@ let () =
         [
           test_case "disabled vs overflow accounting" `Quick
             test_trace_disabled_vs_overflow;
+          test_case "disabled trace keeps no ring" `Quick
+            test_trace_disabled_keeps_no_ring;
           test_case "chrome export round-trip" `Quick
             test_chrome_export_round_trip;
           test_case "traced run emits typed lock events" `Quick
@@ -714,6 +778,8 @@ let () =
           test_case "registry counters and shards" `Quick test_metrics_registry;
           test_case "classes and waits-for edges" `Quick
             test_profile_classes_and_edges;
+          test_case "released threads are forgotten" `Quick
+            test_profile_forgets_released_threads;
         ] );
       ( "spans",
         [
