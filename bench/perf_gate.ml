@@ -11,15 +11,21 @@
    noise — a throttled or shared core slows the absolute number but not
    the normalized one; an unlucky calibration slice slows the
    normalized number but not the absolute one — rarely sinks the two
-   together.  Exits 1 when the throughput ratio check (--min-ratio,
-   default 0.9) or the dormant-observability check
-   (--max-spans-overhead, default 0.03; the engine row is measured with
-   spans disabled) fails on both estimators.
+   together.  Two checks read this spans-off engine row: the throughput
+   check (--min-ratio, default 0.9, times the reference) and the
+   tighter --max-spans-overhead check (default 0.03: at least 0.97
+   times the same reference).  Neither measures what spans cost.
 
-   The model-checker row (mc: best-of-N DPOR transitions/sec on the E14
-   herd cell) is a host-time measurement too, so it is checked the same
-   way: `mc.vs_baseline` and `mc.vs_calib` against --min-ratio times
-   their committed references, failing only when both are below.
+   The host-time rows `engine64` (best-of-3 steps/sec of the 64-cpu
+   RPC serving run) and `mc` (best-of-N DPOR transitions/sec on the
+   E14 herd cell) are checked the same way: `vs_baseline` and
+   `vs_calib` against --min-ratio times their committed references,
+   failing only when both are below.
+
+   The cost of spans, which are on by default, is checked on
+   `engine.spans.on_vs_off`: spans-on over spans-off steps/sec of the
+   engine row, both measured in one process, against the committed
+   floor `engine.min_spans_on_vs_off`.
 
    Deterministic rows (vm.range_speedup, cache.read_speedup,
    rpc.throughput_speedup) are simulated-time makespan ratios and are
@@ -27,9 +33,10 @@
    pairing needed.
 
    --inject-slowdown halves every measured value before the comparison;
-   --inject-row SECTION halves only that row (vm, cache, rpc or mc).  CI
-   runs both once per pipeline to prove the gate actually trips on each
-   row (a gate that cannot fail gates nothing). *)
+   --inject-row ROW halves only that row (vm, cache, rpc, mc, engine64
+   or spans).  CI runs both once per pipeline to prove the gate
+   actually trips on each row (a gate that cannot fail gates
+   nothing). *)
 
 module Obs_json = Mach_obs.Obs_json
 
@@ -83,8 +90,8 @@ let () =
       ("--inject-slowdown", Arg.Set inject, " halve the measured value (gate selftest)");
       ( "--inject-row",
         Arg.Set_string inject_row,
-        "SECTION halve only that row's measured values (vm, cache, rpc or \
-         mc; gate selftest per row)" );
+        "ROW halve only that row's measured values (vm, cache, rpc, mc, \
+         engine64 or spans; gate selftest per row)" );
     ]
   in
   Arg.parse spec
@@ -128,11 +135,12 @@ let () =
           intentional, regenerate the reference with `make perf-reference`"
          (100. *. !min_ratio))
   in
-  (* The engine row is measured with spans DISABLED, so this is the
-     "observability you are not using" tax: the span layer's dormant
-     checks must stay within --max-spans-overhead of the pre-span
-     reference.  (The rounded-down reference already absorbs runner
-     jitter; see bench/perf_reference.json.) *)
+  (* The same spans-off engine row against the same reference as the
+     throughput check, with the tighter floor 1 - --max-spans-overhead.
+     The reference predates the span layer, so this bounds how far the
+     dormant span hooks (with everything else on the step path) may
+     drift below it; it measures no span cost itself -- the on_vs_off
+     check below does. *)
   let spans_failed =
     both_below
       (fun r -> (1. -. !max_spans_overhead) *. r)
@@ -143,41 +151,51 @@ let () =
           not free"
          (100. *. !max_spans_overhead))
   in
-  (* Deterministic rows (simulated-time makespan ratios): no estimator
-     pairing or noise floor needed — the number moves only when the code
-     changes.  Each check runs only when the committed reference carries
-     the row (older references predate it), and --inject-row SECTION
-     halves just that row so the selftest can prove each one trips
-     independently of the engine rows. *)
-  let det_check ~section ~label ~ref_field ~meas_field ~fail_text =
-    let field doc path f =
-      match Obs_json.member section doc with
-      | None -> None
-      | Some obj -> (
-          match number (Obs_json.member f obj) with
-          | Some v when v > 0. -> Some v
-          | Some _ -> die "%s: %s.%s must be positive" path section f
-          | None -> None)
-    in
-    match field (json_of_file !reference) !reference ref_field with
+  (* Values checked directly against a committed floor, with no
+     estimator pairing.  Each check runs only when the committed
+     reference carries its floor (older references predate it), and
+     --inject-row ROW halves just that value so the selftest can prove
+     each one trips on its own. *)
+  let lookup path keys =
+    let doc = json_of_file path in
+    match
+      List.fold_left
+        (fun v k -> Option.bind v (Obs_json.member k))
+        (Some doc) keys
+    with
+    | None -> None
+    | Some v -> (
+        match number (Some v) with
+        | Some f when f > 0. -> Some f
+        | Some _ -> die "%s: %s must be positive" path (String.concat "." keys)
+        | None -> None)
+  in
+  let floor_check ~row ~label ~floor ~measured ~why fail_text =
+    match lookup !reference floor with
     | None -> false
     | Some floor -> (
-        match field (json_of_file !perf) !perf meas_field with
-        | None -> die "%s: %s.%s missing" !perf section meas_field
+        let name = String.concat "." measured in
+        match lookup !perf measured with
+        | None -> die "%s: %s missing" !perf name
         | Some m ->
-            let injected = !inject || !inject_row = section in
+            let injected = !inject || !inject_row = row in
             let m = if injected then m /. 2. else m in
-            Printf.printf
-              "perf-gate: %s: %s.%s measured=%.2f  floor=%.2f%s\n" label
-              section meas_field m floor
+            Printf.printf "perf-gate: %s: %s measured=%.2f  floor=%.2f%s\n"
+              label name m floor
               (if injected then "  [injected 2x slowdown]" else "");
             if m < floor then begin
-              Printf.printf "perf-gate: FAIL: %s (the number is \
-                             deterministic simulated time, not host noise)\n"
-                (fail_text floor);
+              Printf.printf "perf-gate: FAIL: %s (%s)\n" (fail_text floor) why;
               true
             end
             else false)
+  in
+  (* Deterministic rows: simulated-time makespan ratios, which move only
+     when the code changes. *)
+  let det_check ~section ~label ~ref_field ~meas_field ~fail_text =
+    floor_check ~row:section ~label ~floor:[ section; ref_field ]
+      ~measured:[ section; meas_field ]
+      ~why:"the number is deterministic simulated time, not host noise"
+      fail_text
   in
   (* The range-lock fault path (E16). *)
   let vm_failed =
@@ -225,8 +243,37 @@ let () =
              or per-transition host cost has regressed"
             (100. *. !min_ratio))
   in
+  (* Engine host cost per step at 64 cpus, where a scheduler step that
+     costs O(cpus) shows four times as strongly as in the 16-cpu engine
+     row. *)
+  let engine64_failed =
+    Obs_json.member "engine64" (json_of_file !reference) <> None
+    && both_below ~section:"engine64"
+         (fun r -> !min_ratio *. r)
+         "64-cpu engine"
+         (Printf.sprintf
+            "64-cpu engine steps/sec is below %.0f%% of the committed \
+             reference on every estimator; the scheduler's per-step host cost \
+             has regressed (an O(cpus) candidate scan is back?)"
+            (100. *. !min_ratio))
+  in
+  (* The shipped configuration: spans are on by default.  The engine row
+     measures spans off and on in the same process, best-of-N each, so
+     their ratio cancels host speed; it is checked against its own
+     committed floor. *)
+  let spans_on_failed =
+    floor_check ~row:"spans" ~label:"spans-on cost"
+      ~floor:[ "engine"; "min_spans_on_vs_off" ]
+      ~measured:[ "engine"; "spans"; "on_vs_off" ]
+      ~why:"spans on and off are measured in the same process"
+      (fun floor ->
+        Printf.sprintf
+          "the engine with spans on (the default) runs below %.2fx of spans \
+           off; recording spans has become more expensive"
+          floor)
+  in
   if
     ratio_failed || spans_failed || vm_failed || cache_failed || rpc_failed
-    || mc_failed
+    || mc_failed || engine64_failed || spans_on_failed
   then exit 1
   else Printf.printf "perf-gate: OK\n"

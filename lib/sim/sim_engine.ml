@@ -127,6 +127,64 @@ module Tq = struct
     x
 end
 
+(* ------------------------------------------------------------------ *)
+(* Cpu sets: one bit per cpu, 32 cpus to a word (64 cpus = two words). *)
+(* The candidate picker keeps its sets in these between steps; the     *)
+(* r-th member is found by popcounts, not by a scan over every cpu.    *)
+(* ------------------------------------------------------------------ *)
+
+module Cpuset = struct
+  type t = int array (* word w holds cpus 32w .. 32w+31 *)
+
+  let make ncpus = Array.make ((ncpus + 31) lsr 5) 0
+  let mem s i = (s.(i lsr 5) lsr (i land 31)) land 1 <> 0
+  let add s i = s.(i lsr 5) <- s.(i lsr 5) lor (1 lsl (i land 31))
+  let remove s i = s.(i lsr 5) <- s.(i lsr 5) land lnot (1 lsl (i land 31))
+
+  let full ncpus =
+    Array.init ((ncpus + 31) lsr 5) (fun w ->
+        (1 lsl min 32 (ncpus - (w lsl 5))) - 1)
+
+  let union_into dst src =
+    for w = 0 to Array.length dst - 1 do
+      dst.(w) <- dst.(w) lor src.(w)
+    done
+
+  (* Population count of a 32-bit word. *)
+  let popcount x =
+    let x = x - ((x lsr 1) land 0x55555555) in
+    let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+    let x = (x + (x lsr 4)) land 0x0f0f0f0f in
+    ((x * 0x01010101) lsr 24) land 0xff
+
+  (* Index of the lowest set bit of a non-zero word. *)
+  let ctz x = popcount ((x land -x) - 1)
+
+  (* The least member >= [i], or -1. *)
+  let rec next s i =
+    let w = i lsr 5 in
+    if w >= Array.length s then -1
+    else
+      let x = s.(w) land ((-1) lsl (i land 31)) in
+      if x <> 0 then (w lsl 5) + ctz x else next s ((w + 1) lsl 5)
+
+  (* The [r]-th member in ascending order, counting from 0, searching
+     from word [w]. *)
+  let rec select_from s w r =
+    let x = s.(w) in
+    let n = popcount x in
+    if r >= n then select_from s (w + 1) (r - n)
+    else begin
+      let x = ref x in
+      for _ = 1 to r do
+        x := !x land (!x - 1)
+      done;
+      (w lsl 5) + ctz !x
+    end
+
+  let select s r = select_from s 0 r
+end
+
 (* Interrupt priority levels are dense ranks 0..n_spl-1; pending
    interrupts live in one FIFO per level with a summary bitmask, so both
    "is anything deliverable at this spl?" and "highest-priority pending"
@@ -263,12 +321,20 @@ type engine = {
   mutable rr_next : int;
   mutable name_ctr : int; (* per-run counter for generated thread names *)
   idle_identity : thread array; (* self() for interrupts on idle cpus *)
-  (* Scratch for the candidate picker: cpu indices of this step's
-     candidates (ascending), per-cpu action codes, and the Timed policy's
-     near-minimum subset.  Reused every step, never allocated. *)
-  cand : int array;
+  (* The candidate picker's state, kept between steps (see "Candidate
+     picking" below). *)
   act : int array; (* 0 none / 1 deliver / 2 resume / 3 dispatch *)
-  near : int array;
+  cand_set : Cpuset.t; (* act <> 0 *)
+  mutable ncand : int;
+  idle_set : Cpuset.t; (* cpus with no frame *)
+  dirty : Cpuset.t; (* cpus whose action may have changed since the last pick *)
+  mutable anyq_seen : bool; (* anyq non-empty at the last refresh *)
+  near_set : Cpuset.t; (* Timed: candidates with clock <= tmin + window *)
+  mutable nnear : int;
+  mutable tmin : int; (* Timed: the least candidate clock *)
+  mutable near_stale : bool; (* candidacy changed since tmin was computed *)
+  mutable last_pick : int; (* the cpu the last step ran, -1 once refreshed *)
+  mutable pick_clock : int; (* its clock before that step *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -669,7 +735,9 @@ let enqueue e t =
   note e Sim_config.Mc_runq;
   match t.bound with
   | None -> Tq.push e.anyq t
-  | Some b when b >= 0 && b < Array.length e.cpus -> Tq.push e.boundq.(b) t
+  | Some b when b >= 0 && b < Array.length e.cpus ->
+      Tq.push e.boundq.(b) t;
+      Cpuset.add e.dirty b
   | Some _ -> Tq.push e.limbo t
 
 let spawn ?name ?bound f =
@@ -798,6 +866,7 @@ let post_interrupt ?(name = "ipi") ~cpu ~level handler =
   Tq.push c.pend.(r) i;
   c.pend_mask <- c.pend_mask lor (1 lsl r);
   c.pend_count <- c.pend_count + 1;
+  Cpuset.add e.dirty cpu;
   productive e;
   note e (Sim_config.Mc_intrq cpu);
   trace (Obs_event.Intr_post { name; cpu; level = Spl.to_string level })
@@ -1329,86 +1398,184 @@ let mkstats e =
     spin_pauses = e.st.m_spin_pauses;
   }
 
-(* Fill the scratch candidate arrays; returns the candidate count.
-   Candidates appear in ascending cpu order, as the old list did. *)
-let collect_candidates e =
-  let n = Array.length e.cpus in
-  let m = ref 0 in
-  for idx = 0 to n - 1 do
-    let c = e.cpus.(idx) in
-    let a =
-      if deliverable c then
-        (* Delayed interrupt delivery: defer to the cpu's alternative
-           action for this step when it has one.  Never suppress the only
-           possible action — that would turn a live machine into a false
-           sleep-deadlock report. *)
-        if
-          e.faults_on
-          && (match c.frames with _ :: _ -> true | [] -> dispatchable e c)
-          && chaos_hit e e.cfg.faults.delay_interrupt
-        then begin
-          e.ch.c_delayed_intr <- e.ch.c_delayed_intr + 1;
-          match c.frames with _ :: _ -> 2 | [] -> 3
-        end
-        else 1
-      else
-        match c.frames with
-        | _ :: _ -> 2
-        | [] -> if dispatchable e c then 3 else 0
-    in
-    e.act.(idx) <- a;
-    if a <> 0 then begin
-      e.cand.(!m) <- idx;
-      incr m
-    end
-  done;
-  !m
+(* ------------------------------------------------------------------ *)
+(* Candidate picking                                                    *)
+(* ------------------------------------------------------------------ *)
 
-(* Choose a candidate cpu index.  Each policy consumes the RNG exactly as
-   the list-based picker did, so (seed, cfg) schedules are unchanged. *)
-let pick_cpu e m =
+(* A step runs only the picked cpu, so only its clock, frames and spl
+   move.  Another cpu's action can change in just three ways:
+     - [post_interrupt] to it changes its pending mask;
+     - a push onto its bound queue makes it dispatchable;
+     - the unbound run queue going empty <-> non-empty flips every idle
+       cpu between dispatch and nothing.
+   So the action codes and the candidate set persist between steps.
+   [post_interrupt] and [enqueue] mark the first two in [dirty], each
+   step marks its picked cpu, and [update_candidates] refreshes exactly
+   those plus the idle cpus when the run queue flipped. *)
+
+let action e c =
+  if deliverable c then 1
+  else
+    match c.frames with
+    | _ :: _ -> 2
+    | [] -> if dispatchable e c then 3 else 0
+
+let refresh e i =
+  let c = e.cpus.(i) in
+  let a = action e c in
+  let was = e.act.(i) in
+  e.act.(i) <- a;
+  if (a <> 0) <> (was <> 0) then begin
+    if a <> 0 then begin
+      Cpuset.add e.cand_set i;
+      e.ncand <- e.ncand + 1
+    end
+    else begin
+      Cpuset.remove e.cand_set i;
+      e.ncand <- e.ncand - 1
+    end;
+    e.near_stale <- true
+  end;
+  match c.frames with
+  | [] -> Cpuset.add e.idle_set i
+  | _ :: _ -> Cpuset.remove e.idle_set i
+
+(* The Timed policy advances the least-advanced cpu, but chooses
+   randomly among the cpus within a small clock window of the minimum:
+   without this jitter, two contenders can phase-lock into a
+   deterministic cycle where one always samples a lock while the other
+   holds it (a livelock real machines escape through timing noise). *)
+let timed_window e = (2 * e.cfg.atomic_cost) + (2 * e.cfg.bus_occupancy)
+
+(* The least clock among the cpus in [s] ([max_int] when empty).  This
+   and [near_into] walk the set's words bit by bit: cheaper than [next]
+   per member when the set is dense, as candidate sets are. *)
+let min_clock e (s : Cpuset.t) =
+  let lo = ref max_int in
+  for w = 0 to Array.length s - 1 do
+    let x = ref s.(w) and i = ref (w lsl 5) in
+    while !x <> 0 do
+      if !x land 1 <> 0 then begin
+        let clk = e.cpus.(!i).clock in
+        if clk < !lo then lo := clk
+      end;
+      x := !x lsr 1;
+      incr i
+    done
+  done;
+  !lo
+
+(* [dst] := the cpus in [s] whose clock is at most [limit]; returns how
+   many there are. *)
+let near_into e (s : Cpuset.t) limit (dst : Cpuset.t) =
+  let n = ref 0 in
+  for w = 0 to Array.length s - 1 do
+    let x = ref s.(w) and b = ref 0 and near = ref 0 in
+    while !x <> 0 do
+      if !x land 1 <> 0 && e.cpus.((w lsl 5) + !b).clock <= limit then
+        near := !near lor (1 lsl !b);
+      x := !x lsr 1;
+      incr b
+    done;
+    dst.(w) <- !near;
+    n := !n + Cpuset.popcount !near
+  done;
+  !n
+
+let recompute_near e =
+  e.tmin <- min_clock e e.cand_set;
+  e.nnear <- near_into e e.cand_set (e.tmin + timed_window e) e.near_set;
+  e.near_stale <- false
+
+(* Bring the picker up to date with everything since the last pick. *)
+let update_candidates e =
+  let queued = not (Tq.is_empty e.anyq) in
+  if queued <> e.anyq_seen then begin
+    e.anyq_seen <- queued;
+    Cpuset.union_into e.dirty e.idle_set
+  end;
+  for w = 0 to Array.length e.dirty - 1 do
+    let x = ref e.dirty.(w) in
+    e.dirty.(w) <- 0;
+    while !x <> 0 do
+      let low = !x land - !x in
+      refresh e ((w lsl 5) + Cpuset.ctz low);
+      x := !x lxor low
+    done
+  done;
+  (match e.cfg.policy with
+  | Sim_config.Timed when e.ncand > 0 ->
+      (* Clocks only move forward.  If candidacy is unchanged and the
+         picked cpu's clock was above the minimum before its step,
+         another candidate holds the minimum and no other clock moved:
+         only the picked cpu's near bit can change.  Anything else
+         recomputes from scratch. *)
+      let p = e.last_pick in
+      if e.near_stale || (p >= 0 && e.pick_clock <= e.tmin) then
+        recompute_near e
+      else if p >= 0 then begin
+        let near = e.cpus.(p).clock <= e.tmin + timed_window e in
+        if near <> Cpuset.mem e.near_set p then
+          if near then begin
+            Cpuset.add e.near_set p;
+            e.nnear <- e.nnear + 1
+          end
+          else begin
+            Cpuset.remove e.near_set p;
+            e.nnear <- e.nnear - 1
+          end
+      end
+  | _ -> ());
+  e.last_pick <- -1
+
+(* Delayed interrupt delivery: defer a deliverable cpu to its
+   alternative action for this step when it has one.  Never suppress
+   the only possible action -- that would turn a live machine into a
+   false sleep-deadlock report.  One chaos draw per deliverable
+   candidate with an alternative, in ascending cpu order; the override
+   lasts one step, since marking the cpu dirty restores its delivery at
+   the next refresh. *)
+let delay_interrupts e =
+  let odds = e.cfg.faults.delay_interrupt in
+  if odds > 0 then begin
+    let i = ref (Cpuset.next e.cand_set 0) in
+    while !i >= 0 do
+      let c = e.cpus.(!i) in
+      let busy = match c.frames with _ :: _ -> true | [] -> false in
+      if e.act.(!i) = 1 && (busy || dispatchable e c) && chaos_hit e odds
+      then begin
+        e.ch.c_delayed_intr <- e.ch.c_delayed_intr + 1;
+        e.act.(!i) <- (if busy then 2 else 3);
+        Cpuset.add e.dirty !i
+      end;
+      i := Cpuset.next e.cand_set (!i + 1)
+    done
+  end
+
+(* Choose a candidate cpu.  Every policy draws exactly as a scan over
+   the cpus in ascending order would: the r-th candidate (Random, and a
+   chaos-perturbed pick), the first candidate at or after [rr_next]
+   (Round_robin), the r-th near cpu (Timed). *)
+let pick_cpu e =
   if e.faults_on && chaos_hit e e.cfg.faults.perturb_pick then begin
     (* Perturbed pick: override the policy with a uniform draw from the
        chaos RNG — adversarial scheduling noise under any policy. *)
     e.ch.c_perturbed <- e.ch.c_perturbed + 1;
-    e.cand.(Sim_rng.int e.crng m)
+    Cpuset.select e.cand_set (Sim_rng.int e.crng e.ncand)
   end
   else
-  match e.cfg.policy with
-  | Sim_config.Random_policy -> e.cand.(Sim_rng.int e.rng m)
-  | Sim_config.Round_robin ->
-      let n = Array.length e.cpus in
-      let rec scan k =
-        let idx = (e.rr_next + k) mod n in
-        if e.act.(idx) <> 0 then begin
-          e.rr_next <- (idx + 1) mod n;
-          idx
-        end
-        else scan (k + 1)
-      in
-      scan 0
-  | Sim_config.Timed ->
-      (* Advance the least-advanced cpu, but choose randomly among cpus
-         within a small clock window of the minimum: without this jitter,
-         two contenders can phase-lock into a deterministic cycle where
-         one always samples a lock while the other holds it (a livelock
-         real machines escape through timing noise). *)
-      let minimum = ref max_int in
-      for k = 0 to m - 1 do
-        let clk = e.cpus.(e.cand.(k)).clock in
-        if clk < !minimum then minimum := clk
-      done;
-      let window = (2 * e.cfg.atomic_cost) + (2 * e.cfg.bus_occupancy) in
-      let limit = !minimum + window in
-      let p = ref 0 in
-      for k = 0 to m - 1 do
-        let idx = e.cand.(k) in
-        if e.cpus.(idx).clock <= limit then begin
-          e.near.(!p) <- idx;
-          incr p
-        end
-      done;
-      e.near.(Sim_rng.int e.rng !p)
+    match e.cfg.policy with
+    | Sim_config.Random_policy ->
+        Cpuset.select e.cand_set (Sim_rng.int e.rng e.ncand)
+    | Sim_config.Round_robin ->
+        let idx =
+          match Cpuset.next e.cand_set e.rr_next with
+          | -1 -> Cpuset.next e.cand_set 0
+          | idx -> idx
+        in
+        e.rr_next <- (idx + 1) mod Array.length e.cpus;
+        idx
+    | Sim_config.Timed -> Cpuset.select e.near_set (Sim_rng.int e.rng e.nnear)
 
 (* Deliver chaos-delayed wakeups whose due step has arrived ([force]
    delivers everything: used when the machine would otherwise be declared
@@ -1463,8 +1630,8 @@ let sched_loop e =
         deliver_delayed e ~force:false;
         maybe_spurious e
       end;
-      let m = collect_candidates e in
-      if m = 0 then
+      update_candidates e;
+      if e.ncand = 0 then
         if e.faults_on && e.delayed <> [] then begin
           (* Not a deadlock yet: delayed wakeups are still owed.  Flush
              them all rather than report a machine the injector itself
@@ -1483,10 +1650,14 @@ let sched_loop e =
           raise (Deadlock (Sleep_deadlock, report))
         end
       else begin
+        if e.faults_on then delay_interrupts e;
         e.st.m_steps <- e.st.m_steps + 1;
         e.stale <- e.stale + 1;
-        let idx = pick_cpu e m in
+        let idx = pick_cpu e in
         let c = e.cpus.(idx) in
+        e.last_pick <- idx;
+        e.pick_clock <- c.clock;
+        Cpuset.add e.dirty idx;
         (match e.act.(idx) with
         | 1 -> deliver e c
         | 2 -> resume e c
@@ -1775,9 +1946,19 @@ let run ?(cfg = Sim_config.default) main =
       idle_identity =
         Array.init cfg.cpus (fun i ->
             make_thread (Printf.sprintf "cpu%d-idle" i));
-      cand = Array.make cfg.cpus 0;
       act = Array.make cfg.cpus 0;
-      near = Array.make cfg.cpus 0;
+      cand_set = Cpuset.make cfg.cpus;
+      ncand = 0;
+      (* Every cpu starts idle and unrefreshed. *)
+      idle_set = Cpuset.full cfg.cpus;
+      dirty = Cpuset.full cfg.cpus;
+      anyq_seen = false;
+      near_set = Cpuset.make cfg.cpus;
+      nnear = 0;
+      tmin = 0;
+      near_stale = true;
+      last_pick = -1;
+      pick_clock = 0;
       mc = cfg.mc;
       mc_on = cfg.mc <> None;
       fp = [];

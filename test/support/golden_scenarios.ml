@@ -214,6 +214,17 @@ let matrix : (string * int * int * Config.policy) list =
     ("scache-readers", 4, 5, Config.Random_policy);
     ("cx-scache", 4, 7, Config.Round_robin);
     ("cx-scache", 8, 3, Config.Timed);
+    (* Above 16 cpus: the scheduler keeps its candidate and near sets as
+       two-word cpu bitmasks, so these rows pin schedules whose masks
+       cross cpu 31 -> 32 and reach cpu 63, under every policy, with
+       bound threads and IPIs (shootdown). *)
+    ("shootdown", 33, 5, Config.Random_policy);
+    ("shootdown", 48, 7, Config.Timed);
+    ("shootdown", 64, 5, Config.Random_policy);
+    ("shootdown", 64, 9, Config.Round_robin);
+    ("brlock-readers", 64, 7, Config.Round_robin);
+    ("scache-readers", 64, 3, Config.Timed);
+    ("contention", 33, 5, Config.Random_policy);
   ]
 
 let line (name, cpus, seed, policy) =

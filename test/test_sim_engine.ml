@@ -242,19 +242,43 @@ let test_interrupt_nesting_and_spl_restore () =
   | _ -> Alcotest.fail "nested interrupt did not preempt the low handler"
 
 let test_interrupt_on_idle_cpu () =
-  let fired = ref false in
-  let _ =
-    run ~cpus:2 (fun () ->
-        (* cpu1 is idle: the interrupt must still be delivered there. *)
-        let me = Engine.current_cpu () in
-        let other = if me = 0 then 1 else 0 in
-        Engine.post_interrupt ~name:"idle-ipi" ~cpu:other ~level:Spl.Splvm
-          (fun () -> fired := true);
-        while not !fired do
-          Engine.pause ()
-        done)
+  (* Post an IPI to an idle cpu, from [poster]'s cpu (or main's when
+     unbound): it must still be delivered there, over the cpu's idle
+     identity. *)
+  let ipi ~cpus ?poster target =
+    let ran = ref None in
+    let _ =
+      run ~cpus (fun () ->
+          let post () =
+            let other = target (Engine.current_cpu ()) in
+            Engine.post_interrupt ~name:"idle-ipi" ~cpu:other ~level:Spl.Splvm
+              (fun () ->
+                ran :=
+                  Some
+                    ( other,
+                      Engine.current_cpu (),
+                      Engine.thread_name (Engine.self ()) ));
+            while !ran = None do
+              Engine.pause ()
+            done
+          in
+          match poster with
+          | None -> post ()
+          | Some cpu -> Engine.join (Engine.spawn ~name:"poster" ~bound:cpu post))
+    in
+    match !ran with
+    | None -> Alcotest.fail "interrupt never fired"
+    | Some (other, cpu, identity) ->
+        check_int (Printf.sprintf "%d cpus: ran on cpu %d" cpus other) other cpu;
+        Alcotest.(check string)
+          (Printf.sprintf "%d cpus: cpu %d was idle" cpus other)
+          (Printf.sprintf "cpu%d-idle" other)
+          identity
   in
-  check_bool "fired on idle cpu" true !fired
+  ipi ~cpus:2 (fun me -> 1 - me);
+  (* Cpu 63 is the last bit of the second word of the scheduler's cpu
+     sets. *)
+  ipi ~cpus:64 ~poster:0 (fun _ -> 63)
 
 let test_park_in_interrupt_panics () =
   match
@@ -270,16 +294,26 @@ let test_park_in_interrupt_panics () =
   | _ -> Alcotest.fail "parking in an interrupt must panic"
 
 let test_bound_thread_runs_on_its_cpu () =
-  let seen = ref (-1) in
-  let _ =
-    run ~cpus:4 (fun () ->
-        let t =
-          Engine.spawn ~name:"pinned" ~bound:2 (fun () ->
-              seen := Engine.current_cpu ())
-        in
-        Engine.join t)
-  in
-  check_int "ran on cpu 2" 2 !seen
+  (* At 64 cpus the scheduler's cpu sets span two words: bind at both
+     ends and on both sides of the 31 -> 32 boundary. *)
+  List.iter
+    (fun (cpus, bounds) ->
+      let seen = Array.make (List.length bounds) (-1) in
+      let _ =
+        run ~cpus (fun () ->
+            List.mapi
+              (fun k cpu ->
+                Engine.spawn ~name:(Printf.sprintf "pinned%d" cpu) ~bound:cpu
+                  (fun () -> seen.(k) <- Engine.current_cpu ()))
+              bounds
+            |> List.iter Engine.join)
+      in
+      List.iteri
+        (fun k cpu ->
+          check_int (Printf.sprintf "%d cpus: ran on cpu %d" cpus cpu) cpu
+            seen.(k))
+        bounds)
+    [ (4, [ 2 ]); (64, [ 0; 31; 32; 63 ]) ]
 
 let test_ttas_fewer_bus_transactions_than_tas () =
   (* The section 2 cache claim, at engine level: spinning with plain reads
