@@ -1,27 +1,17 @@
 module Tls_key = Machine_intf.Tls_key
-module Obs_metrics = Mach_obs.Obs_metrics
-module Obs_profile = Mach_obs.Obs_profile
-module Obs_trace = Mach_obs.Obs_trace
-module Obs_event = Mach_obs.Obs_event
-module Obs_span = Mach_obs.Obs_span
 
 module Make
     (M : Machine_intf.MACHINE)
     (Slock : module type of Simple_lock.Make (M))
     (E : module type of Event.Make (M) (Slock)) =
 struct
-  (* Same named metrics as the simple locks: interning is idempotent, so
-     complex-lock waits land in the same "lock.*" aggregates. *)
-  let m_acquisitions = Obs_metrics.counter "lock.acquisitions"
-  let m_contentions = Obs_metrics.counter "lock.contentions"
-  let h_wait = Obs_metrics.histogram "lock.wait_cycles"
-  let h_hold = Obs_metrics.histogram "lock.hold_cycles"
+  module Ev = Lock_events.Make (M)
 
   type t = {
-    cl_id : int;
     interlock : Slock.t; (* protects every mutable field below *)
     event : E.event;
     lname : string;
+    site : Lock_events.site;
     stats : Lock_stats.t;
     mutable want_write : bool;
     mutable want_upgrade : bool;
@@ -44,16 +34,16 @@ struct
       match name with Some n -> n | None -> Printf.sprintf "lock%d" id
     in
     let event = E.fresh_event () in
+    let res = Waits_for.Clock { uid = id; name = lname } in
     (* Sleep-mode waits surface as waits on [event]; alias the event back
        to this lock so the deadlock detector names the lock, not a bare
        event number. *)
-    Waits_for.note_event_resource ~event
-      (Waits_for.Clock { uid = id; name = lname });
+    Waits_for.note_event_resource ~event res;
     {
-      cl_id = id;
       interlock = Slock.make ~name:(lname ^ ".interlock") ?proto ();
       event;
       lname;
+      site = Lock_events.site ~name:lname res;
       stats = Lock_stats.make ();
       want_write = false;
       want_upgrade = false;
@@ -70,42 +60,6 @@ struct
     |> fun t ->
     t.can_sleep <- can_sleep;
     t
-
-  (* [waits] is the number of [lock_wait] rounds the acquisition took;
-     contended iff at least one.  [blocker] is the writer observed when
-     the wait began, for blocked-by attribution (reader crowds have no
-     single holder to blame, so only writer holds attribute). *)
-  let obs_acquire t ?blocker ~waits ~wait_cycles () =
-    let cpu = M.current_cpu () in
-    Obs_metrics.incr ~cpu m_acquisitions;
-    if waits > 0 then Obs_metrics.incr ~cpu m_contentions;
-    Obs_metrics.observe ~cpu h_wait wait_cycles;
-    Obs_profile.note_acquire
-      ~tid:(M.thread_id (M.self ()))
-      ~name:t.lname ~contended:(waits > 0) ~wait_cycles;
-    if Obs_span.enabled () then begin
-      (match blocker with
-      | Some h when waits > 0 ->
-          Obs_span.blocked ~kind:Obs_span.Lock ~name:t.lname
-            ~holder_tid:(M.thread_id h) ~wait_cycles
-      | _ -> ());
-      Obs_span.enter Obs_span.Lock t.lname
-    end;
-    if Obs_trace.enabled () then
-      Obs_trace.emit
-        (Obs_event.Lock_acquire { lock = t.lname; spins = waits; wait_cycles })
-
-  (* [held_cycles = 0] means "unknown" (read holds are not individually
-     timed); it still balances the profiler's held stack. *)
-  let obs_release t ~held_cycles =
-    if held_cycles > 0 then
-      Obs_metrics.observe ~cpu:(M.current_cpu ()) h_hold held_cycles;
-    Obs_profile.note_release
-      ~tid:(M.thread_id (M.self ()))
-      ~name:t.lname ~held_cycles;
-    Obs_span.exit Obs_span.Lock t.lname;
-    if Obs_trace.enabled () then
-      Obs_trace.emit (Obs_event.Lock_release { lock = t.lname; held_cycles })
 
   let self_is t holder =
     match holder with
@@ -124,19 +78,6 @@ struct
       M.tls_set self ~key:k (M.tls_get self ~key:k + delta)
     end
 
-  let wf_res t = Waits_for.Clock { uid = t.cl_id; name = t.lname }
-
-  let wf_hold t =
-    if Waits_for.tracking () then
-      Waits_for.note_hold
-        ~tid:(M.thread_id (M.self ()))
-        ~tname:(M.thread_name (M.self ()))
-        (wf_res t)
-
-  let wf_release t =
-    if Waits_for.tracking () then
-      Waits_for.note_release ~tid:(M.thread_id (M.self ())) (wf_res t)
-
   (* Wait for the lock state to change.  Caller holds the interlock; it is
      released across the wait and reacquired before returning.  Sleep mode
      blocks on the lock's event (the event-to-lock alias recorded in [make]
@@ -153,17 +94,10 @@ struct
     end
     else begin
       Slock.unlock t.interlock;
-      let tracking = Waits_for.tracking () in
-      if tracking then
-        Waits_for.note_wait
-          ~tid:(M.thread_id (M.self ()))
-          ~tname:(M.thread_name (M.self ()))
-          (wf_res t);
-      M.spin_hint t.lname;
+      Ev.wait_begin t.site;
       M.spin_pause ();
       Slock.lock t.interlock;
-      if tracking then
-        Waits_for.note_wait_done ~tid:(M.thread_id (M.self ())) (wf_res t)
+      Ev.wait_end t.site
     end
 
   (* Wake every thread blocked on the lock (Mach's wakeup is broadcast).
@@ -192,6 +126,9 @@ struct
               t.lname)
        end);
       let t0 = M.now_cycles () in
+      (* The writer observed when the wait began, for blocked-by
+         attribution (reader crowds have no single holder to blame, so
+         only writer holds attribute). *)
       let blocker = t.writer in
       let waits = ref 0 in
       (* Claim the writer slot: wait out other writers and upgraders. *)
@@ -209,11 +146,9 @@ struct
       t.writer <- Some (M.self ());
       t.write_acquired_at <- M.now_cycles ();
       Lock_stats.record_write t.stats;
-      obs_acquire t ?blocker ~waits:!waits
-        ~wait_cycles:(if !waits > 0 then max 0 (M.now_cycles () - t0) else 0)
-        ();
+      Ev.acquired ?blocker t.site ~spins:!waits
+        ~wait_cycles:(if !waits > 0 then max 0 (M.now_cycles () - t0) else 0);
       bump_spin_held t 1;
-      wf_hold t;
       Slock.unlock t.interlock
     end
 
@@ -241,11 +176,9 @@ struct
       done;
       t.read_count <- t.read_count + 1;
       Lock_stats.record_read t.stats;
-      obs_acquire t ?blocker ~waits:!waits
-        ~wait_cycles:(if !waits > 0 then max 0 (M.now_cycles () - t0) else 0)
-        ();
+      Ev.acquired ?blocker t.site ~spins:!waits
+        ~wait_cycles:(if !waits > 0 then max 0 (M.now_cycles () - t0) else 0);
       bump_spin_held t 1;
-      wf_hold t;
       Slock.unlock t.interlock
     end
 
@@ -265,8 +198,7 @@ struct
       Lock_stats.record_upgrade t.stats ~success:false;
       if t.read_count = 0 then lock_wakeup t;
       bump_spin_held t (-1);
-      wf_release t;
-      obs_release t ~held_cycles:0;
+      Ev.released t.site;
       Slock.unlock t.interlock;
       true
     end
@@ -303,11 +235,8 @@ struct
     t.writer <- None;
     Lock_stats.record_downgrade t.stats;
     (* The write portion of the hold ends here; the (untimed) read hold
-       keeps the profiler's held-stack entry. *)
-    Obs_metrics.observe
-      ~cpu:(M.current_cpu ())
-      h_hold
-      (max 0 (M.now_cycles () - t.write_acquired_at));
+       keeps the held entry and the span. *)
+    Ev.downgraded ~held_cycles:(max 0 (M.now_cycles () - t.write_acquired_at));
     lock_wakeup t;
     Slock.unlock t.interlock
 
@@ -321,25 +250,18 @@ struct
         t.recursive_reads <- t.recursive_reads - 1
       else begin
         bump_spin_held t (-1);
-        wf_release t;
-        obs_release t ~held_cycles:0
+        Ev.released t.site
       end
     end
     else if self_is t t.writer && t.recursion_depth > 0 then
       t.recursion_depth <- t.recursion_depth - 1
-    else if t.want_upgrade then begin
-      t.want_upgrade <- false;
+    else if t.want_upgrade || t.want_write then begin
+      if t.want_upgrade then t.want_upgrade <- false
+      else t.want_write <- false;
       t.writer <- None;
       bump_spin_held t (-1);
-      wf_release t;
-      obs_release t ~held_cycles:(max 0 (M.now_cycles () - t.write_acquired_at))
-    end
-    else if t.want_write then begin
-      t.want_write <- false;
-      t.writer <- None;
-      bump_spin_held t (-1);
-      wf_release t;
-      obs_release t ~held_cycles:(max 0 (M.now_cycles () - t.write_acquired_at))
+      Ev.released t.site
+        ~held_cycles:(max 0 (M.now_cycles () - t.write_acquired_at))
     end
     else begin
       Slock.unlock t.interlock;
@@ -352,7 +274,10 @@ struct
     Slock.lock t.interlock;
     let ok =
       if is_recursive_holder t then begin
+        (* Counted as [lock_read] counts it, so the matching [lock_done]
+           takes the recursive-read release path. *)
         t.read_count <- t.read_count + 1;
+        t.recursive_reads <- t.recursive_reads + 1;
         Lock_stats.record_recursive t.stats;
         true
       end
@@ -363,9 +288,8 @@ struct
       else begin
         t.read_count <- t.read_count + 1;
         Lock_stats.record_read t.stats;
-        obs_acquire t ~waits:0 ~wait_cycles:0 ();
+        Ev.acquired t.site ~spins:0 ~wait_cycles:0;
         bump_spin_held t 1;
-        wf_hold t;
         true
       end
     in
@@ -387,9 +311,8 @@ struct
         t.writer <- Some (M.self ());
         t.write_acquired_at <- M.now_cycles ();
         Lock_stats.record_write t.stats;
-        obs_acquire t ~waits:0 ~wait_cycles:0 ();
+        Ev.acquired t.site ~spins:0 ~wait_cycles:0;
         bump_spin_held t 1;
-        wf_hold t;
         true
       end
     in

@@ -1,25 +1,13 @@
 module Tls_key = Machine_intf.Tls_key
-module Obs_metrics = Mach_obs.Obs_metrics
-module Obs_profile = Mach_obs.Obs_profile
-module Obs_trace = Mach_obs.Obs_trace
-module Obs_event = Mach_obs.Obs_event
-module Obs_span = Mach_obs.Obs_span
 
 module Make (M : Machine_intf.MACHINE) = struct
   module S = Spin.Make (M)
-
-  (* Registry-wide aggregates (interned once per machine instantiation);
-     every simple lock of this machine feeds the same named metrics. *)
-  let m_acquisitions = Obs_metrics.counter "lock.acquisitions"
-  let m_contentions = Obs_metrics.counter "lock.contentions"
-  let h_wait = Obs_metrics.histogram "lock.wait_cycles"
-  let h_hold = Obs_metrics.histogram "lock.hold_cycles"
+  module Ev = Lock_events.Make (M)
 
   (* A lock spins either on one flat cell via a {!Spin} protocol (the
      tas/ttas family) or on protocol-private state behind a packed
      {!Lock_proto.instance} (the lib/locks queue locks).  Everything
-     above the spin — checking, stats, waits-for, observability — is
-     shared. *)
+     above the spin — checking, stats, lock events — is shared. *)
   type impl =
     | Flat of { cell : M.Cell.t; protocol : Spin.protocol }
     | Queued of Lock_proto.instance
@@ -28,6 +16,7 @@ module Make (M : Machine_intf.MACHINE) = struct
     id : int;
     impl : impl;
     lname : string;
+    site : Lock_events.site;
     stats : Lock_stats.t;
     mutable holder : M.thread option;
     (* Last thread to acquire, NOT cleared on release: a contended
@@ -62,6 +51,9 @@ module Make (M : Machine_intf.MACHINE) = struct
       id;
       impl;
       lname;
+      site =
+        Lock_events.site ~name:lname
+          (Waits_for.Slock { uid = id; name = lname });
       stats = Lock_stats.make ();
       holder = None;
       last_holder = None;
@@ -91,50 +83,8 @@ module Make (M : Machine_intf.MACHINE) = struct
                 %s (same-spl rule, paper section 7)"
                t.lname (Spl.to_string spl) (Spl.to_string expected))
 
-  (* [blocker] is the holder observed when the wait began: contended
-     acquisitions attribute their wait to that holder's acquire site
-     (the span enclosing its hold) in the Obs_span blocked-by graph. *)
-  let obs_acquire t ?blocker ~spins ~wait_cycles () =
-    let cpu = M.current_cpu () in
-    Obs_metrics.incr ~cpu m_acquisitions;
-    if spins > 0 then Obs_metrics.incr ~cpu m_contentions;
-    Obs_metrics.observe ~cpu h_wait wait_cycles;
-    Obs_profile.note_acquire
-      ~tid:(M.thread_id (M.self ()))
-      ~name:t.lname ~contended:(spins > 0) ~wait_cycles;
-    if Obs_span.enabled () then begin
-      (match blocker with
-      | Some h when spins > 0 ->
-          Obs_span.blocked ~kind:Obs_span.Lock ~name:t.lname
-            ~holder_tid:(M.thread_id h) ~wait_cycles
-      | _ -> ());
-      Obs_span.enter Obs_span.Lock t.lname
-    end;
-    if Obs_trace.enabled () then
-      Obs_trace.emit
-        (Obs_event.Lock_acquire { lock = t.lname; spins; wait_cycles })
-
-  let obs_release t ~held_cycles =
-    Obs_metrics.observe ~cpu:(M.current_cpu ()) h_hold held_cycles;
-    Obs_profile.note_release
-      ~tid:(M.thread_id (M.self ()))
-      ~name:t.lname ~held_cycles;
-    Obs_span.exit Obs_span.Lock t.lname;
-    if Obs_trace.enabled () then
-      Obs_trace.emit (Obs_event.Lock_release { lock = t.lname; held_cycles })
-
-  (* Waits-for edges are reported outside the [checking] gate: scenarios
-     that disable checking (the section-7 buggy variants) are exactly the
-     ones the deadlock detector must be able to explain. *)
-  let wf_res t = Waits_for.Slock { uid = t.id; name = t.lname }
-
   let note_acquired t =
     t.acquired_at <- M.now_cycles ();
-    if Waits_for.tracking () then
-      Waits_for.note_hold
-        ~tid:(M.thread_id (M.self ()))
-        ~tname:(M.thread_name (M.self ()))
-        (wf_res t);
     if checking () then begin
       check_spl t;
       t.holder <- Some (M.self ());
@@ -143,8 +93,6 @@ module Make (M : Machine_intf.MACHINE) = struct
     end
 
   let note_released t =
-    if Waits_for.tracking () then
-      Waits_for.note_release ~tid:(M.thread_id (M.self ())) (wf_res t);
     if checking () then begin
       (match t.holder with
       | Some h when M.equal_thread h (M.self ()) -> ()
@@ -175,22 +123,17 @@ module Make (M : Machine_intf.MACHINE) = struct
                   (M.thread_name h))
          | _ -> ());
       let t0 = M.now_cycles () in
+      (* [blocker] is the holder observed when the wait began: contended
+         acquisitions attribute their wait to that holder's acquire site
+         (the span enclosing its hold). *)
       let blocker = t.holder in
-      let tracking = Waits_for.tracking () in
-      if tracking then
-        Waits_for.note_wait
-          ~tid:(M.thread_id (M.self ()))
-          ~tname:(M.thread_name (M.self ()))
-          (wf_res t);
+      Ev.wait_begin t.site;
       let spins =
         match t.impl with
-        | Flat { cell; protocol } -> S.acquire ~hint:t.lname protocol cell
-        | Queued q ->
-            M.spin_hint t.lname;
-            Lock_proto.acquire q
+        | Flat { cell; protocol } -> S.acquire protocol cell
+        | Queued q -> Lock_proto.acquire q
       in
-      if tracking then
-        Waits_for.note_wait_done ~tid:(M.thread_id (M.self ())) (wf_res t);
+      Ev.wait_end t.site;
       let wait_cycles = if spins > 0 then max 0 (M.now_cycles () - t0) else 0 in
       Lock_stats.record_acquire t.stats ~contended:(spins > 0) ~spins;
       (* A contended wait whose entry snapshot missed the holder (it
@@ -206,7 +149,7 @@ module Make (M : Machine_intf.MACHINE) = struct
             | _ -> None)
         | None -> None
       in
-      obs_acquire t ?blocker ~spins ~wait_cycles ();
+      Ev.acquired ?blocker t.site ~spins ~wait_cycles;
       note_acquired t
     end
 
@@ -217,7 +160,7 @@ module Make (M : Machine_intf.MACHINE) = struct
       (match t.impl with
       | Flat { cell; _ } -> S.release cell
       | Queued q -> Lock_proto.release q);
-      obs_release t ~held_cycles
+      Ev.released t.site ~held_cycles
     end
 
   let try_lock t =
@@ -231,7 +174,7 @@ module Make (M : Machine_intf.MACHINE) = struct
       Lock_stats.record_try t.stats ~success:ok;
       if ok then begin
         Lock_stats.record_acquire t.stats ~contended:false ~spins:0;
-        obs_acquire t ~spins:0 ~wait_cycles:0 ();
+        Ev.acquired t.site ~spins:0 ~wait_cycles:0;
         note_acquired t
       end;
       ok

@@ -45,8 +45,7 @@ module Make (M : Machine_intf.MACHINE) = struct
     in
     loop 0
 
-  let acquire ?hint protocol cell =
-    (match hint with Some h -> M.spin_hint h | None -> ());
+  let acquire protocol cell =
     match protocol with
     | Tas -> tas_loop cell
     | Ttas -> ttas_loop ~backoff:false cell

@@ -23,7 +23,7 @@ val protocol_name : protocol -> string
 val protocol_of_string : string -> protocol option
 
 module Make (M : Machine_intf.MACHINE) : sig
-  val acquire : ?hint:string -> protocol -> M.Cell.t -> int
+  val acquire : protocol -> M.Cell.t -> int
   (** Spin until the cell is acquired (0 -> 1); returns the number of spin
       iterations that were needed (0 = acquired on the first attempt). *)
 

@@ -1,10 +1,11 @@
 (* Runtime waits-for graph.
 
-   The lock layers (Simple_lock, Complex_lock, Event) and rendezvous
-   points (Tlb_shootdown) report exact per-instance wait and hold edges
-   here; the engine's deadlock detector walks the edges (together with
-   its own frame-stack and pending-interrupt edges) to explain a hang as
-   a cycle or an orphaned waiter instead of a raw thread dump.
+   The lock layers (through Lock_events), Event and rendezvous points
+   (Tlb_shootdown) report exact per-instance wait edges here; the hold
+   edges are Lock_events' record of held locks.  The engine's deadlock
+   detector walks both (together with its own frame-stack and
+   pending-interrupt edges) to explain a hang as a cycle or an orphaned
+   waiter instead of a raw thread dump.
 
    All edge state is domain-local: one simulation runs per domain, and
    parallel seed sweeps (Sim_explore ?domains) must not see each other's
@@ -40,7 +41,6 @@ let res_id = function
 
 type state = {
   waits : (int, (string * resource) list) Hashtbl.t; (* tid -> edges *)
-  holds : (resource, (int * string) list) Hashtbl.t; (* res -> holders *)
   last_event : (int, int) Hashtbl.t; (* tid -> last event woken from *)
   mutable tracking : bool;
 }
@@ -49,7 +49,6 @@ let state_key : state Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       {
         waits = Hashtbl.create 64;
-        holds = Hashtbl.create 64;
         last_event = Hashtbl.create 64;
         tracking = false;
       })
@@ -61,7 +60,6 @@ let set_tracking b = (st ()).tracking <- b
 let reset () =
   let s = st () in
   Hashtbl.reset s.waits;
-  Hashtbl.reset s.holds;
   Hashtbl.reset s.last_event
 
 let () = Run_reset.register reset
@@ -87,20 +85,6 @@ let note_wait_done ~tid res =
       | [] -> Hashtbl.remove s.waits tid
       | l' -> Hashtbl.replace s.waits tid l')
 
-let note_hold ~tid ~tname res =
-  let s = st () in
-  let cur = Option.value ~default:[] (Hashtbl.find_opt s.holds res) in
-  Hashtbl.replace s.holds res ((tid, tname) :: cur)
-
-let note_release ~tid res =
-  let s = st () in
-  match Hashtbl.find_opt s.holds res with
-  | None -> ()
-  | Some l -> (
-      match remove_first (fun (t, _) -> t = tid) l with
-      | [] -> Hashtbl.remove s.holds res
-      | l' -> Hashtbl.replace s.holds res l')
-
 let waits () =
   let s = st () in
   Hashtbl.fold
@@ -108,16 +92,6 @@ let waits () =
       List.fold_left (fun acc (tname, r) -> (tid, tname, r) :: acc) acc l)
     s.waits []
   |> List.sort compare
-
-let holds () =
-  let s = st () in
-  Hashtbl.fold (fun res l acc -> (res, List.rev l) :: acc) s.holds []
-  |> List.sort compare
-
-let holders res =
-  match Hashtbl.find_opt (st ()).holds res with
-  | None -> []
-  | Some l -> List.rev l
 
 let waits_of ~tid =
   match Hashtbl.find_opt (st ()).waits tid with

@@ -1,5 +1,7 @@
-(** Runtime waits-for graph: exact per-instance wait/hold edges reported
-    by the lock layers and consumed by the engine's deadlock detector.
+(** Runtime waits-for graph: exact per-instance wait edges reported by
+    the lock layers and consumed by the engine's deadlock detector.  The
+    hold edges are {!Lock_events.holds}, derived from the lock layer's
+    record of held locks, which is kept whether or not waits are tracked.
 
     Tracking is off by default; when off, every [note_*] call site is
     expected to skip the call after checking {!tracking} (one
@@ -33,15 +35,10 @@ val note_wait_done : tid:int -> resource -> unit
 (** The wait on [res] ended (satisfied or cancelled).  May be called by
     the waking thread (event wakeups). *)
 
-val note_hold : tid:int -> tname:string -> resource -> unit
-val note_release : tid:int -> resource -> unit
-
 val waits : unit -> (int * string * resource) list
 (** All outstanding wait edges, sorted. *)
 
 val waits_of : tid:int -> (string * resource) list
-val holds : unit -> (resource * (int * string) list) list
-val holders : resource -> (int * string) list
 
 val last_event : tid:int -> int option
 (** The event this thread was most recently woken from; used to explain

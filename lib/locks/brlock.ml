@@ -32,9 +32,12 @@
    cell-op sequence (the golden determinism rows pin this). *)
 
 module Obs_metrics = Mach_obs.Obs_metrics
-module Obs_span = Mach_obs.Obs_span
+module Waits_for = Mach_core.Waits_for
+module Lock_events = Mach_core.Lock_events
 
 module Make (M : Mach_core.Machine_intf.MACHINE) = struct
+  module Ev = Lock_events.Make (M)
+
   (* Cycles a writer spends sweeping reader slots, across all brlocks. *)
   let h_sweep = Obs_metrics.histogram "lock.brlock.sweep_spins"
 
@@ -46,6 +49,9 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
     wq_ticket : int Atomic.t;
     wq_grant : int Atomic.t;
     pending : int Atomic.t; (* writers queued but not yet holding *)
+    mutable write_acquired_at : int; (* cycle clock at a raw write grant *)
+    rsite : Lock_events.site;
+    wsite : Lock_events.site;
   }
 
   let proto_name = "brlock"
@@ -56,7 +62,13 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
      error. *)
   let n_slots = 64
 
+  (* Lock events: the scheme of {!Scache_rwlock}, with its own uids. *)
+  let wf_uid_base = 2_000_000
+  let next_id = Atomic.make 0
+
   let make ~name =
+    let uid = wf_uid_base + Atomic.fetch_and_add next_id 1 in
+    let res = Waits_for.Slock { uid; name } in
     {
       bname = name;
       readers =
@@ -66,50 +78,52 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
       wq_ticket = Atomic.make 0;
       wq_grant = Atomic.make 0;
       pending = Atomic.make 0;
+      write_acquired_at = 0;
+      rsite = Lock_events.site ~name:(name ^ ".read") res;
+      wsite = Lock_events.site ~name:(name ^ ".write") res;
     }
 
   let read_lock t =
     let slot = M.current_cpu () mod n_slots in
     let mine = t.readers.(slot) in
+    let t0 = M.now_cycles () in
+    let spins = ref 0 in
+    let wait_while busy =
+      Ev.wait_begin t.rsite;
+      while busy () do
+        incr spins;
+        M.spin_pause ()
+      done;
+      Ev.wait_end t.rsite
+    in
     let rec go () =
       (* Hold off while writers are queued so a reader herd cannot keep
-         overtaking a waiting writer (the loop body never runs in the
-         single-writer fast-path case: [pending] stays 0). *)
-      let rec defer () =
-        if Atomic.get t.pending > 0 then begin
-          M.spin_pause ();
-          defer ()
-        end
-      in
-      defer ();
+         overtaking a waiting writer (never in the single-writer
+         fast-path case: [pending] stays 0). *)
+      if Atomic.get t.pending > 0 then
+        wait_while (fun () -> Atomic.get t.pending > 0);
       ignore (M.Cell.fetch_and_add mine 1);
       if M.Cell.get t.writer = 0 then slot
       else begin
         (* Back out and let the writer's sweep drain; retry after. *)
         ignore (M.Cell.fetch_and_add mine (-1));
-        let rec wait () =
-          if M.Cell.get t.writer <> 0 || Atomic.get t.pending > 0 then begin
-            M.spin_pause ();
-            wait ()
-          end
-        in
-        wait ();
+        incr spins;
+        wait_while (fun () ->
+            M.Cell.get t.writer <> 0 || Atomic.get t.pending > 0);
         go ()
       end
     in
     let slot = go () in
-    (* The brlock sits outside Simple_lock's instrumentation, so it opens
-       and closes its own hold spans (read and write sides as distinct
-       sites: their costs differ by design). *)
-    if Obs_span.enabled () then
-      Obs_span.enter Obs_span.Lock (t.bname ^ ".read");
+    Ev.acquired t.rsite ~spins:!spins
+      ~wait_cycles:(if !spins > 0 then max 0 (M.now_cycles () - t0) else 0);
     slot
 
+  (* Read holds are untimed: the slot token carries no clock. *)
   let read_unlock t ~slot =
-    Obs_span.exit Obs_span.Lock (t.bname ^ ".read");
+    Ev.released t.rsite;
     ignore (M.Cell.fetch_and_add t.readers.(slot) (-1))
 
-  let write_lock t =
+  let write_acquire t =
     (* Take the writer flag (writers exclude each other on it), then
        sweep every per-cpu slot until it drains.  Fast path: no writer
        queued and the flag is free — one test-and-set, exactly the
@@ -143,13 +157,12 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
       s
     in
     let spins =
-      ref
-        (if
-           Atomic.get t.pending = 0
-           && M.Cell.get t.writer = 0
-           && M.Cell.test_and_set t.writer = 0
-         then 0
-         else contended_flag ())
+      if
+        Atomic.get t.pending = 0
+        && M.Cell.get t.writer = 0
+        && M.Cell.test_and_set t.writer = 0
+      then 0
+      else contended_flag ()
     in
     let sweep = ref 0 in
     for i = 0 to n_slots - 1 do
@@ -158,15 +171,25 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
         M.spin_pause ()
       done
     done;
-    spins := !spins + !sweep;
     Obs_metrics.observe ~cpu:(M.current_cpu ()) h_sweep !sweep;
-    if Obs_span.enabled () then
-      Obs_span.enter Obs_span.Lock (t.bname ^ ".write");
-    !spins
+    spins + !sweep
+
+  let write_release t = M.Cell.set t.writer 0
+
+  let write_lock t =
+    let t0 = M.now_cycles () in
+    Ev.wait_begin t.wsite;
+    let spins = write_acquire t in
+    Ev.wait_end t.wsite;
+    t.write_acquired_at <- M.now_cycles ();
+    Ev.acquired t.wsite ~spins
+      ~wait_cycles:(if spins > 0 then max 0 (M.now_cycles () - t0) else 0);
+    spins
 
   let write_unlock t =
-    Obs_span.exit Obs_span.Lock (t.bname ^ ".write");
-    M.Cell.set t.writer 0
+    Ev.released t.wsite
+      ~held_cycles:(max 0 (M.now_cycles () - t.write_acquired_at));
+    write_release t
 
   let with_read t f =
     let slot = read_lock t in
@@ -200,7 +223,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
 
     let proto_name = "brlock-writer"
     let make ~name = make ~name
-    let acquire = write_lock
+    let acquire = write_acquire
 
     let try_acquire t =
       Atomic.get t.pending = 0
@@ -218,7 +241,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
            end
          end
 
-    let release = write_unlock
+    let release = write_release
     let is_locked = is_locked
   end
 end

@@ -20,12 +20,8 @@
    skip-list variant (the paper's scalable implementation) can slot in
    behind the same interface later. *)
 
-module Obs_metrics = Mach_obs.Obs_metrics
-module Obs_profile = Mach_obs.Obs_profile
-module Obs_trace = Mach_obs.Obs_trace
-module Obs_event = Mach_obs.Obs_event
-module Obs_span = Mach_obs.Obs_span
 module Waits_for = Mach_core.Waits_for
+module Lock_events = Mach_core.Lock_events
 
 type mode = Read | Write
 
@@ -67,13 +63,8 @@ module Make
     (M : Mach_core.Machine_intf.MACHINE)
     (Slock : module type of Mach_core.Simple_lock.Make (M))
     (E : module type of Mach_core.Event.Make (M) (Slock)) : S = struct
-  (* Same named metrics as the simple and complex locks: interning is
-     idempotent, so range-lock waits land in the same "lock.*"
-     aggregates. *)
-  let m_acquisitions = Obs_metrics.counter "lock.acquisitions"
-  let m_contentions = Obs_metrics.counter "lock.contentions"
-  let h_wait = Obs_metrics.histogram "lock.wait_cycles"
-  let h_hold = Obs_metrics.histogram "lock.hold_cycles"
+  module Ev = Lock_events.Make (M)
+
   let proto_name = "range-list"
 
   type req = {
@@ -82,6 +73,7 @@ module Make
     r_mode : mode;
     r_seq : int; (* arrival order; grants strictly respect it *)
     r_thread : M.thread;
+    r_site : Lock_events.site; (* the lock's site, keyed by this range *)
     mutable r_acquired_at : int; (* cycle clock at grant *)
   }
 
@@ -90,6 +82,7 @@ module Make
   type t = {
     rl_id : int;
     lname : string;
+    site : Lock_events.site; (* whole range; requests re-key it *)
     il : Slock.t; (* protects reqs / next_seq / waiting *)
     event : E.event;
     mutable reqs : req list; (* ascending r_seq *)
@@ -105,14 +98,17 @@ module Make
       match name with Some n -> n | None -> Printf.sprintf "range%d" id
     in
     let event = E.fresh_event () in
+    let whole =
+      Waits_for.Range { uid = id; name = lname; lo = whole_lo; hi = whole_hi }
+    in
     (* Sleep waits surface as waits on [event]; alias it to the lock's
        whole-range node so the deadlock detector names the lock even
        when the finer per-range edges are not being tracked. *)
-    Waits_for.note_event_resource ~event
-      (Waits_for.Range { uid = id; name = lname; lo = whole_lo; hi = whole_hi });
+    Waits_for.note_event_resource ~event whole;
     {
       rl_id = id;
       lname;
+      site = Lock_events.site ~name:lname whole;
       il = Slock.make ~name:(lname ^ ".interlock") ();
       event;
       reqs = [];
@@ -134,28 +130,20 @@ module Make
   let granted t r =
     List.for_all (fun r' -> r'.r_seq >= r.r_seq || not (conflicts r' r)) t.reqs
 
-  let wf_res t r =
-    Waits_for.Range { uid = t.rl_id; name = t.lname; lo = r.r_lo; hi = r.r_hi }
-
-  let obs_acquire t ?blocker ~waits ~wait_cycles () =
-    let cpu = M.current_cpu () in
-    Obs_metrics.incr ~cpu m_acquisitions;
-    if waits > 0 then Obs_metrics.incr ~cpu m_contentions;
-    Obs_metrics.observe ~cpu h_wait wait_cycles;
-    Obs_profile.note_acquire
-      ~tid:(M.thread_id (M.self ()))
-      ~name:t.lname ~contended:(waits > 0) ~wait_cycles;
-    if Obs_span.enabled () then begin
-      (match blocker with
-      | Some h when waits > 0 ->
-          Obs_span.blocked ~kind:Obs_span.Lock ~name:t.lname
-            ~holder_tid:(M.thread_id h) ~wait_cycles
-      | _ -> ());
-      Obs_span.enter Obs_span.Lock t.lname
-    end;
-    if Obs_trace.enabled () then
-      Obs_trace.emit
-        (Obs_event.Lock_acquire { lock = t.lname; spins = waits; wait_cycles })
+  (* Every request waits for and holds its exact range, so deadlock
+     reports name the ranges involved. *)
+  let request t ~lo ~hi mode ~seq =
+    {
+      r_lo = lo;
+      r_hi = hi;
+      r_mode = mode;
+      r_seq = seq;
+      r_thread = M.self ();
+      r_site =
+        Lock_events.with_res t.site
+          (Waits_for.Range { uid = t.rl_id; name = t.lname; lo; hi });
+      r_acquired_at = 0;
+    }
 
   let acquire t ~lo ~hi mode =
     if hi <= lo then
@@ -163,19 +151,9 @@ module Make
         (Printf.sprintf "Range_lock.acquire %s: empty range [%d,%d)" t.lname lo
            hi);
     Slock.lock t.il;
-    let self = M.self () in
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
-    let r =
-      {
-        r_lo = lo;
-        r_hi = hi;
-        r_mode = mode;
-        r_seq = seq;
-        r_thread = self;
-        r_acquired_at = 0;
-      }
-    in
+    let r = request t ~lo ~hi mode ~seq in
     t.reqs <- t.reqs @ [ r ];
     let t0 = M.now_cycles () in
     (* Blocked-by attribution: the earliest conflicting request's thread
@@ -184,7 +162,6 @@ module Make
     let blocker =
       match earlier_conflicts t r with [] -> None | b :: _ -> Some b.r_thread
     in
-    let tid = M.thread_id self and tname = M.thread_name self in
     let waits = ref 0 in
     let rec wait_loop () =
       match earlier_conflicts t r with
@@ -193,24 +170,19 @@ module Make
           incr waits;
           (* One wait edge per conflicting holder's exact range node, so
              deadlock cycles thread through the ranges actually held. *)
-          let edges =
-            if Waits_for.tracking () then List.map (wf_res t) blockers else []
-          in
-          List.iter (fun res -> Waits_for.note_wait ~tid ~tname res) edges;
+          List.iter (fun b -> Ev.wait_begin b.r_site) blockers;
           t.waiting <- true;
           E.assert_wait t.event;
           Slock.unlock t.il;
           ignore (E.thread_block ());
           Slock.lock t.il;
-          List.iter (fun res -> Waits_for.note_wait_done ~tid res) edges;
+          List.iter (fun b -> Ev.wait_end b.r_site) blockers;
           wait_loop ()
     in
     wait_loop ();
     r.r_acquired_at <- M.now_cycles ();
-    obs_acquire t ?blocker ~waits:!waits
-      ~wait_cycles:(if !waits > 0 then max 0 (M.now_cycles () - t0) else 0)
-      ();
-    if Waits_for.tracking () then Waits_for.note_hold ~tid ~tname (wf_res t r);
+    Ev.acquired ?blocker r.r_site ~spins:!waits
+      ~wait_cycles:(if !waits > 0 then max 0 (M.now_cycles () - t0) else 0);
     Slock.unlock t.il;
     r
 
@@ -220,17 +192,7 @@ module Make
         (Printf.sprintf "Range_lock.try_acquire %s: empty range [%d,%d)"
            t.lname lo hi);
     Slock.lock t.il;
-    let self = M.self () in
-    let r =
-      {
-        r_lo = lo;
-        r_hi = hi;
-        r_mode = mode;
-        r_seq = t.next_seq;
-        r_thread = self;
-        r_acquired_at = 0;
-      }
-    in
+    let r = request t ~lo ~hi mode ~seq:t.next_seq in
     if List.exists (fun r' -> conflicts r' r) t.reqs then begin
       Slock.unlock t.il;
       None
@@ -239,10 +201,7 @@ module Make
       t.next_seq <- r.r_seq + 1;
       t.reqs <- t.reqs @ [ r ];
       r.r_acquired_at <- M.now_cycles ();
-      obs_acquire t ~waits:0 ~wait_cycles:0 ();
-      if Waits_for.tracking () then
-        Waits_for.note_hold ~tid:(M.thread_id self)
-          ~tname:(M.thread_name self) (wf_res t r);
+      Ev.acquired r.r_site ~spins:0 ~wait_cycles:0;
       Slock.unlock t.il;
       Some r
     end
@@ -257,17 +216,8 @@ module Make
            t.lname r.r_lo r.r_hi (mode_name r.r_mode))
     end;
     t.reqs <- List.filter (fun r' -> r' != r) t.reqs;
-    let held_cycles = max 0 (M.now_cycles () - r.r_acquired_at) in
-    if held_cycles > 0 then
-      Obs_metrics.observe ~cpu:(M.current_cpu ()) h_hold held_cycles;
-    Obs_profile.note_release
-      ~tid:(M.thread_id r.r_thread)
-      ~name:t.lname ~held_cycles;
-    Obs_span.exit Obs_span.Lock t.lname;
-    if Obs_trace.enabled () then
-      Obs_trace.emit (Obs_event.Lock_release { lock = t.lname; held_cycles });
-    if Waits_for.tracking () then
-      Waits_for.note_release ~tid:(M.thread_id r.r_thread) (wf_res t r);
+    Ev.released r.r_site
+      ~held_cycles:(max 0 (M.now_cycles () - r.r_acquired_at));
     (* Mach's wakeup is broadcast: every waiter re-checks its own grant
        condition; newly admissible disjoint requests all proceed. *)
     if t.waiting then begin

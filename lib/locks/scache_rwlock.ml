@@ -36,10 +36,12 @@
    here; the simulator cannot). *)
 
 module Obs_metrics = Mach_obs.Obs_metrics
-module Obs_span = Mach_obs.Obs_span
 module Waits_for = Mach_core.Waits_for
+module Lock_events = Mach_core.Lock_events
 
 module Make (M : Mach_core.Machine_intf.MACHINE) = struct
+  module Ev = Lock_events.Make (M)
+
   (* Cycles a writer spends sweeping reader slots, across all scache
      locks of this machine. *)
   let h_sweep = Obs_metrics.histogram "lock.scache.sweep_spins"
@@ -53,12 +55,14 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
 
   type t = {
     sname : string;
-    id : int;
     refcounts : M.Cell.t array; (* per-cpu reader refcount slots *)
     exc : M.Cell.t; (* Free / ExcLockPending / ExcLockObtained *)
     wticket : M.Cell.t; (* next writer ticket to hand out *)
     wgrant : M.Cell.t; (* ticket currently admitted to [exc] *)
     mutable holder_ticket : int; (* granted ticket, acquire -> release *)
+    mutable write_acquired_at : int; (* cycle clock at a raw write grant *)
+    rsite : Lock_events.site;
+    wsite : Lock_events.site;
   }
 
   let proto_name = "scache"
@@ -68,10 +72,17 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
   let n_slots = 64
   let next_id = Atomic.make 0
 
+  (* The raw read and write sides report lock events as two sites
+     (their costs differ by design) over one waits-for resource, whose
+     uid offset keeps it disjoint from Simple_lock's.  {!Writer} does
+     not report: Simple_lock reports for it. *)
+  let wf_uid_base = 1_000_000
+
   let make ~name =
+    let uid = wf_uid_base + Atomic.fetch_and_add next_id 1 in
+    let res = Waits_for.Slock { uid; name } in
     {
       sname = name;
-      id = Atomic.fetch_and_add next_id 1;
       refcounts =
         Array.init n_slots (fun i ->
             M.Cell.make ~name:(Printf.sprintf "%s.rc%d" name i) 0);
@@ -79,38 +90,10 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
       wticket = M.Cell.make ~name:(name ^ ".wticket") 0;
       wgrant = M.Cell.make ~name:(name ^ ".wgrant") 0;
       holder_ticket = 0;
+      write_acquired_at = 0;
+      rsite = Lock_events.site ~name:(name ^ ".read") res;
+      wsite = Lock_events.site ~name:(name ^ ".write") res;
     }
-
-  (* Raw-path waits-for edges.  When the writer side is instantiated
-     under Simple_lock (the {!Writer} LOCK_PROTO below), Simple_lock
-     reports its own Slock edges, so the protocol stays silent there;
-     the raw read/write API used directly (vm_cache, scenarios) reports
-     here instead.  The uid offset keeps these nodes disjoint from
-     Simple_lock's uid counter. *)
-  let wf_uid_base = 1_000_000
-  let wf_res t = Waits_for.Slock { uid = wf_uid_base + t.id; name = t.sname }
-
-  let wf_wait t =
-    if Waits_for.tracking () then
-      Waits_for.note_wait
-        ~tid:(M.thread_id (M.self ()))
-        ~tname:(M.thread_name (M.self ()))
-        (wf_res t)
-
-  let wf_wait_done t =
-    if Waits_for.tracking () then
-      Waits_for.note_wait_done ~tid:(M.thread_id (M.self ())) (wf_res t)
-
-  let wf_hold t =
-    if Waits_for.tracking () then
-      Waits_for.note_hold
-        ~tid:(M.thread_id (M.self ()))
-        ~tname:(M.thread_name (M.self ()))
-        (wf_res t)
-
-  let wf_release t =
-    if Waits_for.tracking () then
-      Waits_for.note_release ~tid:(M.thread_id (M.self ())) (wf_res t)
 
   (* Reader acquisition: ReadPending -> ReadCounted -> Obtained, with
      the ReadCounted -> back-out transition when a writer has announced.
@@ -119,9 +102,11 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
      ExcLockObtained (the write is in progress). *)
   type read_phase = Read_pending | Read_counted | Obtained of int
 
-  let read_lock_raw t ~wf =
+  let read_lock t =
     let slot = M.current_cpu () mod n_slots in
     let mine = t.refcounts.(slot) in
+    let t0 = M.now_cycles () in
+    let spins = ref 0 in
     let rec step phase =
       match phase with
       | Read_pending ->
@@ -133,39 +118,34 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
             (* Back out and let the writer's sweep drain; wait for the
                exclusive side to clear before re-entering ReadPending. *)
             ignore (M.Cell.fetch_and_add mine (-1));
-            if wf then wf_wait t;
+            incr spins;
+            Ev.wait_begin t.rsite;
             let rec wait () =
               if M.Cell.get t.exc <> free then begin
+                incr spins;
                 M.spin_pause ();
                 wait ()
               end
             in
             wait ();
-            if wf then wf_wait_done t;
+            Ev.wait_end t.rsite;
             step Read_pending
           end
       | Obtained slot -> slot
     in
     let slot = step Read_pending in
-    if wf then wf_hold t;
-    (* Like brlock, the raw lock sits outside Simple_lock's
-       instrumentation and opens its own hold spans; read and write
-       sides are distinct sites because their costs differ by design. *)
-    if Obs_span.enabled () then
-      Obs_span.enter Obs_span.Lock (t.sname ^ ".read");
+    Ev.acquired t.rsite ~spins:!spins
+      ~wait_cycles:(if !spins > 0 then max 0 (M.now_cycles () - t0) else 0);
     slot
 
-  let read_lock t = read_lock_raw t ~wf:true
-
+  (* Read holds are untimed: the slot token carries no clock. *)
   let read_unlock t ~slot =
-    Obs_span.exit Obs_span.Lock (t.sname ^ ".read");
-    wf_release t;
+    Ev.released t.rsite;
     ignore (M.Cell.fetch_and_add t.refcounts.(slot) (-1))
 
-  let write_lock_raw t ~wf =
+  let write_acquire t =
     (* FIFO admission: take a ticket, spin until granted. *)
     let my = M.Cell.fetch_and_add t.wticket 1 in
-    if wf then wf_wait t;
     let rec gate spins =
       if M.Cell.get t.wgrant = my then spins
       else begin
@@ -173,7 +153,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
         gate (spins + 1)
       end
     in
-    let spins = ref (gate 0) in
+    let spins = gate 0 in
     (* Announce: Free -> ExcLockPending.  Only the granted ticket holder
        reaches this CAS, and the previous writer restored Free before
        granting, so failure is a protocol violation, not contention. *)
@@ -196,21 +176,10 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
     done;
     M.Cell.set t.exc exc_lock_obtained;
     t.holder_ticket <- my;
-    spins := !spins + !sweep;
     Obs_metrics.observe ~cpu:(M.current_cpu ()) h_sweep !sweep;
-    if wf then begin
-      wf_wait_done t;
-      wf_hold t
-    end;
-    if Obs_span.enabled () then
-      Obs_span.enter Obs_span.Lock (t.sname ^ ".write");
-    !spins
+    spins + !sweep
 
-  let write_lock t = write_lock_raw t ~wf:true
-
-  let write_unlock_raw t ~wf =
-    Obs_span.exit Obs_span.Lock (t.sname ^ ".write");
-    if wf then wf_release t;
+  let write_release t =
     let next = t.holder_ticket + 1 in
     M.Cell.set t.exc free;
     (* Release is an explicit handoff: grant the next ticket.  When a
@@ -226,7 +195,20 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
       M.Cell.set t.wgrant next
     end
 
-  let write_unlock t = write_unlock_raw t ~wf:true
+  let write_lock t =
+    let t0 = M.now_cycles () in
+    Ev.wait_begin t.wsite;
+    let spins = write_acquire t in
+    Ev.wait_end t.wsite;
+    t.write_acquired_at <- M.now_cycles ();
+    Ev.acquired t.wsite ~spins
+      ~wait_cycles:(if spins > 0 then max 0 (M.now_cycles () - t0) else 0);
+    spins
+
+  let write_unlock t =
+    Ev.released t.wsite
+      ~held_cycles:(max 0 (M.now_cycles () - t.write_acquired_at));
+    write_release t
 
   let with_read t f =
     let slot = read_lock t in
@@ -255,13 +237,13 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
 
   (* The writer side alone satisfies {!Mach_core.Lock_proto.S}, so
      Simple_lock/Complex_lock can instantiate the protocol.  Simple_lock
-     supplies the waits-for edges on this path. *)
+     reports the lock events on this path. *)
   module Writer = struct
     type nonrec t = t
 
     let proto_name = proto_name
     let make ~name = make ~name
-    let acquire t = write_lock_raw t ~wf:false
+    let acquire = write_acquire
 
     (* Non-barging: only succeeds when no ticket is outstanding, by
        taking the front ticket with a CAS.  A failed sweep backs out by
@@ -297,7 +279,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
            end
          end
 
-    let release t = write_unlock_raw t ~wf:false
+    let release = write_release
     let is_locked = is_locked
   end
 end

@@ -4,21 +4,22 @@
     per-cpu shards merged at read time.  The paper's Appendix A wraps
     every simple lock "in a structure to allow the simple addition of
     debugging and statistics information"; this registry is where that
-    information becomes legible system-wide: {!Lock_stats} mirrors its
-    counters here, and the lock / event / shootdown layers record their
-    latency distributions here (see the well-known names below).
+    information becomes legible system-wide: the lock / event /
+    shootdown layers record their counts and latency distributions here
+    (see the well-known names below).
 
     Names are interned: calling [counter "x"] twice returns the same
     counter.  Registering a name with two different types raises
     [Invalid_argument].
 
     Well-known names populated by the kernel layers:
-    - ["lock.wait_cycles"] — simple+complex lock acquisition wait time
-    - ["lock.hold_cycles"] — simple lock hold time
+    - ["lock.wait_cycles"] — acquisition wait time of every lock
+    - ["lock.hold_cycles"] — hold time of every timed hold (read holds
+      of complex locks, brlocks and the scache are untimed)
     - ["event.wait_cycles"] — assert_wait → wakeup latency
     - ["tlb.shootdown_cycles"] — shootdown round-trip at the initiator
-    - ["lock.acquisitions"], ["lock.contentions"], ... — the
-      {!Lock_stats} counters aggregated over every lock. *)
+    - ["lock.acquisitions"], ["lock.contentions"] — over every lock.
+    The four ["lock.*"] names are fed through [Mach_core.Lock_events]. *)
 
 type counter
 type gauge

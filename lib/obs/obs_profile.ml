@@ -10,9 +10,11 @@
 
    The waits-for list records, for each contended acquisition, an edge
    from the most recently acquired still-held lock class to the wanted
-   class.  A cycle in that list is the shape of the section 4 deadlock
-   ("a thread holding A spins for B while another holding B spins for A"),
-   and the three-processor interrupt deadlock of section 7 shows up as the
+   class; the lock layer keeps the per-thread record of held locks
+   (Mach_core.Lock_events) and passes that holder class in.  A cycle in
+   that list is the shape of the section 4 deadlock ("a thread holding A
+   spins for B while another holding B spins for A"), and the
+   three-processor interrupt deadlock of section 7 shows up as the
    barrier cell being wanted while a lock class is held. *)
 
 type class_stats = {
@@ -27,16 +29,6 @@ type class_stats = {
 let mu = Mutex.create ()
 let classes_tbl : (string, class_stats) Hashtbl.t = Hashtbl.create 64
 let edges_tbl : (string * string, int ref) Hashtbl.t = Hashtbl.create 64
-(* Keyed by thread id with a plain int hash: an entry comes and goes with
-   every outermost acquire/release pair, so this sits on the lock path. *)
-module Tid_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash t = t land max_int
-end)
-
-let held_stacks : string list ref Tid_tbl.t = Tid_tbl.create 64
 
 let class_of_name name =
   let buf = Buffer.create (String.length name) in
@@ -70,55 +62,26 @@ let class_stats_locked cls =
       Hashtbl.add classes_tbl cls cs;
       cs
 
-let stack_locked tid =
-  match Tid_tbl.find_opt held_stacks tid with
-  | Some s -> s
-  | None ->
-      let s = ref [] in
-      Tid_tbl.add held_stacks tid s;
-      s
-
-let note_acquire ~tid ~name ~contended ~wait_cycles =
-  let cls = class_of_name name in
+let note_acquire ~cls ~holder ~contended ~wait_cycles =
   locked (fun () ->
       let cs = class_stats_locked cls in
       cs.acquisitions <- cs.acquisitions + 1;
       if contended then cs.contended <- cs.contended + 1;
       if wait_cycles > 0 then cs.wait_cycles <- cs.wait_cycles + wait_cycles;
       Obs_histogram.record cs.wait_hist wait_cycles;
-      let stack = stack_locked tid in
-      (if contended then
-         match !stack with
-         | holder :: _ when holder <> cls ->
-             let key = (holder, cls) in
-             (match Hashtbl.find_opt edges_tbl key with
-             | Some r -> Stdlib.incr r
-             | None -> Hashtbl.add edges_tbl key (ref 1))
-         | _ -> ());
-      stack := cls :: !stack)
+      if contended then
+        match holder with
+        | Some h when h <> cls -> (
+            let key = (h, cls) in
+            match Hashtbl.find_opt edges_tbl key with
+            | Some r -> Stdlib.incr r
+            | None -> Hashtbl.add edges_tbl key (ref 1))
+        | _ -> ())
 
-let note_release ~tid ~name ~held_cycles =
-  let cls = class_of_name name in
+let note_release ~cls ~held_cycles =
   locked (fun () ->
       let cs = class_stats_locked cls in
-      if held_cycles > 0 then cs.hold_cycles <- cs.hold_cycles + held_cycles;
-      match Tid_tbl.find_opt held_stacks tid with
-      | None -> ()
-      | Some stack -> (
-          (* remove the first (innermost) occurrence; releases need not
-             nest *)
-          let rec remove = function
-            | [] -> []
-            | c :: rest when c = cls -> rest
-            | c :: rest -> c :: remove rest
-          in
-          match remove !stack with
-          (* Thread ids never repeat, so an emptied stack is dropped: the
-             table holds only threads that hold locks. *)
-          | [] -> Tid_tbl.remove held_stacks tid
-          | rest -> stack := rest))
-
-let held_threads () = locked (fun () -> Tid_tbl.length held_stacks)
+      if held_cycles > 0 then cs.hold_cycles <- cs.hold_cycles + held_cycles)
 
 let first_attempt_rate cs =
   if cs.acquisitions = 0 then 1.0
@@ -149,8 +112,7 @@ let edges () =
 let reset () =
   locked (fun () ->
       Hashtbl.reset classes_tbl;
-      Hashtbl.reset edges_tbl;
-      Tid_tbl.reset held_stacks)
+      Hashtbl.reset edges_tbl)
 
 let pp_report ?(top_n = 10) ppf () =
   let tops = top ~n:top_n in

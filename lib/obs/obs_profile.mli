@@ -7,7 +7,8 @@
     acquiring thread to the wanted class.  A cycle among those edges is
     the shape of the paper's deadlocks (section 4, section 7).
 
-    Fed by the simple/complex lock implementations in [lib/core]; read by
+    Fed by [Mach_core.Lock_events], which keeps the per-thread record of
+    held locks and supplies that holder class; read by
     [machsim profile], the bench harness, and [examples/locking_tour].
     All entry points are mutex-protected and safe from native domains. *)
 
@@ -26,14 +27,17 @@ val class_of_name : string -> string
 (** {1 Recording} (called from the lock layer) *)
 
 val note_acquire :
-  tid:int -> name:string -> contended:bool -> wait_cycles:int -> unit
-(** Record an acquisition by thread [tid]; pushes the class onto the
-    thread's held stack and, when contended, records a waits-for edge
-    from the innermost held class. *)
+  cls:string ->
+  holder:string option ->
+  contended:bool ->
+  wait_cycles:int ->
+  unit
+(** Record an acquisition of class [cls]; when contended, also records a
+    waits-for edge from [holder] (the class of the acquiring thread's
+    innermost held lock) unless it is [cls] itself. *)
 
-val note_release : tid:int -> name:string -> held_cycles:int -> unit
-(** Record a release; pops the innermost occurrence of the class from the
-    thread's held stack, and forgets the thread once its stack is empty. *)
+val note_release : cls:string -> held_cycles:int -> unit
+(** Record a release of class [cls] held for [held_cycles] (0: untimed). *)
 
 (** {1 Reading} *)
 
@@ -46,9 +50,6 @@ val classes : unit -> class_stats list
 
 val top : n:int -> class_stats list
 (** Top [n] classes by accumulated wait cycles. *)
-
-val held_threads : unit -> int
-(** Threads that currently hold at least one profiled lock. *)
 
 val edges : unit -> (string * string * int) list
 (** Waits-for edges (holder class, wanted class, count), most frequent

@@ -175,14 +175,14 @@ let push_flight s fs =
   r.fbuf.(r.fnext) <- Some fs;
   r.fnext <- (r.fnext + 1) mod flight_cap
 
-let enter kind name =
+let enter_label kind lbl =
   let s = st () in
   match s.sctx with
   | Some c when s.on ->
       let tid = c.tid () in
       let sp =
         {
-          o_label = label kind name;
+          o_label = lbl;
           o_kind = kind;
           o_t0 = c.now ();
           o_tname = c.tname ();
@@ -191,6 +191,10 @@ let enter kind name =
       let cur = Option.value ~default:[] (Hashtbl.find_opt s.stacks tid) in
       Hashtbl.replace s.stacks tid (sp :: cur)
   | _ -> ()
+
+let enter kind name =
+  let s = st () in
+  if s.on && s.sctx <> None then enter_label kind (label kind name)
 
 let rec remove_first p = function
   | [] -> None
@@ -238,12 +242,14 @@ let exit_matching pred =
               close s c tid sp))
   | _ -> ()
 
+let exit_label lbl =
+  let s = st () in
+  if s.on && s.sctx <> None then exit_matching (fun sp -> sp.o_label = lbl)
+
 let exit kind name =
   (* Compute the label lazily-enough: only when active. *)
   let s = st () in
-  if s.on && s.sctx <> None then
-    let lbl = label kind name in
-    exit_matching (fun sp -> sp.o_label = lbl)
+  if s.on && s.sctx <> None then exit_label (label kind name)
 
 let exit_kind kind = exit_matching (fun sp -> sp.o_kind = kind)
 
@@ -265,11 +271,10 @@ let holder_context stack wanted =
   | Some l -> l
   | None -> ( match stack with sp :: _ -> sp.o_label | [] -> "(top-level)")
 
-let blocked ~kind ~name ~holder_tid ~wait_cycles =
+let blocked ~kind ~label:wanted ~holder_tid ~wait_cycles =
   let s = st () in
   match s.sctx with
   | Some _ when s.on ->
-      let wanted = label kind name in
       let site = site_of s kind wanted in
       site.s_blocked <- site.s_blocked + 1;
       site.s_blocked_cycles <- site.s_blocked_cycles + max 0 wait_cycles;

@@ -41,8 +41,14 @@ val enabled : unit -> bool
 
 (** {1 Recording} *)
 
+val label : kind -> string -> string
+(** ["kind:name"]; the lock layer builds it once per lock for the
+    [_label] entry points. *)
+
 val enter : kind -> string -> unit
 (** Open a span at site ["kind:name"] on the running thread. *)
+
+val enter_label : kind -> string -> unit
 
 val exit : kind -> string -> unit
 (** Close the running thread's innermost open span matching the site;
@@ -50,14 +56,16 @@ val exit : kind -> string -> unit
     {!Obs_event.Span_close} when tracing is on.  No-op if no span at that
     site is open (unbalanced calls are tolerated, never fatal). *)
 
+val exit_label : string -> unit
+
 val exit_kind : kind -> unit
 (** Close the innermost open span of the given kind regardless of site —
     for waiters that cannot cheaply recover the site name at wake. *)
 
 val blocked :
-  kind:kind -> name:string -> holder_tid:int -> wait_cycles:int -> unit
-(** Record one contended wait: the running thread wanted site
-    ["kind:name"] while [holder_tid] held it.  Accumulates an edge from
+  kind:kind -> label:string -> holder_tid:int -> wait_cycles:int -> unit
+(** Record one contended wait: the running thread wanted the site
+    [label] while [holder_tid] held it.  Accumulates an edge from
     the wanted site to the holder's acquire-site context (the span
     enclosing its hold — what the holder was doing when it took the
     resource) weighted by count and [wait_cycles]. *)

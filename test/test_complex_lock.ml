@@ -237,7 +237,34 @@ let test_recursive_write_and_read () =
          CL.lock_done l;
          CL.lock_clear_recursive l;
          CL.lock_done l;
-         check_bool "fully released" false (CL.held_for_write l)))
+         check_bool "fully released" false (CL.held_for_write l)));
+  (* A try_read by the recursive holder is a recursive read too: its
+     release must leave the non-sleep spin-held count (Appendix B's check
+     against blocking) and the write's held entry alone. *)
+  ignore
+    (Engine.run (fun () ->
+         let self = Engine.self () in
+         let spin_held () =
+           Engine.tls_get self
+             ~key:Mach_core.Machine_intf.Tls_key.complex_spin_locks_held
+         in
+         let held () =
+           List.map fst
+             (Mach_core.Lock_events.held ~tid:(Engine.thread_id self))
+         in
+         let l = CL.make ~name:"rec-spin" ~can_sleep:false () in
+         CL.lock_write l;
+         CL.lock_set_recursive l;
+         check_bool "recursive try_read" true (CL.lock_try_read l);
+         check_int "write counted once" 1 (spin_held ());
+         CL.lock_done l;
+         check_int "still held after the read's lock_done" 1 (spin_held ());
+         Alcotest.(check (list string)) "write entry still open" [ "rec-spin" ]
+           (held ());
+         CL.lock_clear_recursive l;
+         CL.lock_done l;
+         check_int "balanced after the write's lock_done" 0 (spin_held ());
+         Alcotest.(check (list string)) "nothing held" [] (held ())))
 
 let test_recursive_read_bypasses_pending_writer () =
   (* Section 4: the recursive holder's requests are not blocked by a

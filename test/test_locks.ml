@@ -499,6 +499,66 @@ let test_brlock_writer_no_starvation () =
     [ 1; 2; 3; 4; 5 ]
 
 (* ------------------------------------------------------------------ *)
+(* Brlock deadlocks are attributable                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* ABBA between a brlock writer and a simple lock.  The raw brlock
+   reports its waits and holds like every other lock, so the detector
+   closes the cycle through it, and the cpu spinning on it says so
+   (rather than naming the last lock it spun on). *)
+let test_brlock_abba_attributed () =
+  let cfg =
+    {
+      (Config.exploration ~cpus:2 ~seed:1 ()) with
+      Config.track_waits = true;
+      watchdog_steps = 30_000;
+    }
+  in
+  match
+    Engine.run_outcome ~cfg (fun () ->
+        let br = K.Locks.Brlock.make ~name:"abba.br" in
+        let s = K.Slock.make ~name:"abba.s" () in
+        let ready = Engine.Cell.make ~name:"ready" 0 in
+        let worker name first second =
+          Engine.spawn ~name (fun () ->
+              let release_first = first () in
+              ignore (Engine.Cell.fetch_and_add ready 1);
+              while Engine.Cell.get ready < 2 do
+                Engine.pause ()
+              done;
+              let release_second = second () in
+              release_second ();
+              release_first ())
+        in
+        let write_br () =
+          ignore (K.Locks.Brlock.write_lock br);
+          fun () -> K.Locks.Brlock.write_unlock br
+        in
+        let lock_s () =
+          K.Slock.lock s;
+          fun () -> K.Slock.unlock s
+        in
+        let a = worker "A" write_br lock_s in
+        let b = worker "B" lock_s write_br in
+        Engine.join a;
+        Engine.join b)
+  with
+  | Engine.Deadlocked (Engine.Spin_deadlock, report) ->
+      check_bool "report closes a waits-for cycle" true
+        (contains report "waits-for cycle");
+      check_bool "the cycle names the brlock" true
+        (contains report "simple lock abba.br ->");
+      check_bool "B's cpu names the brlock it spins on" true
+        (contains report "B (spinning on abba.br.write)");
+      check_bool "A's cpu names the simple lock" true
+        (contains report "A (spinning on abba.s)")
+  | Engine.Deadlocked (Engine.Sleep_deadlock, _) ->
+      Alcotest.fail "expected a spin deadlock, got a sleep deadlock"
+  | Engine.Completed _ -> Alcotest.fail "expected a deadlock, ran clean"
+  | Engine.Panicked msg -> Alcotest.failf "panic: %s" msg
+  | Engine.Hit_step_limit -> Alcotest.fail "hit step limit"
+
+(* ------------------------------------------------------------------ *)
 (* Chaos: dropped scache grant -> lost handoff on the writer gate        *)
 (* ------------------------------------------------------------------ *)
 
@@ -700,6 +760,8 @@ let () =
           Alcotest.test_case "brlock writer never starves" `Quick
             test_brlock_writer_no_starvation;
           Alcotest.test_case "scache exclusion" `Quick test_scache_exclusion;
+          Alcotest.test_case "brlock ABBA deadlock is attributed" `Quick
+            test_brlock_abba_attributed;
           Alcotest.test_case "complex lock over mcs" `Quick
             test_complex_over_mcs;
         ] );

@@ -331,11 +331,13 @@ let test_profile_classes_and_edges () =
     (Profile.class_of_name "lock3.interlock" = "lock.interlock");
   check_bool "all-digit name falls back" true
     (Profile.class_of_name "42" = "lock");
-  (* thread 1 holds a pmap lock, then contends on a pv lock: edge *)
-  Profile.note_acquire ~tid:1 ~name:"pmap0" ~contended:false ~wait_cycles:0;
-  Profile.note_acquire ~tid:1 ~name:"pv3" ~contended:true ~wait_cycles:250;
-  Profile.note_release ~tid:1 ~name:"pv3" ~held_cycles:10;
-  Profile.note_release ~tid:1 ~name:"pmap0" ~held_cycles:100;
+  (* a thread holding a pmap lock contends on a pv lock: edge *)
+  Profile.note_acquire ~cls:"pmap" ~holder:None ~contended:false
+    ~wait_cycles:0;
+  Profile.note_acquire ~cls:"pv" ~holder:(Some "pmap") ~contended:true
+    ~wait_cycles:250;
+  Profile.note_release ~cls:"pv" ~held_cycles:10;
+  Profile.note_release ~cls:"pmap" ~held_cycles:100;
   (match Profile.edges () with
   | [ (holder, wanted, n) ] ->
       check_bool "edge holder" true (holder = "pmap");
@@ -362,36 +364,69 @@ let test_profile_classes_and_edges () =
   Profile.reset ();
   check_bool "reset clears classes" true (Profile.classes () = [])
 
-(* Thread ids never repeat, so the profiler must forget a thread once it
-   holds nothing; otherwise every thread of every run stays in its
-   held-stack table. *)
-let test_profile_forgets_released_threads () =
+(* The lock layer's held record: innermost first and exact per lock
+   instance; thread ids never repeat, so a thread is dropped once it
+   holds nothing, and [Run_reset] (run at the end of every run) empties
+   what a run left held.  The profiler's holder class comes from it. *)
+let test_held_record () =
   let module K = Mach_ksync.Ksync in
+  let module Engine = Mach_sim.Sim_engine in
+  let module Held = Mach_core.Lock_events in
   Profile.reset ();
-  Profile.note_acquire ~tid:7 ~name:"a1" ~contended:false ~wait_cycles:0;
-  Profile.note_acquire ~tid:7 ~name:"b1" ~contended:false ~wait_cycles:0;
-  Profile.note_release ~tid:7 ~name:"a1" ~held_cycles:5;
-  check_int "a thread still holding is kept" 1 (Profile.held_threads ());
-  Profile.note_release ~tid:7 ~name:"b1" ~held_cycles:5;
-  check_int "released thread forgotten" 0 (Profile.held_threads ());
+  let names tid = List.map fst (Held.held ~tid) in
   let cfg = { Mach_sim.Sim_config.default with Mach_sim.Sim_config.cpus = 2 } in
   ignore
-    (Mach_sim.Sim_engine.run ~cfg (fun () ->
-         let l = K.Slock.make ~name:"shared" () in
+    (Engine.run ~cfg (fun () ->
+         let tid = Engine.thread_id (Engine.self ()) in
+         let a = K.Slock.make ~name:"a1" () in
+         let b = K.Slock.make ~name:"b1" () in
+         K.Slock.lock a;
+         K.Slock.lock b;
+         Alcotest.(check (list string)) "innermost first" [ "b1"; "a1" ]
+           (names tid);
+         K.Slock.unlock a;
+         Alcotest.(check (list string)) "released out of order" [ "b1" ]
+           (names tid);
+         check_int "a thread still holding is kept" 1 (Held.held_threads ());
+         K.Slock.unlock b;
+         check_int "released thread forgotten" 0 (Held.held_threads ());
+         (* A pmap holder contends on a pv lock: the profiler's edge. *)
+         let pmap = K.Slock.make ~name:"pmap0" () in
+         let pv = K.Slock.make ~name:"pv3" () in
+         let go = Engine.Cell.make ~name:"go" 0 in
+         let h =
+           Engine.spawn (fun () ->
+               K.Slock.lock pv;
+               Engine.Cell.set go 1;
+               Engine.cycles 2000;
+               K.Slock.unlock pv)
+         in
+         wait_until (fun () -> Engine.Cell.get go = 1);
+         K.Slock.lock pmap;
+         K.Slock.lock pv;
+         K.Slock.unlock pv;
+         K.Slock.unlock pmap;
+         Engine.join h;
          let ts =
            List.init 8 (fun _ ->
-               Mach_sim.Sim_engine.spawn (fun () ->
+               Engine.spawn (fun () ->
                    for _ = 1 to 3 do
-                     K.Slock.lock l;
-                     Mach_sim.Sim_engine.cycles 10;
-                     K.Slock.unlock l
+                     K.Slock.lock a;
+                     Engine.cycles 10;
+                     K.Slock.unlock a
                    done))
          in
-         List.iter Mach_sim.Sim_engine.join ts));
+         List.iter Engine.join ts;
+         check_int "no thread left after everything was released" 0
+           (Held.held_threads ());
+         (* Left held when the run ends. *)
+         K.Slock.lock a;
+         check_int "held at the end of the run" 1 (Held.held_threads ())));
+  check_int "Run_reset empties the record" 0 (Held.held_threads ());
+  check_bool "the holder class came from the held record" true
+    (List.mem ("pmap", "pv", 1) (Profile.edges ()));
   check_bool "the run was profiled" true
-    (List.exists (fun c -> c.Profile.cls = "shared") (Profile.classes ()));
-  check_int "no thread left after everything was released" 0
-    (Profile.held_threads ())
+    (List.exists (fun c -> c.Profile.cls = "a") (Profile.classes ()))
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: a traced simulation run                                  *)
@@ -779,7 +814,7 @@ let () =
           test_case "classes and waits-for edges" `Quick
             test_profile_classes_and_edges;
           test_case "released threads are forgotten" `Quick
-            test_profile_forgets_released_threads;
+            test_held_record;
         ] );
       ( "spans",
         [
