@@ -380,6 +380,17 @@ struct
             acquisition(s) outstanding"
            t.lname t.recursion_depth)
     end;
+    (* Outstanding recursive reads would be released down the ordinary
+       read path once the holder is cleared, dropping the write's
+       spin-held count and held entry early. *)
+    if t.recursive_reads > 0 then begin
+      Slock.unlock t.interlock;
+      M.fatal
+        (Printf.sprintf
+           "complex lock %s: lock_clear_recursive with %d recursive read \
+            acquisition(s) outstanding"
+           t.lname t.recursive_reads)
+    end;
     t.recursive_holder <- None;
     Slock.unlock t.interlock
 

@@ -42,6 +42,18 @@ module type CELL = sig
 
   val fetch_and_add : t -> int -> int
   (** Atomically add, returning the previous value. *)
+
+  val await : t -> (int -> bool) -> int
+  (** [await c ready] is the read-only spin-wait on one cell: read [c]
+      (an ordinary {!get}, with its cost and preemption point), stop if
+      [ready] holds of the value read, otherwise make one spin pause and
+      read again.  Returns the number of pauses made.  [ready] may also
+      read plain memory (never a cell, and no other machine operation);
+      it is evaluated where a hand-written loop would evaluate it, right
+      after the read.  The simulator runs every iteration after the first
+      failed check itself, step for step the literal loop
+      ([while not (ready (get c)) do spin_pause () done]), with the same
+      clocks, counts and footprints. *)
 end
 
 (** The full machine-dependent substrate. *)
@@ -79,8 +91,21 @@ module type MACHINE = sig
   (** {1 Spinning} *)
 
   val spin_pause : unit -> unit
-  (** Called once per iteration of every spin loop.  Native: cpu relax.
-      Sim: a preemption point that also charges spin cycles. *)
+  (** Called once per iteration of a spin loop that is not a read-only
+      wait (see {!spin_until}).  Native: cpu relax.  Sim: a preemption
+      point that also charges spin cycles. *)
+
+  val spin_until : ?budget:int -> (unit -> bool) -> int
+  (** [spin_until ?budget ready] is the read-only spin-wait on plain
+      memory: check [ready ()] and make one spin pause after each failed
+      check, for at most [budget] checks (default unbounded).  Returns the
+      number of pauses made, so a result equal to [budget] means every
+      check failed.  [ready] must read plain memory only: no cell and no
+      other machine operation (the simulator evaluates it outside the
+      thread's own code and treats a machine operation there as fatal).
+      Waits that read a cell use {!CELL.await}; loops whose iteration
+      does more than read and test (a test-and-set, a backoff delay)
+      stay on {!spin_pause}. *)
 
   val spin_hint : string -> unit
   (** Diagnostic: record what the current context is spinning on, so that

@@ -18,19 +18,30 @@ let protocol_of_string = function
 module Make (M : Machine_intf.MACHINE) = struct
   (* Spin on the cacheable read until the lock looks free, then attempt the
      atomic instruction; repeat.  Counts iterations for statistics. *)
-  let ttas_loop ~backoff cell =
+  let ttas_loop cell =
+    let rec loop spins =
+      let spins = spins + M.Cell.await cell (fun v -> v = 0) in
+      if M.Cell.test_and_set cell = 0 then spins
+      else begin
+        M.spin_pause ();
+        loop (spins + 1)
+      end
+    in
+    loop 0
+
+  (* The same loop with a capped exponential delay after every pause.
+     The delay is charged when the next iteration starts, so this is not
+     a read-only wait and stays a literal loop. *)
+  let ttas_backoff_loop cell =
     let max_backoff = M.spin_max_backoff () in
     let rec loop spins delay =
       if M.Cell.get cell = 0 && M.Cell.test_and_set cell = 0 then spins
       else begin
         M.spin_pause ();
-        if backoff then begin
-          for _ = 1 to delay do
-            M.cycles 1
-          done;
-          loop (spins + 1) (Stdlib.min (delay * 2) max_backoff)
-        end
-        else loop (spins + 1) delay
+        for _ = 1 to delay do
+          M.cycles 1
+        done;
+        loop (spins + 1) (Stdlib.min (delay * 2) max_backoff)
       end
     in
     loop 0 1
@@ -48,14 +59,14 @@ module Make (M : Machine_intf.MACHINE) = struct
   let acquire protocol cell =
     match protocol with
     | Tas -> tas_loop cell
-    | Ttas -> ttas_loop ~backoff:false cell
+    | Ttas -> ttas_loop cell
     | Tas_then_ttas ->
         if M.Cell.test_and_set cell = 0 then 0
         else begin
           M.spin_pause ();
-          1 + ttas_loop ~backoff:false cell
+          1 + ttas_loop cell
         end
-    | Ttas_backoff -> ttas_loop ~backoff:true cell
+    | Ttas_backoff -> ttas_backoff_loop cell
 
   let try_acquire cell = M.Cell.test_and_set cell = 0
   let release cell = M.Cell.set cell 0

@@ -19,6 +19,17 @@ module Cell = struct
     Atomic.compare_and_set t.a expected desired
 
   let fetch_and_add t n = Atomic.fetch_and_add t.a n
+
+  let await t ready =
+    let rec loop p =
+      if ready (Atomic.get t.a) then p
+      else begin
+        Domain.cpu_relax ();
+        loop (p + 1)
+      end
+    in
+    loop 0
+
   let name t = t.cname
   let _ = name
 end
@@ -76,6 +87,17 @@ let in_interrupt () = false
 let cpu_count () = Domain.recommended_domain_count ()
 let current_cpu () = (Domain.self () :> int)
 let spin_pause () = Domain.cpu_relax ()
+
+let spin_until ?(budget = max_int) ready =
+  let rec loop p =
+    if p >= budget || ready () then p
+    else begin
+      Domain.cpu_relax ();
+      loop (p + 1)
+    end
+  in
+  loop 0
+
 let spin_hint _ = ()
 let spin_max_backoff () = 1024
 

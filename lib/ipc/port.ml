@@ -185,13 +185,12 @@ let dequeue_locked t =
    under the lock only when it looks non-empty.  A dead port makes the
    peek loop exit through the locked path, so spinning receivers still
    observe destroy promptly. *)
-let rec spin_for_message t spin =
-  if spin <= 0 then `Block
-  else if t.q_len > 0 || not (Kobj.is_active t.pobj) then `Try (spin - 1)
-  else begin
-    K.Machine.spin_pause ();
-    spin_for_message t (spin - 1)
-  end
+let spin_for_message t spin =
+  let pauses =
+    K.Machine.spin_until ~budget:spin (fun () ->
+        t.q_len > 0 || not (Kobj.is_active t.pobj))
+  in
+  if pauses < spin then `Try (spin - pauses - 1) else `Block
 
 let receive ?(spin = 0) t =
   let spans = Obs_span.enabled () in

@@ -36,14 +36,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
   let acquire t =
     let slot = M.Cell.fetch_and_add t.tail 1 mod n_slots in
     let flag = t.slots.(slot) in
-    let rec spin spins =
-      if M.Cell.get flag = 1 then spins
-      else begin
-        M.spin_pause ();
-        spin (spins + 1)
-      end
-    in
-    let spins = spin 0 in
+    let spins = M.Cell.await flag (fun f -> f = 1) in
     (* Consume the grant so the slot reads 0 when the array wraps. *)
     M.Cell.set flag 0;
     t.holder_slot <- slot;

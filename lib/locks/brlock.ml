@@ -88,12 +88,10 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
     let mine = t.readers.(slot) in
     let t0 = M.now_cycles () in
     let spins = ref 0 in
-    let wait_while busy =
+    let no_writer_queued () = Atomic.get t.pending = 0 in
+    let wait spin =
       Ev.wait_begin t.rsite;
-      while busy () do
-        incr spins;
-        M.spin_pause ()
-      done;
+      spins := !spins + spin ();
       Ev.wait_end t.rsite
     in
     let rec go () =
@@ -101,15 +99,15 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
          overtaking a waiting writer (never in the single-writer
          fast-path case: [pending] stays 0). *)
       if Atomic.get t.pending > 0 then
-        wait_while (fun () -> Atomic.get t.pending > 0);
+        wait (fun () -> M.spin_until no_writer_queued);
       ignore (M.Cell.fetch_and_add mine 1);
       if M.Cell.get t.writer = 0 then slot
       else begin
         (* Back out and let the writer's sweep drain; retry after. *)
         ignore (M.Cell.fetch_and_add mine (-1));
         incr spins;
-        wait_while (fun () ->
-            M.Cell.get t.writer <> 0 || Atomic.get t.pending > 0);
+        wait (fun () ->
+            M.Cell.await t.writer (fun w -> w = 0 && no_writer_queued ()));
         go ()
       end
     in
@@ -133,22 +131,17 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
     let contended_flag () =
       let my = Atomic.fetch_and_add t.wq_ticket 1 in
       Atomic.incr t.pending;
-      let rec turn spins =
-        if Atomic.get t.wq_grant = my then spins
-        else begin
-          M.spin_pause ();
-          turn (spins + 1)
-        end
-      in
+      let turn = 1 + M.spin_until (fun () -> Atomic.get t.wq_grant = my) in
+      (* Read until the flag looks free, then test-and-set it. *)
       let rec flag spins =
-        if M.Cell.get t.writer = 0 && M.Cell.test_and_set t.writer = 0 then
-          spins
+        let spins = spins + M.Cell.await t.writer (fun w -> w = 0) in
+        if M.Cell.test_and_set t.writer = 0 then spins
         else begin
           M.spin_pause ();
           flag (spins + 1)
         end
       in
-      let s = flag (turn 1) in
+      let s = flag turn in
       (* Flag in hand: pass the turn to the next queued writer (it will
          contend the flag at our release) and leave the reader gate up
          if — and only if — someone is still queued behind us. *)
@@ -166,10 +159,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
     in
     let sweep = ref 0 in
     for i = 0 to n_slots - 1 do
-      while M.Cell.get t.readers.(i) <> 0 do
-        incr sweep;
-        M.spin_pause ()
-      done
+      sweep := !sweep + M.Cell.await t.readers.(i) (fun n -> n = 0)
     done;
     Obs_metrics.observe ~cpu:(M.current_cpu ()) h_sweep !sweep;
     spins + !sweep

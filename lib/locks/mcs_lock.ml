@@ -82,14 +82,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
       else begin
         M.Cell.set qn.go 1;
         M.Cell.set (node t pred).next qid;
-        let rec spin spins =
-          if M.Cell.get qn.go = 0 then spins
-          else begin
-            M.spin_pause ();
-            spin (spins + 1)
-          end
-        in
-        spin 1
+        1 + M.Cell.await qn.go (fun go -> go = 0)
       end
     in
     t.holder <- qid;
@@ -125,13 +118,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
     else begin
       (* A successor swapped itself in but has not linked yet; wait for
          the link, then hand off. *)
-      let rec wait () =
-        if M.Cell.get qn.next = 0 then begin
-          M.spin_pause ();
-          wait ()
-        end
-      in
-      wait ();
+      ignore (M.Cell.await qn.next (fun next -> next <> 0));
       handoff t qn
     end
 

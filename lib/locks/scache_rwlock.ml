@@ -120,14 +120,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
             ignore (M.Cell.fetch_and_add mine (-1));
             incr spins;
             Ev.wait_begin t.rsite;
-            let rec wait () =
-              if M.Cell.get t.exc <> free then begin
-                incr spins;
-                M.spin_pause ();
-                wait ()
-              end
-            in
-            wait ();
+            spins := !spins + M.Cell.await t.exc (fun v -> v = free);
             Ev.wait_end t.rsite;
             step Read_pending
           end
@@ -146,14 +139,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
   let write_acquire t =
     (* FIFO admission: take a ticket, spin until granted. *)
     let my = M.Cell.fetch_and_add t.wticket 1 in
-    let rec gate spins =
-      if M.Cell.get t.wgrant = my then spins
-      else begin
-        M.spin_pause ();
-        gate (spins + 1)
-      end
-    in
-    let spins = gate 0 in
+    let spins = M.Cell.await t.wgrant (fun g -> g = my) in
     (* Announce: Free -> ExcLockPending.  Only the granted ticket holder
        reaches this CAS, and the previous writer restored Free before
        granting, so failure is a protocol violation, not contention. *)
@@ -169,10 +155,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
        pulsing toward zero. *)
     let sweep = ref 0 in
     for i = 0 to n_slots - 1 do
-      while M.Cell.get t.refcounts.(i) <> 0 do
-        incr sweep;
-        M.spin_pause ()
-      done
+      sweep := !sweep + M.Cell.await t.refcounts.(i) (fun n -> n = 0)
     done;
     M.Cell.set t.exc exc_lock_obtained;
     t.holder_ticket <- my;

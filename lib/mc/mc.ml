@@ -518,7 +518,6 @@ let make_cfg ~cpus ~max_steps hooks =
     C.default with
     C.cpus;
     seed = 0;
-    preempt_on_cell_ops = true;
     max_steps = Some max_steps;
     track_waits = true;
     (* Spans stay on through the whole search: they consume no engine

@@ -96,7 +96,6 @@ type t = {
   local_cost : int;
   context_switch_cost : int;
   interrupt_cost : int;
-  preempt_on_cell_ops : bool;
   spin_max_backoff : int;
   watchdog_steps : int;
   max_steps : int option;
@@ -123,7 +122,6 @@ let default =
     local_cost = 1;
     context_switch_cost = 300;
     interrupt_cost = 150;
-    preempt_on_cell_ops = true;
     spin_max_backoff = 1024;
     watchdog_steps = 1_000_000;
     max_steps = None;
@@ -141,9 +139,8 @@ let exploration ?(cpus = 4) ~seed () =
     cpus;
     seed;
     policy = Random_policy;
-    preempt_on_cell_ops = true;
     watchdog_steps = 200_000;
   }
 
 let bench ?(cpus = 8) () =
-  { default with cpus; policy = Timed; preempt_on_cell_ops = true }
+  { default with cpus; policy = Timed }

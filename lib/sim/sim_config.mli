@@ -106,9 +106,6 @@ type t = {
   local_cost : int;         (** generic local work unit *)
   context_switch_cost : int;
   interrupt_cost : int;     (** dispatch overhead of taking an interrupt *)
-  preempt_on_cell_ops : bool;
-      (** make every shared-cell operation a preemption point (finest
-          interleaving granularity; on for exploration) *)
   spin_max_backoff : int;
       (** cap (in cycles) on the exponential-backoff delay of the
           [Ttas_backoff] spin protocol *)
@@ -137,9 +134,8 @@ val default : t
     watchdog. *)
 
 val exploration : ?cpus:int -> seed:int -> unit -> t
-(** Random policy with per-cell preemption: the configuration used by the
+(** Random policy and a tighter watchdog: the configuration used by the
     schedule-exploration tests. *)
 
 val bench : ?cpus:int -> unit -> t
-(** Timed policy without per-cell preemption pauses beyond spin loops:
-    the configuration used by the cycle-model benchmarks. *)
+(** Timed policy: the configuration used by the cycle-model benchmarks. *)

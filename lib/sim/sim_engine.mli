@@ -117,6 +117,21 @@ val tls_set : thread -> key:int -> int -> unit
 val pause : unit -> unit
 (** Preemption point; charges the configured pause cost. *)
 
+val spin_pause : unit -> unit
+(** {!pause}, counted in [stats.spin_pauses]: one iteration of a spin
+    loop that is not a read-only wait. *)
+
+val spin_until : ?budget:int -> (unit -> bool) -> int
+(** [spin_until ?budget ready]: check [ready ()], and after each failed
+    check make a counted spin pause, for at most [budget] checks
+    (default unbounded); return the number of pauses made.  Step for
+    step the literal loop, but after the first failed check the engine
+    runs the iterations itself (see {!Mach_core.Machine_intf.MACHINE}
+    for the contract).  [ready] may read plain memory only: a machine
+    operation inside it is fatal.  Outside a simulated thread nothing
+    could change [ready]'s answer, so a failed first check returns
+    [budget], or is fatal when the wait is unbounded. *)
+
 val cycles : int -> unit
 val now_cycles : unit -> int
 val current_cpu : unit -> int
@@ -155,6 +170,15 @@ module Cell : sig
   val swap : t -> int -> int
   val compare_and_swap : t -> expected:int -> desired:int -> bool
   val fetch_and_add : t -> int -> int
+
+  val await : t -> (int -> bool) -> int
+  (** [await c ready]: read [c] as {!get} does, stop if [ready] holds of
+      the value, otherwise make a counted spin pause and repeat; return
+      the number of pauses.  Engine-run like {!spin_until}; [ready] may
+      also read plain memory, and is evaluated in the step after the
+      read, where the fiber would evaluate it.  Outside a simulated
+      thread a failed first check is fatal. *)
+
   val name : t -> string
 end
 
@@ -183,6 +207,3 @@ val last_analysis : unit -> deadlock_analysis option
     run had [track_waits] on.  [None] when the run ended cleanly. *)
 
 val live_threads : unit -> int
-
-val count_spin_pause : unit -> unit
-(** Statistics hook used by [Sim_machine.spin_pause]. *)

@@ -15,10 +15,8 @@ let in_interrupt = Sim_engine.in_interrupt
 let cpu_count = Sim_engine.cpu_count
 let current_cpu = Sim_engine.current_cpu
 
-let spin_pause () =
-  Sim_engine.count_spin_pause ();
-  Sim_engine.pause ()
-
+let spin_pause = Sim_engine.spin_pause
+let spin_until = Sim_engine.spin_until
 let spin_hint = Sim_engine.spin_hint
 let spin_max_backoff = Sim_engine.spin_max_backoff
 let park = Sim_engine.park

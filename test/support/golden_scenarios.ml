@@ -170,6 +170,14 @@ let cx_scache () =
   let ts = List.init cpus (fun i -> Engine.spawn (worker i)) in
   List.iter Engine.join ts
 
+(* E20 serving path: Mig calls and batched receives whose spin-then-block
+   probes ([Port.receive ~spin], [Mig.call ~poll]) run out of budget
+   often enough at 16 probes that some waits park. *)
+let rpc_serve () =
+  ignore
+    (Mach_kernel.Scenarios.rpc_serve ~shards:2 ~batch:4 ~calls_each:4 ~spin:16
+       ())
+
 let scenarios : (string * (unit -> unit)) list =
   [
     ("contention", contention);
@@ -182,6 +190,7 @@ let scenarios : (string * (unit -> unit)) list =
     ("contention-scache", queue_contention K.Locks.scache_writer);
     ("scache-readers", scache_readers);
     ("cx-scache", cx_scache);
+    ("rpc-serve", rpc_serve);
   ]
 
 (* The configuration matrix exercises every scheduler policy (and thus
@@ -225,6 +234,11 @@ let matrix : (string * int * int * Config.policy) list =
     ("brlock-readers", 64, 7, Config.Round_robin);
     ("scache-readers", 64, 3, Config.Timed);
     ("contention", 33, 5, Config.Random_policy);
+    (* The IPC probe path: Port.receive ~spin and Mig.call ~poll. *)
+    ("rpc-serve", 8, 3, Config.Timed);
+    ("rpc-serve", 4, 11, Config.Random_policy);
+    ("rpc-serve", 4, 7, Config.Round_robin);
+    ("rpc-serve", 64, 5, Config.Random_policy);
   ]
 
 let line (name, cpus, seed, policy) =

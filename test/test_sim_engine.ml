@@ -369,6 +369,205 @@ let test_ttas_fewer_bus_transactions_than_tas () =
     (Printf.sprintf "ttas (%d) completes before tas (%d)" ttas_time tas_time)
     true (ttas_time < tas_time)
 
+(* ------------------------------------------------------------------ *)
+(* Engine-run waits                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The hand-written loops [Engine.spin_until] and [Engine.Cell.await]
+   replace, kept here as the reference they must equal step for step. *)
+let literal_until ?(budget = max_int) ready =
+  let rec loop p =
+    if p >= budget || ready () then p
+    else begin
+      Engine.spin_pause ();
+      loop (p + 1)
+    end
+  in
+  loop 0
+
+let literal_await c ready =
+  let rec loop p =
+    if ready (Engine.Cell.get c) then p
+    else begin
+      Engine.spin_pause ();
+      loop (p + 1)
+    end
+  in
+  loop 0
+
+type wait_form = Engine_run | Literal
+
+(* Bound waiters on cpus 1.. wait for a writer that flips a cell (and a
+   plain flag with it) after some work: [Cell.await] on the cell, an
+   unbounded [spin_until] on the flag, one whose budget runs out and one
+   whose budget does not.  The writer also posts interrupts whose
+   handlers wait the same ways, on top of whatever the target cpu is
+   running (often a waiting thread frame).  Returns the pause counts,
+   in completion order, and every value a predicate was given. *)
+let wait_scenario form ~cpus () =
+  let until ?budget ready =
+    match form with
+    | Engine_run -> Engine.spin_until ?budget ready
+    | Literal -> literal_until ?budget ready
+  in
+  let await c ready =
+    match form with
+    | Engine_run -> Engine.Cell.await c ready
+    | Literal -> literal_await c ready
+  in
+  let flag = Engine.Cell.make ~name:"flag" 0 in
+  let work = Engine.Cell.make ~name:"work" 0 in
+  let plain = ref false in
+  let results = ref [] and seen = ref [] in
+  let record who pauses = results := (who, pauses) :: !results in
+  let set v =
+    seen := v :: !seen;
+    v = 1
+  in
+  let wait_kind k who =
+    match k mod 4 with
+    | 0 -> record who (await flag set)
+    | 1 -> record who (until (fun () -> !plain))
+    | 2 -> record who (until ~budget:3 (fun () -> !plain))
+    | _ -> record who (until ~budget:1_000_000 (fun () -> !plain))
+  in
+  let waiters =
+    List.init (cpus - 1) (fun i ->
+        let cpu = i + 1 in
+        let who = Printf.sprintf "w%d" cpu in
+        Engine.spawn ~name:who ~bound:cpu (fun () -> wait_kind i who))
+  in
+  let writer =
+    Engine.spawn ~name:"writer" (fun () ->
+        for j = 1 to 12 do
+          Engine.cycles 40;
+          ignore (Engine.Cell.fetch_and_add work 1);
+          if j = 4 then
+            List.iteri
+              (fun k cpu ->
+                let who = Printf.sprintf "i%d" cpu in
+                Engine.post_interrupt ~name:who ~cpu ~level:Spl.Splvm
+                  (fun () -> wait_kind k who))
+              [ 1; cpus - 1 ]
+        done;
+        Engine.Cell.set flag 1;
+        plain := true)
+  in
+  Engine.join writer;
+  List.iter Engine.join waiters;
+  (!results, !seen)
+
+let test_engine_wait_equals_literal () =
+  List.iter
+    (fun (cpus, policy, seed) ->
+      let go form =
+        let out = ref ([], []) in
+        let stats =
+          run ~cpus ~seed ~policy (fun () -> out := wait_scenario form ~cpus ())
+        in
+        (stats, !out)
+      in
+      let s1, (r1, v1) = go Engine_run in
+      let s2, (r2, v2) = go Literal in
+      let what =
+        Printf.sprintf "%d cpus, %s, seed %d" cpus (Config.policy_name policy)
+          seed
+      in
+      check_bool (what ^ ": stats") true (s1 = s2);
+      Alcotest.(check (list (pair string int))) (what ^ ": pauses") r2 r1;
+      Alcotest.(check (list int)) (what ^ ": values read") v2 v1;
+      check_bool (what ^ ": some wait ran out of budget") true
+        (List.exists (fun (_, p) -> p = 3) r1);
+      check_bool (what ^ ": some budgeted wait did not") true
+        (List.exists (fun (_, p) -> p > 3 && p < 1_000_000) r1))
+    [
+      (4, Config.Random_policy, 1);
+      (4, Config.Round_robin, 2);
+      (4, Config.Timed, 3);
+      (64, Config.Random_policy, 4);
+      (64, Config.Round_robin, 5);
+      (64, Config.Timed, 6);
+    ]
+
+(* The same equivalence under the model checker: a waiter in each shape
+   against a writer, explored exhaustively by DPOR. *)
+let test_engine_wait_equals_literal_mc () =
+  let cell form () =
+    let flag = Engine.Cell.make ~name:"flag" 0 in
+    let published = Engine.Cell.make ~name:"published" 0 in
+    let plain = ref false in
+    let waiter =
+      Engine.spawn ~name:"waiter" (fun () ->
+          match form with
+          | Engine_run ->
+              ignore (Engine.Cell.await flag (fun v -> v = 1));
+              ignore (Engine.spin_until ~budget:4 (fun () -> !plain))
+          | Literal ->
+              ignore (literal_await flag (fun v -> v = 1));
+              ignore (literal_until ~budget:4 (fun () -> !plain)))
+    in
+    Engine.Cell.set flag 1;
+    Engine.cycles 10;
+    plain := true;
+    Engine.Cell.set published 1;
+    Engine.join waiter
+  in
+  let module Mc = Mach_mc.Mc in
+  let summary form =
+    let r = Mc.check ~mode:Mc.Dpor (cell form) in
+    if not r.Mc.verified then Alcotest.failf "%a" Mc.pp_result r;
+    let s = r.Mc.stats in
+    (s.Mc.executions, s.pruned, s.transitions, s.choice_points)
+  in
+  let a = summary Engine_run and b = summary Literal in
+  check_bool "same counts" true (a = b)
+
+let test_wait_predicate_contract () =
+  (* A predicate that performs a machine operation while the engine
+     evaluates it is a named fatal error, not an unhandled effect.  The
+     first check runs in the fiber, where the operation is legal. *)
+  List.iter
+    (fun (op, misbehave) ->
+      match
+        Engine.run_outcome ~cfg:(cfg ~cpus:2 ()) (fun () ->
+            let c = Engine.Cell.make ~name:"probe" 0 in
+            let t =
+              Engine.spawn (fun () ->
+                  Engine.cycles 100;
+                  Engine.Cell.set c 1)
+            in
+            let first = ref true in
+            ignore
+              (Engine.spin_until (fun () ->
+                   if not !first then misbehave c;
+                   first := false;
+                   Engine.Cell.get c = 1));
+            Engine.join t)
+      with
+      | Engine.Panicked msg ->
+          check_bool
+            (Printf.sprintf "%s: names the wait and the operation: %s" op msg)
+            true
+            (contains msg "predicate of spin_until" && contains msg op)
+      | _ -> Alcotest.failf "%s inside spin_until's predicate must panic" op)
+    [
+      ("a cell operation", fun c -> ignore (Engine.Cell.get c));
+      ("pause", fun _ -> Engine.pause ());
+      ("park", fun _ -> Engine.park ());
+      ("cycles", fun _ -> Engine.cycles 1);
+    ]
+
+let test_wait_outside_a_thread () =
+  (* Outside a simulated thread nothing can change a failed check: a
+     bounded wait spends its budget, an unbounded one is refused. *)
+  check_int "budget spent" 5 (Engine.spin_until ~budget:5 (fun () -> false));
+  check_int "first check holds" 0 (Engine.spin_until (fun () -> true));
+  let c = Engine.Cell.make ~name:"idle" 0 in
+  check_int "value already there" 0 (Engine.Cell.await c (fun v -> v = 0));
+  match Engine.Cell.await c (fun v -> v = 1) with
+  | _ -> Alcotest.fail "an unbounded wait outside a thread must be refused"
+  | exception Engine.Kernel_panic _ -> ()
+
 let test_explore_all_completed () =
   let v =
     Explore.run ~cpus:2 ~seeds:(List.init 20 (fun i -> i + 1)) (fun () ->
@@ -426,6 +625,17 @@ let () =
           Alcotest.test_case "idle cpu" `Quick test_interrupt_on_idle_cpu;
           Alcotest.test_case "park in interrupt panics" `Quick
             test_park_in_interrupt_panics;
+        ] );
+      ( "waits",
+        [
+          Alcotest.test_case "engine-run == literal loop" `Quick
+            test_engine_wait_equals_literal;
+          Alcotest.test_case "engine-run == literal loop (mc)" `Quick
+            test_engine_wait_equals_literal_mc;
+          Alcotest.test_case "predicate contract" `Quick
+            test_wait_predicate_contract;
+          Alcotest.test_case "outside a thread" `Quick
+            test_wait_outside_a_thread;
         ] );
       ( "exploration",
         [
