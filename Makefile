@@ -38,18 +38,15 @@ perf-gate:
 	dune exec bench/perf_gate.exe
 
 # Prove the gate trips: inject a 2x slowdown into the measured values and
-# require exit code 1 (a gate that cannot fail gates nothing).  Each
-# row (vm, cache, rpc, mc, engine64, spans) is additionally injected on
-# its own so a row the gate silently stopped reading cannot pass the
-# selftest.
+# require exit code 1 (a gate that cannot fail gates nothing).  Every
+# row the gate lists (--list-rows) is additionally injected on its own
+# so a row the gate silently stopped reading cannot pass the selftest.
 perf-gate-selftest:
 	dune exec bench/perf_gate.exe -- --inject-slowdown; test $$? -eq 1
-	dune exec bench/perf_gate.exe -- --inject-row vm; test $$? -eq 1
-	dune exec bench/perf_gate.exe -- --inject-row cache; test $$? -eq 1
-	dune exec bench/perf_gate.exe -- --inject-row rpc; test $$? -eq 1
-	dune exec bench/perf_gate.exe -- --inject-row mc; test $$? -eq 1
-	dune exec bench/perf_gate.exe -- --inject-row engine64; test $$? -eq 1
-	dune exec bench/perf_gate.exe -- --inject-row spans; test $$? -eq 1
+	for row in $$(dune exec bench/perf_gate.exe -- --list-rows); do \
+		dune exec bench/perf_gate.exe -- --inject-row $$row; \
+		test $$? -eq 1 || { echo "row $$row did not trip"; exit 1; }; \
+	done
 	@echo "perf-gate-selftest passed (gate trips on injected 2x slowdown, every row)"
 
 # Regenerate the committed gate reference after an INTENTIONAL perf

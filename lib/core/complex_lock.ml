@@ -1,5 +1,3 @@
-module Tls_key = Machine_intf.Tls_key
-
 module Make
     (M : Machine_intf.MACHINE)
     (Slock : module type of Simple_lock.Make (M))
@@ -68,14 +66,14 @@ struct
 
   let is_recursive_holder t = self_is t t.recursive_holder
 
-  (* Account spin-mode complex locks in TLS so the event layer can reject
-     blocking while one is held (Appendix B: locks without the Sleep option
-     cannot be held during blocking operations). *)
+  (* Count spin-mode complex locks on the thread's context so the event
+     layer can reject blocking while one is held (Appendix B: locks
+     without the Sleep option cannot be held during blocking
+     operations). *)
   let bump_spin_held t delta =
     if not t.can_sleep then begin
-      let self = M.self () in
-      let k = Tls_key.complex_spin_locks_held in
-      M.tls_set self ~key:k (M.tls_get self ~key:k + delta)
+      let ctx = M.context (M.self ()) in
+      ctx.complex_spin_locks_held <- ctx.complex_spin_locks_held + delta
     end
 
   (* Wait for the lock state to change.  Caller holds the interlock; it is

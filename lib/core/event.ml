@@ -1,4 +1,3 @@
-module Tls_key = Machine_intf.Tls_key
 module Obs_metrics = Mach_obs.Obs_metrics
 module Obs_trace = Mach_obs.Obs_trace
 module Obs_event = Mach_obs.Obs_event
@@ -18,6 +17,8 @@ module Make
     (M : Machine_intf.MACHINE)
     (Slock : module type of Simple_lock.Make (M)) =
 struct
+  module Spans = Lock_events.Spans (M)
+
   type event = int
 
   let h_wait = Obs_metrics.histogram "event.wait_cycles"
@@ -127,8 +128,7 @@ struct
 
   let my_waiter () = waiter_of (M.self ())
 
-  let set_in_assert_wait v =
-    M.tls_set (M.self ()) ~key:Tls_key.in_assert_wait (if v then 1 else 0)
+  let set_in_assert_wait v = (M.context (M.self ())).in_assert_wait <- v
 
   let assert_wait ?(interruptible = false) ev =
     let w = my_waiter () in
@@ -150,39 +150,35 @@ struct
     b.waiters <- b.waiters @ [ w ];
     Slock.unlock b.block;
     if Waits_for.tracking () then
-      Waits_for.note_wait
-        ~tid:(M.thread_id (M.self ()))
-        ~tname:(M.thread_name (M.self ()))
-        (Waits_for.Event { id = ev });
+      Thread_ctx.note_wait (M.context (M.self ())) (Waits_for.Event { id = ev });
     (* The wait->wake span: closed at the wake in [thread_block] (or at
        [cancel_assert]) with [exit_kind] — the waiter's event slot is
        cleared by then, and a thread has at most one outstanding wait. *)
     if Obs_span.enabled () then
-      Obs_span.enter Obs_span.Event ("evt" ^ string_of_int ev);
+      Spans.enter Obs_span.Event ("evt" ^ string_of_int ev);
     if Obs_trace.enabled () then
       Obs_trace.emit (Obs_event.Event_wait { event = ev });
     set_in_assert_wait true
 
   let check_no_simple_locks what =
     if Slock.checking () then begin
-      let self = M.self () in
-      let held = M.tls_get self ~key:Tls_key.simple_locks_held in
-      if held > 0 then
+      let ctx = M.context (M.self ()) in
+      if ctx.simple_locks_held > 0 then
         M.fatal
           (Printf.sprintf
              "%s while holding %d simple lock(s): simple locks may not be \
-              held during blocking operations (paper, Appendix A)"
-             what held);
-      let spin_held =
-        M.tls_get self ~key:Tls_key.complex_spin_locks_held
-      in
-      if spin_held > 0 then
+              held during blocking operations (paper, Appendix A); locks \
+              held: %s"
+             what ctx.simple_locks_held
+             (Thread_ctx.describe_holds ctx));
+      if ctx.complex_spin_locks_held > 0 then
         M.fatal
           (Printf.sprintf
              "%s while holding %d non-sleep complex lock(s): locks without \
               the Sleep option cannot be held during blocking operations \
-              (paper, Appendix B)"
-             what spin_held)
+              (paper, Appendix B); locks held: %s"
+             what ctx.complex_spin_locks_held
+             (Thread_ctx.describe_holds ctx))
     end
 
   let thread_block () =
@@ -199,7 +195,7 @@ struct
             ~cpu:(M.current_cpu ())
             h_wait
             (max 0 (M.now_cycles () - w.wait_started));
-          Obs_span.exit_kind Obs_span.Event;
+          Spans.exit_kind Obs_span.Event;
           r
       | Waiting ->
           M.park ();
@@ -208,15 +204,14 @@ struct
     in
     wait ()
 
-  (* The waker (not the waiter) retires the wait edge: the engine's
-     dropped-wakeup injection fires downstream in [M.unpark], so a waiter
-     whose edge was retired but that stays parked is precisely a lost
-     wakeup, and [Waits_for.last_event] names the event it was woken
-     from. *)
+  (* The waker (not the waiter) retires the wait edge on the woken
+     thread's context: the engine's dropped-wakeup injection fires
+     downstream in [M.unpark], so a waiter whose edge was retired but
+     that stays parked is precisely a lost wakeup, and the context's
+     [last_event] names the event it was woken from. *)
   let wf_wait_done w ev =
     if Waits_for.tracking () then
-      Waits_for.note_wait_done ~tid:(M.thread_id w.thread)
-        (Waits_for.Event { id = ev })
+      Thread_ctx.wait_done (M.context w.thread) (Waits_for.Event { id = ev })
 
   (* Dequeue [w] from bucket [b] and mark it woken; caller holds b.block. *)
   let wake_locked b w result =
@@ -237,7 +232,7 @@ struct
           | Woken _ -> w.state <- Running
           | Running | Waiting -> ());
           set_in_assert_wait false;
-          Obs_span.exit_kind Obs_span.Event
+          Spans.exit_kind Obs_span.Event
       | Some ev ->
           let b = bucket_of ev in
           Slock.lock b.block;
@@ -248,7 +243,7 @@ struct
             wf_wait_done w ev;
             Slock.unlock b.block;
             set_in_assert_wait false;
-            Obs_span.exit_kind Obs_span.Event
+            Spans.exit_kind Obs_span.Event
           end
           else begin
             Slock.unlock b.block;

@@ -1,9 +1,9 @@
 (* The lock-event pipeline: every lock reports each transition through
    one call here, which feeds the recorders in a fixed order (see the
-   interface).  A site's profile class and span label are built at its
-   first acquisition, never again: no string is built on a lock
-   operation, and locks made but never taken (the event layer rebuilds
-   64 bucket locks per run) cost nothing. *)
+   interface).  What a thread holds and is doing lives on its context
+   (Thread_ctx): a hold is pushed at acquisition and removed at release
+   by site identity, so two holds with one label (two ranges of one
+   range lock) each close their own span. *)
 
 module Obs_metrics = Mach_obs.Obs_metrics
 module Obs_profile = Mach_obs.Obs_profile
@@ -11,132 +11,90 @@ module Obs_span = Mach_obs.Obs_span
 module Obs_trace = Mach_obs.Obs_trace
 module Obs_event = Mach_obs.Obs_event
 
-type site = {
-  name : string;
-  mutable cls : string; (* profile class; "" until first acquired *)
-  mutable span : string; (* span label *)
-  res : Waits_for.resource;
-}
+type site = Thread_ctx.site
 
-let site ~name res = { name; cls = ""; span = ""; res }
+let site = Thread_ctx.site
+let with_res = Thread_ctx.with_res
 
-let build_strings s =
-  if String.length s.cls = 0 then begin
-    s.cls <- Obs_profile.class_of_name s.name;
-    s.span <- Obs_span.label Obs_span.Lock s.name
-  end
+module Spans (M : Machine_intf.MACHINE) = struct
+  let close (ctx : Thread_ctx.t) kind label t0 =
+    Obs_span.close ~kind ~label ~t0 ~t1:(M.now_cycles ())
+      ~cpu:(M.current_cpu ()) ~tname:ctx.tname
 
-let with_res s res =
-  build_strings s;
-  { s with res }
+  let enter kind name =
+    if Obs_span.enabled () then begin
+      let ctx = M.context (M.self ()) in
+      let label = Obs_span.label kind name in
+      ctx.stack <-
+        Thread_ctx.Span { kind; label; t0 = M.now_cycles () } :: ctx.stack
+    end
 
-(* The held record.  An entry is a site, so it is exact per lock
-   instance; [seq] stamps acquisitions so the holders of a resource list
-   in acquisition order (a deadlock report's text depends on it). *)
-type entry = { site : site; seq : int }
-type holder = { tid : int; tname : string; mutable held : entry list }
+  let exit_matching p =
+    let ctx = M.context (M.self ()) in
+    match Thread_ctx.take ctx p with
+    | Some (Thread_ctx.Span s) -> close ctx s.kind s.label s.t0
+    | _ -> ()
 
-(* Keyed by thread id with a plain int hash: a thread's entry comes and
-   goes with every outermost acquire/release pair. *)
-module Tid_tbl = Hashtbl.Make (struct
-  type t = int
+  let exit kind name =
+    if Obs_span.enabled () then
+      let label = Obs_span.label kind name in
+      exit_matching (function
+        | Thread_ctx.Span s -> s.label = label
+        | _ -> false)
 
-  let equal = Int.equal
-  let hash t = t land max_int
-end)
-
-type state = { threads : holder Tid_tbl.t; mutable next_seq : int }
-
-let state_key : state Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { threads = Tid_tbl.create 64; next_seq = 0 })
-
-let st () = Domain.DLS.get state_key
-
-let () =
-  Run_reset.register (fun () ->
-      let s = st () in
-      Tid_tbl.reset s.threads;
-      s.next_seq <- 0)
-
-let held ~tid =
-  match Tid_tbl.find_opt (st ()).threads tid with
-  | None -> []
-  | Some h -> List.map (fun e -> (e.site.name, e.site.res)) h.held
-
-let held_threads () = Tid_tbl.length (st ()).threads
-
-(* The waits-for hold edges: sorting by (resource, seq) groups each
-   resource's holders in acquisition order. *)
-let holds () =
-  Tid_tbl.fold
-    (fun _ h acc ->
-      List.fold_left
-        (fun acc e -> (e.site.res, e.seq, (h.tid, h.tname)) :: acc)
-        acc h.held)
-    (st ()).threads []
-  |> List.sort compare
-  |> List.fold_left
-       (fun acc (res, _, who) ->
-         match acc with
-         | (r, ws) :: rest when r = res -> (r, who :: ws) :: rest
-         | _ -> (res, [ who ]) :: acc)
-       []
-  |> List.rev_map (fun (r, ws) -> (r, List.rev ws))
+  let exit_kind kind =
+    if Obs_span.enabled () then
+      exit_matching (function Thread_ctx.Span s -> s.kind = kind | _ -> false)
+end
 
 module Make (M : Machine_intf.MACHINE) = struct
+  module Spans = Spans (M)
+
   let m_acquisitions = Obs_metrics.counter "lock.acquisitions"
   let m_contentions = Obs_metrics.counter "lock.contentions"
   let h_wait = Obs_metrics.histogram "lock.wait_cycles"
   let h_hold = Obs_metrics.histogram "lock.hold_cycles"
 
-  let wait_begin site =
+  let wait_begin (site : site) =
     M.spin_hint site.name;
     if Waits_for.tracking () then
-      let self = M.self () in
-      Waits_for.note_wait ~tid:(M.thread_id self) ~tname:(M.thread_name self)
-        site.res
+      Thread_ctx.note_wait (M.context (M.self ())) site.res
 
-  let wait_end site =
+  let wait_end (site : site) =
     if Waits_for.tracking () then
-      Waits_for.note_wait_done ~tid:(M.thread_id (M.self ())) site.res
+      Thread_ctx.wait_done (M.context (M.self ())) site.res
 
-  let acquired ?blocker site ~spins ~wait_cycles =
-    build_strings site;
+  let rec innermost_hold = function
+    | [] -> None
+    | Thread_ctx.Hold h :: _ -> Some h.site.cls
+    | _ :: rest -> innermost_hold rest
+
+  let acquired ?blocker (site : site) ~spins ~wait_cycles =
+    Thread_ctx.build_strings site;
     let cpu = M.current_cpu () in
     let contended = spins > 0 in
     Obs_metrics.incr ~cpu m_acquisitions;
     if contended then Obs_metrics.incr ~cpu m_contentions;
     Obs_metrics.observe ~cpu h_wait wait_cycles;
-    let s = st () in
-    let self = M.self () in
-    let tid = M.thread_id self in
-    let h =
-      match Tid_tbl.find_opt s.threads tid with
-      | Some h -> h
-      | None ->
-          let h = { tid; tname = M.thread_name self; held = [] } in
-          Tid_tbl.add s.threads tid h;
-          h
-    in
-    let holder =
-      match h.held with e :: _ when contended -> Some e.site.cls | _ -> None
-    in
+    let ctx = M.context (M.self ()) in
+    let holder = if contended then innermost_hold ctx.stack else None in
     Obs_profile.note_acquire ~cls:site.cls ~holder ~contended ~wait_cycles;
-    if Obs_span.enabled () then begin
-      (match blocker with
-      | Some b when contended ->
-          Obs_span.blocked ~kind:Obs_span.Lock ~label:site.span
-            ~holder_tid:(M.thread_id b) ~wait_cycles
-      | _ -> ());
-      Obs_span.enter_label Obs_span.Lock site.span
-    end;
+    let spans = Obs_span.enabled () in
+    (if spans then
+       match blocker with
+       | Some b when contended ->
+           Obs_span.blocked ~kind:Obs_span.Lock ~label:site.span
+             ~holder:(Thread_ctx.holder_context (M.context b) site.span)
+             ~wait_cycles
+       | _ -> ());
     if Obs_trace.enabled () then
       Obs_trace.emit
         (Obs_event.Lock_acquire { lock = site.name; spins; wait_cycles });
-    h.held <- { site; seq = s.next_seq } :: h.held;
-    s.next_seq <- s.next_seq + 1
+    let t0 = if spans then M.now_cycles () else 0 in
+    ctx.stack <-
+      Thread_ctx.Hold { site; seq = Thread_ctx.next_seq (); t0 } :: ctx.stack
 
-  let released ?held_cycles site =
+  let released ?held_cycles (site : site) =
     let held =
       match held_cycles with
       | Some c ->
@@ -145,26 +103,19 @@ module Make (M : Machine_intf.MACHINE) = struct
       | None -> 0
     in
     Obs_profile.note_release ~cls:site.cls ~held_cycles:held;
-    Obs_span.exit_label site.span;
+    (* Releases need not nest: drop this site's innermost hold. *)
+    let ctx = M.context (M.self ()) in
+    (match
+       Thread_ctx.take ctx (function
+         | Thread_ctx.Hold h -> h.site == site
+         | _ -> false)
+     with
+    | Some (Thread_ctx.Hold h) when Obs_span.enabled () ->
+        Spans.close ctx Obs_span.Lock site.span h.t0
+    | _ -> ());
     if Obs_trace.enabled () then
       Obs_trace.emit
-        (Obs_event.Lock_release { lock = site.name; held_cycles = held });
-    (* Drop the innermost entry of [site] (releases need not nest); a
-       thread that holds nothing is forgotten, as thread ids never
-       repeat. *)
-    let s = st () in
-    let tid = M.thread_id (M.self ()) in
-    match Tid_tbl.find_opt s.threads tid with
-    | None -> ()
-    | Some h -> (
-        let rec remove = function
-          | [] -> []
-          | e :: rest when e.site == site -> rest
-          | e :: rest -> e :: remove rest
-        in
-        match remove h.held with
-        | [] -> Tid_tbl.remove s.threads tid
-        | rest -> h.held <- rest)
+        (Obs_event.Lock_release { lock = site.name; held_cycles = held })
 
   let downgraded ~held_cycles =
     Obs_metrics.observe ~cpu:(M.current_cpu ()) h_hold held_cycles

@@ -4,37 +4,36 @@
     write sides of [Brlock] and [Scache_rwlock] report every wait,
     acquisition and release here.  An acquisition or release feeds, in
     this order, the ["lock.*"] metrics, {!Mach_obs.Obs_profile},
-    {!Mach_obs.Obs_span}, {!Mach_obs.Obs_trace} and the held record; a
-    wait feeds {!Waits_for} only.
+    {!Mach_obs.Obs_span}, {!Mach_obs.Obs_trace} and the thread's
+    context ({!Thread_ctx}); a wait feeds the context's wait edges
+    only.
 
-    The held record is the only per-thread record of held locks: the
-    profiler's holder class and the waits-for hold edges ({!holds}) come
-    from it.  It is exact per lock instance, domain-local, cleared by
-    {!Run_reset}, and kept whether or not checking or wait tracking is
-    on (the section-7 buggy variants turn checking off and must still be
-    explainable). *)
+    A hold is pushed on the acquiring thread's context whether or not
+    checking or wait tracking is on (the section-7 buggy variants turn
+    checking off and must still be explainable).  The profiler's holder
+    class, the blocked-by holder context and the waits-for hold edges
+    are all read from the contexts. *)
 
-type site
-(** A lock (or one side of it), built once when the lock is made: name,
-    waits-for resource, and the profile class and span label, which are
-    built at the first acquisition. *)
+type site = Thread_ctx.site
 
 val site : name:string -> Waits_for.resource -> site
-
 val with_res : site -> Waits_for.resource -> site
-(** The same site over another resource, without building strings: a
-    range lock waits for and holds each exact range. *)
 
-val held : tid:int -> (string * Waits_for.resource) list
-(** What thread [tid] holds (site name, resource), innermost first. *)
+(** Spans other than lock holds — event waits, IPC and VM operations —
+    pushed on and popped from the running thread's context.  Each call
+    is a no-op when spans are off. *)
+module Spans (M : Machine_intf.MACHINE) : sig
+  val enter : Mach_obs.Obs_span.kind -> string -> unit
+  (** Open a span at site ["kind:name"]. *)
 
-val held_threads : unit -> int
-(** Threads holding anything; a thread is dropped once it holds
-    nothing. *)
+  val exit : Mach_obs.Obs_span.kind -> string -> unit
+  (** Close the innermost open span at that site.  No-op if none is
+      open (unbalanced calls are tolerated, never fatal). *)
 
-val holds : unit -> (Waits_for.resource * (int * string) list) list
-(** Each held resource with its holders (tid, name) in acquisition
-    order, sorted by resource. *)
+  val exit_kind : Mach_obs.Obs_span.kind -> unit
+  (** Close the innermost open span of the kind, whatever its site —
+      for waiters that cannot cheaply recover the site name at wake. *)
+end
 
 module Make (M : Machine_intf.MACHINE) : sig
   val wait_begin : site -> unit
@@ -49,10 +48,11 @@ module Make (M : Machine_intf.MACHINE) : sig
       with zero spins; a failed try is not reported. *)
 
   val released : ?held_cycles:int -> site -> unit
-  (** Without [held_cycles] the hold is untimed (read holds) and is not
-      observed in ["lock.hold_cycles"]. *)
+  (** Removes this exact site's innermost hold.  Without [held_cycles]
+      the hold is untimed (read holds) and is not observed in
+      ["lock.hold_cycles"]. *)
 
   val downgraded : held_cycles:int -> unit
   (** A write hold became a read hold: observes the write hold time;
-      the held entry and the span stay open. *)
+      the hold and its span stay open. *)
 end

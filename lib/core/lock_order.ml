@@ -2,36 +2,22 @@ module Make
     (M : Machine_intf.MACHINE)
     (Slock : module type of Simple_lock.Make (M)) =
 struct
-  type cls = { cname : string; rank : int }
+  type cls = Thread_ctx.rank = { cname : string; rank : int }
 
   let define_class ~name ~rank = { cname = name; rank }
   let class_name c = c.cname
   let class_rank c = c.rank
 
-  (* Per-thread stack of held classes.  The table is domain-local: on
-     the simulated machine every fiber of a run shares one domain (and
-     the table operations contain no preemption points), while on the
-     native machine each thread is its own domain and only ever touches
-     its own table — so no lock is needed in either case.  Entries would
-     otherwise accumulate forever (thread ids are never reused within a
-     domain but runs are), so the engine's teardown clears the table via
-     the registered {!Run_reset} hook; stale stacks from a previous
-     Sim_explore seed can no longer produce phantom violations. *)
-  let held_key : (int, cls list ref) Hashtbl.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+  (* The held classes are the rank entries on the thread's context, in
+     the one stack it shares with its lock holds and spans.  A new run
+     starts with new contexts, so nothing leaks from one run (or
+     Sim_explore seed) into the next. *)
+  let my_context () = M.context (M.self ())
 
-  let reset_held () = Hashtbl.reset (Domain.DLS.get held_key)
-  let () = Run_reset.register reset_held
-
-  let my_stack () =
-    let tid = M.thread_id (M.self ()) in
-    let held = Domain.DLS.get held_key in
-    match Hashtbl.find_opt held tid with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.add held tid r;
-        r
+  let reset_held () =
+    let ctx = my_context () in
+    ctx.stack <-
+      List.filter (function Thread_ctx.Rank _ -> false | _ -> true) ctx.stack
 
   let violation_log : string list Atomic.t = Atomic.make []
   let fatal_violations = Atomic.make false
@@ -52,16 +38,18 @@ struct
   let clear_violations () = Atomic.set violation_log []
 
   let note_acquire c =
-    let stack = my_stack () in
+    let ctx = my_context () in
     (* Compare against the maximum rank held anywhere in the stack, not
        just the most recent acquisition: holding [rank 1; rank 3] and
        acquiring rank 2 is a violation against the rank-3 class even
        though the top of the stack is rank 1. *)
     let worst =
       List.fold_left
-        (fun acc h ->
-          match acc with Some w when w.rank >= h.rank -> acc | _ -> Some h)
-        None !stack
+        (fun acc -> function
+          | Thread_ctx.Rank h -> (
+              match acc with Some w when w.rank >= h.rank -> acc | _ -> Some h)
+          | _ -> acc)
+        None ctx.stack
     in
     (match worst with
     | Some w when w.rank > c.rank ->
@@ -72,22 +60,21 @@ struct
              (M.thread_name (M.self ()))
              c.cname c.rank w.cname w.rank)
     | _ -> ());
-    stack := c :: !stack
+    ctx.stack <- Thread_ctx.Rank c :: ctx.stack
 
   let note_release c =
-    let stack = my_stack () in
-    let rec remove_first = function
-      | [] ->
-          record_violation
-            (Printf.sprintf
-               "lock order: thread %s released class %s it does not hold"
-               (M.thread_name (M.self ()))
-               c.cname);
-          []
-      | top :: rest when top.cname = c.cname -> rest
-      | top :: rest -> top :: remove_first rest
-    in
-    stack := remove_first !stack
+    match
+      Thread_ctx.take (my_context ()) (function
+        | Thread_ctx.Rank top -> top.cname = c.cname
+        | _ -> false)
+    with
+    | Some _ -> ()
+    | None ->
+        record_violation
+          (Printf.sprintf
+             "lock order: thread %s released class %s it does not hold"
+             (M.thread_name (M.self ()))
+             c.cname)
 
   let lock_both_by_uid a b =
     if Slock.uid a = Slock.uid b then Slock.lock a

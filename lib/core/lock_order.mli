@@ -27,17 +27,17 @@ module Make
   val class_rank : cls -> int
 
   val note_acquire : cls -> unit
-  (** Record that the current thread acquired a lock of this class; if the
-      thread already holds a class of strictly greater rank {e anywhere}
-      in its held stack, an order violation naming that class is
-      recorded. *)
+  (** Record that the current thread acquired a lock of this class (a
+      rank entry on its context); if the thread already holds a class of
+      strictly greater rank {e anywhere} in its stack, an order violation
+      naming that class is recorded. *)
 
   val note_release : cls -> unit
 
   val reset_held : unit -> unit
-  (** Clear every thread's held-class stack (this domain).  Registered
-      with {!Run_reset} and run by the engine at teardown, so stacks from
-      finished runs cannot leak into the next seed. *)
+  (** Drop the current thread's held classes.  Nothing else needs
+      resetting between runs: the classes are held on the thread's
+      context, and a new run has new threads. *)
 
   val violations : unit -> string list
   (** Violations recorded so far (most recent first). *)

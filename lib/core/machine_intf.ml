@@ -144,14 +144,12 @@ module type MACHINE = sig
   val now_cycles : unit -> int
   (** Current processor's cycle clock (native: a monotonic tick counter). *)
 
-  (** {1 Per-thread storage} *)
+  (** {1 Per-thread context} *)
 
-  val tls_get : thread -> key:int -> int
-  (** Small per-thread integer slots, used by the machine-independent layer
-      for debug counters (e.g. number of simple locks held).  Unset slots
-      read as 0. *)
-
-  val tls_set : thread -> key:int -> int -> unit
+  val context : thread -> Thread_ctx.t
+  (** The thread's context, created with the thread: its lock holds,
+      open spans, lock-order ranks, wait edges and blocking-rule
+      counters. *)
 
   (** {1 Machine-scoped state} *)
 
@@ -183,11 +181,4 @@ module type MACHINE = sig
   val fatal : string -> 'a
   (** Kernel panic: a design-rule violation (e.g. blocking while holding a
       simple lock) was detected. *)
-end
-
-(** Keys into the per-thread integer slots. *)
-module Tls_key = struct
-  let simple_locks_held = 0
-  let complex_spin_locks_held = 1
-  let in_assert_wait = 2
 end

@@ -1,4 +1,3 @@
-module Tls_key = Machine_intf.Tls_key
 module Obs_trace = Mach_obs.Obs_trace
 module Obs_event = Mach_obs.Obs_event
 
@@ -35,20 +34,22 @@ struct
 
   let check_release_context t =
     if checking () then begin
-      let self = M.self () in
-      if M.tls_get self ~key:Tls_key.simple_locks_held > 0 then
+      let ctx = M.context (M.self ()) in
+      if ctx.simple_locks_held > 0 then
         M.fatal
           (Printf.sprintf
              "refcount %s: release while holding simple lock(s) — releasing \
-              may block (section 8)"
-             t.rname);
-      if M.tls_get self ~key:Tls_key.complex_spin_locks_held > 0 then
+              may block (section 8); locks held: %s"
+             t.rname
+             (Thread_ctx.describe_holds ctx));
+      if ctx.complex_spin_locks_held > 0 then
         M.fatal
           (Printf.sprintf
              "refcount %s: release while holding non-sleep complex lock(s) \
-              (section 8)"
-             t.rname);
-      if M.tls_get self ~key:Tls_key.in_assert_wait > 0 then
+              (section 8); locks held: %s"
+             t.rname
+             (Thread_ctx.describe_holds ctx));
+      if ctx.in_assert_wait then
         M.fatal
           (Printf.sprintf
              "refcount %s: release between assert_wait and thread_block — \

@@ -1,5 +1,3 @@
-module Tls_key = Machine_intf.Tls_key
-
 module Make (M : Machine_intf.MACHINE) = struct
   module S = Spin.Make (M)
   module Ev = Lock_events.Make (M)
@@ -67,9 +65,8 @@ module Make (M : Machine_intf.MACHINE) = struct
     | Queued q -> Lock_proto.proto_name q
 
   let bump_held delta =
-    let self = M.self () in
-    let k = Tls_key.simple_locks_held in
-    M.tls_set self ~key:k (M.tls_get self ~key:k + delta)
+    let ctx = M.context (M.self ()) in
+    ctx.simple_locks_held <- ctx.simple_locks_held + delta
 
   let check_spl t =
     let spl = M.get_spl () in

@@ -9,7 +9,7 @@
     Design rules enforced (in checking mode) exactly as the paper states:
     - a thread may not block while holding a simple lock ("violations of
       this restriction cause kernel deadlocks", section 4 footnote) — the
-      event layer consults {!Machine_intf.Tls_key.simple_locks_held};
+      event layer reads the holder's {!Thread_ctx.t} count;
     - each lock must always be acquired at the same interrupt priority
       level (section 7);
     - the releasing thread must be the holder. *)

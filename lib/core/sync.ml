@@ -6,6 +6,7 @@ module Make (M : Machine_intf.MACHINE) = struct
   module Ref = Refcount.Make (M) (Slock) (Ev)
   module Order = Lock_order.Make (M) (Slock)
   module Sp = Spin.Make (M)
+  module Span = Lock_events.Spans (M)
 
   let set_checking b =
     Slock.set_checking b;

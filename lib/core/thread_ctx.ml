@@ -1,0 +1,162 @@
+(* The per-thread context (see the interface).  A lock site's profile
+   class and span label are built at its first acquisition, never
+   again: no string is built on a lock operation, and locks made but
+   never taken (the event layer rebuilds 64 bucket locks per run) cost
+   nothing. *)
+
+module Obs_span = Mach_obs.Obs_span
+
+type site = {
+  name : string;
+  mutable cls : string;
+  mutable span : string;
+  res : Waits_for.resource;
+}
+
+let site ~name res = { name; cls = ""; span = ""; res }
+
+let build_strings s =
+  if String.length s.cls = 0 then begin
+    s.cls <- Mach_obs.Obs_profile.class_of_name s.name;
+    s.span <- Obs_span.label Obs_span.Lock s.name
+  end
+
+let with_res s res =
+  build_strings s;
+  { s with res }
+
+type rank = { cname : string; rank : int }
+
+type entry =
+  | Hold of { site : site; seq : int; t0 : int }
+  | Span of { kind : Obs_span.kind; label : string; t0 : int }
+  | Rank of rank
+
+type t = {
+  tid : int;
+  tname : string;
+  mutable stack : entry list;
+  mutable waits : Waits_for.resource list;
+  mutable last_event : int option;
+  mutable simple_locks_held : int;
+  mutable complex_spin_locks_held : int;
+  mutable in_assert_wait : bool;
+}
+
+let make ~tid ~name =
+  {
+    tid;
+    tname = name;
+    stack = [];
+    waits = [];
+    last_event = None;
+    simple_locks_held = 0;
+    complex_spin_locks_held = 0;
+    in_assert_wait = false;
+  }
+
+let clear t =
+  t.stack <- [];
+  t.waits <- [];
+  t.last_event <- None;
+  t.simple_locks_held <- 0;
+  t.complex_spin_locks_held <- 0;
+  t.in_assert_wait <- false
+
+(* Stamps acquisitions so the holders of a resource list in acquisition
+   order (a deadlock report's text depends on it). *)
+let seq_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+let () = Run_reset.register (fun () -> Domain.DLS.get seq_key := 0)
+
+let next_seq () =
+  let r = Domain.DLS.get seq_key in
+  let n = !r in
+  r := n + 1;
+  n
+
+let rec remove_first p = function
+  | [] -> None
+  | x :: rest -> (
+      if p x then Some (x, rest)
+      else
+        match remove_first p rest with
+        | Some (y, rest') -> Some (y, x :: rest')
+        | None -> None)
+
+let take t p =
+  match remove_first p t.stack with
+  | Some (e, rest) ->
+      t.stack <- rest;
+      Some e
+  | None -> None
+
+let held t =
+  List.filter_map
+    (function Hold h -> Some (h.site.name, h.site.res) | _ -> None)
+    t.stack
+
+let describe_holds t =
+  match held t with
+  | [] -> "nothing"
+  | hs -> String.concat ", " (List.map fst hs)
+
+let note_wait t res = t.waits <- res :: t.waits
+
+let wait_done t res =
+  (match res with
+  | Waits_for.Event { id } -> t.last_event <- Some id
+  | _ -> ());
+  match remove_first (fun r -> r = res) t.waits with
+  | Some (_, rest) -> t.waits <- rest
+  | None -> ()
+
+let span_label = function
+  | Hold h -> Some h.site.span
+  | Span s -> Some s.label
+  | Rank _ -> None
+
+let open_spans t =
+  List.filter_map
+    (function
+      | Hold h -> Some (h.site.span, h.t0)
+      | Span s -> Some (s.label, s.t0)
+      | Rank _ -> None)
+    t.stack
+
+let holder_context t wanted =
+  let rec innermost = function
+    | [] -> "(top-level)"
+    | e :: rest -> (
+        match span_label e with Some l -> l | None -> innermost rest)
+  in
+  let rec after = function
+    | [] -> None
+    | e :: rest -> (
+        match span_label e with
+        | Some l when l = wanted -> Some (innermost rest)
+        | _ -> after rest)
+  in
+  match after t.stack with Some l -> l | None -> innermost t.stack
+
+let wait_edges ts =
+  List.concat_map (fun t -> List.map (fun r -> (t.tid, t.tname, r)) t.waits) ts
+  |> List.sort compare
+
+(* Sorting by (resource, seq) groups each resource's holders in
+   acquisition order. *)
+let hold_edges ts =
+  List.concat_map
+    (fun t ->
+      List.filter_map
+        (function
+          | Hold h -> Some (h.site.res, h.seq, (t.tid, t.tname)) | _ -> None)
+        t.stack)
+    ts
+  |> List.sort compare
+  |> List.fold_left
+       (fun acc (res, _, who) ->
+         match acc with
+         | (r, ws) :: rest when r = res -> (r, who :: ws) :: rest
+         | _ -> (res, [ who ]) :: acc)
+       []
+  |> List.rev_map (fun (r, ws) -> (r, List.rev ws))

@@ -1,13 +1,12 @@
-(** Runtime waits-for graph: exact per-instance wait edges reported by
-    the lock layers and consumed by the engine's deadlock detector.  The
-    hold edges are {!Lock_events.holds}, derived from the lock layer's
-    record of held locks, which is kept whether or not waits are tracked.
+(** Runtime waits-for graph: the resources a thread can wait for or
+    hold.  The exact per-instance wait edges are recorded on the waiting
+    thread's context ({!Thread_ctx.note_wait}); the hold edges are the
+    lock holds on the same contexts ({!Thread_ctx.hold_edges}), kept
+    whether or not waits are tracked.
 
-    Tracking is off by default; when off, every [note_*] call site is
-    expected to skip the call after checking {!tracking} (one
-    domain-local read).  All edge state is domain-local so parallel seed
-    sweeps do not see each other's edges; {!reset} (registered with
-    {!Run_reset}) clears it between runs. *)
+    Tracking is off by default; when off, every call site is expected to
+    skip recording a wait after checking {!tracking} (one domain-local
+    read). *)
 
 type resource =
   | Slock of { uid : int; name : string }
@@ -28,25 +27,8 @@ val res_id : resource -> string
 val tracking : unit -> bool
 val set_tracking : bool -> unit
 
-val note_wait : tid:int -> tname:string -> resource -> unit
-(** The thread is about to block/spin on [res]. *)
-
-val note_wait_done : tid:int -> resource -> unit
-(** The wait on [res] ended (satisfied or cancelled).  May be called by
-    the waking thread (event wakeups). *)
-
-val waits : unit -> (int * string * resource) list
-(** All outstanding wait edges, sorted. *)
-
-val waits_of : tid:int -> (string * resource) list
-
-val last_event : tid:int -> int option
-(** The event this thread was most recently woken from; used to explain
-    lost wakeups (the wait edge is gone, the wakeup never arrived). *)
-
 val note_event_resource : event:int -> resource -> unit
 (** Declare that an event id belongs to a higher-level resource (e.g. a
     complex lock's internal event); the detector follows the alias. *)
 
 val event_resource : event:int -> resource option
-val reset : unit -> unit

@@ -40,7 +40,7 @@ type thread = {
   mutex : Mutex.t;
   cond : Condition.t;
   mutable permits : int;
-  mutable tls : int array;
+  context : Mach_core.Thread_ctx.t;
   mutable spl : Spl.t;
 }
 
@@ -50,13 +50,14 @@ let registry_mutex = Mutex.create ()
 let tid_counter = Atomic.make 0
 
 let make_thread tname =
+  let tid = Atomic.fetch_and_add tid_counter 1 in
   {
-    tid = Atomic.fetch_and_add tid_counter 1;
+    tid;
     tname;
     mutex = Mutex.create ();
     cond = Condition.create ();
     permits = 0;
-    tls = Array.make 8 0;
+    context = Mach_core.Thread_ctx.make ~tid ~name:tname;
     spl = Spl.Spl0;
   }
 
@@ -129,19 +130,7 @@ let cycles _ = ()
    natively; granularity is whatever [Sys.time] offers. *)
 let now_cycles () = int_of_float (Sys.time () *. 1e6)
 
-let grow_tls t key =
-  if key >= Array.length t.tls then begin
-    let bigger = Array.make (max (key + 1) (2 * Array.length t.tls)) 0 in
-    Array.blit t.tls 0 bigger 0 (Array.length t.tls);
-    t.tls <- bigger
-  end
-
-let tls_get t ~key =
-  if key < Array.length t.tls then t.tls.(key) else 0
-
-let tls_set t ~key v =
-  grow_tls t key;
-  t.tls.(key) <- v
+let context t = t.context
 
 (* No fault injector on the real machine. *)
 let handoff_fault () = false

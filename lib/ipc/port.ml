@@ -124,7 +124,7 @@ let enqueue_locked t msg =
    IPC latency (what the RPC scorecard measures), not just lock time. *)
 let send t msg =
   let spans = Obs_span.enabled () in
-  if spans then Obs_span.enter Obs_span.Ipc ("send:" ^ name t);
+  if spans then K.Span.enter Obs_span.Ipc ("send:" ^ name t);
   let rec attempt ~waited =
     Kobj.lock t.pobj;
     if waited then t.send_waiters <- t.send_waiters - 1;
@@ -145,7 +145,7 @@ let send t msg =
     end
   in
   let r = attempt ~waited:false in
-  if spans then Obs_span.exit Obs_span.Ipc ("send:" ^ name t);
+  if spans then K.Span.exit Obs_span.Ipc ("send:" ^ name t);
   r
 
 let try_send t msg =
@@ -194,7 +194,7 @@ let spin_for_message t spin =
 
 let receive ?(spin = 0) t =
   let spans = Obs_span.enabled () in
-  if spans then Obs_span.enter Obs_span.Ipc ("recv:" ^ name t);
+  if spans then K.Span.enter Obs_span.Ipc ("recv:" ^ name t);
   let rec attempt ~waited ~spin =
     Kobj.lock t.pobj;
     if waited then t.recv_waiters <- t.recv_waiters - 1;
@@ -224,7 +224,7 @@ let receive ?(spin = 0) t =
           end
   in
   let r = attempt ~waited:false ~spin in
-  if spans then Obs_span.exit Obs_span.Ipc ("recv:" ^ name t);
+  if spans then K.Span.exit Obs_span.Ipc ("recv:" ^ name t);
   r
 
 let try_receive t =
@@ -251,7 +251,7 @@ let try_receive t =
 let receive_batch ?(spin = 0) t ~max =
   if max < 1 then invalid_arg "Port.receive_batch: max must be >= 1";
   let spans = Obs_span.enabled () in
-  if spans then Obs_span.enter Obs_span.Ipc ("recv:" ^ name t);
+  if spans then K.Span.enter Obs_span.Ipc ("recv:" ^ name t);
   let rec attempt ~waited ~spin =
     Kobj.lock t.pobj;
     if waited then t.recv_waiters <- t.recv_waiters - 1;
@@ -290,7 +290,7 @@ let receive_batch ?(spin = 0) t ~max =
     end
   in
   let r = attempt ~waited:false ~spin in
-  if spans then Obs_span.exit Obs_span.Ipc ("recv:" ^ name t);
+  if spans then K.Span.exit Obs_span.Ipc ("recv:" ^ name t);
   r
 
 let try_receive_batch t ~max =

@@ -1,7 +1,8 @@
 (** The kernel's synchronization layer: the machine-independent lock /
     event / refcount modules instantiated once on the simulated machine.
     Every kernel subsystem (ipc, vm, kern) shares this instance so that
-    lock checking, events and TLS counters compose across subsystems. *)
+    lock checking, events and per-thread contexts compose across
+    subsystems. *)
 
 include Mach_core.Sync.Make (Mach_sim.Sim_machine)
 

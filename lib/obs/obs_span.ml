@@ -1,13 +1,12 @@
-(* Causal span layer: per-thread nested spans, blocked-by attribution and
-   the always-on flight recorder.
+(* Causal span layer: site statistics, blocked-by attribution and the
+   always-on flight recorder.
 
    A *span* brackets one causally meaningful interval — a lock hold
    (acquire -> release), an event wait (assert_wait -> wake), an IPC
    send/receive, a VM fault — and carries an acquire-site identity (the
-   kind plus the instrumented name).  Spans nest per thread: the stack of
-   open spans of a thread at any instant is what that thread "was doing",
-   which is exactly what blocked-by attribution needs to say about a lock
-   holder.
+   kind plus the instrumented name).  The open spans live on each
+   thread's context in lib/core, which reports every close and every
+   contended wait here; this module keeps only what outlives a span.
 
    State is domain-local (one simulation per domain; parallel seed sweeps
    must not share), costs one domain-local read plus a boolean when
@@ -15,11 +14,10 @@
    no simulated cycles: a spans-on run is schedule- and stats-identical
    to a spans-off run (pinned by the determinism tests).
 
-   The engine installs the clock/identity callbacks at run start and
-   latches a frozen [view] at run end, before the [Run_reset] hook wipes
-   the live tables — so post-run reporting ([machsim report], bench E18)
-   reads [last] while in-run post-mortems (the deadlock flight dump) read
-   [current]. *)
+   The engine latches a frozen [view] at run end, before the [Run_reset]
+   hook wipes the live tables — so post-run reporting ([machsim report],
+   bench E18) reads [last] while in-run post-mortems (the deadlock flight
+   dump) read the live tables. *)
 
 type kind = Lock | Event | Ipc | Vm
 
@@ -28,13 +26,6 @@ let kind_name = function
   | Event -> "event"
   | Ipc -> "ipc"
   | Vm -> "vm"
-
-type ctx = {
-  now : unit -> int;
-  tid : unit -> int;
-  tname : unit -> string;
-  cpu : unit -> int;
-}
 
 type site = {
   s_label : string;
@@ -74,17 +65,6 @@ let empty_view = { v_sites = []; v_edges = []; v_flight = []; v_open = 0 }
 (* Domain-local state                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* [o_tname] is captured at enter so post-mortem dumps can name the
-   thread without its tid: tids come from a globally monotonic counter,
-   so printing them would make otherwise-identical runs' reports differ
-   (the determinism tests compare reports byte-for-byte). *)
-type open_span = {
-  o_label : string;
-  o_kind : kind;
-  o_t0 : int;
-  o_tname : string;
-}
-
 (* Bounded per-cpu ring of recently closed spans (the flight recorder).
    Sixteen per cpu is enough to reconstruct "what was everyone doing"
    at a post-mortem without letting a long run grow without bound. *)
@@ -97,9 +77,7 @@ type flight_ring = {
 
 type state = {
   mutable on : bool;
-  mutable sctx : ctx option;
   sites : (string, site) Hashtbl.t;
-  stacks : (int, open_span list) Hashtbl.t; (* tid -> innermost first *)
   edges : (string * string, edge) Hashtbl.t;
   mutable flight : flight_ring array; (* index cpu+1; slot 0 = off-cpu *)
 }
@@ -108,9 +86,7 @@ let state_key : state Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       {
         on = false;
-        sctx = None;
         sites = Hashtbl.create 64;
-        stacks = Hashtbl.create 64;
         edges = Hashtbl.create 64;
         flight = [||];
       })
@@ -120,16 +96,14 @@ let st () = Domain.DLS.get state_key
 let last_key : view option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let set_enabled b = (st ()).on <- b
-let install c = (st ()).sctx <- c
-let enabled () = let s = st () in s.on && s.sctx <> None
+let enabled () = (st ()).on
 
-(* Clears the per-run tables only: the enabled gate and callbacks belong
-   to the engine's run lifecycle, not to the [Run_reset] hook (which also
-   fires at run *setup*, after the engine has installed itself). *)
+(* Clears the per-run tables only: the enabled gate belongs to the
+   engine's run lifecycle, not to the [Run_reset] hook (which also fires
+   at run *setup*, after the engine has switched the layer on). *)
 let reset () =
   let s = st () in
   Hashtbl.reset s.sites;
-  Hashtbl.reset s.stacks;
   Hashtbl.reset s.edges;
   s.flight <- [||]
 
@@ -175,127 +149,37 @@ let push_flight s fs =
   r.fbuf.(r.fnext) <- Some fs;
   r.fnext <- (r.fnext + 1) mod flight_cap
 
-let enter_label kind lbl =
+let close ~kind ~label ~t0 ~t1 ~cpu ~tname =
   let s = st () in
-  match s.sctx with
-  | Some c when s.on ->
-      let tid = c.tid () in
-      let sp =
-        {
-          o_label = lbl;
-          o_kind = kind;
-          o_t0 = c.now ();
-          o_tname = c.tname ();
-        }
-      in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt s.stacks tid) in
-      Hashtbl.replace s.stacks tid (sp :: cur)
-  | _ -> ()
-
-let enter kind name =
-  let s = st () in
-  if s.on && s.sctx <> None then enter_label kind (label kind name)
-
-let rec remove_first p = function
-  | [] -> None
-  | x :: rest ->
-      if p x then Some (x, rest)
-      else (
-        match remove_first p rest with
-        | Some (y, rest') -> Some (y, x :: rest')
-        | None -> None)
-
-let close s (c : ctx) tid sp =
-  let t1 = c.now () in
-  let dur = max 0 (t1 - sp.o_t0) in
-  let site = site_of s sp.o_kind sp.o_label in
+  let dur = max 0 (t1 - t0) in
+  let site = site_of s kind label in
   site.s_spans <- site.s_spans + 1;
   site.s_busy <- site.s_busy + dur;
   if dur > site.s_max then site.s_max <- dur;
   push_flight s
-    {
-      f_label = sp.o_label;
-      f_tname = c.tname ();
-      f_cpu = c.cpu ();
-      f_t0 = sp.o_t0;
-      f_t1 = t1;
-    };
-  ignore tid;
+    { f_label = label; f_tname = tname; f_cpu = cpu; f_t0 = t0; f_t1 = t1 };
   if Obs_trace.enabled () then
     Obs_trace.emit
-      (Obs_event.Span_close
-         { kind = kind_name sp.o_kind; site = sp.o_label; dur })
+      (Obs_event.Span_close { kind = kind_name kind; site = label; dur })
 
-let exit_matching pred =
+let blocked ~kind ~label:wanted ~holder ~wait_cycles =
   let s = st () in
-  match s.sctx with
-  | Some c when s.on -> (
-      let tid = c.tid () in
-      match Hashtbl.find_opt s.stacks tid with
-      | None -> ()
-      | Some stack -> (
-          match remove_first pred stack with
-          | None -> ()
-          | Some (sp, rest) ->
-              (if rest = [] then Hashtbl.remove s.stacks tid
-               else Hashtbl.replace s.stacks tid rest);
-              close s c tid sp))
-  | _ -> ()
-
-let exit_label lbl =
-  let s = st () in
-  if s.on && s.sctx <> None then exit_matching (fun sp -> sp.o_label = lbl)
-
-let exit kind name =
-  (* Compute the label lazily-enough: only when active. *)
-  let s = st () in
-  if s.on && s.sctx <> None then exit_label (label kind name)
-
-let exit_kind kind = exit_matching (fun sp -> sp.o_kind = kind)
-
-(* The holder's "acquire site": the span enclosing its open span for the
-   wanted resource — i.e. what the holder was doing when it took the
-   lock the waiter wants.  Falls back to the holder's innermost span
-   (event-aliased holds may not have opened the wanted span), then to
-   "(top-level)". *)
-let holder_context stack wanted =
-  let rec after = function
-    | [] -> None
-    | sp :: rest when sp.o_label = wanted -> (
-        match rest with
-        | [] -> Some "(top-level)"
-        | outer :: _ -> Some outer.o_label)
-    | _ :: rest -> after rest
-  in
-  match after stack with
-  | Some l -> l
-  | None -> ( match stack with sp :: _ -> sp.o_label | [] -> "(top-level)")
-
-let blocked ~kind ~label:wanted ~holder_tid ~wait_cycles =
-  let s = st () in
-  match s.sctx with
-  | Some _ when s.on ->
-      let site = site_of s kind wanted in
-      site.s_blocked <- site.s_blocked + 1;
-      site.s_blocked_cycles <- site.s_blocked_cycles + max 0 wait_cycles;
-      let hstack =
-        Option.value ~default:[] (Hashtbl.find_opt s.stacks holder_tid)
-      in
-      let holder = holder_context hstack wanted in
-      let key = (wanted, holder) in
-      (match Hashtbl.find_opt s.edges key with
-      | Some e ->
-          e.e_count <- e.e_count + 1;
-          e.e_cycles <- e.e_cycles + max 0 wait_cycles
-      | None ->
-          Hashtbl.add s.edges key
-            {
-              e_wanted = wanted;
-              e_holder = holder;
-              e_count = 1;
-              e_cycles = max 0 wait_cycles;
-            })
-  | _ -> ()
+  let site = site_of s kind wanted in
+  site.s_blocked <- site.s_blocked + 1;
+  site.s_blocked_cycles <- site.s_blocked_cycles + max 0 wait_cycles;
+  let key = (wanted, holder) in
+  match Hashtbl.find_opt s.edges key with
+  | Some e ->
+      e.e_count <- e.e_count + 1;
+      e.e_cycles <- e.e_cycles + max 0 wait_cycles
+  | None ->
+      Hashtbl.add s.edges key
+        {
+          e_wanted = wanted;
+          e_holder = holder;
+          e_count = 1;
+          e_cycles = max 0 wait_cycles;
+        }
 
 (* ------------------------------------------------------------------ *)
 (* Views                                                                *)
@@ -312,7 +196,11 @@ let flight_of_ring r =
   done;
   List.rev !out
 
-let current () =
+let flight s =
+  Array.to_list (Array.mapi (fun i r -> (i - 1, flight_of_ring r)) s.flight)
+  |> List.filter (fun (_, l) -> l <> [])
+
+let current ~open_spans =
   let s = st () in
   let sites =
     Hashtbl.fold (fun _ site acc -> copy_site site :: acc) s.sites []
@@ -325,17 +213,9 @@ let current () =
            | 0 -> compare (a.e_wanted, a.e_holder) (b.e_wanted, b.e_holder)
            | c -> c)
   in
-  let flight =
-    Array.to_list
-      (Array.mapi (fun i r -> (i - 1, flight_of_ring r)) s.flight)
-    |> List.filter (fun (_, l) -> l <> [])
-  in
-  let open_spans =
-    Hashtbl.fold (fun _ stack acc -> acc + List.length stack) s.stacks 0
-  in
-  { v_sites = sites; v_edges = edges; v_flight = flight; v_open = open_spans }
+  { v_sites = sites; v_edges = edges; v_flight = flight s; v_open = open_spans }
 
-let latch () = Domain.DLS.set last_key (Some (current ()))
+let latch ~open_spans = Domain.DLS.set last_key (Some (current ~open_spans))
 let last () = Domain.DLS.get last_key
 
 (* ------------------------------------------------------------------ *)
@@ -392,15 +272,9 @@ let pp_flight ppf v =
    diagnostic half at a hang — a deadlocked run often completed few or
    no spans (the §7 holder never releases), but what every thread still
    HOLDS at dump time is exactly the evidence the cycle is made of. *)
-let flight_dump () =
-  let s = st () in
-  let v = current () in
-  let opens =
-    Hashtbl.fold (fun tid stack acc -> (tid, stack) :: acc) s.stacks []
-    |> List.filter (fun (_, stack) -> stack <> [])
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  if v.v_flight = [] && opens = [] then ""
+let flight_dump ~open_spans =
+  let v = { empty_view with v_flight = flight (st ()) } in
+  if v.v_flight = [] && open_spans = [] then ""
   else
     Format.asprintf "%a%a" pp_flight v
       (fun ppf -> function
@@ -409,21 +283,14 @@ let flight_dump () =
             Format.fprintf ppf
               "open spans at the hang (per thread, innermost first):@.";
             List.iter
-              (fun ((_ : int), stack) ->
-                (* Sorted by tid (stable across identical runs) but
-                   printed by name: the raw tid would differ between
-                   byte-compared repeat runs. *)
-                let tname =
-                  match stack with sp :: _ -> sp.o_tname | [] -> "?"
-                in
+              (fun (tname, spans) ->
                 Format.fprintf ppf "  %s: %s@." tname
                   (String.concat " < "
                      (List.map
-                        (fun sp ->
-                          Printf.sprintf "%s since %d" sp.o_label sp.o_t0)
-                        stack)))
+                        (fun (label, t0) -> Printf.sprintf "%s since %d" label t0)
+                        spans)))
               opens)
-      opens
+      open_spans
 
 let to_json v =
   let open Obs_json in

@@ -109,8 +109,9 @@ val park : unit -> unit
 
 val unpark : thread -> unit
 
-val tls_get : thread -> key:int -> int
-val tls_set : thread -> key:int -> int -> unit
+val context : thread -> Mach_core.Thread_ctx.t
+(** The thread's context (lock holds, spans, ranks, waits, rule
+    counters), created with it. *)
 
 (** {1 Preemption, time, spl} *)
 

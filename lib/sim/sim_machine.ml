@@ -25,8 +25,7 @@ let set_spl = Sim_engine.set_spl
 let get_spl = Sim_engine.get_spl
 let cycles = Sim_engine.cycles
 let now_cycles = Sim_engine.now_cycles
-let tls_get = Sim_engine.tls_get
-let tls_set = Sim_engine.tls_set
+let context = Sim_engine.context
 let handoff_fault = Sim_engine.handoff_fault
 let fatal = Sim_engine.fatal
 

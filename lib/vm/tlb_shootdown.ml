@@ -85,16 +85,15 @@ let shootdown ~pmap_id ~targets ~invalidate ~commit =
   let wf_rendezvous = Waits_for.Rendezvous { name = "tlb-shootdown" } in
   let tracking = Waits_for.tracking () in
   if tracking then
-    Waits_for.note_wait
-      ~tid:(Engine.thread_id (Engine.self ()))
-      ~tname:(Engine.thread_name (Engine.self ()))
+    Mach_core.Thread_ctx.note_wait
+      (Engine.context (Engine.self ()))
       wf_rendezvous;
   while Engine.Cell.get checked_in < n do
     Engine.pause ()
   done;
   if tracking then
-    Waits_for.note_wait_done
-      ~tid:(Engine.thread_id (Engine.self ()))
+    Mach_core.Thread_ctx.wait_done
+      (Engine.context (Engine.self ()))
       wf_rendezvous;
   commit ();
   invalidate ~cpu:me;

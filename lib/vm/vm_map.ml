@@ -196,7 +196,7 @@ let unreserve t ~va =
 
 let vm_allocate_at t ~va ~size =
   let spans = Obs_span.enabled () in
-  if spans then Obs_span.enter Obs_span.Vm ("alloc_at:" ^ t.mname);
+  if spans then K.Span.enter Obs_span.Vm ("alloc_at:" ^ t.mname);
   let r =
     match t.locking with
     | Coarse ->
@@ -239,12 +239,12 @@ let vm_allocate_at t ~va ~size =
           Ok va
         end
   in
-  if spans then Obs_span.exit Obs_span.Vm ("alloc_at:" ^ t.mname);
+  if spans then K.Span.exit Obs_span.Vm ("alloc_at:" ^ t.mname);
   r
 
 let vm_allocate t ~size =
   let spans = Obs_span.enabled () in
-  if spans then Obs_span.enter Obs_span.Vm ("alloc:" ^ t.mname);
+  if spans then K.Span.enter Obs_span.Vm ("alloc:" ^ t.mname);
   let va =
     match t.locking with
     | Coarse ->
@@ -274,7 +274,7 @@ let vm_allocate t ~size =
         K.Rlock.release t.rlock h;
         va
   in
-  if spans then Obs_span.exit Obs_span.Vm ("alloc:" ^ t.mname);
+  if spans then K.Span.exit Obs_span.Vm ("alloc:" ^ t.mname);
   va
 
 (* Tear one entry down: break its mappings, free its resident pages,
@@ -304,7 +304,7 @@ let destroy_entry_locked t e =
 
 let vm_deallocate t ~va =
   let spans = Obs_span.enabled () in
-  if spans then Obs_span.enter Obs_span.Vm ("dealloc:" ^ t.mname);
+  if spans then K.Span.enter Obs_span.Vm ("dealloc:" ^ t.mname);
   let r =
     match t.locking with
     | Coarse -> (
@@ -357,7 +357,7 @@ let vm_deallocate t ~va =
         in
         attempt ()
   in
-  if spans then Obs_span.exit Obs_span.Vm ("dealloc:" ^ t.mname);
+  if spans then K.Span.exit Obs_span.Vm ("dealloc:" ^ t.mname);
   r
 
 let release t =

@@ -243,15 +243,9 @@ let test_recursive_write_and_read () =
      against blocking) and the write's held entry alone. *)
   ignore
     (Engine.run (fun () ->
-         let self = Engine.self () in
-         let spin_held () =
-           Engine.tls_get self
-             ~key:Mach_core.Machine_intf.Tls_key.complex_spin_locks_held
-         in
-         let held () =
-           List.map fst
-             (Mach_core.Lock_events.held ~tid:(Engine.thread_id self))
-         in
+         let ctx = Engine.context (Engine.self ()) in
+         let spin_held () = ctx.complex_spin_locks_held in
+         let held () = List.map fst (Mach_core.Thread_ctx.held ctx) in
          let l = CL.make ~name:"rec-spin" ~can_sleep:false () in
          CL.lock_write l;
          CL.lock_set_recursive l;

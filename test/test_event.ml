@@ -198,14 +198,15 @@ let test_block_with_simple_lock_held_panics () =
      operations. *)
   match
     Engine.run_outcome (fun () ->
-        let l = K.Slock.make () in
+        let l = K.Slock.make ~name:"held-across-block" () in
         let ev = Ev.fresh_event () in
         K.Slock.lock l;
         Ev.assert_wait ev;
         ignore (Ev.thread_block ()))
   with
   | Engine.Panicked msg ->
-      check_bool "names the rule" true (contains msg "simple lock")
+      check_bool "names the rule" true (contains msg "simple lock");
+      check_bool "names the lock held" true (contains msg "held-across-block")
   | _ -> Alcotest.fail "blocking while holding a simple lock must panic"
 
 let test_cancel_assert () =

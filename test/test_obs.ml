@@ -364,32 +364,33 @@ let test_profile_classes_and_edges () =
   Profile.reset ();
   check_bool "reset clears classes" true (Profile.classes () = [])
 
-(* The lock layer's held record: innermost first and exact per lock
-   instance; thread ids never repeat, so a thread is dropped once it
-   holds nothing, and [Run_reset] (run at the end of every run) empties
-   what a run left held.  The profiler's holder class comes from it. *)
+(* The lock holds on a thread's context: innermost first and exact per
+   lock instance.  A context belongs to its thread, so a thread that
+   released everything holds nothing, and nothing a run left held
+   reaches the next run.  The profiler's holder class comes from the
+   holds. *)
 let test_held_record () =
   let module K = Mach_ksync.Ksync in
   let module Engine = Mach_sim.Sim_engine in
-  let module Held = Mach_core.Lock_events in
+  let module Ctx = Mach_core.Thread_ctx in
   Profile.reset ();
-  let names tid = List.map fst (Held.held ~tid) in
+  let names t = List.map fst (Ctx.held (Engine.context t)) in
   let cfg = { Mach_sim.Sim_config.default with Mach_sim.Sim_config.cpus = 2 } in
   ignore
     (Engine.run ~cfg (fun () ->
-         let tid = Engine.thread_id (Engine.self ()) in
+         let self = Engine.self () in
          let a = K.Slock.make ~name:"a1" () in
          let b = K.Slock.make ~name:"b1" () in
          K.Slock.lock a;
          K.Slock.lock b;
          Alcotest.(check (list string)) "innermost first" [ "b1"; "a1" ]
-           (names tid);
+           (names self);
          K.Slock.unlock a;
          Alcotest.(check (list string)) "released out of order" [ "b1" ]
-           (names tid);
-         check_int "a thread still holding is kept" 1 (Held.held_threads ());
+           (names self);
          K.Slock.unlock b;
-         check_int "released thread forgotten" 0 (Held.held_threads ());
+         Alcotest.(check (list string)) "released thread holds nothing" []
+           (names self);
          (* A pmap holder contends on a pv lock: the profiler's edge. *)
          let pmap = K.Slock.make ~name:"pmap0" () in
          let pv = K.Slock.make ~name:"pv3" () in
@@ -417,13 +418,18 @@ let test_held_record () =
                    done))
          in
          List.iter Engine.join ts;
-         check_int "no thread left after everything was released" 0
-           (Held.held_threads ());
+         check_bool "no thread holds anything after everything was released"
+           true
+           (List.for_all (fun t -> names t = []) (self :: h :: ts));
          (* Left held when the run ends. *)
          K.Slock.lock a;
-         check_int "held at the end of the run" 1 (Held.held_threads ())));
-  check_int "Run_reset empties the record" 0 (Held.held_threads ());
-  check_bool "the holder class came from the held record" true
+         Alcotest.(check (list string)) "held at the end of the run" [ "a1" ]
+           (names self)));
+  ignore
+    (Engine.run ~cfg (fun () ->
+         Alcotest.(check (list string)) "the next run starts with nothing held"
+           [] (names (Engine.self ()))));
+  check_bool "the holder class came from the holds" true
     (List.mem ("pmap", "pv", 1) (Profile.edges ()));
   check_bool "the run was profiled" true
     (List.exists (fun c -> c.Profile.cls = "a") (Profile.classes ()))
@@ -473,81 +479,104 @@ module Cp = Mach_obs.Obs_critical_path
 module Engine = Mach_sim.Sim_engine
 module Config = Mach_sim.Sim_config
 
-(* Drive the span layer outside the engine with a fake context: a
-   strictly increasing counter clock, one thread, cpu 0. *)
-let with_fake_ctx f =
-  let clock = ref 0 in
-  Span.reset ();
-  Span.install
-    (Some
-       {
-         Span.now =
-           (fun () ->
-             incr clock;
-             !clock);
-         tid = (fun () -> 7);
-         tname = (fun () -> "t7");
-         cpu = (fun () -> 0);
-       });
-  Span.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Span.set_enabled false;
-      Span.install None;
-      Span.reset ())
-    f
+(* One thread's context stack driven by a random script, inside a run:
+   lock holds of three simple locks interleaved with event, IPC and VM
+   spans under two names each.  The model mirrors the documented
+   semantics: a hold or span pushes; an unlock closes that lock's hold;
+   [exit] closes the innermost span at its site and [exit_kind] the
+   innermost of its kind; unmatched exits are no-ops.  After every step
+   the context's open spans must equal the model's stack, and the
+   latched view must count every close and every span left open. *)
+type span_entry = Hold of int | Sp of int * int (* kind, name *)
 
-(* Ops over a 4-label alphabet; the model mirrors the documented
-   semantics: enter pushes, exit closes the innermost matching label,
-   exit_kind the innermost of the kind, unmatched exits are no-ops. *)
 let apply_ops ops =
-  with_fake_ctx (fun () ->
-      let model = ref [] and closed = ref 0 in
-      let remove_first p l =
-        let rec go acc = function
-          | [] -> None
-          | x :: rest ->
-              if p x then Some (List.rev_append acc rest) else go (x :: acc) rest
-        in
-        go [] l
-      in
-      List.iter
-        (fun op ->
-          if op < 4 then begin
-            Span.enter Span.Lock (Printf.sprintf "l%d" op);
-            model := op :: !model
+  let module K = Mach_ksync.Ksync in
+  let kinds = [| Span.Event; Span.Ipc; Span.Vm |] in
+  let sp_label (k, n) = Span.label kinds.(k) (if n = 0 then "x" else "y") in
+  let entry_label = function
+    | Hold i -> Printf.sprintf "lock:pl%d" i
+    | Sp (k, n) -> sp_label (k, n)
+  in
+  let model = ref [] and closed = Hashtbl.create 8 in
+  let close e =
+    let l = entry_label e in
+    Hashtbl.replace closed l (1 + Option.value ~default:0 (Hashtbl.find_opt closed l))
+  in
+  let remove_first p =
+    let rec go acc = function
+      | [] -> ()
+      | x :: rest ->
+          if p x then begin
+            close x;
+            model := List.rev_append acc rest
           end
-          else if op < 8 then begin
-            let lbl = op - 4 in
-            Span.exit Span.Lock (Printf.sprintf "l%d" lbl);
-            match remove_first (fun x -> x = lbl) !model with
-            | Some rest ->
-                model := rest;
-                incr closed
-            | None -> ()
-          end
-          else begin
-            Span.exit_kind Span.Lock;
-            match !model with
-            | _ :: rest ->
-                model := rest;
-                incr closed
-            | [] -> ()
-          end)
-        ops;
-      let v = Span.current () in
-      let total_closed =
-        List.fold_left (fun acc s -> acc + s.Span.s_spans) 0 v.Span.v_sites
-      in
-      total_closed = !closed
+          else go (x :: acc) rest
+    in
+    go [] !model
+  in
+  let stepwise = ref true in
+  ignore
+    (Engine.run ~cfg:{ Config.default with Config.cpus = 1 } (fun () ->
+         let ctx = Engine.context (Engine.self ()) in
+         let locks = Array.init 3 (fun i -> K.Slock.make ~name:(Printf.sprintf "pl%d" i) ()) in
+         let held i = List.mem (Hold i) !model in
+         List.iter
+           (fun op ->
+             (if op < 3 then begin
+                if not (held op) then begin
+                  K.Slock.lock locks.(op);
+                  model := Hold op :: !model
+                end
+              end
+              else if op < 6 then begin
+                let i = op - 3 in
+                if held i then begin
+                  K.Slock.unlock locks.(i);
+                  remove_first (( = ) (Hold i))
+                end
+              end
+              else if op < 12 then begin
+                let k = (op - 6) / 2 and n = (op - 6) mod 2 in
+                K.Span.enter kinds.(k) (if n = 0 then "x" else "y");
+                model := Sp (k, n) :: !model
+              end
+              else if op < 18 then begin
+                let k = (op - 12) / 2 and n = (op - 12) mod 2 in
+                K.Span.exit kinds.(k) (if n = 0 then "x" else "y");
+                remove_first (( = ) (Sp (k, n)))
+              end
+              else begin
+                let k = op - 18 in
+                K.Span.exit_kind kinds.(k);
+                remove_first (function Sp (k', _) -> k' = k | Hold _ -> false)
+              end);
+             if
+               List.map fst (Mach_core.Thread_ctx.open_spans ctx)
+               <> List.map entry_label !model
+             then stepwise := false)
+           ops));
+  match Span.last () with
+  | None -> false
+  | Some v ->
+      !stepwise
       && v.Span.v_open = List.length !model
       && List.for_all
-           (fun s -> s.Span.s_busy >= s.Span.s_spans && s.Span.s_max >= 0)
-           v.Span.v_sites)
+           (fun s ->
+             s.Span.s_spans
+             = Option.value ~default:0 (Hashtbl.find_opt closed s.Span.s_label)
+             && s.Span.s_busy >= 0 && s.Span.s_max >= 0)
+           v.Span.v_sites
+      && Hashtbl.fold
+           (fun l n ok ->
+             ok
+             && List.exists
+                  (fun s -> s.Span.s_label = l && s.Span.s_spans = n)
+                  v.Span.v_sites)
+           closed true
 
 let span_pairing_prop =
   QCheck.Test.make ~count:300 ~name:"span nesting/pairing matches the model"
-    QCheck.(list_of_size (Gen.int_range 0 60) (int_range 0 9))
+    QCheck.(list_of_size (Gen.int_range 0 60) (int_range 0 20))
     apply_ops
 
 (* Critical-path attribution: for any event soup and makespan, fractions
@@ -706,6 +735,35 @@ let test_alloc_at_span_pairing () =
             site.Span.s_spans
       | None -> Alcotest.fail "no vm:alloc_at:spanmap site")
 
+(* Two ranges of one range lock share a span label; releasing the first
+   range taken must close that range's own span, not the innermost span
+   with the label.  One cpu, so every clock below is pinned. *)
+let test_range_spans_close_their_own_range () =
+  let module K = Mach_ksync.Ksync in
+  let cfg = { Config.default with Config.cpus = 1 } in
+  ignore
+    (Engine.run ~cfg (fun () ->
+         let l = K.Rlock.make ~name:"two" () in
+         let a = K.Rlock.acquire l ~lo:0 ~hi:4 Mach_locks.Range_lock.Write in
+         let b = K.Rlock.acquire l ~lo:8 ~hi:12 Mach_locks.Range_lock.Write in
+         K.Rlock.release l a;
+         K.Rlock.release l b));
+  match Span.last () with
+  | None -> Alcotest.fail "no span view latched"
+  | Some v ->
+      let spans =
+        List.concat_map snd v.Span.v_flight
+        |> List.filter (fun fs -> fs.Span.f_label = "lock:two")
+        |> List.map (fun fs -> (fs.Span.f_t0, fs.Span.f_t1))
+      in
+      Alcotest.(check (list (pair int int)))
+        "each range closes its own span, in release order"
+        [ (350, 490); (420, 560) ] spans;
+      let site =
+        List.find (fun s -> s.Span.s_label = "lock:two") v.Span.v_sites
+      in
+      check_int "longest hold" 140 site.Span.s_max
+
 (* The section 7 three-processor interrupt deadlock (lib/chaos): the
    post-mortem must carry the open-span dump naming the held lock. *)
 let test_section7_deadlock_flight_dump () =
@@ -834,5 +892,7 @@ let () =
             test_drop_stats_split;
           test_case "chrome export carries causal spans" `Quick
             test_chrome_export_has_spans;
+          test_case "a range lock's ranges close their own spans" `Quick
+            test_range_spans_close_their_own_range;
         ] );
     ]

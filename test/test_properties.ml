@@ -509,24 +509,24 @@ let rwlock_lockstep script =
         script)
 
 (* ------------------------------------------------------------------ *)
-(* The lock-event held record vs a held-set model, over every lock type *)
+(* The context's lock holds vs a held-set model, over every lock type    *)
 (* ------------------------------------------------------------------ *)
 
 (* One single-thread op script over every lock type: simple (flat and
    over MCS), complex (read, write, try, upgrade, downgrade, recursive,
    including try_read by the recursive holder), range, and the raw
    brlock and scache sides.  Only ops that cannot block are generated.
-   After every step the thread's held record must equal the model's held
-   set, and once everything is released it must be empty.  A complex
+   After every step the lock holds on the thread's context must equal
+   the model's held set, and once everything is released there must be
+   none.  A complex
    lock reports one entry per write and per non-recursive read, so its
    share of the model is [readers - rec_reads + writer]. *)
 let held_lockstep script =
   in_sim (fun () ->
-      let module Held = Mach_core.Lock_events in
       let module RL = Mach_locks.Range_lock in
       let module B = K.Locks.Brlock in
       let module S = K.Locks.Scache in
-      let tid = Engine.thread_id (Engine.self ()) in
+      let ctx = Engine.context (Engine.self ()) in
       let simple =
         [
           (K.Slock.make ~name:"ls.flat" (), ref false);
@@ -568,7 +568,7 @@ let held_lockstep script =
             | Mach_core.Waits_for.Range { lo; hi; _ } ->
                 Printf.sprintf "%s[%d,%d)" name lo hi
             | _ -> name)
-          (Held.held ~tid)
+          (Mach_core.Thread_ctx.held ctx)
       in
       let agrees () =
         List.sort compare (recorded ()) = List.sort compare (model ())
@@ -729,7 +729,7 @@ let held_lockstep script =
       if !br_write then B.write_unlock br;
       List.iter (fun slot -> S.read_unlock sc ~slot) !sc_reads;
       if !sc_write then S.write_unlock sc;
-      stepwise && Held.held ~tid = [])
+      stepwise && Mach_core.Thread_ctx.held ctx = [])
 
 (* ------------------------------------------------------------------ *)
 (* vm_cache vs an association-map model                                 *)

@@ -280,6 +280,42 @@ let test_interrupt_on_idle_cpu () =
      sets. *)
   ipi ~cpus:64 ~poster:0 (fun _ -> 63)
 
+(* An interrupt on an idle cpu holds and waits under that cpu's idle
+   identity.  Thread [t] holds [intr-m] and wants [intr-l]; the handler
+   it posted to idle cpu 1 holds [intr-l] and wants [intr-m].  The
+   handler's hold and wait edges exist only under [cpu1-idle], so the
+   waits-for cycle must go through that identity. *)
+let test_deadlock_through_idle_interrupt () =
+  let module K = Mach_ksync.Ksync in
+  let cfg = { (cfg ~cpus:2 ()) with Config.track_waits = true } in
+  let outcome =
+    Engine.run_outcome ~cfg (fun () ->
+        let m = K.Slock.make ~name:"intr-m" () in
+        let l = K.Slock.make ~name:"intr-l" () in
+        let handler_has_l = ref false in
+        Engine.join
+          (Engine.spawn ~name:"t" ~bound:0 (fun () ->
+               ignore (Engine.set_spl Spl.Splvm);
+               K.Slock.lock m;
+               Engine.post_interrupt ~name:"grab" ~cpu:1 ~level:Spl.Splvm
+                 (fun () ->
+                   K.Slock.lock l;
+                   handler_has_l := true;
+                   K.Slock.lock m);
+               while not !handler_has_l do
+                 Engine.pause ()
+               done;
+               K.Slock.lock l)))
+  in
+  match (outcome, Engine.last_analysis ()) with
+  | Engine.Deadlocked (Engine.Spin_deadlock, _), Some a ->
+      let cycle = String.concat " -> " a.Engine.cycle in
+      check_bool ("cycle names intr-m: " ^ cycle) true (contains cycle "intr-m");
+      check_bool ("cycle names intr-l: " ^ cycle) true (contains cycle "intr-l");
+      check_bool ("cycle goes through cpu1-idle: " ^ cycle) true
+        (List.mem "cpu1-idle" a.Engine.cycle)
+  | _ -> Alcotest.fail "expected a spin deadlock with a waits-for analysis"
+
 let test_park_in_interrupt_panics () =
   match
     Engine.run_outcome ~cfg:(cfg ~cpus:1 ()) (fun () ->
@@ -625,6 +661,8 @@ let () =
           Alcotest.test_case "idle cpu" `Quick test_interrupt_on_idle_cpu;
           Alcotest.test_case "park in interrupt panics" `Quick
             test_park_in_interrupt_panics;
+          Alcotest.test_case "deadlock through an idle cpu's handler" `Quick
+            test_deadlock_through_idle_interrupt;
         ] );
       ( "waits",
         [
