@@ -52,10 +52,15 @@ perf-gate-selftest:
 # Regenerate the committed gate reference after an INTENTIONAL perf
 # change: run the full engine measurement, then edit
 # bench/perf_reference.json's engine.vs_baseline to the new value
-# (rounded down to absorb runner jitter).
+# (rounded down to absorb runner jitter).  After an intentional change
+# to the simulated timing model, also copy the vm, cache and rpc
+# makespans (vm.coarse_makespan -> vm.exact_coarse_makespan, and so on
+# for every exact_* field) from BENCH_sim_perf.json: they are exact, so
+# any other move of them is a regression.
 perf-reference:
 	dune exec bench/perf.exe -- --engine-only
 	@echo "update bench/perf_reference.json from BENCH_sim_perf.json's engine.vs_baseline"
+	@echo "and, after a timing-model change, each exact_* field from the makespan it names"
 
 # Run the shootdown scenario with tracing, export Chrome trace-event
 # JSON, and verify it parses and contains the shootdown events (machsim
@@ -86,18 +91,27 @@ report-smoke:
 	grep -q "lock:the-lock" /tmp/machsim-chaos-flight.out
 	@echo "report-smoke passed"
 
+# Regenerate a committed BENCH file with one bench experiment and fail,
+# with a diff, if it moved: its deterministic fields pin the experiment.
+# $(1) is the file, $(2) the experiment id.
+define bench_regen_check
+	cp $(1) /tmp/$(1).committed
+	dune exec bench/main.exe -- $(2)
+	cmp -s /tmp/$(1).committed $(1) || { diff /tmp/$(1).committed $(1); exit 1; }
+endef
+
 # Fault-injection smoke: reproduce and detect the section 7 interrupt
 # deadlock (waits-for cycle) and the section 6 lost wakeup (orphaned
 # waiter) under seeded injection, then regenerate the E13 detection
-# table.  The greps verify the detector actually named each hazard.
+# table and check it is unchanged.  The greps verify the detector
+# actually named each hazard.
 chaos-smoke:
 	dune exec bin/machsim.exe -- chaos --seeds 10 | tee /tmp/machsim-chaos.out
 	grep -q "waits-for cycle" /tmp/machsim-chaos.out
 	grep -q "never arrived" /tmp/machsim-chaos.out
 	grep -q "lost handoff" /tmp/machsim-chaos.out
 	grep -q "scache lost writer handoff" /tmp/machsim-chaos.out
-	dune exec bench/main.exe -- E13
-	test -f BENCH_chaos.json
+	$(call bench_regen_check,BENCH_chaos.json,E13)
 	@echo "chaos-smoke passed"
 
 # Model-checking smoke (<60s on one core): exhaustively verify the
@@ -119,13 +133,13 @@ mc-smoke:
 # Range-lock smoke (<60s): model-check the 2-cpu range matrix (an
 # overlapping pair serializes on every schedule, a disjoint pair
 # completes on every schedule), prove the ABBA deadlock report names
-# the exact ranges, then regenerate the E16 storm sweep.
+# the exact ranges, then regenerate the E16 storm sweep and check it is
+# unchanged.
 vm-smoke:
 	dune exec bin/machsim.exe -- mc range-overlap --cpus 2 --no-baseline | grep -q "VERIFIED"
 	dune exec bin/machsim.exe -- mc range-disjoint --cpus 2 --no-baseline | grep -q "VERIFIED"
 	dune exec bin/machsim.exe -- report range-deadlock | grep -q "range lock abba.range"
-	dune exec bench/main.exe -- E16
-	test -f BENCH_vm.json
+	$(call bench_regen_check,BENCH_vm.json,E16)
 	@echo "vm-smoke passed"
 
 # Page-cache smoke (<90s): model-check the scache handoff matrix — the
@@ -133,15 +147,14 @@ vm-smoke:
 # schedule, two readers overlap on some schedule) plus the 3-cpu
 # two-readers-vs-one-writer cell — reproduce the lost writer handoff
 # under drop-handoff injection, then regenerate the E19 read-mostly
-# lookup sweep.
+# lookup sweep and check it is unchanged.
 cache-smoke:
 	dune exec bin/machsim.exe -- mc scache-rw --cpus 2 --no-baseline | grep -q "VERIFIED"
 	dune exec bin/machsim.exe -- mc scache-ww --cpus 2 --no-baseline | grep -q "VERIFIED"
 	dune exec bin/machsim.exe -- mc scache-rr --cpus 2 --no-baseline | grep -q "VERIFIED"
 	dune exec bin/machsim.exe -- mc scache-rrw --cpus 3 --no-baseline | grep -q "VERIFIED"
 	dune exec bin/machsim.exe -- chaos --seeds 10 | grep -q "scache lost writer handoff"
-	dune exec bench/main.exe -- E19
-	test -f BENCH_cache.json
+	$(call bench_regen_check,BENCH_cache.json,E19)
 	@echo "cache-smoke passed"
 
 # RPC-serving smoke (<60s): the E20 smoke variant (4 cpus, all four

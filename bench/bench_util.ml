@@ -40,6 +40,13 @@ let f1 x = Printf.sprintf "%.1f" x
 let f2 x = Printf.sprintf "%.2f" x
 let i = string_of_int
 
+(* The smallest size in [sweep] (ascending) from which [beats] holds for
+   every size up to the end of the sweep, if any. *)
+let rec crossover ~beats = function
+  | [] -> None
+  | c :: rest as sizes ->
+      if List.for_all beats sizes then Some c else crossover ~beats rest
+
 (* ------------------------------------------------------------------ *)
 (* Observability: per-experiment latency percentiles + contention       *)
 (* ------------------------------------------------------------------ *)
@@ -104,6 +111,13 @@ let obs_section ~id () =
            (fun (c : Obs_profile.class_stats) ->
              [ c.cls; i c.acquisitions; i c.contended; i c.wait_cycles ])
            top)
+
+(* Write [doc] to [path] as one line and say so. *)
+let write_json ~what path doc =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Obs_json.to_string doc);
+      output_char oc '\n');
+  printf "\n%s written to %s\n" what path
 
 let obs_json () =
   Obs_json.Obj

@@ -92,18 +92,8 @@ module E1 = struct
       | None -> cfg
     in
     sim_run ~cpus ~tweak (fun () ->
-        let lock = K.Slock.make ~name:"l" ~protocol () in
-        let data = Array.init 4 (fun _ -> Engine.Cell.make 0) in
-        let worker () =
-          for _ = 1 to 30 do
-            K.Slock.lock lock;
-            Array.iter (fun d -> ignore (Engine.Cell.fetch_and_add d 1)) data;
-            Engine.cycles 20;
-            K.Slock.unlock lock
-          done
-        in
-        let ts = List.init cpus (fun _ -> Engine.spawn worker) in
-        List.iter Engine.join ts)
+        Scenarios.contention ~lock:(K.Slock.make ~name:"l" ~protocol ())
+          ~iters:30 ())
 
   let tuned_cap = 128
 
@@ -402,27 +392,6 @@ module E6 = struct
       [ "recursive re-acquire/release"; i (acquisition ~recursive:true) ];
     ]
 
-  let pageable_scenario ~use_recursive () =
-    let ctx = Vm.Vm_map.make_context ~pages:4 () in
-    let map = Vm.Vm_map.create ctx in
-    let reclaimable = Vm.Vm_map.vm_allocate map ~size:3 in
-    for idx = 0 to 2 do
-      match Vm.Vm_fault.fault map ~va:(reclaimable + idx) with
-      | Ok _ -> ()
-      | Error _ -> Engine.fatal "populate failed"
-    done;
-    let wired_va = Vm.Vm_map.vm_allocate map ~size:3 in
-    let daemon = Vm.Vm_pageout.start_daemon ~victims:[ map ] in
-    let wire =
-      if use_recursive then Vm.Vm_pageable.wire_recursive
-      else Vm.Vm_pageable.wire_rewritten
-    in
-    (match wire map ~va:wired_va ~pages:3 with
-    | Ok () -> ()
-    | Error _ -> Engine.fatal "wire failed");
-    Vm.Vm_pageout.stop_daemon daemon;
-    Vm.Vm_map.release map
-
   let run () =
     section ~id:"E6" ~title:"recursive locking: cost and the 7.1 deadlock"
       ~claim:
@@ -434,7 +403,7 @@ module E6 = struct
     let verdict ~use_recursive =
       Explore.run ~cpus:3
         ~seeds:(List.init 30 (fun s -> s + 1))
-        (pageable_scenario ~use_recursive)
+        (Scenarios.pageable ~use_recursive)
     in
     let vr = verdict ~use_recursive:true in
     let vw = verdict ~use_recursive:false in
@@ -599,43 +568,11 @@ end
 (* ================================================================== *)
 
 module E10 = struct
-  let shootdown_cost participants =
+  (* Every cpu but the initiator's is a participant. *)
+  let cost participants =
     let removals = 10 in
     let s =
-      sim_run ~cpus:(participants + 1) (fun () ->
-          let pm = Vm.Pmap.create () in
-          (* victims: threads on other cpus spinning at spl0, pmap active *)
-          let stop = Engine.Cell.make 0 in
-          let victims =
-            List.init participants (fun k ->
-                let cpu = k + 1 in
-                Engine.spawn ~name:(Printf.sprintf "victim%d" cpu) ~bound:cpu
-                  (fun () ->
-                    Vm.Pmap.activate pm ~cpu;
-                    Engine.spin_hint "stop";
-                    while Engine.Cell.get stop = 0 do
-                      Engine.pause ()
-                    done))
-          in
-          (* the initiator is pinned to cpu0 so it cannot occupy (and
-             starve) a victim's cpu while busy-waiting *)
-          let initiator =
-            Engine.spawn ~name:"initiator" ~bound:0 (fun () ->
-                for j = 0 to removals - 1 do
-                  Vm.Pmap.enter pm ~va:(0x1000 + j) ~ppn:j
-                    ~prot:Vm.Tlb.Read_write
-                done;
-                Engine.spin_hint "activation";
-                while List.length (Vm.Pmap.active_cpus pm) < participants do
-                  Engine.pause ()
-                done;
-                for j = 0 to removals - 1 do
-                  ignore (Vm.Pmap.remove pm ~va:(0x1000 + j))
-                done;
-                Engine.Cell.set stop 1)
-          in
-          Engine.join initiator;
-          List.iter Engine.join victims)
+      sim_run ~cpus:(participants + 1) (Scenarios.shootdown ~removals)
     in
     (s.Engine.makespan / removals, s.Engine.interrupts_delivered)
 
@@ -648,7 +585,7 @@ module E10 = struct
     let rows =
       List.map
         (fun p ->
-          let per, intrs = shootdown_cost p in
+          let per, intrs = cost p in
           [ i p; i per; i intrs ])
         [ 0; 1; 2; 4; 8; 15 ]
     in
@@ -885,7 +822,6 @@ end
 module E13 = struct
   module Chaos = Mach_chaos.Chaos
   module Fault = Mach_chaos.Chaos_fault
-  module Cs = Mach_chaos.Chaos_scenarios
 
   let seeds = 15
 
@@ -910,13 +846,13 @@ module E13 = struct
          detector names the cycle or the orphaned waiter";
     let rows = ref [] and json = ref [] in
     List.iter
-      (fun (sname, scenario) ->
+      (fun (e : Scenarios.entry) ->
         List.iter
           (fun cls ->
             let s =
               Chaos.sweep ~cpus:4 ~seeds
                 ~faults:(Fault.mix ~intensity:2 [ cls ])
-                scenario
+                e.run
             in
             let first =
               match s.Chaos.first_failure with
@@ -925,7 +861,7 @@ module E13 = struct
             in
             rows :=
               [
-                sname;
+                e.name;
                 Fault.name cls;
                 i s.Chaos.runs;
                 f2 (Chaos.detection_rate s);
@@ -936,7 +872,7 @@ module E13 = struct
             json :=
               Obs_json.Obj
                 [
-                  ("scenario", Obs_json.String sname);
+                  ("scenario", Obs_json.String e.name);
                   ("fault", Obs_json.String (Fault.name cls));
                   ("runs", Obs_json.Int s.Chaos.runs);
                   ("detection_rate", Obs_json.Float (Chaos.detection_rate s));
@@ -945,7 +881,7 @@ module E13 = struct
                 ]
               :: !json)
           Fault.all)
-      Cs.all;
+      Chaos.scenarios;
     table
       ~header:
         [
@@ -957,13 +893,8 @@ module E13 = struct
           "first seed";
         ]
       (List.rev !rows);
-    let out = "BENCH_chaos.json" in
-    let oc = open_out out in
-    output_string oc
-      (Obs_json.to_string (Obs_json.Obj [ ("E13", Obs_json.List (List.rev !json)) ]));
-    output_char oc '\n';
-    close_out oc;
-    printf "\ndetection table written to %s\n" out
+    write_json ~what:"detection table" "BENCH_chaos.json"
+      (Obs_json.Obj [ ("E13", Obs_json.List (List.rev !json)) ])
 end
 
 (* ================================================================== *)
@@ -972,7 +903,6 @@ end
 
 module E14 = struct
   module Mc = Mach_mc.Mc
-  module Cs = Mach_chaos.Chaos_scenarios
 
   (* Each row is one (scenario, mode, bound) exploration.  Scenarios and
      budgets are sized so the whole experiment stays in CI smoke-test
@@ -993,17 +923,6 @@ module E14 = struct
       ("interrupt-disciplined", 3, Mc.Dpor, Some 1, None);
       ("interrupt-disciplined", 3, Mc.Dpor, Some 2, None);
     ]
-
-  let scenario_fn = function
-    | "same-spl" -> Scenarios.same_spl_holder ~disciplined:true
-    | "same-spl-buggy" -> Scenarios.same_spl_holder ~disciplined:false
-    | "handoff" -> Cs.lost_wakeup_handoff
-    | "herd" -> fun () -> Cs.wakeup_herd ~sleepers:2 ()
-    | "interrupt-deadlock" ->
-        Scenarios.interrupt_barrier_scenario ~disciplined:false
-    | "interrupt-disciplined" ->
-        Scenarios.interrupt_barrier_scenario ~disciplined:true
-    | s -> failwith ("unknown mc scenario " ^ s)
 
   let verdict_of (r : Mc.result) =
     if r.Mc.verified then "verified"
@@ -1030,7 +949,7 @@ module E14 = struct
       (fun (sname, cpus, mode, bound, max_executions) ->
         let t0 = Unix.gettimeofday () in
         let r =
-          Mc.check ~cpus ~mode ?bound ?max_executions (scenario_fn sname)
+          Mc.check ~cpus ~mode ?bound ?max_executions (Scenarios.get sname).run
         in
         let ms = (Unix.gettimeofday () -. t0) *. 1000. in
         let execs = r.Mc.stats.Mc.executions in
@@ -1100,14 +1019,8 @@ module E14 = struct
           "trans/s";
         ]
       (List.rev !rows);
-    let out = "BENCH_mc.json" in
-    let oc = open_out out in
-    output_string oc
-      (Obs_json.to_string
-         (Obs_json.Obj [ ("E14", Obs_json.List (List.rev !json)) ]));
-    output_char oc '\n';
-    close_out oc;
-    printf "\nexploration table written to %s\n" out
+    write_json ~what:"exploration table" "BENCH_mc.json"
+      (Obs_json.Obj [ ("E14", Obs_json.List (List.rev !json)) ])
 end
 
 (* ================================================================== *)
@@ -1123,21 +1036,6 @@ module E15 = struct
      what matters, not the total operation count. *)
   let sweep = [ 2; 8; 16; 32; 64 ]
   let iters = 12
-
-  let mutex_workload mk cpus =
-    sim_run ~cpus (fun () ->
-        let lock = mk () in
-        let data = Array.init 4 (fun _ -> Engine.Cell.make 0) in
-        let worker () =
-          for _ = 1 to iters do
-            K.Slock.lock lock;
-            Array.iter (fun d -> ignore (Engine.Cell.fetch_and_add d 1)) data;
-            Engine.cycles 20;
-            K.Slock.unlock lock
-          done
-        in
-        let ts = List.init cpus (fun _ -> Engine.spawn worker) in
-        List.iter Engine.join ts)
 
   let protos =
     List.map
@@ -1215,7 +1113,10 @@ module E15 = struct
         (fun cpus ->
           List.map
             (fun (name, mk) ->
-              let s = mutex_workload mk cpus in
+              let s =
+                sim_run ~cpus (fun () ->
+                    Scenarios.contention ~lock:(mk ()) ~iters ())
+              in
               Hashtbl.replace tbl (name, cpus) s;
               [
                 i cpus;
@@ -1241,15 +1142,7 @@ module E15 = struct
       s.Engine.makespan < t.Engine.makespan
       && s.Engine.bus_transactions < t.Engine.bus_transactions
     in
-    let crossover name =
-      let rec scan = function
-        | [] -> None
-        | c :: rest ->
-            if beats name c && List.for_all (beats name) rest then Some c
-            else scan rest
-      in
-      scan sweep
-    in
+    let crossover name = crossover ~beats:(beats name) sweep in
     let queue_names = List.map Lock_proto.name K.Locks.all in
     printf "\ncrossover vs ttas (beats on makespan AND bus-txns from here up):\n";
     table
@@ -1330,23 +1223,17 @@ module E15 = struct
             ])
         queue_names
     in
-    let out = "BENCH_locks.json" in
-    let oc = open_out out in
-    output_string oc
-      (Obs_json.to_string
-         (Obs_json.Obj
-            [
-              ( "E15",
-                Obs_json.Obj
-                  [
-                    ("mutex", Obs_json.List mutex_json);
-                    ("read_mostly", Obs_json.List rw_json);
-                    ("crossover", Obs_json.List crossover_json);
-                  ] );
-            ]));
-    output_char oc '\n';
-    close_out oc;
-    printf "\nlock-suite tables written to %s\n" out
+    write_json ~what:"lock-suite tables" "BENCH_locks.json"
+      (Obs_json.Obj
+         [
+           ( "E15",
+             Obs_json.Obj
+               [
+                 ("mutex", Obs_json.List mutex_json);
+                 ("read_mostly", Obs_json.List rw_json);
+                 ("crossover", Obs_json.List crossover_json);
+               ] );
+         ])
 end
 
 (* ================================================================== *)
@@ -1412,15 +1299,7 @@ module E16 = struct
       (List.map (fun c -> [ i c; f2 (speedup c) ]) sweep);
     (* Crossover: smallest cpu count at which the range-locked map beats
        the coarse one and stays ahead for the rest of the sweep. *)
-    let beats c = speedup c > 1.0 in
-    let crossover =
-      let rec scan = function
-        | [] -> None
-        | c :: rest ->
-            if beats c && List.for_all beats rest then Some c else scan rest
-      in
-      scan sweep
-    in
+    let crossover = crossover ~beats:(fun c -> speedup c > 1.0) sweep in
     (match crossover with
     | Some c -> printf "range beats coarse from %d cpus up\n" c
     | None -> printf "range never beats coarse in this sweep\n");
@@ -1452,26 +1331,20 @@ module E16 = struct
             ])
         sweep
     in
-    let out = "BENCH_vm.json" in
-    let oc = open_out out in
-    output_string oc
-      (Obs_json.to_string
-         (Obs_json.Obj
-            [
-              ( "E16",
-                Obs_json.Obj
-                  [
-                    ("storm", Obs_json.List storm_json);
-                    ("speedup", Obs_json.List speedup_json);
-                    ( "crossover_cpus",
-                      match crossover with
-                      | None -> Obs_json.Null
-                      | Some c -> Obs_json.Int c );
-                  ] );
-            ]));
-    output_char oc '\n';
-    close_out oc;
-    printf "\nvm-map tables written to %s\n" out
+    write_json ~what:"vm-map tables" "BENCH_vm.json"
+      (Obs_json.Obj
+         [
+           ( "E16",
+             Obs_json.Obj
+               [
+                 ("storm", Obs_json.List storm_json);
+                 ("speedup", Obs_json.List speedup_json);
+                 ( "crossover_cpus",
+                   match crossover with
+                   | None -> Obs_json.Null
+                   | Some c -> Obs_json.Int c );
+               ] );
+         ])
 end
 
 (* ================================================================== *)
@@ -1481,30 +1354,15 @@ end
 module E18 = struct
   module Obs_span = Mach_obs.Obs_span
   module Obs_cp = Mach_obs.Obs_critical_path
-  module Cs = Mach_chaos.Chaos_scenarios
 
   (* Three workload shapes with different causal structure: E1's
      single-lock hammer (lock spans dominate), E13's event handoff
      (event-wait spans), and E15's 64-cpu ttas point (the scale the
      acceptance run uses). *)
-  let ttas_hammer ~iters () =
-    let lock = K.Slock.make ~name:"contended" ~protocol:Spin.Ttas () in
-    let data = Array.init 4 (fun _ -> Engine.Cell.make 0) in
-    let ts =
-      List.init
-        (Engine.cpu_count ())
-        (fun _ ->
-          Engine.spawn (fun () ->
-              for _ = 1 to iters do
-                K.Slock.lock lock;
-                Array.iter
-                  (fun d -> ignore (Engine.Cell.fetch_and_add d 1))
-                  data;
-                Engine.cycles 20;
-                K.Slock.unlock lock
-              done))
-    in
-    List.iter Engine.join ts
+  let contention ~iters () =
+    Scenarios.contention
+      ~lock:(K.Slock.make ~name:"contended" ~protocol:Spin.Ttas ())
+      ~iters ()
 
   (* The handoff row runs under the random policy (as E13's chaos sweeps
      do): under Timed the consumer is dispatched after the producer's
@@ -1520,9 +1378,9 @@ module E18 = struct
 
   let workloads =
     [
-      ("e1-ttas-16cpu", 16, timed, ttas_hammer ~iters:30);
-      ("e13-handoff-4cpu", 4, random, Cs.lost_wakeup_handoff);
-      ("e15-ttas-64cpu", 64, timed, ttas_hammer ~iters:12);
+      ("e1-ttas-16cpu", 16, timed, contention ~iters:30);
+      ("e13-handoff-4cpu", 4, random, Scenarios.lost_wakeup_handoff);
+      ("e15-ttas-64cpu", 64, timed, contention ~iters:12);
       ("rpc-4cpu", 4, timed, rpc);
     ]
 
@@ -1684,14 +1542,8 @@ module E19 = struct
          (fun c -> [ i c; f2 (speedup "scache" c); f2 (speedup "brlock" c) ])
          sweep);
     (* Crossover: smallest cpu count from which scache stays ahead. *)
-    let beats c = speedup "scache" c > 1.0 in
     let crossover =
-      let rec scan = function
-        | [] -> None
-        | c :: rest ->
-            if beats c && List.for_all beats rest then Some c else scan rest
-      in
-      scan sweep
+      crossover ~beats:(fun c -> speedup "scache" c > 1.0) sweep
     in
     (match crossover with
     | Some c -> printf "scache beats the mutex cache from %d cpus up\n" c
@@ -1725,26 +1577,20 @@ module E19 = struct
             ])
         sweep
     in
-    let out = "BENCH_cache.json" in
-    let oc = open_out out in
-    output_string oc
-      (Obs_json.to_string
-         (Obs_json.Obj
-            [
-              ( "E19",
-                Obs_json.Obj
-                  [
-                    ("storm", Obs_json.List storm_json);
-                    ("speedup", Obs_json.List speedup_json);
-                    ( "crossover_cpus",
-                      match crossover with
-                      | None -> Obs_json.Null
-                      | Some c -> Obs_json.Int c );
-                  ] );
-            ]));
-    output_char oc '\n';
-    close_out oc;
-    printf "\npage-cache tables written to %s\n" out
+    write_json ~what:"page-cache tables" "BENCH_cache.json"
+      (Obs_json.Obj
+         [
+           ( "E19",
+             Obs_json.Obj
+               [
+                 ("storm", Obs_json.List storm_json);
+                 ("speedup", Obs_json.List speedup_json);
+                 ( "crossover_cpus",
+                   match crossover with
+                   | None -> Obs_json.Null
+                   | Some c -> Obs_json.Int c );
+               ] );
+         ])
 end
 
 (* ================================================================== *)
@@ -1965,28 +1811,21 @@ module E20 = struct
       | Some r -> Obs_json.Obj (extra @ res_json r)
       | None -> Obs_json.Null
     in
-    let out = "BENCH_rpc.json" in
-    let oc = open_out out in
-    output_string oc
-      (Obs_json.to_string
-         (Obs_json.Obj
-            [
-              ( "E20",
-                Obs_json.Obj
-                  [
-                    ("mode", Obs_json.String (if smoke then "smoke" else "full"));
-                    ("sweep", Obs_json.List sweep_json);
-                    ("speedup", Obs_json.List speedup_json);
-                    ( "sustained",
-                      opt_obj [ ("cpus", Obs_json.Int sus_cpus) ] sustained );
-                    ( "drain",
-                      opt_obj [ ("cpus", Obs_json.Int drain_cpus) ] drain_res );
-                    ("refcount_panics", Obs_json.Int !panics);
-                  ] );
-            ]));
-    output_char oc '\n';
-    close_out oc;
-    printf "\nrpc tables written to %s\n" out
+    write_json ~what:"rpc tables" "BENCH_rpc.json"
+      (Obs_json.Obj
+         [
+           ( "E20",
+             Obs_json.Obj
+               [
+                 ("mode", Obs_json.String (if smoke then "smoke" else "full"));
+                 ("sweep", Obs_json.List sweep_json);
+                 ("speedup", Obs_json.List speedup_json);
+                 ( "sustained",
+                   opt_obj [ ("cpus", Obs_json.Int sus_cpus) ] sustained );
+                 ("drain", opt_obj [ ("cpus", Obs_json.Int drain_cpus) ] drain_res);
+                 ("refcount_panics", Obs_json.Int !panics);
+               ] );
+         ])
 end
 
 let experiments =
@@ -2035,10 +1874,6 @@ let () =
             (String.concat " " (List.map fst experiments));
           exit 1)
     requested;
-  let out = "BENCH_observability.json" in
-  let oc = open_out out in
-  output_string oc (Obs_json.to_string (Obs_json.Obj (List.rev !obs)));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nper-experiment observability written to %s\n" out;
+  write_json ~what:"per-experiment observability" "BENCH_observability.json"
+    (Obs_json.Obj (List.rev !obs));
   Printf.printf "All requested experiments completed.\n"

@@ -22,21 +22,13 @@ module Config = Mach_sim.Sim_config
 module Explore = Mach_sim.Sim_explore
 module K = Mach_ksync.Ksync
 module Obs_json = Mach_obs.Obs_json
+module Scenarios = Mach_kernel.Scenarios
 
-let e1_scenario ~iters () =
-  let lock = K.Slock.make ~name:"e1" ~protocol:Mach_core.Spin.Ttas () in
-  let data = Array.init 4 (fun _ -> Engine.Cell.make ~name:"d" 0) in
-  let cpus = Engine.cpu_count () in
-  let worker () =
-    for _ = 1 to iters do
-      K.Slock.lock lock;
-      Array.iter (fun d -> ignore (Engine.Cell.fetch_and_add d 1)) data;
-      Engine.cycles 20;
-      K.Slock.unlock lock
-    done
-  in
-  let ts = List.init cpus (fun _ -> Engine.spawn worker) in
-  List.iter Engine.join ts
+(* The E1 contention workload on a ttas lock. *)
+let contention ~iters () =
+  Scenarios.contention
+    ~lock:(K.Slock.make ~name:"e1" ~protocol:Mach_core.Spin.Ttas ())
+    ~iters ()
 
 let wall f =
   let t0 = Unix.gettimeofday () in
@@ -80,7 +72,7 @@ let engine_throughput ~repeats ~iters =
      ratio to its own floor. *)
   let run spans =
     let cfg = { (Config.bench ~cpus:16 ()) with Config.seed = 3; spans } in
-    Engine.run ~cfg (e1_scenario ~iters)
+    Engine.run ~cfg (contention ~iters)
   in
   (* Sustained untimed warmup (~0.3s): one run is not enough to carry
      allocator effects AND cpu frequency ramp outside the clock. *)
@@ -152,7 +144,7 @@ let engine_throughput ~repeats ~iters =
 
 let sweep ~seeds ~domains:requested =
   let seed_list = List.init seeds (fun s -> s + 1) in
-  let scenario = e1_scenario ~iters:12 in
+  let scenario = contention ~iters:12 in
   let tweak cfg = { cfg with Config.policy = Config.Timed } in
   let run domains () =
     Explore.run ~cpus:4 ~seeds:seed_list ~domains ~tweak scenario
@@ -228,7 +220,7 @@ let vm_storm locking =
   let cfg = { (Config.bench ~cpus:16 ()) with Config.seed = 3 } in
   let stats =
     Engine.run ~cfg (fun () ->
-        Mach_kernel.Scenarios.vm_fault_storm ~locking ~threads:16
+        Scenarios.vm_fault_storm ~locking ~threads:16
           ~pages_per_thread:2 ~rounds:1 ())
   in
   stats.Engine.makespan
@@ -259,7 +251,7 @@ let cache_storm locking =
   let cfg = { (Config.bench ~cpus:64 ()) with Config.seed = 3 } in
   let stats =
     Engine.run ~cfg (fun () ->
-        Mach_kernel.Scenarios.vm_cache_ops ~locking ~threads:64 ())
+        Scenarios.vm_cache_ops ~locking ~threads:64 ())
   in
   stats.Engine.makespan
 
@@ -289,7 +281,7 @@ let cache_row () =
 let rpc_serve ~shards ~batch =
   let cfg = { (Config.bench ~cpus:64 ()) with Config.seed = 3 } in
   Engine.run ~cfg (fun () ->
-      ignore (Mach_kernel.Scenarios.rpc_serve ~shards ~batch ~calls_each:16 ()))
+      ignore (Scenarios.rpc_serve ~shards ~batch ~calls_each:16 ()))
 
 let rpc_row () =
   let flat = (rpc_serve ~shards:1 ~batch:1).Engine.makespan in
@@ -388,8 +380,7 @@ let mc_baseline_transitions_per_sec = 55_000.
 let mc_row ~repeats =
   let module Mc = Mach_mc.Mc in
   let check () =
-    Mc.check ~cpus:2 ~mode:Mc.Dpor ~bound:2
-      (fun () -> Mach_chaos.Chaos_scenarios.wakeup_herd ~sleepers:2 ())
+    Mc.check ~cpus:2 ~mode:Mc.Dpor ~bound:2 (Scenarios.get "herd").run
   in
   ignore (check ());
   let best, best_calib =
@@ -456,9 +447,4 @@ let () =
     Obs_json.Obj
       (fields @ [ ("mode", Obs_json.String (if fast then "fast" else "full")) ])
   in
-  let out = "BENCH_sim_perf.json" in
-  let oc = open_out out in
-  output_string oc (Obs_json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "perf results written to %s\n" out
+  Bench_util.write_json ~what:"perf results" "BENCH_sim_perf.json" doc

@@ -30,14 +30,16 @@
    Deterministic rows (vm.range_speedup, cache.read_speedup,
    rpc.throughput_speedup) are simulated-time makespan ratios and are
    checked directly against their committed floors — no estimator
-   pairing needed.
+   pairing needed.  A ratio hides a slowdown that hits both of its
+   sides equally, so each row also checks the two makespans behind it
+   for equality with the reference's exact_<field> values.
 
    Every check belongs to one row of [rows] (engine, spans, vm, cache,
    rpc, mc, engine64), which also names the reference fields it reads.
    A reference field that looks like a floor (vs_baseline, vs_calib, or
-   a name starting min_ or max_) but that no row reads is an error
-   (exit 2): a floor added to the reference without a check would gate
-   nothing.
+   a name starting min_, max_ or exact_) but that no row reads is an
+   error (exit 2): a floor added to the reference without a check would
+   gate nothing.
 
    --inject-slowdown halves every measured value before the comparison;
    --inject-row ROW halves only that row; --list-rows prints the row
@@ -150,25 +152,60 @@ let floor_check ~row ~label ~floor ~measured ~why fail_text =
           end
           else false)
 
+type row = {
+  row : string; (* the --inject-row name *)
+  reads : (string * string) list; (* the reference fields it checks *)
+  check : unit -> bool; (* true when the row fails *)
+}
+
+(* One makespan behind a deterministic ratio against the reference's
+   exact_[field].  An injected slowdown doubles it. *)
+let exact_check ~section field =
+  match lookup !reference [ section; "exact_" ^ field ] with
+  | None -> false
+  | Some want -> (
+      match lookup !perf [ section; field ] with
+      | None -> die "%s: %s.%s missing" !perf section field
+      | Some m ->
+          let injected = !inject || !inject_row = section in
+          let m = if injected then m *. 2. else m in
+          Printf.printf "perf-gate: %s: %s.%s measured=%.0f  exact=%.0f%s\n"
+            section section field m want
+            (if injected then "  [injected 2x slowdown]" else "");
+          if m <> want then
+            Printf.printf
+              "perf-gate: FAIL: %s: %s moved from %.0f to %.0f cycles \
+               (deterministic simulated time: the timing changed; see `make \
+               perf-reference`)\n"
+              section field want m;
+          m <> want)
+
 (* Deterministic rows: simulated-time makespan ratios, which move only
-   when the code changes. *)
-let det_check ~section ~label ~ref_field ~meas_field ~fail_text =
-  floor_check ~row:section ~label ~floor:[ section; ref_field ]
-    ~measured:[ section; meas_field ]
-    ~why:"the number is deterministic simulated time, not host noise"
-    fail_text
+   when the code changes, and the makespans behind each ratio. *)
+let det_row ~section ~label ~ref_field ~meas_field ~makespans ~fail_text =
+  {
+    row = section;
+    reads =
+      (section, ref_field)
+      :: List.map (fun f -> (section, "exact_" ^ f)) makespans;
+    check =
+      (fun () ->
+        let ratio_failed =
+          floor_check ~row:section ~label ~floor:[ section; ref_field ]
+            ~measured:[ section; meas_field ]
+            ~why:"the number is deterministic simulated time, not host noise"
+            fail_text
+        in
+        (* Check every makespan, so every moved one is reported. *)
+        let moved = List.filter (exact_check ~section) makespans in
+        ratio_failed || moved <> []);
+  }
 
 (* A host-time row checked like the engine row, when the reference has
    it. *)
 let host_row section label fail_msg =
   Obs_json.member section (json_of_file !reference) <> None
   && both_below ~section (fun r -> !min_ratio *. r) label fail_msg
-
-type row = {
-  row : string; (* the --inject-row name *)
-  reads : (string * string) list; (* the reference fields it checks *)
-  check : unit -> bool; (* true when the row fails *)
-}
 
 let estimator_fields section =
   [ (section, "vs_baseline"); (section, "vs_calib") ]
@@ -229,53 +266,36 @@ let rows =
                 floor));
     };
     (* The range-lock fault path (E16). *)
-    {
-      row = "vm";
-      reads = [ ("vm", "min_range_speedup") ];
-      check =
-        (fun () ->
-          det_check ~section:"vm" ~label:"vm fault path"
-            ~ref_field:"min_range_speedup" ~meas_field:"range_speedup"
-            ~fail_text:(fun floor ->
-              Printf.sprintf
-                "the range-locked fault storm no longer beats the coarse map \
-                 lock by at least %.1fx at 16 cpus; the range-lock fault \
-                 path has reserialized"
-                floor));
-    };
+    det_row ~section:"vm" ~label:"vm fault path" ~ref_field:"min_range_speedup"
+      ~meas_field:"range_speedup"
+      ~makespans:[ "coarse_makespan"; "range_makespan" ]
+      ~fail_text:(fun floor ->
+        Printf.sprintf
+          "the range-locked fault storm no longer beats the coarse map lock \
+           by at least %.1fx at 16 cpus; the range-lock fault path has \
+           reserialized"
+          floor);
     (* The scache page-cache read path (E19). *)
-    {
-      row = "cache";
-      reads = [ ("cache", "min_read_speedup") ];
-      check =
-        (fun () ->
-          det_check ~section:"cache" ~label:"cache read path"
-            ~ref_field:"min_read_speedup" ~meas_field:"read_speedup"
-            ~fail_text:(fun floor ->
-              Printf.sprintf
-                "the scache page cache no longer beats the mutex cache by at \
-                 least %.1fx at 64 cpus; the read side has reserialized"
-                floor));
-    };
+    det_row ~section:"cache" ~label:"cache read path"
+      ~ref_field:"min_read_speedup" ~meas_field:"read_speedup"
+      ~makespans:[ "mutex_makespan"; "scache_makespan" ]
+      ~fail_text:(fun floor ->
+        Printf.sprintf
+          "the scache page cache no longer beats the mutex cache by at least \
+           %.1fx at 64 cpus; the read side has reserialized"
+          floor);
     (* The RPC serving path (E20): flat/sharded+batched makespan ratio
        of the 64-cpu serving workload. *)
-    {
-      row = "rpc";
-      reads = [ ("rpc", "min_throughput_speedup") ];
-      check =
-        (fun () ->
-          det_check ~section:"rpc" ~label:"rpc serving path"
-            ~ref_field:"min_throughput_speedup"
-            ~meas_field:"throughput_speedup"
-            ~fail_text:(fun floor ->
-              Printf.sprintf
-                "sharded+batched RPC serving no longer beats the flat \
-                 batch=1 server by at least %.1fx at 64 cpus; the hot path \
-                 has reserialized (global name-table lock back on the \
-                 lookup path, or batching degraded to one message per \
-                 port-lock hold)"
-                floor));
-    };
+    det_row ~section:"rpc" ~label:"rpc serving path"
+      ~ref_field:"min_throughput_speedup" ~meas_field:"throughput_speedup"
+      ~makespans:[ "flat_makespan"; "sharded_batched_makespan" ]
+      ~fail_text:(fun floor ->
+        Printf.sprintf
+          "sharded+batched RPC serving no longer beats the flat batch=1 \
+           server by at least %.1fx at 64 cpus; the hot path has \
+           reserialized (global name-table lock back on the lookup path, \
+           or batching degraded to one message per port-lock hold)"
+          floor);
     (* The model checker's host cost per transition (E14 herd cell). *)
     {
       row = "mc";
@@ -312,6 +332,7 @@ let check_reference_fields () =
     f = "vs_baseline" || f = "vs_calib"
     || String.starts_with ~prefix:"min_" f
     || String.starts_with ~prefix:"max_" f
+    || String.starts_with ~prefix:"exact_" f
   in
   let read = List.concat_map (fun r -> r.reads) rows in
   match json_of_file !reference with

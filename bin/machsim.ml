@@ -7,7 +7,10 @@
                   (or export it as Chrome trace-event JSON with --out)
      profile   -- run a scenario and print the lock contention profile
      report    -- run a scenario and print the causal report: top
-                  blockers, critical-path attribution, flight recorder *)
+                  blockers, critical-path attribution, flight recorder
+     chaos, mc -- fault-injection sweep; model checking of one scenario
+
+   Every scenario comes from the registry, Mach_kernel.Scenarios. *)
 
 module Engine = Mach_sim.Sim_engine
 module Config = Mach_sim.Sim_config
@@ -19,298 +22,37 @@ module Obs_profile = Mach_obs.Obs_profile
 module Obs_span = Mach_obs.Obs_span
 module Obs_cp = Mach_obs.Obs_critical_path
 module Scenarios = Mach_kernel.Scenarios
-module Kernel = Mach_kernel.Kernel
-module Ksync = Mach_ksync.Ksync
-module Vm = Mach_vm
 open Cmdliner
-
-(* ------------------------------------------------------------------ *)
-(* Scenario registry                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let pageable_scenario ~use_recursive () =
-  let ctx = Vm.Vm_map.make_context ~pages:4 () in
-  let map = Vm.Vm_map.create ctx in
-  let reclaimable = Vm.Vm_map.vm_allocate map ~size:3 in
-  for i = 0 to 2 do
-    match Vm.Vm_fault.fault map ~va:(reclaimable + i) with
-    | Ok _ -> ()
-    | Error _ -> Engine.fatal "populate failed"
-  done;
-  let wired_va = Vm.Vm_map.vm_allocate map ~size:3 in
-  let daemon = Vm.Vm_pageout.start_daemon ~victims:[ map ] in
-  let wire =
-    if use_recursive then Vm.Vm_pageable.wire_recursive
-    else Vm.Vm_pageable.wire_rewritten
-  in
-  (match wire map ~va:wired_va ~pages:3 with
-  | Ok () -> ()
-  | Error _ -> Engine.fatal "wire failed");
-  Vm.Vm_pageout.stop_daemon daemon;
-  Vm.Vm_map.release map
-
-(* TLB shootdown barrier (adapted from bench E10): victims on every other
-   cpu activate the pmap and spin at spl0; the initiator's removals must
-   rendezvous with all of them at interrupt level. *)
-let shootdown_scenario () =
-  let pm = Vm.Pmap.create () in
-  (* On a uniprocessor there is nobody to shoot down: the removals still
-     run (local invalidates only) rather than waiting forever for a victim
-     that can never be dispatched. *)
-  let participants = max 0 (Engine.cpu_count () - 1) in
-  let removals = 8 in
-  let stop = Engine.Cell.make 0 in
-  let victims =
-    List.init participants (fun k ->
-        let cpu = k + 1 in
-        Engine.spawn ~name:(Printf.sprintf "victim%d" cpu) ~bound:cpu
-          (fun () ->
-            Vm.Pmap.activate pm ~cpu;
-            Engine.spin_hint "stop";
-            while Engine.Cell.get stop = 0 do
-              Engine.pause ()
-            done))
-  in
-  let initiator =
-    Engine.spawn ~name:"initiator" ~bound:0 (fun () ->
-        for j = 0 to removals - 1 do
-          Vm.Pmap.enter pm ~va:(0x1000 + j) ~ppn:j ~prot:Vm.Tlb.Read_write
-        done;
-        Engine.spin_hint "activation";
-        while List.length (Vm.Pmap.active_cpus pm) < participants do
-          Engine.pause ()
-        done;
-        for j = 0 to removals - 1 do
-          ignore (Vm.Pmap.remove pm ~va:(0x1000 + j))
-        done;
-        Engine.Cell.set stop 1)
-  in
-  Engine.join initiator;
-  List.iter Engine.join victims
-
-let scenarios : (string * (string * (unit -> unit))) list =
-  [
-    ( "rpc",
-      ( "boot the kernel; 4 clients make null RPCs to the host port",
-        fun () ->
-          let kernel = Kernel.start ~pages:64 () in
-          Scenarios.null_rpc_workload kernel ~clients:4 ~calls_each:25;
-          Kernel.shutdown kernel ) );
-    ( "task-lifecycle",
-      ( "create tasks over RPC, allocate+wire memory, terminate them",
-        fun () ->
-          let kernel = Kernel.start ~pages:128 () in
-          let ports =
-            List.init 4 (fun _ ->
-                match Kernel.rpc_task_create kernel with
-                | Ok p -> p
-                | Error e -> Engine.fatal e)
-          in
-          List.iter
-            (fun p ->
-              (match Kernel.rpc_vm_allocate p ~size:8 with
-              | Ok va -> (
-                  match Kernel.rpc_vm_wire p ~va ~pages:4 with
-                  | Ok () -> ()
-                  | Error e -> Engine.fatal e)
-              | Error e -> Engine.fatal e);
-              (match Kernel.rpc_task_terminate p with
-              | Ok () -> ()
-              | Error e -> Engine.fatal e);
-              Mach_ipc.Port.release p)
-            ports;
-          Kernel.shutdown kernel ) );
-    ( "coarse",
-      ( "object operations under one global kernel lock",
-        fun () ->
-          Scenarios.object_ops_workload Scenarios.Coarse ~objects:16
-            ~workers:(Engine.cpu_count ()) ~ops_per_worker:30 ) );
-    ( "fine",
-      ( "object operations under per-object locks (the Mach way)",
-        fun () ->
-          Scenarios.object_ops_workload Scenarios.Fine ~objects:16
-            ~workers:(Engine.cpu_count ()) ~ops_per_worker:30 ) );
-    ( "funnel",
-      ( "object operations funnelled through a master processor",
-        fun () ->
-          Scenarios.object_ops_workload Scenarios.Master_funnel ~objects:16
-            ~workers:(Engine.cpu_count ()) ~ops_per_worker:30 ) );
-    ( "contention",
-      ( "every cpu hammers one ttas lock (the E1/E15 workload shape)",
-        fun () ->
-          let lock =
-            Ksync.Slock.make ~name:"contended" ~protocol:Mach_core.Spin.Ttas
-              ()
-          in
-          let data = Array.init 4 (fun _ -> Engine.Cell.make ~name:"d" 0) in
-          let ts =
-            List.init
-              (Engine.cpu_count ())
-              (fun _ ->
-                Engine.spawn (fun () ->
-                    for _ = 1 to 10 do
-                      Ksync.Slock.lock lock;
-                      Array.iter
-                        (fun d -> ignore (Engine.Cell.fetch_and_add d 1))
-                        data;
-                      Engine.cycles 20;
-                      Ksync.Slock.unlock lock
-                    done))
-          in
-          List.iter Engine.join ts ) );
-    ( "interrupt-deadlock",
-      ( "the section 7 three-processor barrier deadlock (buggy variant)",
-        Scenarios.interrupt_barrier_scenario ~disciplined:false ) );
-    ( "interrupt-disciplined",
-      ( "the same scenario under the same-spl rule (never deadlocks)",
-        Scenarios.interrupt_barrier_scenario ~disciplined:true ) );
-    ( "wire-recursive",
-      ( "vm_map_pageable with recursive locks vs pageout (section 7.1 bug)",
-        pageable_scenario ~use_recursive:true ) );
-    ( "wire-rewritten",
-      ( "the Mach 3.0 vm_map_pageable rewrite vs pageout (deadlock-free)",
-        pageable_scenario ~use_recursive:false ) );
-    ( "vm-fault",
-      ( "disjoint-slice allocate/fault/deallocate storm on a range-locked map",
-        fun () -> Scenarios.vm_fault_storm ~locking:Vm.Vm_map.Range () ) );
-    ( "vm-fault-coarse",
-      ( "the same storm under the paper's single coarse map lock",
-        fun () -> Scenarios.vm_fault_storm ~locking:Vm.Vm_map.Coarse () ) );
-    ( "range-disjoint",
-      ( "two threads hold disjoint ranges of one range lock concurrently",
-        Scenarios.range_disjoint ) );
-    ( "range-overlap",
-      ( "two threads contend overlapping write ranges (must serialize)",
-        Scenarios.range_overlap ) );
-    ( "range-deadlock",
-      ( "ABBA across two ranges: the report names the exact ranges held",
-        Scenarios.range_abba ) );
-    ( "shootdown",
-      ( "TLB shootdowns: pmap removals rendezvous with every other cpu",
-        shootdown_scenario ) );
-    ( "same-spl",
-      ( "minimal section 7 same-spl rule: holder at interrupt spl (safe)",
-        Scenarios.same_spl_holder ~disciplined:true ) );
-    ( "same-spl-buggy",
-      ( "the same scenario holding at spl0: the handler spins on its own \
-         interrupted holder",
-        Scenarios.same_spl_holder ~disciplined:false ) );
-    ( "handoff",
-      ( "section 6 event-wait handoff: producer hands a flag to a consumer",
-        Mach_chaos.Chaos_scenarios.lost_wakeup_handoff ) );
-    ( "herd",
-      ( "section 6 broadcast wakeup: several sleepers woken at once",
-        fun () -> Mach_chaos.Chaos_scenarios.wakeup_herd ~sleepers:2 () ) );
-    ( "mcs-handoff",
-      ( "workers contending an MCS queue lock (explicit successor handoff)",
-        fun () -> Mach_chaos.Chaos_scenarios.mcs_handoff () ) );
-    ( "scache-handoff",
-      ( "workers contending the scache writer side (FIFO grant handoff)",
-        fun () -> Mach_chaos.Chaos_scenarios.scache_handoff () ) );
-    ( "scache-rw",
-      ( "scache matrix: reader vs writer on one scache RW lock (must \
-         serialize)",
-        Scenarios.scache_rw ) );
-    ( "scache-ww",
-      ( "scache matrix: writer vs writer through the FIFO ticket gate \
-         (must serialize)",
-        Scenarios.scache_ww ) );
-    ( "scache-rr",
-      ( "scache matrix: two readers on their own refcount slots (may \
-         interleave)",
-        Scenarios.scache_rr ) );
-    ( "vm-cache",
-      ( "read-mostly page-lookup storm on a scache-locked page cache",
-        fun () -> Scenarios.vm_cache_ops () ) );
-    ( "vm-cache-mutex",
-      ( "the same storm with the cache index under one flat mutex",
-        fun () -> Scenarios.vm_cache_ops ~locking:Vm.Vm_cache.Mutex () ) );
-    ( "scache-rrw",
-      ( "scache matrix, 3 cpus: two readers racing one writer (readers \
-         may interleave; a writer overlap is fatal)",
-        fun () -> ignore (Scenarios.scache_rrw ()) ) );
-    ( "rpc-serve",
-      ( "E20 RPC serving: clients hammer MiG servers through a sharded \
-         namespace with batched dispatch, then drain cleanly",
-        fun () ->
-          let served, drained =
-            Scenarios.rpc_serve ~shards:8 ~batch:8 ~calls_each:16 ()
-          in
-          Printf.printf "rpc-serve: served %d drained %d\n" served drained ) );
-    ( "rpc-serve-flat",
-      ( "the same workload through the single global registry, batch=1 \
-         (the unsharded baseline)",
-        fun () ->
-          let served, drained = Scenarios.rpc_serve ~calls_each:16 () in
-          Printf.printf "rpc-serve: served %d drained %d\n" served drained ) );
-    ( "rpc-serve-drain",
-      ( "RPC serving terminated under load: in-flight requests are \
-         answered err_deactivated, refcounts audited",
-        fun () ->
-          let served, drained =
-            Scenarios.rpc_serve ~shards:4 ~batch:4 ~calls_each:16
-              ~drain_under_load:true ()
-          in
-          Printf.printf "rpc-serve: served %d drained %d\n" served drained ) );
-    ( "queue-locks",
-      ( "one contended critical section per queue-lock protocol \
-         (ticket, MCS, Anderson) plus a big-reader read burst",
-        fun () ->
-          let module Lp = Mach_core.Lock_proto in
-          List.iter
-            (fun proto ->
-              let l =
-                Ksync.Slock.make ~name:("ql." ^ Lp.name proto) ~proto ()
-              in
-              let c = Engine.Cell.make ~name:"ql.count" 0 in
-              let ts =
-                List.init
-                  (Engine.cpu_count ())
-                  (fun _ ->
-                    Engine.spawn (fun () ->
-                        for _ = 1 to 5 do
-                          Ksync.Slock.lock l;
-                          ignore (Engine.Cell.fetch_and_add c 1);
-                          Engine.cycles 20;
-                          Ksync.Slock.unlock l
-                        done))
-              in
-              List.iter Engine.join ts)
-            Ksync.Locks.all;
-          let br = Ksync.Locks.Brlock.make ~name:"ql.br" in
-          let ts =
-            List.init
-              (Engine.cpu_count ())
-              (fun _ ->
-                Engine.spawn (fun () ->
-                    for _ = 1 to 5 do
-                      Ksync.Locks.Brlock.with_read br (fun () ->
-                          Engine.cycles 10)
-                    done))
-          in
-          List.iter Engine.join ts ) );
-  ]
-
-let scenario_names = List.map fst scenarios
-
-let lookup_scenario name =
-  match List.assoc_opt name scenarios with
-  | Some (_, f) -> f
-  | None ->
-      Printf.eprintf "unknown scenario %S; known scenarios:\n" name;
-      List.iter
-        (fun (n, (d, _)) -> Printf.eprintf "  %-22s %s\n" n d)
-        scenarios;
-      exit 2
 
 (* ------------------------------------------------------------------ *)
 (* Common options                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Below its cpu minimum a body's own argument check would panic and
+   report a bug that does not exist: exit 2 before anything runs. *)
+let check_cpus ~cpus (e : Scenarios.entry) =
+  if cpus < e.min_cpus then begin
+    Printf.eprintf "%s needs at least %d cpus\n" e.name e.min_cpus;
+    exit 2
+  end
+
+(* The body of the named registry entry; exit 2 for an unknown name. *)
+let scenario name ~cpus =
+  match Scenarios.find name with
+  | Some e ->
+      check_cpus ~cpus e;
+      e.run
+  | None ->
+      Printf.eprintf "unknown scenario %S; known scenarios:\n" name;
+      List.iter
+        (fun (e : Scenarios.entry) ->
+          Printf.eprintf "  %-22s %s\n" e.name e.doc)
+        Scenarios.all;
+      exit 2
+
 let scenario_arg =
-  let doc =
-    "Scenario to run. One of: " ^ String.concat ", " scenario_names ^ "."
-  in
+  let names = List.map (fun (e : Scenarios.entry) -> e.name) Scenarios.all in
+  let doc = "Scenario to run. One of: " ^ String.concat ", " names ^ "." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc)
 
 let cpus_arg =
@@ -333,30 +75,37 @@ let policy_arg =
     & info [ "policy"; "p" ] ~docv:"POLICY"
         ~doc:"Scheduling policy: random, round-robin or timed.")
 
+let top_arg ~doc =
+  Arg.(value & opt int 10 & info [ "top"; "t" ] ~docv:"N" ~doc)
+
+let json_arg ~doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+(* The --json document of [profile] and [report]. *)
+let print_json name fields =
+  print_endline
+    (Obs_json.to_string
+       (Obs_json.Obj (("scenario", Obs_json.String name) :: fields)))
+
+(* How a run ended; the exit status is 0 only for a completed run.
+   [profile] leaves the completed run's stats out of its report. *)
+let print_outcome ?(stats = true) outcome =
+  (match outcome with
+  | Engine.Completed s ->
+      if stats then Format.printf "completed: %a@." Engine.pp_stats s
+  | Engine.Deadlocked (_, r) -> Format.printf "deadlocked:@.%s@." r
+  | Engine.Panicked m -> Format.printf "panicked: %s@." m
+  | Engine.Hit_step_limit -> Format.printf "step limit@.");
+  match outcome with Engine.Completed _ -> 0 | _ -> 1
+
 (* ------------------------------------------------------------------ *)
 (* Subcommands                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let run_cmd =
-  let run scenario cpus seed policy =
+  let run name cpus seed policy =
+    let body = scenario name ~cpus in
     let cfg = { Config.default with Config.cpus; seed; policy } in
-    match Engine.run_outcome ~cfg (lookup_scenario scenario) with
-    | Engine.Completed stats ->
-        Format.printf "completed: %a@." Engine.pp_stats stats;
-        0
-    | Engine.Deadlocked (kind, report) ->
-        Format.printf "DEADLOCK (%s):@.%s@."
-          (match kind with
-          | Engine.Sleep_deadlock -> "sleep"
-          | Engine.Spin_deadlock -> "spin/livelock")
-          report;
-        1
-    | Engine.Panicked msg ->
-        Format.printf "KERNEL PANIC: %s@." msg;
-        1
-    | Engine.Hit_step_limit ->
-        Format.printf "step limit reached@.";
-        1
+    print_outcome (Engine.run_outcome ~cfg body)
   in
   let term = Term.(const run $ scenario_arg $ cpus_arg $ seed_arg $ policy_arg) in
   Cmd.v
@@ -377,7 +126,7 @@ let explore_cmd =
             "Fan the seeds out across $(docv) OCaml domains.  The verdict \
              is identical to the sequential run for every value.")
   in
-  let run scenario cpus seeds domains =
+  let run name cpus seeds domains =
     if domains < 1 then begin
       Printf.eprintf "explore: --domains must be at least 1 (got %d)\n" domains;
       exit 2
@@ -385,7 +134,7 @@ let explore_cmd =
     let v =
       Explore.run ~cpus ~domains
         ~seeds:(List.init seeds (fun i -> i + 1))
-        (lookup_scenario scenario)
+        (scenario name ~cpus)
     in
     Format.printf "%a@." Explore.pp_verdict v;
     (match v.Explore.failures with
@@ -408,35 +157,30 @@ let explore_cmd =
    exporter validates its own output, so a malformed document fails loudly
    here rather than in chrome://tracing. *)
 let export_chrome_trace ~out events =
-  let doc = Trace.chrome_json events in
   match
-    let oc = open_out out in
-    output_string oc (Obs_json.to_string doc);
-    output_char oc '\n';
-    close_out oc
+    Out_channel.with_open_text out (fun oc ->
+        output_string oc (Obs_json.to_string (Trace.chrome_json events));
+        output_char oc '\n')
   with
   | exception Sys_error msg ->
       Printf.eprintf "cannot write trace (%s)\n" msg;
       1
-  | () ->
-  (
-  let ic = open_in_bin out in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  match Obs_json.of_string text with
-  | Error msg ->
-      Printf.eprintf "trace JSON INVALID (%s): %s\n" out msg;
-      1
-  | Ok doc -> (
-      match Obs_json.member "traceEvents" doc with
-      | Some (Obs_json.List evs) ->
-          Printf.printf "trace JSON ok: %d events -> %s\n" (List.length evs)
-            out;
-          0
-      | _ ->
-          Printf.eprintf "trace JSON INVALID (%s): no traceEvents array\n" out;
-          1))
+  | () -> (
+      let text = In_channel.with_open_bin out In_channel.input_all in
+      match Obs_json.of_string text with
+      | Error msg ->
+          Printf.eprintf "trace JSON INVALID (%s): %s\n" out msg;
+          1
+      | Ok doc -> (
+          match Obs_json.member "traceEvents" doc with
+          | Some (Obs_json.List evs) ->
+              Printf.printf "trace JSON ok: %d events -> %s\n"
+                (List.length evs) out;
+              0
+          | _ ->
+              Printf.eprintf "trace JSON INVALID (%s): no traceEvents array\n"
+                out;
+              1))
 
 let trace_cmd =
   let limit_arg =
@@ -453,9 +197,10 @@ let trace_cmd =
             "Export the full trace as Chrome trace-event JSON (loadable in \
              chrome://tracing or Perfetto) instead of printing the tail.")
   in
-  let run scenario cpus seed limit out =
+  let run name cpus seed limit out =
+    let body = scenario name ~cpus in
     let cfg = { Config.default with Config.cpus; seed; trace = true } in
-    let outcome = Engine.run_outcome ~cfg (lookup_scenario scenario) in
+    let outcome = Engine.run_outcome ~cfg body in
     let events = Engine.trace_events () in
     let status =
       match out with
@@ -480,11 +225,7 @@ let trace_cmd =
           d.Trace.dropped_spans d.Trace.dropped_events d.Trace.disabled_spans
           d.Trace.disabled_events
     | None -> ());
-    (match outcome with
-    | Engine.Completed stats -> Format.printf "completed: %a@." Engine.pp_stats stats
-    | Engine.Deadlocked (_, r) -> Format.printf "deadlocked:@.%s@." r
-    | Engine.Panicked m -> Format.printf "panicked: %s@." m
-    | Engine.Hit_step_limit -> Format.printf "step limit@.");
+    ignore (print_outcome outcome);
     status
   in
   let term =
@@ -498,58 +239,40 @@ let trace_cmd =
     term
 
 let profile_cmd =
-  let top_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "top"; "t" ] ~docv:"N" ~doc:"Lock classes to show.")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the profile and metrics registry as JSON instead of text.")
-  in
-  let run scenario cpus seed top json =
+  let run name cpus seed top json =
+    let body = scenario name ~cpus in
     (* Profile state is global and survives previous runs in this process;
        start from a clean slate so the report covers this scenario only. *)
     Obs_profile.reset ();
     Obs_metrics.reset ();
     let cfg = { Config.default with Config.cpus; seed } in
-    let outcome = Engine.run_outcome ~cfg (lookup_scenario scenario) in
+    let outcome = Engine.run_outcome ~cfg body in
     if json then
-      print_endline
-        (Obs_json.to_string
-           (Obs_json.Obj
-              [
-                ("scenario", Obs_json.String scenario);
-                ("profile", Obs_profile.to_json ());
-                ( "spans",
-                  match Obs_span.last () with
-                  | Some v -> Obs_span.to_json v
-                  | None -> Obs_json.Null );
-                ("metrics", Obs_metrics.to_json ());
-              ]))
+      print_json name
+        [
+          ("profile", Obs_profile.to_json ());
+          ( "spans",
+            Option.fold ~none:Obs_json.Null ~some:Obs_span.to_json
+              (Obs_span.last ()) );
+          ("metrics", Obs_metrics.to_json ());
+        ]
     else begin
-      Format.printf "%a@." (fun ppf () -> Obs_profile.pp_report ~top_n:top ppf ()) ();
+      Format.printf "%a@."
+        (fun ppf () -> Obs_profile.pp_report ~top_n:top ppf ())
+        ();
       (match Obs_span.last () with
       | Some v -> Format.printf "%a@." (Obs_span.pp_blockers ~top_n:top) v
       | None -> ());
       Format.printf "metrics:@.%a" Obs_metrics.pp ()
     end;
-    match outcome with
-    | Engine.Completed _ -> 0
-    | Engine.Deadlocked (_, r) ->
-        Format.printf "deadlocked:@.%s@." r;
-        1
-    | Engine.Panicked m ->
-        Format.printf "panicked: %s@." m;
-        1
-    | Engine.Hit_step_limit ->
-        Format.printf "step limit@.";
-        1
+    print_outcome ~stats:false outcome
   in
   let term =
-    Term.(const run $ scenario_arg $ cpus_arg $ seed_arg $ top_arg $ json_arg)
+    Term.(
+      const run $ scenario_arg $ cpus_arg $ seed_arg
+      $ top_arg ~doc:"Lock classes to show."
+      $ json_arg
+          ~doc:"Emit the profile and metrics registry as JSON instead of text.")
   in
   Cmd.v
     (Cmd.info "profile"
@@ -560,41 +283,21 @@ let profile_cmd =
     term
 
 let report_cmd =
-  let top_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "top"; "t" ] ~docv:"N" ~doc:"Sites / edges / classes to show.")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the causal report as JSON instead of text.")
-  in
-  let run scenario cpus seed policy top json =
+  let run name cpus seed policy top json =
+    let body = scenario name ~cpus in
     Obs_profile.reset ();
     (* Tracing feeds the critical-path pass; track_waits feeds the
        waits-for graph so a deadlocked run still prints a diagnosis
        (with the flight-recorder dump the engine appends to it). *)
     let cfg =
-      {
-        Config.default with
-        Config.cpus;
-        seed;
-        policy;
-        trace = true;
-        track_waits = true;
-      }
+      { Config.default with Config.cpus; seed; policy; trace = true;
+        track_waits = true }
     in
-    let outcome = Engine.run_outcome ~cfg (lookup_scenario scenario) in
-    let view =
-      match Obs_span.last () with
-      | Some v -> v
-      | None -> Obs_span.empty_view
-    in
+    let outcome = Engine.run_outcome ~cfg body in
+    let view = Option.value (Obs_span.last ()) ~default:Obs_span.empty_view in
     let makespan =
-      match Engine.last_stats () with
-      | Some s -> s.Engine.makespan
-      | None -> 0
+      Option.fold ~none:0 ~some:(fun s -> s.Engine.makespan)
+        (Engine.last_stats ())
     in
     let evs =
       List.map
@@ -604,46 +307,31 @@ let report_cmd =
     in
     let cp = Obs_cp.compute ~makespan evs in
     if json then
-      print_endline
-        (Obs_json.to_string
-           (Obs_json.Obj
-              [
-                ("scenario", Obs_json.String scenario);
-                ("spans", Obs_span.to_json view);
-                ("critical_path", Obs_cp.to_json cp);
-                ("profile", Obs_profile.to_json ());
-              ]))
+      print_json name
+        [
+          ("spans", Obs_span.to_json view);
+          ("critical_path", Obs_cp.to_json cp);
+          ("profile", Obs_profile.to_json ());
+        ]
     else begin
       Format.printf "%a@." (Obs_span.pp_blockers ~top_n:top) view;
       Format.printf "%a@." Obs_cp.pp cp;
       (match Obs_cp.dominant cp with
       | Some a ->
           Format.printf "dominant: %s  (%.1f%% of the critical path)@."
-            a.Obs_cp.cls
-            (100. *. a.Obs_cp.fraction)
+            a.Obs_cp.cls (100. *. a.Obs_cp.fraction)
       | None -> Format.printf "dominant: none (no attributable waits)@.");
       Format.printf "%a" Obs_span.pp_flight view
     end;
-    match outcome with
-    | Engine.Completed stats ->
-        Format.printf "completed: %a@." Engine.pp_stats stats;
-        0
-    | Engine.Deadlocked (_, r) ->
-        (* The report already carries the flight-recorder dump the engine
-           appended when it diagnosed the hang. *)
-        Format.printf "deadlocked:@.%s@." r;
-        1
-    | Engine.Panicked m ->
-        Format.printf "panicked: %s@." m;
-        1
-    | Engine.Hit_step_limit ->
-        Format.printf "step limit@.";
-        1
+    (* A deadlock's report already carries the flight-recorder dump the
+       engine appended when it diagnosed the hang. *)
+    print_outcome outcome
   in
   let term =
     Term.(
-      const run $ scenario_arg $ cpus_arg $ seed_arg $ policy_arg $ top_arg
-      $ json_arg)
+      const run $ scenario_arg $ cpus_arg $ seed_arg $ policy_arg
+      $ top_arg ~doc:"Sites / edges / classes to show."
+      $ json_arg ~doc:"Emit the causal report as JSON instead of text.")
   in
   Cmd.v
     (Cmd.info "report"
@@ -657,10 +345,20 @@ let report_cmd =
 
 let list_cmd =
   let run () =
-    List.iter (fun (n, (d, _)) -> Printf.printf "%-22s %s\n" n d) scenarios;
+    List.iter
+      (fun (e : Scenarios.entry) ->
+        Printf.printf "%-22s %d+ cpus  %-9s  %s\n" e.name e.min_cpus
+          (match e.expect with
+          | Scenarios.Completes -> "completes"
+          | Scenarios.Deadlocks -> "deadlocks")
+          e.doc)
+      Scenarios.all;
     0
   in
-  Cmd.v (Cmd.info "list" ~doc:"List available scenarios.") Term.(const run $ const ())
+  Cmd.v
+    (Cmd.info "list"
+       ~doc:"List the scenarios: name, fewest cpus, expected end, summary.")
+    Term.(const run $ const ())
 
 (* ------------------------------------------------------------------ *)
 (* chaos: fault injection + deadlock detection                          *)
@@ -674,7 +372,6 @@ let contains hay needle =
 let chaos_cmd =
   let module Chaos = Mach_chaos.Chaos in
   let module Fault = Mach_chaos.Chaos_fault in
-  let module Cs = Mach_chaos.Chaos_scenarios in
   let seeds_arg =
     Arg.(
       value & opt int 20
@@ -687,127 +384,118 @@ let chaos_cmd =
           ~doc:"Fault odds: each injected class fires with 1-in-$(docv) \
                 probability per opportunity.")
   in
+  let print_failure ?(note = "") (r : Chaos.result) =
+    Format.printf "seed %d: %s%s@.%s@." r.Chaos.seed
+      (Chaos.detection_name r.Chaos.detection)
+      note r.Chaos.report
+  in
   let run cpus seeds intensity =
-    let ok = ref true in
+    List.iter (check_cpus ~cpus) Chaos.scenarios;
+    let body name = (Scenarios.get name).run in
+    (* The first failing seed of [name] under [faults], which passes only
+       if its report names [needle]. *)
+    let first_failure ~faults ~needle ~diagnosis ~missing name =
+      match
+        Chaos.find_first_failure ~cpus ~max_seeds:seeds ~faults (body name)
+      with
+      | Some r when contains r.Chaos.report needle ->
+          print_failure r;
+          true
+      | Some r ->
+          print_failure r
+            ~note:(Printf.sprintf " (no %s diagnosed)" diagnosis);
+          false
+      | None ->
+          Format.printf "no %s within %d seeds@." missing seeds;
+          false
+    in
     (* 1. The section 7 interrupt deadlock: no injection needed; the
        detector must close the waits-for cycle. *)
     Format.printf "== section 7 interrupt deadlock (no injection) ==@.";
-    (match
-       Chaos.find_first_failure ~cpus ~max_seeds:seeds ~faults:(Fault.mix [])
-         Cs.interrupt_deadlock
-     with
-    | Some r when contains r.Chaos.report "waits-for cycle" ->
-        Format.printf "seed %d: %s@.%s@." r.Chaos.seed
-          (Chaos.detection_name r.Chaos.detection)
-          r.Chaos.report
-    | Some r ->
-        ok := false;
-        Format.printf "seed %d: %s (no cycle diagnosed)@.%s@." r.Chaos.seed
-          (Chaos.detection_name r.Chaos.detection)
-          r.Chaos.report
-    | None ->
-        ok := false;
-        Format.printf "no deadlock within %d seeds@." seeds);
+    let cycle =
+      first_failure ~faults:(Fault.mix []) ~needle:"waits-for cycle"
+        ~diagnosis:"cycle" ~missing:"deadlock" "interrupt-deadlock"
+    in
     (* 2. The section 6 lost wakeup: a correct handoff protocol driven
        into a hang by the drop-wakeup injection; the detector must name
        the orphaned waiter.  Prefer the seed whose victim is the event
        waiter itself (the canonical lost-wakeup trace). *)
     Format.printf "@.== section 6 lost wakeup (drop-wakeup injection) ==@.";
     let drop = Fault.mix ~intensity [ Fault.Drop_wakeup ] in
-    let first_lost = ref None and first_orphan = ref None in
-    let seed = ref 1 in
-    while !first_lost = None && !seed <= seeds do
-      let r = Chaos.run_one ~cpus ~seed:!seed ~faults:drop Cs.lost_wakeup_handoff in
-      (if Chaos.detected r.Chaos.detection then
-         if contains r.Chaos.report "never arrived" then first_lost := Some r
-         else if !first_orphan = None then first_orphan := Some r);
-      incr seed
-    done;
-    (match (!first_lost, !first_orphan) with
-    | Some r, _ | None, Some r ->
-        Format.printf "seed %d: %s@.%s@." r.Chaos.seed
-          (Chaos.detection_name r.Chaos.detection)
-          r.Chaos.report
-    | None, None ->
-        ok := false;
-        Format.printf "no lost wakeup within %d seeds@." seeds);
+    let rec scan seed orphan =
+      if seed > seeds then orphan
+      else
+        let r =
+          Chaos.run_one ~cpus ~seed ~faults:drop (body "lost-wakeup-handoff")
+        in
+        if not (Chaos.detected r.Chaos.detection) then scan (seed + 1) orphan
+        else if contains r.Chaos.report "never arrived" then Some r
+        else scan (seed + 1) (if orphan = None then Some r else orphan)
+    in
+    let lost =
+      match scan 1 None with
+      | Some r ->
+          print_failure r;
+          true
+      | None ->
+          Format.printf "no lost wakeup within %d seeds@." seeds;
+          false
+    in
     (* 2b. The queue-lock analogue of the lost wakeup: MCS release hands
        off by storing to the successor's spin cell; dropping that store
        strands the waiter, and the detector must call it a lost
        handoff. *)
     Format.printf "@.== MCS lost handoff (drop-handoff injection) ==@.";
     let droph = Fault.mix ~intensity [ Fault.Drop_handoff ] in
-    (match
-       Chaos.find_first_failure ~cpus ~max_seeds:seeds ~faults:droph
-         (fun () -> Cs.mcs_handoff ())
-     with
-    | Some r when contains r.Chaos.report "lost handoff" ->
-        Format.printf "seed %d: %s@.%s@." r.Chaos.seed
-          (Chaos.detection_name r.Chaos.detection)
-          r.Chaos.report
-    | Some r ->
-        ok := false;
-        Format.printf "seed %d: %s (no lost handoff diagnosed)@.%s@."
-          r.Chaos.seed
-          (Chaos.detection_name r.Chaos.detection)
-          r.Chaos.report
-    | None ->
-        ok := false;
-        Format.printf "no lost handoff within %d seeds@." seeds);
+    let mcs =
+      first_failure ~faults:droph ~needle:"lost handoff"
+        ~diagnosis:"lost handoff" ~missing:"lost handoff" "mcs-handoff"
+    in
     (* 2c. Same hazard on the scache RW lock: the writer release grants
        the next FIFO ticket by a single store; dropping it strands the
        queued writer mid-sweep protocol. *)
-    Format.printf "@.== scache lost writer handoff (drop-handoff injection) ==@.";
-    (match
-       Chaos.find_first_failure ~cpus ~max_seeds:seeds ~faults:droph
-         (fun () -> Cs.scache_handoff ())
-     with
-    | Some r when contains r.Chaos.report "lost handoff" ->
-        Format.printf "seed %d: %s@.%s@." r.Chaos.seed
-          (Chaos.detection_name r.Chaos.detection)
-          r.Chaos.report
-    | Some r ->
-        ok := false;
-        Format.printf "seed %d: %s (no lost handoff diagnosed)@.%s@."
-          r.Chaos.seed
-          (Chaos.detection_name r.Chaos.detection)
-          r.Chaos.report
-    | None ->
-        ok := false;
-        Format.printf "no scache lost handoff within %d seeds@." seeds);
+    Format.printf
+      "@.== scache lost writer handoff (drop-handoff injection) ==@.";
+    let scache =
+      first_failure ~faults:droph ~needle:"lost handoff"
+        ~diagnosis:"lost handoff" ~missing:"scache lost handoff"
+        "scache-handoff"
+    in
     (* 3. Fault-mix minimization: start from every class at once and
        shrink while the first failing seed keeps failing. *)
     Format.printf "@.== first-failure minimization ==@.";
     let full = Fault.mix ~intensity Fault.all in
+    let handoff = body "lost-wakeup-handoff" in
     (match
-       Chaos.find_first_failure ~cpus ~max_seeds:seeds ~faults:full
-         Cs.lost_wakeup_handoff
+       Chaos.find_first_failure ~cpus ~max_seeds:seeds ~faults:full handoff
      with
     | Some r ->
-        let minimal = Chaos.minimize ~cpus ~seed:r.Chaos.seed ~faults:full
-                        Cs.lost_wakeup_handoff in
+        let minimal =
+          Chaos.minimize ~cpus ~seed:r.Chaos.seed ~faults:full handoff
+        in
         Format.printf "seed %d fails under {%s}; minimal mix {%s}@."
           r.Chaos.seed
           (String.concat ", " (List.map Fault.name (Fault.mix_classes full)))
           (String.concat ", " (List.map Fault.name (Fault.mix_classes minimal)))
-    | None -> Format.printf "full mix produced no failure within %d seeds@." seeds);
+    | None ->
+        Format.printf "full mix produced no failure within %d seeds@." seeds);
     (* 4. Detection-rate sweep: one row per fault class per scenario. *)
     Format.printf "@.== detection sweep (%d seeds each) ==@." seeds;
     Format.printf "%-22s %-18s %s@." "scenario" "fault class" "detections";
     List.iter
-      (fun (sname, scenario) ->
+      (fun (e : Scenarios.entry) ->
         List.iter
           (fun cls ->
             let s =
               Chaos.sweep ~cpus ~seeds
                 ~faults:(Fault.mix ~intensity [ cls ])
-                scenario
+                e.run
             in
-            Format.printf "%-22s %-18s %a@." sname (Fault.name cls)
+            Format.printf "%-22s %-18s %a@." e.name (Fault.name cls)
               Chaos.pp_sweep s)
           Fault.all)
-      Cs.all;
-    if !ok then 0 else 1
+      Chaos.scenarios;
+    if cycle && lost && mcs && scache then 0 else 1
   in
   let term = Term.(const run $ cpus_arg $ seeds_arg $ intensity_arg) in
   Cmd.v
@@ -883,41 +571,25 @@ let mc_cmd =
       & info [ "no-baseline" ]
           ~doc:"Skip the capped naive baseline run (no reduction ratio).")
   in
-  let read_file = function
-    | "-" -> In_channel.input_all stdin
-    | f -> In_channel.with_open_text f In_channel.input_all
-  in
-  let run scenario cpus mode bound max_execs max_steps domains replay
+  let run name cpus mode bound max_execs max_steps domains replay
       no_baseline =
-    let scen = lookup_scenario scenario in
+    let scen = scenario name ~cpus in
     match replay with
     | Some file -> (
-        match Mc.trace_of_string (read_file file) with
+        let text =
+          if file = "-" then In_channel.input_all stdin
+          else In_channel.with_open_text file In_channel.input_all
+        in
+        match Mc.trace_of_string text with
         | Error e ->
             Printf.eprintf "mc --replay: %s\n" e;
             2
-        | Ok trace -> (
+        | Ok trace ->
             let outcome, recorded =
               Mc.replay ~cpus ~max_steps ~trace scen
             in
             print_string (Mc.trace_to_string recorded);
-            match outcome with
-            | Engine.Completed stats ->
-                Format.printf "replay completed: %a@." Engine.pp_stats stats;
-                0
-            | Engine.Deadlocked (kind, report) ->
-                Format.printf "replay DEADLOCK (%s):@.%s@."
-                  (match kind with
-                  | Engine.Sleep_deadlock -> "sleep"
-                  | Engine.Spin_deadlock -> "spin/livelock")
-                  report;
-                1
-            | Engine.Panicked msg ->
-                Format.printf "replay KERNEL PANIC: %s@." msg;
-                1
-            | Engine.Hit_step_limit ->
-                Format.printf "replay hit the step bound@.";
-                1))
+            print_outcome outcome)
     | None ->
         let r =
           Mc.check ~cpus ~mode ?bound ~max_steps

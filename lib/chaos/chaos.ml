@@ -152,3 +152,16 @@ let minimize ?(cpus = 4) ?(max_steps = default_max_steps)
       end
       else f)
     faults Chaos_fault.all
+
+(* The chaos set: the registry scenarios every detection sweep covers —
+   the section 7 bug, which deadlocks with no injection, and four correct
+   protocols that hang only under an injected fault. *)
+let scenarios =
+  List.map Mach_kernel.Scenarios.get
+    [
+      "interrupt-deadlock";
+      "lost-wakeup-handoff";
+      "wakeup-herd";
+      "mcs-handoff";
+      "scache-handoff";
+    ]

@@ -72,3 +72,10 @@ val minimize :
     failing (re-checked through {!Mach_sim.Sim_explore.run}); returns a
     locally-minimal mix, possibly empty for scenarios that fail without
     injection. *)
+
+val scenarios : Mach_kernel.Scenarios.entry list
+(** The chaos set, in sweep order: [interrupt-deadlock] (the section 7
+    bug, a waits-for cycle with no injection), [lost-wakeup-handoff] and
+    [wakeup-herd] (section 6 handoffs that hang only when a wakeup is
+    dropped) and [mcs-handoff] and [scache-handoff] (queue locks that
+    hang only when a release handoff is dropped). *)

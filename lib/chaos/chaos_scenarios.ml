@@ -1,114 +1,5 @@
-module Engine = Mach_sim.Sim_engine
-module K = Mach_ksync.Ksync
-
-(* A correct assert_wait / thread_block / thread_wakeup handoff (the
-   protocol section 6 prescribes): the producer publishes the datum, then
-   wakes the event; the consumer re-checks the condition around every
-   block, so no schedule alone can hang it.  Only an injected fault — a
-   dropped or lost wakeup — leaves the consumer parked forever, which is
-   exactly what the detector's orphaned-waiter analysis must explain. *)
-let lost_wakeup_handoff () =
-  let flag = Engine.Cell.make ~name:"handoff.flag" 0 in
-  let ev = K.Ev.fresh_event () in
-  let consumer =
-    Engine.spawn ~name:"consumer" (fun () ->
-        let rec wait () =
-          if Engine.Cell.get flag = 0 then begin
-            K.Ev.assert_wait ev;
-            if Engine.Cell.get flag = 0 then ignore (K.Ev.thread_block ())
-            else K.Ev.cancel_assert ();
-            wait ()
-          end
-        in
-        wait ())
-  in
-  let producer =
-    Engine.spawn ~name:"producer" (fun () ->
-        Engine.cycles 200;
-        Engine.Cell.set flag 1;
-        ignore (K.Ev.thread_wakeup ev))
-  in
-  Engine.join producer;
-  Engine.join consumer
-
-(* Several sleepers on one event woken by a single broadcast; widens the
-   window for drop/delay injections (each sleeper's unpark is a separate
-   opportunity). *)
-let wakeup_herd ?(sleepers = 4) () =
-  let flag = Engine.Cell.make ~name:"herd.flag" 0 in
-  let ev = K.Ev.fresh_event () in
-  let ts =
-    List.init sleepers (fun i ->
-        Engine.spawn ~name:(Printf.sprintf "sleeper%d" i) (fun () ->
-            let rec wait () =
-              if Engine.Cell.get flag = 0 then begin
-                K.Ev.assert_wait ev;
-                if Engine.Cell.get flag = 0 then ignore (K.Ev.thread_block ())
-                else K.Ev.cancel_assert ();
-                wait ()
-              end
-            in
-            wait ()))
-  in
-  let waker =
-    Engine.spawn ~name:"waker" (fun () ->
-        Engine.cycles 300;
-        Engine.Cell.set flag 1;
-        ignore (K.Ev.thread_wakeup ev))
-  in
-  Engine.join waker;
-  List.iter Engine.join ts
-
-(* The section 7 three-processor interrupt deadlock, undisciplined: the
-   canonical waits-for-cycle target. *)
-let interrupt_deadlock () =
-  Mach_kernel.Scenarios.interrupt_barrier_scenario ~disciplined:false ()
-
-(* Workers contending an MCS queue lock: release is an explicit store to
-   the successor's spin cell, so the [Drop_handoff] class can strand a
-   waiter in a local spin on a lock nobody holds — the queue-lock
-   analogue of the lost wakeup, reported as a "lost handoff" by the
-   waits-for analyzer's spin-deadlock orphan pass. *)
-let mcs_handoff ?(workers = 3) () =
-  let l = K.Slock.make ~name:"mcs" ~proto:K.Locks.mcs () in
-  let c = Engine.Cell.make ~name:"mcs.count" 0 in
-  let ts =
-    List.init workers (fun i ->
-        Engine.spawn ~name:(Printf.sprintf "worker%d" i) (fun () ->
-            for _ = 1 to 3 do
-              K.Slock.lock l;
-              ignore (Engine.Cell.fetch_and_add c 1);
-              Engine.cycles 30;
-              K.Slock.unlock l
-            done))
-  in
-  List.iter Engine.join ts
-
-(* The scache writer release is an explicit handoff too: the grant store
-   that admits the next queued writer ticket.  Workers contend the
-   writer side through Simple_lock (which supplies the waits-for edges),
-   so a dropped grant strands the successor spinning on a lock nobody
-   holds — the analyzer's "lost handoff", now on the scache sweep. *)
-let scache_handoff ?(workers = 3) () =
-  let l = K.Slock.make ~name:"scache" ~proto:K.Locks.scache_writer () in
-  let c = Engine.Cell.make ~name:"scache.count" 0 in
-  let ts =
-    List.init workers (fun i ->
-        Engine.spawn ~name:(Printf.sprintf "worker%d" i) (fun () ->
-            for _ = 1 to 3 do
-              K.Slock.lock l;
-              ignore (Engine.Cell.fetch_and_add c 1);
-              Engine.cycles 30;
-              K.Slock.unlock l
-            done))
-  in
-  List.iter Engine.join ts
-
-let all =
-  [
-    ("interrupt-deadlock", interrupt_deadlock);
-    ("lost-wakeup-handoff", lost_wakeup_handoff);
-    ("wakeup-herd", fun () -> wakeup_herd ());
-    ("mcs-handoff", fun () -> mcs_handoff ());
-    ("scache-handoff", fun () -> scache_handoff ());
-  ]
+(* The two scenario bodies the repository benchmark names by these paths;
+   both live in the registry (Mach_kernel.Scenarios), and the chaos set is
+   [Chaos.scenarios]. *)
+let lost_wakeup_handoff = Mach_kernel.Scenarios.lost_wakeup_handoff
+let wakeup_herd = Mach_kernel.Scenarios.wakeup_herd

@@ -1,26 +1,9 @@
-(** Target scenarios for the chaos harness.  The wakeup scenarios follow
-    the correct section 6 protocol — they hang only when a fault is
-    injected; the interrupt scenario is the section 7 bug and deadlocks on
-    some schedules with no injection at all. *)
+(** Aliases kept for the repository benchmark, which names these two
+    bodies here.  Both are defined in {!Mach_kernel.Scenarios}; the chaos
+    set is {!Chaos.scenarios}. *)
 
 val lost_wakeup_handoff : unit -> unit
-(** One producer hands a flag to one consumer over an event. *)
+(** {!Mach_kernel.Scenarios.lost_wakeup_handoff}. *)
 
 val wakeup_herd : ?sleepers:int -> unit -> unit
-(** [sleepers] threads on one event, woken by a single broadcast. *)
-
-val interrupt_deadlock : unit -> unit
-(** {!Mach_kernel.Scenarios.interrupt_barrier_scenario} with the same-spl
-    discipline off. *)
-
-val mcs_handoff : ?workers:int -> unit -> unit
-(** Workers contending an MCS queue lock; hangs only when the
-    [Drop_handoff] fault class strands a waiter (lost handoff). *)
-
-val scache_handoff : ?workers:int -> unit -> unit
-(** Workers contending the scache writer side (FIFO ticket gate); hangs
-    only when [Drop_handoff] drops the release's grant store, stranding
-    the next queued writer (lost handoff on the scache sweep). *)
-
-val all : (string * (unit -> unit)) list
-(** Name-keyed registry for the CLI and the benchmarks. *)
+(** {!Mach_kernel.Scenarios.wakeup_herd}. *)

@@ -145,6 +145,139 @@ let same_spl_holder ~disciplined () =
   Engine.join device
 
 (* ------------------------------------------------------------------ *)
+(* The section 6 event-wait handoff                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A correct assert_wait / thread_block / thread_wakeup handoff (the
+   protocol section 6 prescribes): the producer publishes the datum, then
+   wakes the event; the consumer re-checks the condition around every
+   block, so no schedule alone can hang it.  Only an injected fault — a
+   dropped or lost wakeup — leaves the consumer parked forever, which is
+   exactly what the detector's orphaned-waiter analysis must explain. *)
+let lost_wakeup_handoff () =
+  let flag = Engine.Cell.make ~name:"handoff.flag" 0 in
+  let ev = K.Ev.fresh_event () in
+  let consumer =
+    Engine.spawn ~name:"consumer" (fun () ->
+        let rec wait () =
+          if Engine.Cell.get flag = 0 then begin
+            K.Ev.assert_wait ev;
+            if Engine.Cell.get flag = 0 then ignore (K.Ev.thread_block ())
+            else K.Ev.cancel_assert ();
+            wait ()
+          end
+        in
+        wait ())
+  in
+  let producer =
+    Engine.spawn ~name:"producer" (fun () ->
+        Engine.cycles 200;
+        Engine.Cell.set flag 1;
+        ignore (K.Ev.thread_wakeup ev))
+  in
+  Engine.join producer;
+  Engine.join consumer
+
+(* Several sleepers on one event woken by a single broadcast; widens the
+   window for drop/delay injections (each sleeper's unpark is a separate
+   opportunity). *)
+let wakeup_herd ?(sleepers = 4) () =
+  let flag = Engine.Cell.make ~name:"herd.flag" 0 in
+  let ev = K.Ev.fresh_event () in
+  let ts =
+    List.init sleepers (fun i ->
+        Engine.spawn ~name:(Printf.sprintf "sleeper%d" i) (fun () ->
+            let rec wait () =
+              if Engine.Cell.get flag = 0 then begin
+                K.Ev.assert_wait ev;
+                if Engine.Cell.get flag = 0 then ignore (K.Ev.thread_block ())
+                else K.Ev.cancel_assert ();
+                wait ()
+              end
+            in
+            wait ()))
+  in
+  let waker =
+    Engine.spawn ~name:"waker" (fun () ->
+        Engine.cycles 300;
+        Engine.Cell.set flag 1;
+        ignore (K.Ev.thread_wakeup ev))
+  in
+  Engine.join waker;
+  List.iter Engine.join ts
+
+(* ------------------------------------------------------------------ *)
+(* One contended lock                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every cpu takes [lock] [iters] times; the critical section updates
+   four shared cells (so spin bus traffic delays useful work) and spends
+   20 cycles. *)
+let contention ~lock ~iters () =
+  let data = Array.init 4 (fun _ -> Engine.Cell.make ~name:"d" 0) in
+  let ts =
+    List.init (Engine.cpu_count ()) (fun _ ->
+        Engine.spawn (fun () ->
+            for _ = 1 to iters do
+              K.Slock.lock lock;
+              Array.iter (fun d -> ignore (Engine.Cell.fetch_and_add d 1)) data;
+              Engine.cycles 20;
+              K.Slock.unlock lock
+            done))
+  in
+  List.iter Engine.join ts
+
+(* Workers contending a lock whose release is an explicit handoff: the
+   MCS store to the successor's spin cell, or the scache grant that
+   admits the next writer ticket.  Dropping that store ([Drop_handoff])
+   strands a waiter spinning on a lock nobody holds — the queue-lock
+   analogue of the lost wakeup, reported as a "lost handoff" by the
+   waits-for analyzer's spin-deadlock orphan pass. *)
+let handoff_workers ~name ~proto ?(workers = 3) () =
+  let l = K.Slock.make ~name ~proto () in
+  let c = Engine.Cell.make ~name:(name ^ ".count") 0 in
+  let ts =
+    List.init workers (fun i ->
+        Engine.spawn ~name:(Printf.sprintf "worker%d" i) (fun () ->
+            for _ = 1 to 3 do
+              K.Slock.lock l;
+              ignore (Engine.Cell.fetch_and_add c 1);
+              Engine.cycles 30;
+              K.Slock.unlock l
+            done))
+  in
+  List.iter Engine.join ts
+
+(* One contended critical section per queue-lock protocol, then a
+   big-reader read burst. *)
+let queue_locks () =
+  let spawn_all body =
+    let ts =
+      List.init (Engine.cpu_count ()) (fun _ -> Engine.spawn body)
+    in
+    List.iter Engine.join ts
+  in
+  List.iter
+    (fun proto ->
+      let l =
+        K.Slock.make ~name:("ql." ^ Mach_core.Lock_proto.name proto) ~proto ()
+      in
+      let c = Engine.Cell.make ~name:"ql.count" 0 in
+      spawn_all (fun () ->
+          for _ = 1 to 5 do
+            K.Slock.lock l;
+            ignore (Engine.Cell.fetch_and_add c 1);
+            Engine.cycles 20;
+            K.Slock.unlock l
+          done))
+    K.Locks.all;
+  let br = K.Locks.Brlock.make ~name:"ql.br" in
+  spawn_all (fun () ->
+      for _ = 1 to 5 do
+        K.Locks.Brlock.with_read br (fun () -> Engine.cycles 10)
+      done)
+
+(* ------------------------------------------------------------------ *)
 (* Locking granularity                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -282,12 +415,81 @@ let null_rpc_workload kernel ~clients ~calls_each =
   List.iter Engine.join ts
 
 (* ------------------------------------------------------------------ *)
+(* TLB shootdown and vm_map_pageable (experiments E10, E6)              *)
+(* ------------------------------------------------------------------ *)
+
+module Pmap = Mach_vm.Pmap
+module Vm_map = Mach_vm.Vm_map
+module Vm_fault = Mach_vm.Vm_fault
+module Vm_pageout = Mach_vm.Vm_pageout
+
+(* Victims on every other cpu activate the pmap and spin at spl0; the
+   initiator, pinned to cpu0 so it cannot occupy (and starve) a victim's
+   cpu while it busy-waits, must rendezvous with all of them at interrupt
+   level for each of its removals. *)
+let shootdown ?(removals = 8) () =
+  let pm = Pmap.create () in
+  (* On a uniprocessor there is nobody to shoot down: the removals still
+     run (local invalidates only) rather than waiting forever for a victim
+     that can never be dispatched. *)
+  let participants = max 0 (Engine.cpu_count () - 1) in
+  let stop = Engine.Cell.make ~name:"stop" 0 in
+  let victims =
+    List.init participants (fun k ->
+        let cpu = k + 1 in
+        Engine.spawn ~name:(Printf.sprintf "victim%d" cpu) ~bound:cpu
+          (fun () ->
+            Pmap.activate pm ~cpu;
+            Engine.spin_hint "stop";
+            while Engine.Cell.get stop = 0 do
+              Engine.pause ()
+            done))
+  in
+  let initiator =
+    Engine.spawn ~name:"initiator" ~bound:0 (fun () ->
+        for j = 0 to removals - 1 do
+          Pmap.enter pm ~va:(0x1000 + j) ~ppn:j ~prot:Mach_vm.Tlb.Read_write
+        done;
+        Engine.spin_hint "activation";
+        while List.length (Pmap.active_cpus pm) < participants do
+          Engine.pause ()
+        done;
+        for j = 0 to removals - 1 do
+          ignore (Pmap.remove pm ~va:(0x1000 + j))
+        done;
+        Engine.Cell.set stop 1)
+  in
+  Engine.join initiator;
+  List.iter Engine.join victims
+
+(* Wire three pages of a four-page machine while the pageout daemon
+   reclaims the other three. *)
+let pageable ~use_recursive () =
+  let ctx = Vm_map.make_context ~pages:4 () in
+  let map = Vm_map.create ctx in
+  let reclaimable = Vm_map.vm_allocate map ~size:3 in
+  for i = 0 to 2 do
+    match Vm_fault.fault map ~va:(reclaimable + i) with
+    | Ok _ -> ()
+    | Error _ -> Engine.fatal "populate failed"
+  done;
+  let wired_va = Vm_map.vm_allocate map ~size:3 in
+  let daemon = Vm_pageout.start_daemon ~victims:[ map ] in
+  let wire =
+    if use_recursive then Mach_vm.Vm_pageable.wire_recursive
+    else Mach_vm.Vm_pageable.wire_rewritten
+  in
+  (match wire map ~va:wired_va ~pages:3 with
+  | Ok () -> ()
+  | Error _ -> Engine.fatal "wire failed");
+  Vm_pageout.stop_daemon daemon;
+  Vm_map.release map
+
+(* ------------------------------------------------------------------ *)
 (* Range locks over the VM map (experiment E16)                         *)
 (* ------------------------------------------------------------------ *)
 
 module RL = Mach_locks.Range_lock
-module Vm_map = Mach_vm.Vm_map
-module Vm_fault = Mach_vm.Vm_fault
 
 (* One cell of the 2-cpu range matrix: two threads acquire one range
    each and meet in the critical section if the lock lets them.
@@ -751,3 +953,167 @@ let rpc_serve ?(shards = 1) ?(batch = 1) ?servers ?clients ?(calls_each = 8)
       Kobj.release obj)
     ports;
   (total, !drained)
+
+(* ------------------------------------------------------------------ *)
+(* The registry                                                         *)
+(* ------------------------------------------------------------------ *)
+
+type expect = Completes | Deadlocks
+
+type entry = {
+  name : string;
+  doc : string;
+  min_cpus : int;
+  expect : expect;
+  run : unit -> unit;
+}
+
+let entry ?(min_cpus = 1) ?(expect = Completes) name doc run =
+  { name; doc; min_cpus; expect; run }
+
+let null_rpc () =
+  let kernel = Kernel.start ~pages:64 () in
+  null_rpc_workload kernel ~clients:4 ~calls_each:25;
+  Kernel.shutdown kernel
+
+let task_lifecycle () =
+  let kernel = Kernel.start ~pages:128 () in
+  let ok = function Ok v -> v | Error e -> Engine.fatal e in
+  let ports = List.init 4 (fun _ -> ok (Kernel.rpc_task_create kernel)) in
+  List.iter
+    (fun p ->
+      let va = ok (Kernel.rpc_vm_allocate p ~size:8) in
+      ok (Kernel.rpc_vm_wire p ~va ~pages:4);
+      ok (Kernel.rpc_task_terminate p);
+      Port.release p)
+    ports;
+  Kernel.shutdown kernel
+
+let object_ops granularity () =
+  object_ops_workload granularity ~objects:16 ~workers:(Engine.cpu_count ())
+    ~ops_per_worker:30
+
+(* The report golden pins this line. *)
+let serve ?shards ?batch ?drain_under_load () =
+  let served, drained =
+    rpc_serve ?shards ?batch ~calls_each:16 ?drain_under_load ()
+  in
+  Printf.printf "rpc-serve: served %d drained %d\n" served drained
+
+let all =
+  [
+    entry "rpc" "boot the kernel; 4 clients make null RPCs to the host port"
+      null_rpc;
+    entry "task-lifecycle"
+      "create tasks over RPC, allocate+wire memory, terminate them"
+      task_lifecycle;
+    entry "coarse" "object operations under one global kernel lock"
+      (object_ops Coarse);
+    entry "fine" "object operations under per-object locks (the Mach way)"
+      (object_ops Fine);
+    entry "funnel" "object operations funnelled through a master processor"
+      (object_ops Master_funnel);
+    entry "contention"
+      "every cpu hammers one ttas lock (the E1/E15 workload shape)" (fun () ->
+        contention
+          ~lock:(K.Slock.make ~name:"contended" ~protocol:Mach_core.Spin.Ttas ())
+          ~iters:10 ());
+    entry "interrupt-deadlock" ~min_cpus:3 ~expect:Deadlocks
+      "the section 7 three-processor barrier deadlock (buggy variant)"
+      (interrupt_barrier_scenario ~disciplined:false);
+    entry "interrupt-disciplined" ~min_cpus:3
+      "the same scenario under the same-spl rule (never deadlocks)"
+      (interrupt_barrier_scenario ~disciplined:true);
+    entry "wire-recursive" ~expect:Deadlocks
+      "vm_map_pageable with recursive locks vs pageout (section 7.1 bug)"
+      (pageable ~use_recursive:true);
+    entry "wire-rewritten"
+      "the Mach 3.0 vm_map_pageable rewrite vs pageout (deadlock-free)"
+      (pageable ~use_recursive:false);
+    entry "vm-fault"
+      "disjoint-slice allocate/fault/deallocate storm on a range-locked map"
+      (fun () -> vm_fault_storm ~locking:Vm_map.Range ());
+    entry "vm-fault-coarse"
+      "the same storm under the paper's single coarse map lock" (fun () ->
+        vm_fault_storm ~locking:Vm_map.Coarse ());
+    entry "range-disjoint"
+      "two threads hold disjoint ranges of one range lock concurrently"
+      range_disjoint;
+    entry "range-overlap"
+      "two threads contend overlapping write ranges (must serialize)"
+      range_overlap;
+    entry "range-deadlock" ~expect:Deadlocks
+      "ABBA across two ranges: the report names the exact ranges held"
+      range_abba;
+    entry "shootdown"
+      "TLB shootdowns: pmap removals rendezvous with every other cpu"
+      (fun () -> shootdown ());
+    entry "same-spl" ~min_cpus:2
+      "minimal section 7 same-spl rule: holder at interrupt spl (safe)"
+      (same_spl_holder ~disciplined:true);
+    entry "same-spl-buggy" ~min_cpus:2 ~expect:Deadlocks
+      "the same scenario holding at spl0: the handler spins on its own \
+       interrupted holder"
+      (same_spl_holder ~disciplined:false);
+    entry "handoff"
+      "section 6 event-wait handoff: producer hands a flag to a consumer"
+      lost_wakeup_handoff;
+    entry "herd" "section 6 broadcast wakeup: several sleepers woken at once"
+      (fun () -> wakeup_herd ~sleepers:2 ());
+    entry "lost-wakeup-handoff"
+      "the handoff under its chaos-set name (drop-wakeup injection hangs it)"
+      lost_wakeup_handoff;
+    entry "wakeup-herd"
+      "the chaos set's broadcast wakeup: four sleepers woken at once"
+      (fun () -> wakeup_herd ());
+    entry "mcs-handoff"
+      "workers contending an MCS queue lock (explicit successor handoff)"
+      (handoff_workers ~name:"mcs" ~proto:K.Locks.mcs);
+    entry "scache-handoff"
+      "workers contending the scache writer side (FIFO grant handoff)"
+      (handoff_workers ~name:"scache" ~proto:K.Locks.scache_writer);
+    entry "scache-rw"
+      "scache matrix: reader vs writer on one scache RW lock (must serialize)"
+      scache_rw;
+    entry "scache-ww"
+      "scache matrix: writer vs writer through the FIFO ticket gate (must \
+       serialize)"
+      scache_ww;
+    entry "scache-rr"
+      "scache matrix: two readers on their own refcount slots (may \
+       interleave)"
+      scache_rr;
+    entry "vm-cache"
+      "read-mostly page-lookup storm on a scache-locked page cache"
+      (fun () -> vm_cache_ops ());
+    entry "vm-cache-mutex"
+      "the same storm with the cache index under one flat mutex" (fun () ->
+        vm_cache_ops ~locking:Vm_cache.Mutex ());
+    entry "scache-rrw"
+      "scache matrix, 3 cpus: two readers racing one writer (readers may \
+       interleave; a writer overlap is fatal)"
+      (fun () -> ignore (scache_rrw ()));
+    entry "rpc-serve"
+      "E20 RPC serving: clients hammer MiG servers through a sharded \
+       namespace with batched dispatch, then drain cleanly"
+      (serve ~shards:8 ~batch:8);
+    entry "rpc-serve-flat"
+      "the same workload through the single global registry, batch=1 (the \
+       unsharded baseline)"
+      (fun () -> serve ());
+    entry "rpc-serve-drain"
+      "RPC serving terminated under load: in-flight requests are answered \
+       err_deactivated, refcounts audited"
+      (serve ~shards:4 ~batch:4 ~drain_under_load:true);
+    entry "queue-locks"
+      "one contended critical section per queue-lock protocol (ticket, MCS, \
+       Anderson) plus a big-reader read burst"
+      queue_locks;
+  ]
+
+let find name = List.find_opt (fun e -> e.name = name) all
+
+let get name =
+  match find name with
+  | Some e -> e
+  | None -> invalid_arg ("Scenarios.get: no scenario named " ^ name)

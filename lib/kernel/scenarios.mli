@@ -1,5 +1,32 @@
 (** Canonical multiprocessor scenarios from the paper, shared by the
-    tests, the examples and the benchmark harness. *)
+    tests, the examples and the benchmark harness, and the registry of
+    named scenarios ({!all}) that [machsim], the chaos set, the goldens
+    and the bench run. *)
+
+(** {1 The registry} *)
+
+type expect =
+  | Completes  (** every schedule runs to completion *)
+  | Deadlocks  (** every schedule ends in a deadlock, never a panic *)
+
+type entry = {
+  name : string;  (** the name [machsim] and the harnesses use *)
+  doc : string;  (** one line for [machsim list] *)
+  min_cpus : int;
+      (** fewest cpus the body runs on; below it the body's own argument
+          check panics, which is no finding *)
+  expect : expect;  (** how a run at 4 cpus ends, on every seed *)
+  run : unit -> unit;  (** the body; run inside a simulation *)
+}
+
+val all : entry list
+(** Every named scenario, in [machsim list] order; names are unique. *)
+
+val find : string -> entry option
+
+val get : string -> entry
+(** [find] for a name the caller knows is registered.
+    @raise Invalid_argument otherwise. *)
 
 (** {1 The section 7 three-processor interrupt deadlock (experiment E11)}
 
@@ -28,6 +55,24 @@ val same_spl_holder : disciplined:bool -> unit -> unit
     spl0 (checking disabled): the handler preempts its own lock holder
     and spins forever. *)
 
+(** {1 The section 6 event-wait handoff} *)
+
+val lost_wakeup_handoff : unit -> unit
+(** A producer publishes a flag and wakes the event a consumer waits on
+    with the section 6 protocol (assert_wait, re-test, thread_block).
+    No schedule hangs it; a dropped wakeup does. *)
+
+val wakeup_herd : ?sleepers:int -> unit -> unit
+(** [sleepers] (default 4) threads wait on one event that a single
+    broadcast wakes. *)
+
+(** {1 One contended lock (experiments E1, E15, E18)} *)
+
+val contention : lock:Mach_ksync.Ksync.Slock.t -> iters:int -> unit -> unit
+(** Every cpu takes [lock] [iters] times; each critical section updates
+    four shared cells and spends 20 cycles.  The caller makes [lock]
+    inside the run, so its name and protocol stay the caller's. *)
+
 (** {1 Locking granularity (experiments E3)} *)
 
 type granularity =
@@ -49,6 +94,20 @@ val object_ops_workload :
 val null_rpc_workload : Kernel.t -> clients:int -> calls_each:int -> unit
 (** Spawn [clients] threads each performing [calls_each] null RPCs to the
     kernel host port; joins them all. *)
+
+(** {1 TLB shootdown and vm_map_pageable (experiments E10, E6)} *)
+
+val shootdown : ?removals:int -> unit -> unit
+(** A thread on every cpu but cpu0 activates one pmap and spins; the
+    initiator on cpu0 enters [removals] (default 8) mappings, then removes
+    them, each removal a shootdown that rendezvous with every victim at
+    interrupt level.  On one cpu the removals invalidate locally. *)
+
+val pageable : use_recursive:bool -> unit -> unit
+(** [vm_map_pageable] wires three pages of a four-page machine while the
+    pageout daemon reclaims the other three.  [use_recursive] is the
+    original recursive-lock version, which can deadlock (section 7.1);
+    otherwise the Mach 3.0 rewrite, which cannot. *)
 
 (** {1 Range locks over the VM map (experiment E16)} *)
 

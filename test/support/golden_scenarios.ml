@@ -10,138 +10,46 @@
 module Engine = Mach_sim.Sim_engine
 module Config = Mach_sim.Sim_config
 module K = Mach_ksync.Ksync
-module Vm = Mach_vm
+module Scenarios = Mach_kernel.Scenarios
 
 (* E1-style contention: every cpu hammers one simple lock whose critical
-   section updates shared cells (bus traffic delays useful work). *)
-let contention () =
-  let lock =
-    K.Slock.make ~name:"golden" ~protocol:Mach_core.Spin.Tas_then_ttas ()
-  in
-  let data = Array.init 4 (fun _ -> Engine.Cell.make ~name:"d" 0) in
+   section updates shared cells (bus traffic delays useful work).  The
+   golden rows run it over the default protocol and over each lib/locks
+   queue-lock protocol, pinning the exact cell-op sequence (and hence
+   schedule and cost model) of every protocol. *)
+let contention ?protocol ?proto () =
+  Scenarios.contention ~lock:(K.Slock.make ~name:"golden" ?protocol ?proto ())
+    ~iters:20 ()
+
+(* Read-mostly workers over a readers/writer lock: one write per eight
+   ops on worker 0, everyone else reads.  Over the big-reader lock and
+   the scache RW lock (pins the explicit ReadPending/ReadCounted
+   acquisition loop and the FIFO writer-gate handoff cell ops). *)
+let readers ~with_read ~with_write () =
+  let d = Engine.Cell.make ~name:"d" 0 in
   let cpus = Engine.cpu_count () in
-  let worker () =
-    for _ = 1 to 20 do
-      K.Slock.lock lock;
-      Array.iter (fun d -> ignore (Engine.Cell.fetch_and_add d 1)) data;
-      Engine.cycles 20;
-      K.Slock.unlock lock
+  let worker i () =
+    for j = 1 to 20 do
+      if i = 0 && j mod 8 = 0 then
+        with_write (fun () -> ignore (Engine.Cell.fetch_and_add d 1))
+      else
+        with_read (fun () ->
+            ignore (Engine.Cell.get d);
+            Engine.cycles 10)
     done
   in
-  let ts = List.init cpus (fun _ -> Engine.spawn worker) in
-  List.iter Engine.join ts
-
-(* TLB shootdown: victims on every other cpu activate the pmap and spin;
-   the initiator's removals rendezvous with all of them at splvm. *)
-let shootdown () =
-  let pm = Vm.Pmap.create () in
-  let participants = max 0 (Engine.cpu_count () - 1) in
-  let removals = 8 in
-  let stop = Engine.Cell.make ~name:"stop" 0 in
-  let victims =
-    List.init participants (fun k ->
-        let cpu = k + 1 in
-        Engine.spawn ~name:(Printf.sprintf "victim%d" cpu) ~bound:cpu
-          (fun () ->
-            Vm.Pmap.activate pm ~cpu;
-            Engine.spin_hint "stop";
-            while Engine.Cell.get stop = 0 do
-              Engine.pause ()
-            done))
-  in
-  let initiator =
-    Engine.spawn ~name:"initiator" ~bound:0 (fun () ->
-        for j = 0 to removals - 1 do
-          Vm.Pmap.enter pm ~va:(0x1000 + j) ~ppn:j ~prot:Vm.Tlb.Read_write
-        done;
-        Engine.spin_hint "activation";
-        while List.length (Vm.Pmap.active_cpus pm) < participants do
-          Engine.pause ()
-        done;
-        for j = 0 to removals - 1 do
-          ignore (Vm.Pmap.remove pm ~va:(0x1000 + j))
-        done;
-        Engine.Cell.set stop 1)
-  in
-  Engine.join initiator;
-  List.iter Engine.join victims
-
-(* vm_map_pageable (Mach 3.0 rewrite) racing the pageout daemon. *)
-let pageout () =
-  let ctx = Vm.Vm_map.make_context ~pages:4 () in
-  let map = Vm.Vm_map.create ctx in
-  let reclaimable = Vm.Vm_map.vm_allocate map ~size:3 in
-  for idx = 0 to 2 do
-    match Vm.Vm_fault.fault map ~va:(reclaimable + idx) with
-    | Ok _ -> ()
-    | Error _ -> Engine.fatal "populate failed"
-  done;
-  let wired_va = Vm.Vm_map.vm_allocate map ~size:3 in
-  let daemon = Vm.Vm_pageout.start_daemon ~victims:[ map ] in
-  (match Vm.Vm_pageable.wire_rewritten map ~va:wired_va ~pages:3 with
-  | Ok () -> ()
-  | Error _ -> Engine.fatal "wire failed");
-  Vm.Vm_pageout.stop_daemon daemon;
-  Vm.Vm_map.release map
-
-(* The same contention workload over each lib/locks queue-lock protocol,
-   plus a read-mostly workload over the big-reader lock: pins the exact
-   cell-op sequence (and hence schedule and cost model) of every new
-   protocol. *)
-let queue_contention proto () =
-  let lock = K.Slock.make ~name:"golden" ~proto () in
-  let data = Array.init 4 (fun _ -> Engine.Cell.make ~name:"d" 0) in
-  let cpus = Engine.cpu_count () in
-  let worker () =
-    for _ = 1 to 20 do
-      K.Slock.lock lock;
-      Array.iter (fun d -> ignore (Engine.Cell.fetch_and_add d 1)) data;
-      Engine.cycles 20;
-      K.Slock.unlock lock
-    done
-  in
-  let ts = List.init cpus (fun _ -> Engine.spawn worker) in
+  let ts = List.init cpus (fun i -> Engine.spawn (worker i)) in
   List.iter Engine.join ts
 
 let brlock_readers () =
   let module B = K.Locks.Brlock in
   let l = B.make ~name:"golden-br" in
-  let d = Engine.Cell.make ~name:"d" 0 in
-  let cpus = Engine.cpu_count () in
-  let worker i () =
-    for j = 1 to 20 do
-      (* One write per eight ops on one worker; everyone else reads. *)
-      if i = 0 && j mod 8 = 0 then
-        B.with_write l (fun () -> ignore (Engine.Cell.fetch_and_add d 1))
-      else
-        B.with_read l (fun () ->
-            ignore (Engine.Cell.get d);
-            Engine.cycles 10)
-    done
-  in
-  let ts = List.init cpus (fun i -> Engine.spawn (worker i)) in
-  List.iter Engine.join ts
+  readers ~with_read:(B.with_read l) ~with_write:(B.with_write l) ()
 
-(* The brlock read-mostly workload over the scache RW lock: pins the
-   explicit ReadPending/ReadCounted acquisition loop and the FIFO
-   writer-gate handoff cell ops. *)
 let scache_readers () =
   let module S = K.Locks.Scache in
   let l = S.make ~name:"golden-sc" in
-  let d = Engine.Cell.make ~name:"d" 0 in
-  let cpus = Engine.cpu_count () in
-  let worker i () =
-    for j = 1 to 20 do
-      if i = 0 && j mod 8 = 0 then
-        S.with_write l (fun () -> ignore (Engine.Cell.fetch_and_add d 1))
-      else
-        S.with_read l (fun () ->
-            ignore (Engine.Cell.get d);
-            Engine.cycles 10)
-    done
-  in
-  let ts = List.init cpus (fun i -> Engine.spawn (worker i)) in
-  List.iter Engine.join ts
+  readers ~with_read:(S.with_read l) ~with_write:(S.with_write l) ()
 
 (* scache under the Complex_lock: the RW state machine rides the scache
    writer as its interlock protocol. *)
@@ -174,20 +82,20 @@ let cx_scache () =
    probes ([Port.receive ~spin], [Mig.call ~poll]) run out of budget
    often enough at 16 probes that some waits park. *)
 let rpc_serve () =
-  ignore
-    (Mach_kernel.Scenarios.rpc_serve ~shards:2 ~batch:4 ~calls_each:4 ~spin:16
-       ())
+  ignore (Scenarios.rpc_serve ~shards:2 ~batch:4 ~calls_each:4 ~spin:16 ())
 
+(* The golden's own labels: [contention] and [rpc-serve] are configured
+   differently from the registry entries of the same name. *)
 let scenarios : (string * (unit -> unit)) list =
   [
-    ("contention", contention);
-    ("shootdown", shootdown);
-    ("pageout", pageout);
-    ("contention-ticket", queue_contention K.Locks.ticket);
-    ("contention-mcs", queue_contention K.Locks.mcs);
-    ("contention-anderson", queue_contention K.Locks.anderson);
+    ("contention", fun () -> contention ~protocol:Mach_core.Spin.Tas_then_ttas ());
+    ("shootdown", (Scenarios.get "shootdown").run);
+    ("pageout", (Scenarios.get "wire-rewritten").run);
+    ("contention-ticket", fun () -> contention ~proto:K.Locks.ticket ());
+    ("contention-mcs", fun () -> contention ~proto:K.Locks.mcs ());
+    ("contention-anderson", fun () -> contention ~proto:K.Locks.anderson ());
     ("brlock-readers", brlock_readers);
-    ("contention-scache", queue_contention K.Locks.scache_writer);
+    ("contention-scache", fun () -> contention ~proto:K.Locks.scache_writer ());
     ("scache-readers", scache_readers);
     ("cx-scache", cx_scache);
     ("rpc-serve", rpc_serve);

@@ -7,8 +7,10 @@ module Engine = Mach_sim.Sim_engine
 module Config = Mach_sim.Sim_config
 module Chaos = Mach_chaos.Chaos
 module Fault = Mach_chaos.Chaos_fault
-module Cs = Mach_chaos.Chaos_scenarios
 module Scenarios = Mach_kernel.Scenarios
+
+let interrupt_deadlock = (Scenarios.get "interrupt-deadlock").run
+let scache_handoff = (Scenarios.get "scache-handoff").run
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -23,7 +25,7 @@ let contains s sub =
    golden determinism test pins the text format; this pins the invariance
    under the chaos plumbing, tracking included). *)
 let test_injection_off_preserves_schedule () =
-  let scenario () = Cs.lost_wakeup_handoff () in
+  let scenario () = Scenarios.lost_wakeup_handoff () in
   let base = Config.exploration ~cpus:4 ~seed:7 () in
   let plain = Engine.run ~cfg:base scenario in
   let with_fields =
@@ -43,7 +45,7 @@ let test_injection_off_preserves_schedule () =
 let test_chaos_counters_zero_when_off () =
   ignore
     (Engine.run ~cfg:(Config.exploration ~cpus:4 ~seed:3 ()) (fun () ->
-         Cs.wakeup_herd ()));
+         Scenarios.wakeup_herd ()));
   match Engine.last_chaos () with
   | Some c ->
       check_int "dropped" 0 c.Engine.dropped_wakeups;
@@ -57,7 +59,7 @@ let test_chaos_counters_zero_when_off () =
 let test_section7_cycle_detected () =
   match
     Chaos.find_first_failure ~cpus:4 ~max_seeds:10 ~faults:(Fault.mix [])
-      Cs.interrupt_deadlock
+      interrupt_deadlock
   with
   | Some r ->
       check_bool "classified as cycle" true (r.Chaos.detection = Chaos.Cycle);
@@ -71,8 +73,8 @@ let test_section7_cycle_detected () =
 
 let test_section7_deterministic () =
   let faults = Fault.mix [] in
-  let r1 = Chaos.run_one ~cpus:4 ~seed:1 ~faults Cs.interrupt_deadlock in
-  let r2 = Chaos.run_one ~cpus:4 ~seed:1 ~faults Cs.interrupt_deadlock in
+  let r1 = Chaos.run_one ~cpus:4 ~seed:1 ~faults interrupt_deadlock in
+  let r2 = Chaos.run_one ~cpus:4 ~seed:1 ~faults interrupt_deadlock in
   check_bool "same detection" true (r1.Chaos.detection = r2.Chaos.detection);
   Alcotest.(check string) "same report" r1.Chaos.report r2.Chaos.report
 
@@ -81,7 +83,9 @@ let test_lost_wakeup_detected () =
   let found = ref None in
   let seed = ref 1 in
   while !found = None && !seed <= 20 do
-    let r = Chaos.run_one ~cpus:4 ~seed:!seed ~faults Cs.lost_wakeup_handoff in
+    let r =
+      Chaos.run_one ~cpus:4 ~seed:!seed ~faults Scenarios.lost_wakeup_handoff
+    in
     if
       Chaos.detected r.Chaos.detection
       && contains r.Chaos.report "never arrived"
@@ -98,7 +102,7 @@ let test_lost_wakeup_detected () =
          across runs), so compare the stable parts of the report rather
          than the raw string. *)
       let r' = Chaos.run_one ~cpus:4 ~seed:r.Chaos.seed ~faults
-                 Cs.lost_wakeup_handoff in
+                 Scenarios.lost_wakeup_handoff in
       check_bool "reproducible detection" true
         (r'.Chaos.detection = r.Chaos.detection);
       check_bool "reproducible lost-wakeup line" true
@@ -116,15 +120,13 @@ let test_lost_wakeup_detected () =
 let test_scache_lost_handoff_detected () =
   let faults = Fault.mix ~intensity:2 [ Fault.Drop_handoff ] in
   match
-    Chaos.find_first_failure ~cpus:3 ~max_seeds:20 ~faults (fun () ->
-        Cs.scache_handoff ())
+    Chaos.find_first_failure ~cpus:3 ~max_seeds:20 ~faults scache_handoff
   with
   | Some r ->
       check_bool "diagnosed as lost handoff" true
         (contains r.Chaos.report "lost handoff");
       let r' =
-        Chaos.run_one ~cpus:3 ~seed:r.Chaos.seed ~faults (fun () ->
-            Cs.scache_handoff ())
+        Chaos.run_one ~cpus:3 ~seed:r.Chaos.seed ~faults scache_handoff
       in
       check_bool "reproducible detection" true
         (r'.Chaos.detection = r.Chaos.detection);
@@ -141,7 +143,7 @@ let test_scache_handoff_clean_without_faults () =
   let v =
     Mach_sim.Sim_explore.run ~cpus:3
       ~seeds:(List.init 25 (fun i -> i + 1))
-      (fun () -> Cs.scache_handoff ())
+      scache_handoff
   in
   check_bool "scache handoff never hangs uninjected" true
     (Mach_sim.Sim_explore.all_completed v)
@@ -200,7 +202,7 @@ let test_handoff_clean_without_faults () =
   let v =
     Mach_sim.Sim_explore.run ~cpus:4
       ~seeds:(List.init 25 (fun i -> i + 1))
-      Cs.lost_wakeup_handoff
+      Scenarios.lost_wakeup_handoff
   in
   check_bool "correct protocol never hangs uninjected" true
     (Mach_sim.Sim_explore.all_completed v)
@@ -209,13 +211,13 @@ let test_minimize_keeps_failing () =
   let full = Fault.mix ~intensity:2 Fault.all in
   match
     Chaos.find_first_failure ~cpus:4 ~max_seeds:20 ~faults:full
-      Cs.lost_wakeup_handoff
+      Scenarios.lost_wakeup_handoff
   with
   | None -> Alcotest.fail "full mix produced no failure"
   | Some r ->
       let minimal =
         Chaos.minimize ~cpus:4 ~seed:r.Chaos.seed ~faults:full
-          Cs.lost_wakeup_handoff
+          Scenarios.lost_wakeup_handoff
       in
       let kept = Fault.mix_classes minimal in
       check_bool "minimal mix is a subset" true
@@ -224,14 +226,16 @@ let test_minimize_keeps_failing () =
         (List.length kept < List.length Fault.all);
       let r' =
         Chaos.run_one ~cpus:4 ~seed:r.Chaos.seed ~faults:minimal
-          Cs.lost_wakeup_handoff
+          Scenarios.lost_wakeup_handoff
       in
       check_bool "minimal mix still fails" true
         (Chaos.detected r'.Chaos.detection)
 
 let test_forced_preemption_counted () =
   let faults = Fault.mix ~intensity:1 [ Fault.Preempt_acquire ] in
-  let r = Chaos.run_one ~cpus:4 ~seed:2 ~faults Cs.lost_wakeup_handoff in
+  let r =
+    Chaos.run_one ~cpus:4 ~seed:2 ~faults Scenarios.lost_wakeup_handoff
+  in
   ignore r;
   match Engine.last_chaos () with
   | Some c ->

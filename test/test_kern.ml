@@ -274,6 +274,29 @@ let test_same_spl_rule_prevents_deadlock () =
   check_bool "no schedule deadlocks under the same-spl rule" true
     (Explore.all_completed v)
 
+(* ------------------------------------------------------------------ *)
+(* The scenario registry                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Every entry ends as it declares on seeds 1-5 at 4 cpus: [Completes]
+   on all five, [Deadlocks] on all five and never by a panic. *)
+let test_registry_expectations () =
+  List.iter
+    (fun (e : Scenarios.entry) ->
+      let v = Explore.run ~cpus:4 ~seeds:[ 1; 2; 3; 4; 5 ] e.run in
+      let deadlocks = v.Explore.sleep_deadlocks + v.Explore.spin_deadlocks in
+      match e.expect with
+      | Scenarios.Completes -> check_int (e.name ^ " completed") 5 v.Explore.completed
+      | Scenarios.Deadlocks ->
+          check_int (e.name ^ " deadlocked") 5 deadlocks;
+          check_int (e.name ^ " panics") 0 v.Explore.panics)
+    Scenarios.all
+
+let test_registry_names_unique () =
+  let names = List.map (fun (e : Scenarios.entry) -> e.name) Scenarios.all in
+  check_int "unique names" (List.length names)
+    (List.length (List.sort_uniq compare names))
+
 let () =
   Alcotest.run "kern"
     [
@@ -316,5 +339,12 @@ let () =
             test_inconsistent_spl_deadlocks;
           Alcotest.test_case "same-spl rule prevents it" `Slow
             test_same_spl_rule_prevents_deadlock;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "every entry ends as declared" `Quick
+            test_registry_expectations;
+          Alcotest.test_case "names are unique" `Quick
+            test_registry_names_unique;
         ] );
     ]

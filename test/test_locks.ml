@@ -9,6 +9,7 @@ module Config = Mach_sim.Sim_config
 module K = Mach_ksync.Ksync
 module Lock_proto = Mach_core.Lock_proto
 module Mc = Mach_mc.Mc
+module Scenarios = Mach_kernel.Scenarios
 open Test_support
 
 let mutex_factories =
@@ -319,8 +320,7 @@ let test_drop_handoff_detected () =
     }
   in
   match
-    Engine.run_outcome ~cfg (fun () ->
-        Mach_chaos.Chaos_scenarios.mcs_handoff ~workers:3 ())
+    Engine.run_outcome ~cfg (Scenarios.get "mcs-handoff").run
   with
   | Engine.Deadlocked (Engine.Spin_deadlock, report) ->
       check_bool "report names the lost handoff" true
@@ -337,7 +337,7 @@ let test_drop_handoff_detected () =
 (* With the class disabled the chaos RNG must not be consumed: stats are
    byte-identical to a run with no faults record at all. *)
 let test_drop_handoff_zero_draw () =
-  let scenario () = Mach_chaos.Chaos_scenarios.mcs_handoff ~workers:3 () in
+  let scenario = (Scenarios.get "mcs-handoff").run in
   let base = Config.exploration ~cpus:3 ~seed:11 () in
   let off =
     { base with Config.faults = { Config.no_faults with Config.drop_wakeup = 0 } }
@@ -349,8 +349,6 @@ let test_drop_handoff_zero_draw () =
 (* ------------------------------------------------------------------ *)
 (* scache RW lock (lib/locks/scache_rwlock)                              *)
 (* ------------------------------------------------------------------ *)
-
-module Scenarios = Mach_kernel.Scenarios
 
 (* Writers keep two cells equal; readers snapshot both under the read
    side.  Any torn pair proves a writer ran inside a read-side section
@@ -575,8 +573,7 @@ let test_scache_drop_handoff_detected () =
     }
   in
   match
-    Engine.run_outcome ~cfg (fun () ->
-        Mach_chaos.Chaos_scenarios.scache_handoff ~workers:3 ())
+    Engine.run_outcome ~cfg (Scenarios.get "scache-handoff").run
   with
   | Engine.Deadlocked (Engine.Spin_deadlock, report) ->
       check_bool "report names the lost handoff" true
@@ -593,7 +590,7 @@ let test_scache_drop_handoff_detected () =
 (* Zero-draw identity for the scache handoff site: with the class
    disabled, the release-path hook must not consume chaos RNG. *)
 let test_scache_drop_handoff_zero_draw () =
-  let scenario () = Mach_chaos.Chaos_scenarios.scache_handoff ~workers:3 () in
+  let scenario = (Scenarios.get "scache-handoff").run in
   let base = Config.exploration ~cpus:3 ~seed:11 () in
   let off =
     { base with Config.faults = { Config.no_faults with Config.drop_wakeup = 0 } }

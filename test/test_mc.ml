@@ -9,7 +9,6 @@ module Mc = Mach_mc.Mc
 module Engine = Mach_sim.Sim_engine
 module Config = Mach_sim.Sim_config
 module Scenarios = Mach_kernel.Scenarios
-module Chaos_scenarios = Mach_chaos.Chaos_scenarios
 open Test_support
 
 let same_spl ~disciplined () = Scenarios.same_spl_holder ~disciplined ()
@@ -48,7 +47,7 @@ let test_same_spl_verified () =
 let test_event_wait_verified () =
   (* Section 6: the assert_wait / re-test / thread_block protocol never
      loses a wakeup under any interleaving (no fault injection). *)
-  let r = Mc.check ~cpus:2 Chaos_scenarios.lost_wakeup_handoff in
+  let r = Mc.check ~cpus:2 Scenarios.lost_wakeup_handoff in
   check_bool "complete" true r.Mc.complete;
   check_bool "verified" true r.Mc.verified;
   check_exploration "handoff" (84, 84, 3584, 418) r

@@ -771,7 +771,7 @@ let test_section7_deadlock_flight_dump () =
   let module Fault = Mach_chaos.Chaos_fault in
   let r =
     Chaos.run_one ~cpus:4 ~seed:1 ~faults:(Fault.mix [])
-      Mach_chaos.Chaos_scenarios.interrupt_deadlock
+      (Mach_kernel.Scenarios.get "interrupt-deadlock").run
   in
   check_bool "the seeded run deadlocks" true (Chaos.detected r.Chaos.detection);
   check_bool "report names the waits-for cycle" true
