@@ -92,12 +92,18 @@ report-smoke:
 	@echo "report-smoke passed"
 
 # Regenerate a committed BENCH file with one bench experiment and fail,
-# with a diff, if it moved: its deterministic fields pin the experiment.
-# $(1) is the file, $(2) the experiment id.
+# with a diff, if it moved, or if the experiment's section of
+# BENCH_observability.json moved (the run keeps every other section):
+# their deterministic fields pin the experiment.  $(1) is the file, $(2)
+# the experiment id; the run's output is left in /tmp/bench-$(2).out.
 define bench_regen_check
 	cp $(1) /tmp/$(1).committed
-	dune exec bench/main.exe -- $(2)
+	cp BENCH_observability.json /tmp/BENCH_observability.json.committed
+	dune exec bench/main.exe -- $(2) | tee /tmp/bench-$(2).out
+	grep -q "All requested experiments completed" /tmp/bench-$(2).out
 	cmp -s /tmp/$(1).committed $(1) || { diff /tmp/$(1).committed $(1); exit 1; }
+	cmp -s /tmp/BENCH_observability.json.committed BENCH_observability.json \
+		|| { echo "BENCH_observability.json: the $(2) section moved"; exit 1; }
 endef
 
 # Fault-injection smoke: reproduce and detect the section 7 interrupt
@@ -157,15 +163,15 @@ cache-smoke:
 	$(call bench_regen_check,BENCH_cache.json,E19)
 	@echo "cache-smoke passed"
 
-# RPC-serving smoke (<60s): the E20 smoke variant (4 cpus, all four
-# configs + a drain leg) must sustain a nonzero RPCs/sec, record zero
-# refcount panics, and drain cleanly on shutdown under load.
+# RPC-serving smoke (<60s): regenerate the full E20 sweep (2-64 cpus,
+# all four configs, the sustained and drain legs) and check it is
+# unchanged; it must sustain a nonzero RPCs/sec, record zero refcount
+# panics, and drain cleanly on shutdown under load.
 rpc-smoke:
-	dune exec bench/main.exe -- E20-smoke | tee /tmp/machsim-rpc.out
-	grep -qE "sustained: [0-9]+ RPCs in [0-9]+ cycles = [1-9][0-9]* RPCs/sec" /tmp/machsim-rpc.out
-	grep -q "refcount panics: 0" /tmp/machsim-rpc.out
-	grep -q "shutdown drain: clean" /tmp/machsim-rpc.out
-	test -f BENCH_rpc.json
+	$(call bench_regen_check,BENCH_rpc.json,E20)
+	grep -qE "sustained: [0-9]+ RPCs in [0-9]+ cycles = [1-9][0-9]* RPCs/sec" /tmp/bench-E20.out
+	grep -q "refcount panics: 0" /tmp/bench-E20.out
+	grep -q "shutdown drain: clean" /tmp/bench-E20.out
 	@echo "rpc-smoke passed"
 
 # Every *-smoke target, so a local `make smoke-all` runs exactly what CI

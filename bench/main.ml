@@ -25,6 +25,9 @@ open Bench_util
 
 let cpu_sweep = [ 1; 2; 4; 8; 16 ]
 
+let protocols =
+  List.map (fun p -> (Spin.protocol_name p, p)) Spin.all_protocols
+
 (* ================================================================== *)
 (* N0: native per-operation costs (Bechamel, real multicore hardware)  *)
 (* ================================================================== *)
@@ -97,43 +100,29 @@ module E1 = struct
 
   let tuned_cap = 128
 
+  (* The protocol sweep's table, shared with E15. *)
+  let cols = point_cols "protocol" @ stats_cols @ [ misses_col ]
+
   let run () =
     section ~id:"E1" ~title:"spin protocols under contention (sim cycles)"
       ~claim:
         "test-and-test-and-set avoids cache misses while spinning; plain \
          test-and-set wastes bus bandwidth and slows everyone down (s.2)";
-    let row ?cap name p cpus =
-      let s = workload ?cap p cpus in
-      [
-        i cpus;
-        name;
-        i s.Engine.makespan;
-        i s.Engine.bus_transactions;
-        i s.Engine.atomic_ops;
-        i s.Engine.cache_misses;
-      ]
+    let configs =
+      List.map (fun (name, p) -> (name, (None, p))) protocols
+      @ [
+          (* Backoff cap tuned to the workload: at 128 cycles — a
+             fraction of the ~500-cycle lock hold — waiters re-probe a
+             few times per hold instead of sleeping through whole release
+             windows as the generic 1024-cycle cap does. *)
+          ( Printf.sprintf "ttas-backoff(cap=%d)" tuned_cap,
+            (Some tuned_cap, Spin.Ttas_backoff) );
+        ]
     in
-    let rows =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun p -> row (Spin.protocol_name p) p cpus)
-            Spin.all_protocols
-          @ [
-              (* Backoff cap tuned to the workload: at 128 cycles — a
-                 fraction of the ~500-cycle lock hold — waiters re-probe
-                 a few times per hold instead of sleeping through whole
-                 release windows as the generic 1024-cycle cap does. *)
-              row ~cap:tuned_cap
-                (Printf.sprintf "ttas-backoff(cap=%d)" tuned_cap)
-                Spin.Ttas_backoff cpus;
-            ])
-        cpu_sweep
-    in
-    table
-      ~header:
-        [ "cpus"; "protocol"; "makespan"; "bus-txns"; "atomics"; "misses" ]
-      rows
+    ignore
+      (tabulate cols
+         (grid ~sweep:cpu_sweep configs (fun (cap, p) cpus ->
+              Some (workload ?cap p cpus))))
 end
 
 (* ================================================================== *)
@@ -167,25 +156,17 @@ module E2 = struct
       ~claim:
         "most locks in a well designed system are acquired on the first \
          attempt, so try the atomic instruction first (tas+ttas) (s.2)";
-    let rows =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun p ->
-              let s, st = workload p cpus in
-              [
-                i cpus;
-                Spin.protocol_name p;
-                i s.Engine.makespan;
-                f2 (Stats.first_attempt_rate st);
-                i (Stats.total_spins st);
-              ])
-            Spin.all_protocols)
-        [ 2; 8 ]
-    in
-    table
-      ~header:[ "cpus"; "protocol"; "makespan"; "first-attempt"; "spins" ]
-      rows
+    ignore
+      (tabulate
+         (point_cols "protocol"
+         @ [
+             col "makespan" int (fun p -> (fst p.res).Engine.makespan);
+             col "first-attempt" (real f2) (fun p ->
+                 Stats.first_attempt_rate (snd p.res));
+             col "spins" int (fun p -> Stats.total_spins (snd p.res));
+           ])
+         (grid ~sweep:[ 2; 8 ] protocols (fun p cpus ->
+              Some (workload p cpus))))
 end
 
 (* ================================================================== *)
@@ -199,33 +180,27 @@ module E3 = struct
         "locking data (one lock per object) lets code run in parallel with \
          itself; locking code (one big lock / master processor) restricts \
          the kernel to one processor and bottlenecks (s.2, s.5)";
-    let rows =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun g ->
-              let ops = cpus * 30 in
-              let s =
-                sim_run ~cpus (fun () ->
-                    Scenarios.object_ops_workload g ~objects:16 ~workers:cpus
-                      ~ops_per_worker:30)
-              in
-              let throughput =
-                float_of_int ops *. 1000. /. float_of_int s.Engine.makespan
-              in
-              [
-                i cpus;
-                Scenarios.granularity_name g;
-                i ops;
-                i s.Engine.makespan;
-                f2 throughput;
-              ])
-            [ Scenarios.Coarse; Scenarios.Fine; Scenarios.Master_funnel ])
-        cpu_sweep
+    let granularities =
+      List.map
+        (fun g -> (Scenarios.granularity_name g, g))
+        [ Scenarios.Coarse; Scenarios.Fine; Scenarios.Master_funnel ]
     in
-    table
-      ~header:[ "cpus"; "granularity"; "total-ops"; "makespan"; "ops/kcycle" ]
-      rows
+    let ops p = p.cpus * 30 in
+    ignore
+      (tabulate
+         (point_cols "granularity"
+         @ [
+             col "total-ops" int ops;
+             col "makespan" int (fun p -> p.res.Engine.makespan);
+             col "ops/kcycle" (real f2) (fun p ->
+                 float_of_int (ops p) *. 1000.
+                 /. float_of_int p.res.Engine.makespan);
+           ])
+         (grid ~sweep:cpu_sweep granularities (fun g cpus ->
+              Some
+                (sim_run ~cpus (fun () ->
+                     Scenarios.object_ops_workload g ~objects:16 ~workers:cpus
+                       ~ops_per_worker:30)))))
 end
 
 (* ================================================================== *)
@@ -341,22 +316,16 @@ module E5 = struct
         "upgrades fail under contention (releasing the read lock and \
          forcing recovery); locking for write and downgrading cannot fail \
          and is the simpler, preferred alternative (s.7.1)";
-    let rows =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun use_upgrade ->
-              let s, failed = workload ~use_upgrade cpus in
-              [
-                i cpus;
-                (if use_upgrade then "upgrade" else "write+downgrade");
-                i s.Engine.makespan;
-                i failed;
-              ])
-            [ true; false ])
-        [ 2; 4; 8 ]
-    in
-    table ~header:[ "cpus"; "strategy"; "makespan"; "failed-upgrades" ] rows
+    ignore
+      (tabulate
+         (point_cols "strategy"
+         @ [
+             col "makespan" int (fun p -> (fst p.res).Engine.makespan);
+             col "failed-upgrades" int (fun p -> snd p.res);
+           ])
+         (grid ~sweep:[ 2; 4; 8 ]
+            [ ("upgrade", true); ("write+downgrade", false) ]
+            (fun use_upgrade cpus -> Some (workload ~use_upgrade cpus))))
 end
 
 (* ================================================================== *)
@@ -410,18 +379,8 @@ module E6 = struct
     table
       ~header:[ "implementation"; "schedules"; "completed"; "deadlocked" ]
       [
-        [
-          "recursive (paper's original)";
-          i vr.Explore.seeds_run;
-          i vr.Explore.completed;
-          i (vr.Explore.sleep_deadlocks + vr.Explore.spin_deadlocks);
-        ];
-        [
-          "rewritten (Mach 3.0, s.7.1)";
-          i vw.Explore.seeds_run;
-          i vw.Explore.completed;
-          i (vw.Explore.sleep_deadlocks + vw.Explore.spin_deadlocks);
-        ];
+        verdict_row "recursive (paper's original)" vr;
+        verdict_row "rewritten (Mach 3.0, s.7.1)" vw;
       ]
 end
 
@@ -615,18 +574,8 @@ module E11 = struct
     table
       ~header:[ "variant"; "schedules"; "completed"; "deadlocked" ]
       [
-        [
-          "inconsistent spl (buggy)";
-          i vb.Explore.seeds_run;
-          i vb.Explore.completed;
-          i (vb.Explore.sleep_deadlocks + vb.Explore.spin_deadlocks);
-        ];
-        [
-          "same-spl rule (disciplined)";
-          i vd.Explore.seeds_run;
-          i vd.Explore.completed;
-          i (vd.Explore.sleep_deadlocks + vd.Explore.spin_deadlocks);
-        ];
+        verdict_row "inconsistent spl (buggy)" vb;
+        verdict_row "same-spl rule (disciplined)" vd;
       ]
 end
 
@@ -714,17 +663,16 @@ module E12 = struct
         "a third (pmap system) lock arbitrates between the pmap-then-pv \
          and pv-then-pmap orders; the backout protocol is the lighter \
          alternative that pays retries instead of a global read lock (s.5)";
-    let rows =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun (name, strategy) ->
-              let s, retries = workload strategy cpus in
-              [ i cpus; name; i s.Engine.makespan; i retries ])
-            [ ("arbiter (pmap system lock)", `Arbiter); ("backout", `Backout) ])
-        [ 4; 8; 16 ]
-    in
-    table ~header:[ "cpus"; "strategy"; "makespan"; "backout-retries" ] rows
+    ignore
+      (tabulate
+         (point_cols "strategy"
+         @ [
+             col "makespan" int (fun p -> (fst p.res).Engine.makespan);
+             col "backout-retries" int (fun p -> snd p.res);
+           ])
+         (grid ~sweep:[ 4; 8; 16 ]
+            [ ("arbiter (pmap system lock)", `Arbiter); ("backout", `Backout) ]
+            (fun strategy cpus -> Some (workload strategy cpus))))
 end
 
 (* ================================================================== *)
@@ -836,6 +784,23 @@ module E13 = struct
     | [] -> "-"
     | ds -> String.concat "+" ds
 
+  let first_seed (s : Chaos.sweep) =
+    match s.Chaos.first_failure with Some r -> r.Chaos.seed | None -> 0
+
+  let cols =
+    [
+      col "scenario" str (fun (name, _, _) -> name);
+      col "fault class" ~key:"fault" str (fun (_, cls, _) -> Fault.name cls);
+      col "runs" int (fun (_, _, s) -> s.Chaos.runs);
+      col "detection rate" ~key:"detection_rate" (real f2) (fun (_, _, s) ->
+          Chaos.detection_rate s);
+      col "detected by" ~key:"detected_by" str (fun (_, _, s) -> detected_by s);
+      (* No detection prints "-" and writes 0. *)
+      col "first seed" ~key:"seeds_to_first_detection"
+        { int with show = (fun n -> if n = 0 then "-" else i n) }
+        (fun (_, _, s) -> first_seed s);
+    ]
+
   let run () =
     section ~id:"E13"
       ~title:"chaos fault injection: detection rate per fault class"
@@ -844,57 +809,21 @@ module E13 = struct
          interrupts, schedule perturbation, forced preemption) drives the \
          hazards of sections 6-7 out of hiding, and the waits-for \
          detector names the cycle or the orphaned waiter";
-    let rows = ref [] and json = ref [] in
-    List.iter
-      (fun (e : Scenarios.entry) ->
-        List.iter
-          (fun cls ->
-            let s =
-              Chaos.sweep ~cpus:4 ~seeds
-                ~faults:(Fault.mix ~intensity:2 [ cls ])
-                e.run
-            in
-            let first =
-              match s.Chaos.first_failure with
-              | Some r -> r.Chaos.seed
-              | None -> 0
-            in
-            rows :=
-              [
-                e.name;
-                Fault.name cls;
-                i s.Chaos.runs;
-                f2 (Chaos.detection_rate s);
-                detected_by s;
-                (if first = 0 then "-" else i first);
-              ]
-              :: !rows;
-            json :=
-              Obs_json.Obj
-                [
-                  ("scenario", Obs_json.String e.name);
-                  ("fault", Obs_json.String (Fault.name cls));
-                  ("runs", Obs_json.Int s.Chaos.runs);
-                  ("detection_rate", Obs_json.Float (Chaos.detection_rate s));
-                  ("detected_by", Obs_json.String (detected_by s));
-                  ("seeds_to_first_detection", Obs_json.Int first);
-                ]
-              :: !json)
-          Fault.all)
-      Chaos.scenarios;
-    table
-      ~header:
-        [
-          "scenario";
-          "fault class";
-          "runs";
-          "detection rate";
-          "detected by";
-          "first seed";
-        ]
-      (List.rev !rows);
-    write_json ~what:"detection table" "BENCH_chaos.json"
-      (Obs_json.Obj [ ("E13", Obs_json.List (List.rev !json)) ])
+    let rows =
+      List.concat_map
+        (fun (e : Scenarios.entry) ->
+          List.map
+            (fun cls ->
+              ( e.name,
+                cls,
+                Chaos.sweep ~cpus:4 ~seeds
+                  ~faults:(Fault.mix ~intensity:2 [ cls ])
+                  e.run ))
+            Fault.all)
+        Chaos.scenarios
+    in
+    write_bench ~what:"detection table" "BENCH_chaos.json" "E13"
+      (tabulate cols rows)
 end
 
 (* ================================================================== *)
@@ -933,6 +862,54 @@ module E14 = struct
             (Array.length f.Mc.f_trace) f.Mc.f_preemptions
       | None -> "incomplete"
 
+  type row = {
+    sname : string;
+    cpus : int;
+    mode : Mc.mode;
+    bound : int option;
+    r : Mc.result;
+    ms : float;
+    ratio : float option;  (* executions over the naive baseline's *)
+  }
+
+  let cols =
+    [
+      col "scenario" str (fun x -> x.sname);
+      col "cpus" int (fun x -> x.cpus);
+      col "mode" str (fun x -> Mc.mode_name x.mode);
+      col "bound"
+        {
+          show = Option.fold ~none:"-" ~some:i;
+          json =
+            Option.fold ~none:(Obs_json.String "unbounded") ~some:int.json;
+        }
+        (fun x -> x.bound);
+      col "schedules" ~key:"executions" int (fun x ->
+          x.r.Mc.stats.Mc.executions);
+      col "pruned" int (fun x -> x.r.Mc.stats.Mc.pruned);
+      json_only
+        (col "transitions" int (fun x -> x.r.Mc.stats.Mc.transitions));
+      json_only
+        (col "complete"
+           { show = string_of_bool; json = (fun b -> Obs_json.Bool b) }
+           (fun x -> x.r.Mc.complete));
+      (* Only a DPOR row after a complete naive one has a ratio; the
+         others print "-" and leave the key out. *)
+      {
+        header = Some "vs naive";
+        key = Some "reduction_vs_naive";
+        text =
+          (fun x ->
+            Option.fold ~none:"-" ~some:(Printf.sprintf "%.4f") x.ratio);
+        cell = (fun x -> Option.map (fun v -> Obs_json.Float v) x.ratio);
+      };
+      col "verdict" str (fun x -> verdict_of x.r);
+      col "ms" ~key:"wall_ms" (real f1) (fun x -> x.ms);
+      col "trans/s" ~key:"transitions_per_sec" (real f0) (fun x ->
+          float_of_int x.r.Mc.stats.Mc.transitions
+          /. Float.max 1e-6 (x.ms /. 1000.));
+    ]
+
   let run () =
     section ~id:"E14"
       ~title:"systematic schedule exploration (bounded DPOR model checking)"
@@ -942,85 +919,31 @@ module E14 = struct
          deadlocks are found without fault injection with minimal \
          replayable counterexamples, and DPOR makes exhaustive search \
          tractable where naive enumeration is not";
-    let rows = ref [] and json = ref [] in
     (* naive execution counts per (scenario, cpus), for reduction ratios *)
-    let naive_execs = Hashtbl.create 8 in
-    List.iter
-      (fun (sname, cpus, mode, bound, max_executions) ->
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Mc.check ~cpus ~mode ?bound ?max_executions (Scenarios.get sname).run
-        in
-        let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        let execs = r.Mc.stats.Mc.executions in
-        let transitions = r.Mc.stats.Mc.transitions in
-        let per_sec = float_of_int transitions /. Float.max 1e-6 (ms /. 1000.) in
-        if mode = Mc.Naive && r.Mc.complete then
-          Hashtbl.replace naive_execs (sname, cpus) execs;
-        let ratio =
-          if mode = Mc.Dpor then
-            match Hashtbl.find_opt naive_execs (sname, cpus) with
-            | Some n when n > 0 -> Some (float_of_int execs /. float_of_int n)
+    let naive_execs = ref [] in
+    let rows =
+      List.map
+        (fun (sname, cpus, mode, bound, max_executions) ->
+          let t0 = Unix.gettimeofday () in
+          let r =
+            Mc.check ~cpus ~mode ?bound ?max_executions
+              (Scenarios.get sname).run
+          in
+          let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+          let execs = r.Mc.stats.Mc.executions in
+          if mode = Mc.Naive && r.Mc.complete then
+            naive_execs := ((sname, cpus), execs) :: !naive_execs;
+          let ratio =
+            match List.assoc_opt (sname, cpus) !naive_execs with
+            | Some n when mode = Mc.Dpor && n > 0 ->
+                Some (float_of_int execs /. float_of_int n)
             | _ -> None
-          else None
-        in
-        let bound_s =
-          match bound with None -> "-" | Some b -> string_of_int b
-        in
-        rows :=
-          [
-            sname;
-            i cpus;
-            Mc.mode_name mode;
-            bound_s;
-            i execs;
-            i r.Mc.stats.Mc.pruned;
-            (match ratio with None -> "-" | Some x -> Printf.sprintf "%.4f" x);
-            verdict_of r;
-            f1 ms;
-            Printf.sprintf "%.0f" per_sec;
-          ]
-          :: !rows;
-        json :=
-          Obs_json.Obj
-            ([
-               ("scenario", Obs_json.String sname);
-               ("cpus", Obs_json.Int cpus);
-               ("mode", Obs_json.String (Mc.mode_name mode));
-               ( "bound",
-                 match bound with
-                 | None -> Obs_json.String "unbounded"
-                 | Some b -> Obs_json.Int b );
-               ("executions", Obs_json.Int execs);
-               ("pruned", Obs_json.Int r.Mc.stats.Mc.pruned);
-               ("transitions", Obs_json.Int transitions);
-               ("complete", Obs_json.Bool r.Mc.complete);
-               ("verdict", Obs_json.String (verdict_of r));
-               ("wall_ms", Obs_json.Float ms);
-               ("transitions_per_sec", Obs_json.Float per_sec);
-             ]
-            @ (match ratio with
-              | None -> []
-              | Some x -> [ ("reduction_vs_naive", Obs_json.Float x) ]))
-          :: !json)
-      cases;
-    table
-      ~header:
-        [
-          "scenario";
-          "cpus";
-          "mode";
-          "bound";
-          "schedules";
-          "pruned";
-          "vs naive";
-          "verdict";
-          "ms";
-          "trans/s";
-        ]
-      (List.rev !rows);
-    write_json ~what:"exploration table" "BENCH_mc.json"
-      (Obs_json.Obj [ ("E14", Obs_json.List (List.rev !json)) ])
+          in
+          { sname; cpus; mode; bound; r; ms; ratio })
+        cases
+    in
+    write_bench ~what:"exploration table" "BENCH_mc.json" "E14"
+      (tabulate cols rows)
 end
 
 (* ================================================================== *)
@@ -1039,10 +962,8 @@ module E15 = struct
 
   let protos =
     List.map
-      (fun p ->
-        ( Spin.protocol_name p,
-          fun () -> K.Slock.make ~name:"l" ~protocol:p () ))
-      Spin.all_protocols
+      (fun (name, p) -> (name, fun () -> K.Slock.make ~name:"l" ~protocol:p ()))
+      protocols
     @ List.map
         (fun f ->
           (Lock_proto.name f, fun () -> K.Slock.make ~name:"l" ~proto:f ()))
@@ -1107,134 +1028,78 @@ module E15 = struct
          crossover cpu count they beat ttas on both bus traffic and \
          makespan; a big-reader lock makes read-mostly data near-free to \
          read (s.2)";
-    let tbl = Hashtbl.create 64 in
-    let mutex_rows =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun (name, mk) ->
-              let s =
-                sim_run ~cpus (fun () ->
-                    Scenarios.contention ~lock:(mk ()) ~iters ())
-              in
-              Hashtbl.replace tbl (name, cpus) s;
-              [
-                i cpus;
-                name;
-                i s.Engine.makespan;
-                i s.Engine.bus_transactions;
-                i s.Engine.atomic_ops;
-                i s.Engine.cache_misses;
-              ])
-            protos)
-        sweep
+    let mutex =
+      grid ~sweep protos (fun mk cpus ->
+          Some
+            (sim_run ~cpus (fun () ->
+                 Scenarios.contention ~lock:(mk ()) ~iters ())))
     in
-    table
-      ~header:
-        [ "cpus"; "protocol"; "makespan"; "bus-txns"; "atomics"; "misses" ]
-      mutex_rows;
+    let mutex_json = tabulate E1.cols mutex in
     (* Crossover: smallest cpu count at which a queue protocol beats ttas
        on makespan AND bus traffic, and stays ahead for the rest of the
        sweep. *)
     let beats name cpus =
-      let s = Hashtbl.find tbl (name, cpus) in
-      let t = Hashtbl.find tbl ("ttas", cpus) in
+      let s = Option.get (find mutex name cpus) in
+      let t = Option.get (find mutex "ttas" cpus) in
       s.Engine.makespan < t.Engine.makespan
       && s.Engine.bus_transactions < t.Engine.bus_transactions
     in
-    let crossover name = crossover ~beats:(beats name) sweep in
-    let queue_names = List.map Lock_proto.name K.Locks.all in
     printf "\ncrossover vs ttas (beats on makespan AND bus-txns from here up):\n";
-    table
-      ~header:[ "protocol"; "crossover-cpus" ]
-      (List.map
-         (fun n ->
-           [ n; (match crossover n with None -> "-" | Some c -> i c) ])
-         queue_names);
+    let crossover_json =
+      tabulate
+        [
+          col "protocol" str Fun.id;
+          json_only (col "vs" str (fun _ -> "ttas"));
+          col "crossover-cpus" ~key:"crossover_cpus" (opt int) (fun n ->
+              crossover ~beats:(beats n) sweep);
+        ]
+        (List.map Lock_proto.name K.Locks.all)
+    in
     printf "\nread-mostly (%d%% writes):\n" (100 / rw_ops);
-    let rw_rows =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun (name, impl) ->
-              let s = read_mostly impl cpus in
-              Hashtbl.replace tbl ("rw:" ^ name, cpus) s;
-              [
-                i cpus;
-                name;
-                i s.Engine.makespan;
-                i s.Engine.bus_transactions;
-                i s.Engine.atomic_ops;
-              ])
-            [
-              ("brlock", `Brlock);
-              ("complex-rw", `Clock);
-              ("ttas-mutex", `Ttas);
-            ])
-        sweep
-    in
-    table
-      ~header:[ "cpus"; "impl"; "makespan"; "bus-txns"; "atomics" ]
-      rw_rows;
-    (* JSON export mirroring the printed tables, for the CI artifact. *)
-    let stats_fields (s : Engine.stats) =
-      [
-        ("makespan", Obs_json.Int s.Engine.makespan);
-        ("bus_txns", Obs_json.Int s.Engine.bus_transactions);
-        ("atomics", Obs_json.Int s.Engine.atomic_ops);
-        ("misses", Obs_json.Int s.Engine.cache_misses);
-      ]
-    in
-    let mutex_json =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun (name, _) ->
-              Obs_json.Obj
-                (( "protocol", Obs_json.String name )
-                 :: ("cpus", Obs_json.Int cpus)
-                 :: stats_fields (Hashtbl.find tbl (name, cpus))))
-            protos)
-        sweep
+    let rw =
+      grid ~sweep
+        [ ("brlock", `Brlock); ("complex-rw", `Clock); ("ttas-mutex", `Ttas) ]
+        (fun impl cpus -> Some (read_mostly impl cpus))
     in
     let rw_json =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun name ->
-              Obs_json.Obj
-                (( "impl", Obs_json.String name )
-                 :: ("cpus", Obs_json.Int cpus)
-                 :: stats_fields (Hashtbl.find tbl ("rw:" ^ name, cpus))))
-            [ "brlock"; "complex-rw"; "ttas-mutex" ])
-        sweep
+      tabulate (point_cols "impl" @ stats_cols @ [ json_only misses_col ]) rw
     in
-    let crossover_json =
-      List.map
-        (fun n ->
-          Obs_json.Obj
-            [
-              ("protocol", Obs_json.String n);
-              ("vs", Obs_json.String "ttas");
-              ( "crossover_cpus",
-                match crossover n with
-                | None -> Obs_json.Null
-                | Some c -> Obs_json.Int c );
-            ])
-        queue_names
-    in
-    write_json ~what:"lock-suite tables" "BENCH_locks.json"
+    write_bench ~what:"lock-suite tables" "BENCH_locks.json" "E15"
       (Obs_json.Obj
          [
-           ( "E15",
-             Obs_json.Obj
-               [
-                 ("mutex", Obs_json.List mutex_json);
-                 ("read_mostly", Obs_json.List rw_json);
-                 ("crossover", Obs_json.List crossover_json);
-               ] );
+           ("mutex", mutex_json);
+           ("read_mostly", rw_json);
+           ("crossover", crossover_json);
          ])
 end
+
+(* ================================================================== *)
+(* E16 and E19: one storm swept over its lock disciplines              *)
+(* ================================================================== *)
+
+(* The storm's table, each discipline's speedup over [base] (as
+   (discipline, header, key)), and the smallest cpu count from which
+   [lead] beats [base] and stays ahead for the rest of the sweep
+   ([rival] names [base] in that verdict), all written to [file]. *)
+let storm_sweep ~id ~file ~what ~speedup_title ~base ~speedups ~lead ~rival
+    disciplines run =
+  let sweep = [ 2; 8; 16; 32; 64 ] and makespan s = s.Engine.makespan in
+  let storm = grid ~sweep disciplines (fun l cpus -> Some (run l cpus)) in
+  let storm_json = tabulate (point_cols "locking" @ stats_cols) storm in
+  printf "\n%s (makespan ratio):\n" speedup_title;
+  let speedup_json = speedup_table ~makespan storm ~sweep ~base speedups in
+  let beats c = speedup ~makespan storm ~base lead c > Some 1.0 in
+  let crossover = crossover ~beats sweep in
+  (match crossover with
+  | Some c -> printf "%s beats %s from %d cpus up\n" lead rival c
+  | None -> printf "%s never beats %s in this sweep\n" lead rival);
+  write_bench ~what file id
+    (Obs_json.Obj
+       [
+         ("storm", storm_json);
+         ("speedup", speedup_json);
+         ("crossover_cpus", (opt int).json crossover);
+       ])
 
 (* ================================================================== *)
 (* E16: range locks over the VM map: fault storms at scale              *)
@@ -1242,21 +1107,10 @@ end
 
 module E16 = struct
   (* Each thread owns a disjoint slice of one map and repeatedly
-     allocates, faults and deallocates it (Scenarios.vm_fault_storm).
-     Under the coarse discipline every operation takes the one map lock,
-     so the storm serializes no matter how disjoint the addresses; under
-     range locking only overlapping requests conflict.  The workload is
-     deliberately light per thread (the 64-cpu coarse row is quadratic
-     in waiters) so the sweep stays in smoke-test range. *)
-  let sweep = [ 2; 8; 16; 32; 64 ]
-  let pages_per_thread = 2
-  let rounds = 1
-
-  let storm locking cpus =
-    sim_run ~cpus (fun () ->
-        Scenarios.vm_fault_storm ~locking ~threads:cpus ~pages_per_thread
-          ~rounds ())
-
+     allocates, faults and deallocates it (Bench_util.vm_storm).  Under
+     the coarse discipline every operation takes the one map lock, so the
+     storm serializes no matter how disjoint the addresses; under range
+     locking only overlapping requests conflict. *)
   let run () =
     section ~id:"E16" ~title:"range locks over the VM map: fault storms"
       ~claim:
@@ -1265,86 +1119,15 @@ module E16 = struct
          list-based range lock admits all non-overlapping operations at \
          once, so a many-thread fault storm across a large address space \
          scales with cpus instead of collapsing onto the one lock (s.4)";
-    let tbl = Hashtbl.create 16 in
-    let disciplines = [ Vm.Vm_map.Coarse; Vm.Vm_map.Range ] in
-    let rows =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun locking ->
-              let s = storm locking cpus in
-              let name = Vm.Vm_map.locking_name locking in
-              Hashtbl.replace tbl (name, cpus) s;
-              [
-                i cpus;
-                name;
-                i s.Engine.makespan;
-                i s.Engine.bus_transactions;
-                i s.Engine.atomic_ops;
-              ])
-            disciplines)
-        sweep
-    in
-    table
-      ~header:[ "cpus"; "locking"; "makespan"; "bus-txns"; "atomics" ]
-      rows;
-    let speedup cpus =
-      let c = Hashtbl.find tbl ("coarse", cpus) in
-      let r = Hashtbl.find tbl ("range", cpus) in
-      float_of_int c.Engine.makespan /. float_of_int r.Engine.makespan
-    in
-    printf "\nrange-lock speedup over the coarse map lock (makespan ratio):\n";
-    table
-      ~header:[ "cpus"; "coarse/range" ]
-      (List.map (fun c -> [ i c; f2 (speedup c) ]) sweep);
-    (* Crossover: smallest cpu count at which the range-locked map beats
-       the coarse one and stays ahead for the rest of the sweep. *)
-    let crossover = crossover ~beats:(fun c -> speedup c > 1.0) sweep in
-    (match crossover with
-    | Some c -> printf "range beats coarse from %d cpus up\n" c
-    | None -> printf "range never beats coarse in this sweep\n");
-    let storm_json =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun locking ->
-              let name = Vm.Vm_map.locking_name locking in
-              let s = Hashtbl.find tbl (name, cpus) in
-              Obs_json.Obj
-                [
-                  ("locking", Obs_json.String name);
-                  ("cpus", Obs_json.Int cpus);
-                  ("makespan", Obs_json.Int s.Engine.makespan);
-                  ("bus_txns", Obs_json.Int s.Engine.bus_transactions);
-                  ("atomics", Obs_json.Int s.Engine.atomic_ops);
-                ])
-            disciplines)
-        sweep
-    in
-    let speedup_json =
-      List.map
-        (fun c ->
-          Obs_json.Obj
-            [
-              ("cpus", Obs_json.Int c);
-              ("range_speedup", Obs_json.Float (speedup c));
-            ])
-        sweep
-    in
-    write_json ~what:"vm-map tables" "BENCH_vm.json"
-      (Obs_json.Obj
-         [
-           ( "E16",
-             Obs_json.Obj
-               [
-                 ("storm", Obs_json.List storm_json);
-                 ("speedup", Obs_json.List speedup_json);
-                 ( "crossover_cpus",
-                   match crossover with
-                   | None -> Obs_json.Null
-                   | Some c -> Obs_json.Int c );
-               ] );
-         ])
+    storm_sweep ~id:"E16" ~file:"BENCH_vm.json" ~what:"vm-map tables"
+      ~speedup_title:"range-lock speedup over the coarse map lock"
+      ~base:"coarse"
+      ~speedups:[ ("range", "coarse/range", "range_speedup") ]
+      ~lead:"range" ~rival:"coarse"
+      (List.map
+         (fun l -> (Vm.Vm_map.locking_name l, l))
+         [ Vm.Vm_map.Coarse; Vm.Vm_map.Range ])
+      vm_storm
 end
 
 (* ================================================================== *)
@@ -1384,6 +1167,47 @@ module E18 = struct
       ("rpc-4cpu", 4, timed, rpc);
     ]
 
+  type row = {
+    wname : string;
+    cpus : int;
+    makespan : int;
+    view : Obs_span.view;
+    cp : Obs_cp.t;
+  }
+
+  let total f l = List.fold_left (fun acc x -> acc + f x) 0 l
+
+  let dominant r =
+    match Obs_cp.dominant r.cp with
+    | Some a -> (a.Obs_cp.cls, a.Obs_cp.fraction)
+    | None -> ("-", 0.)
+
+  (* The table sums up each workload; its JSON object (an entry of the
+     E18 section of BENCH_observability.json) holds the whole span view
+     and critical path. *)
+  let cols =
+    let whole = { show = Obs_json.to_string; json = Fun.id } in
+    let sites r = r.view.Obs_span.v_sites in
+    [
+      table_only (col "workload" str (fun r -> r.wname));
+      col "cpus" int (fun r -> r.cpus);
+      json_only (col "makespan" int (fun r -> r.makespan));
+      table_only
+        (col "spans" int (fun r ->
+             total (fun s -> s.Obs_span.s_spans) (sites r)));
+      json_only (col "spans" whole (fun r -> Obs_span.to_json r.view));
+      table_only
+        (col "blocked" int (fun r ->
+             total (fun s -> s.Obs_span.s_blocked) (sites r)));
+      table_only (col "dominant class" str (fun r -> fst (dominant r)));
+      table_only (col "cp-fraction" (real f2) (fun r -> snd (dominant r)));
+      table_only (col "residual" (real f2) (fun r -> r.cp.Obs_cp.residual));
+      table_only
+        (col "flight" int (fun r ->
+             total (fun (_, l) -> List.length l) r.view.Obs_span.v_flight));
+      json_only (col "critical_path" whole (fun r -> Obs_cp.to_json r.cp));
+    ]
+
   let run () =
     section ~id:"E18" ~title:"causal observability: who blocks whom, and why"
       ~claim:
@@ -1392,85 +1216,36 @@ module E18 = struct
          on the makespan's path) and E13's handoff latency (event waits) \
          without perturbing the schedule — spans on is byte-identical to \
          spans off";
-    let rows = ref [] in
-    List.iter
-      (fun (wname, cpus, policy_tweak, workload) ->
-        let stats =
-          sim_run ~cpus
-            ~tweak:(fun cfg ->
-              policy_tweak
-                { cfg with Config.trace = true; track_waits = true })
-            workload
-        in
-        let view =
-          match Obs_span.last () with
-          | Some v -> v
-          | None -> Obs_span.empty_view
-        in
-        let evs =
-          List.map
-            (fun (e : Mach_sim.Sim_trace.event) ->
-              {
-                Obs_cp.cp_clock = e.Mach_sim.Sim_trace.clock;
-                cp_ev = e.Mach_sim.Sim_trace.ev;
-              })
-            (Engine.trace_events ())
-        in
-        let cp = Obs_cp.compute ~makespan:stats.Engine.makespan evs in
-        let dom_cls, dom_frac =
-          match Obs_cp.dominant cp with
-          | Some a -> (a.Obs_cp.cls, a.Obs_cp.fraction)
-          | None -> ("-", 0.)
-        in
-        let spans_closed =
-          List.fold_left
-            (fun acc (s : Obs_span.site) -> acc + s.Obs_span.s_spans)
-            0 view.Obs_span.v_sites
-        in
-        let blocked =
-          List.fold_left
-            (fun acc (s : Obs_span.site) -> acc + s.Obs_span.s_blocked)
-            0 view.Obs_span.v_sites
-        in
-        let flight_spans =
-          List.fold_left
-            (fun acc (_, l) -> acc + List.length l)
-            0 view.Obs_span.v_flight
-        in
-        rows :=
-          [
-            wname;
-            i cpus;
-            i spans_closed;
-            i blocked;
-            dom_cls;
-            f2 dom_frac;
-            f2 cp.Obs_cp.residual;
-            i flight_spans;
-          ]
-          :: !rows;
-        obs_add_json wname
-          (Obs_json.Obj
-             [
-               ("cpus", Obs_json.Int cpus);
-               ("makespan", Obs_json.Int stats.Engine.makespan);
-               ("spans", Obs_span.to_json view);
-               ("critical_path", Obs_cp.to_json cp);
-             ]))
-      workloads;
-    table
-      ~header:
-        [
-          "workload";
-          "cpus";
-          "spans";
-          "blocked";
-          "dominant class";
-          "cp-fraction";
-          "residual";
-          "flight";
-        ]
-      (List.rev !rows)
+    let rows =
+      List.map
+        (fun (wname, cpus, policy_tweak, workload) ->
+          let stats =
+            sim_run ~cpus
+              ~tweak:(fun cfg ->
+                policy_tweak
+                  { cfg with Config.trace = true; track_waits = true })
+              workload
+          in
+          let view =
+            match Obs_span.last () with
+            | Some v -> v
+            | None -> Obs_span.empty_view
+          in
+          let evs =
+            List.map
+              (fun (e : Mach_sim.Sim_trace.event) ->
+                {
+                  Obs_cp.cp_clock = e.Mach_sim.Sim_trace.clock;
+                  cp_ev = e.Mach_sim.Sim_trace.ev;
+                })
+              (Engine.trace_events ())
+          in
+          let makespan = stats.Engine.makespan in
+          { wname; cpus; makespan; view; cp = Obs_cp.compute ~makespan evs })
+        workloads
+    in
+    ignore (tabulate cols rows);
+    List.iter (fun r -> obs_add_json r.wname (json_obj cols r)) rows
 end
 
 (* ================================================================== *)
@@ -1480,24 +1255,13 @@ end
 (* ================================================================== *)
 
 module E19 = struct
-  (* Read-mostly page lookups against one vm_cache under three index
-     locks: the scache per-cpu refcount RW lock, the brlock, and a flat
-     mutex (every lookup takes the one simple lock — the baseline the
-     scache protocol exists to beat).  Writes (evict + refill) are rare
-     and staggered so the workload matches the cache's design point:
-     under the RW disciplines readers share the lock, under the mutex
-     they convoy. *)
-  let sweep = [ 2; 8; 16; 32; 64 ]
-
-  let locking_name = function
-    | Vm.Vm_cache.Scache -> "scache"
-    | Vm.Vm_cache.Brlock_rw -> "brlock"
-    | Vm.Vm_cache.Mutex -> "mutex"
-
-  let storm locking cpus =
-    sim_run ~cpus (fun () ->
-        Scenarios.vm_cache_ops ~locking ~threads:cpus ())
-
+  (* Read-mostly page lookups against one vm_cache (Bench_util.cache_storm)
+     under three index locks: the scache per-cpu refcount RW lock, the
+     brlock, and a flat mutex (every lookup takes the one simple lock —
+     the baseline the scache protocol exists to beat).  Writes (evict +
+     refill) are rare and staggered so the workload matches the cache's
+     design point: under the RW disciplines readers share the lock,
+     under the mutex they convoy. *)
   let run () =
     section ~id:"E19" ~title:"scache page cache: read-mostly lookup storm"
       ~claim:
@@ -1505,92 +1269,21 @@ module E19 = struct
          scache protocol counts readers in per-cpu refcount slots so \
          read-mostly lookups proceed in parallel, and the write-side \
          sweep only charges the rare evict/fill (s.5)";
-    let tbl = Hashtbl.create 16 in
-    let disciplines =
-      [ Vm.Vm_cache.Scache; Vm.Vm_cache.Brlock_rw; Vm.Vm_cache.Mutex ]
-    in
-    let rows =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun locking ->
-              let s = storm locking cpus in
-              let name = locking_name locking in
-              Hashtbl.replace tbl (name, cpus) s;
-              [
-                i cpus;
-                name;
-                i s.Engine.makespan;
-                i s.Engine.bus_transactions;
-                i s.Engine.atomic_ops;
-              ])
-            disciplines)
-        sweep
-    in
-    table
-      ~header:[ "cpus"; "locking"; "makespan"; "bus-txns"; "atomics" ]
-      rows;
-    let speedup name cpus =
-      let m = Hashtbl.find tbl ("mutex", cpus) in
-      let s = Hashtbl.find tbl (name, cpus) in
-      float_of_int m.Engine.makespan /. float_of_int s.Engine.makespan
-    in
-    printf "\nread-throughput speedup over the mutex cache (makespan ratio):\n";
-    table
-      ~header:[ "cpus"; "mutex/scache"; "mutex/brlock" ]
-      (List.map
-         (fun c -> [ i c; f2 (speedup "scache" c); f2 (speedup "brlock" c) ])
-         sweep);
-    (* Crossover: smallest cpu count from which scache stays ahead. *)
-    let crossover =
-      crossover ~beats:(fun c -> speedup "scache" c > 1.0) sweep
-    in
-    (match crossover with
-    | Some c -> printf "scache beats the mutex cache from %d cpus up\n" c
-    | None -> printf "scache never beats the mutex cache in this sweep\n");
-    let storm_json =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun locking ->
-              let name = locking_name locking in
-              let s = Hashtbl.find tbl (name, cpus) in
-              Obs_json.Obj
-                [
-                  ("locking", Obs_json.String name);
-                  ("cpus", Obs_json.Int cpus);
-                  ("makespan", Obs_json.Int s.Engine.makespan);
-                  ("bus_txns", Obs_json.Int s.Engine.bus_transactions);
-                  ("atomics", Obs_json.Int s.Engine.atomic_ops);
-                ])
-            disciplines)
-        sweep
-    in
-    let speedup_json =
-      List.map
-        (fun c ->
-          Obs_json.Obj
-            [
-              ("cpus", Obs_json.Int c);
-              ("scache_speedup", Obs_json.Float (speedup "scache" c));
-              ("brlock_speedup", Obs_json.Float (speedup "brlock" c));
-            ])
-        sweep
-    in
-    write_json ~what:"page-cache tables" "BENCH_cache.json"
-      (Obs_json.Obj
-         [
-           ( "E19",
-             Obs_json.Obj
-               [
-                 ("storm", Obs_json.List storm_json);
-                 ("speedup", Obs_json.List speedup_json);
-                 ( "crossover_cpus",
-                   match crossover with
-                   | None -> Obs_json.Null
-                   | Some c -> Obs_json.Int c );
-               ] );
-         ])
+    storm_sweep ~id:"E19" ~file:"BENCH_cache.json" ~what:"page-cache tables"
+      ~speedup_title:"read-throughput speedup over the mutex cache"
+      ~base:"mutex"
+      ~speedups:
+        [
+          ("scache", "mutex/scache", "scache_speedup");
+          ("brlock", "mutex/brlock", "brlock_speedup");
+        ]
+      ~lead:"scache" ~rival:"the mutex cache"
+      [
+        ("scache", Vm.Vm_cache.Scache);
+        ("brlock", Vm.Vm_cache.Brlock_rw);
+        ("mutex", Vm.Vm_cache.Mutex);
+      ]
+      cache_storm
 end
 
 (* ================================================================== *)
@@ -1606,76 +1299,43 @@ module E20 = struct
      swept against the flat baseline: batching (the server dequeues up
      to k requests per port-lock acquisition) and a sharded port name
      space (names hashed over S translation tables, each under its own
-     lock, in place of the single global table).
-
-     RPCs/sec is simulated time at a nominal 1 GHz (1 cycle = 1 ns):
-     sustained = served x 1e9 / makespan-cycles.  The per-request
-     latency percentiles come from the rpc.latency_cycles histogram the
-     scenario feeds per call. *)
+     lock, in place of the single global table).  Bench_util.rpc_serve
+     runs one point. *)
 
   let sweep = [ 2; 8; 16; 32; 64 ]
 
-  (* (label, shards, batch) *)
+  (* (label, (shards, batch)) *)
   let configs =
-    [ ("flat", 1, 1); ("sharded", 8, 1); ("batched", 1, 8); ("sh+batch", 8, 8) ]
+    [
+      ("flat", (1, 1));
+      ("sharded", (8, 1));
+      ("batched", (1, 8));
+      ("sh+batch", (8, 8));
+    ]
 
-  let panics = ref 0
+  let calls_each = 16
+  let cpus_col : rpc point column = col "cpus" int (fun p -> p.cpus)
 
-  type res = {
-    served : int;
-    drained : int;
-    makespan : int;
-    rps : float;
-    p50 : int;
-    p99 : int;
-  }
+  (* The columns of one run; a sweep row adds its config. *)
+  let res_cols =
+    [
+      col "rpcs" ~key:"served" int (fun p -> p.res.served);
+      json_only (col "drained" int (fun p -> p.res.drained));
+      col "makespan" int (fun p -> p.res.makespan);
+      col "RPCs/sec" ~key:"rpcs_per_sec" (real f0) (fun p -> p.res.rps);
+      col "p50-cyc" ~key:"p50_cycles" int (fun p -> p.res.p50);
+      col "p99-cyc" ~key:"p99_cycles" int (fun p -> p.res.p99);
+    ]
 
-  let serve ?(drain = false) ~cpus ~shards ~batch ~calls_each () =
-    (* Metrics are reset per run so the latency percentiles are this
-       run's, not the sweep's aggregate. *)
-    Obs_metrics.reset ();
-    let cfg = { (Config.bench ~cpus ()) with Config.seed = 3 } in
-    let counts = ref (0, 0) in
-    match
-      Engine.run_outcome ~cfg (fun () ->
-          counts :=
-            Scenarios.rpc_serve ~shards ~batch ~calls_each
-              ~drain_under_load:drain ())
-    with
-    | Engine.Completed stats ->
-        let served, drained = !counts in
-        let h =
-          Obs_metrics.merged (Obs_metrics.histogram "rpc.latency_cycles")
-        in
-        Some
-          {
-            served;
-            drained;
-            makespan = stats.Engine.makespan;
-            rps =
-              float_of_int served *. 1e9
-              /. float_of_int (max 1 stats.Engine.makespan);
-            p50 = Obs_histogram.percentile h 50.;
-            p99 = Obs_histogram.percentile h 99.;
-          }
-    | Engine.Panicked msg ->
-        incr panics;
-        printf "PANIC (%d cpus, shards=%d batch=%d): %s\n" cpus shards batch msg;
-        None
-    | Engine.Deadlocked (_, msg) ->
-        incr panics;
-        printf "DEADLOCK (%d cpus, shards=%d batch=%d): %s\n" cpus shards batch
-          msg;
-        None
-    | Engine.Hit_step_limit ->
-        incr panics;
-        printf "STEP LIMIT (%d cpus, shards=%d batch=%d)\n" cpus shards batch;
-        None
+  let sweep_cols =
+    cpus_col
+    :: col "config" str (fun p -> p.name)
+    :: json_only (col "shards" int (fun p -> fst (List.assoc p.name configs)))
+    :: json_only (col "batch" int (fun p -> snd (List.assoc p.name configs)))
+    :: res_cols
 
-  let f0 x = Printf.sprintf "%.0f" x
-
-  let run ?(smoke = false) () =
-    panics := 0;
+  let run () =
+    rpc_failures := 0;
     section ~id:"E20" ~title:"RPC serving: batching + sharded port name space"
       ~claim:
         "the section 10 reference protocol (translate, take/drop, \
@@ -1685,61 +1345,26 @@ module E20 = struct
          throughput scales with client cpus instead of convoying \
          (Elphinstone et al.: IPC throughput is where lock granularity \
          pays off or collapses)";
-    let sweep = if smoke then [ 4 ] else sweep in
-    let calls_each = 16 in
-    let tbl = Hashtbl.create 32 in
-    let rows =
-      List.concat_map
-        (fun cpus ->
-          List.filter_map
-            (fun (name, shards, batch) ->
-              match serve ~cpus ~shards ~batch ~calls_each () with
-              | None -> None
-              | Some r ->
-                  Hashtbl.replace tbl (name, cpus) r;
-                  Some
-                    [
-                      i cpus;
-                      name;
-                      i r.served;
-                      i r.makespan;
-                      f0 r.rps;
-                      i r.p50;
-                      i r.p99;
-                    ])
-            configs)
-        sweep
+    let runs =
+      grid ~sweep configs (fun (shards, batch) cpus ->
+          rpc_serve ~cpus ~shards ~batch ~calls_each ())
     in
-    table
-      ~header:
-        [ "cpus"; "config"; "rpcs"; "makespan"; "RPCs/sec"; "p50-cyc"; "p99-cyc" ]
-      rows;
-    let ratio name cpus =
-      match
-        (Hashtbl.find_opt tbl ("flat", cpus), Hashtbl.find_opt tbl (name, cpus))
-      with
-      | Some flat, Some r ->
-          Some (float_of_int flat.makespan /. float_of_int r.makespan)
-      | _ -> None
-    in
-    let fr = function Some x -> f2 x | None -> "-" in
+    let sweep_json = tabulate sweep_cols runs in
     printf "\nthroughput speedup over flat batch=1 (makespan ratio):\n";
-    table
-      ~header:[ "cpus"; "sharded"; "batched"; "sh+batch" ]
-      (List.map
-         (fun c ->
-           [
-             i c;
-             fr (ratio "sharded" c);
-             fr (ratio "batched" c);
-             fr (ratio "sh+batch" c);
-           ])
-         sweep);
+    let speedup_json =
+      speedup_table ~makespan:(fun r -> r.makespan) runs ~sweep ~base:"flat"
+        [
+          ("sharded", "sharded", "sharded_speedup");
+          ("batched", "batched", "batched_speedup");
+          ("sh+batch", "sh+batch", "sharded_batched_speedup");
+        ]
+    in
     (* The headline sustained leg: a longer sharded+batched run at the
-       top of the sweep (the smoke variant reuses the small size so it
-       stays inside the CI budget). *)
-    let sus_cpus, sus_calls = if smoke then (4, 32) else (64, 256) in
-    let sustained = serve ~cpus:sus_cpus ~shards:8 ~batch:8 ~calls_each:sus_calls () in
+       top of the sweep. *)
+    let sus_cpus = 64 and drain_cpus = 16 in
+    let sustained =
+      rpc_serve ~cpus:sus_cpus ~shards:8 ~batch:8 ~calls_each:256 ()
+    in
     (match sustained with
     | Some r ->
         printf
@@ -1752,79 +1377,29 @@ module E20 = struct
        every in-flight request (err_deactivated) and leak nothing — the
        scenario panics on a §4 double-free or a leaked reference, so a
        Completed outcome IS the clean-drain verdict. *)
-    let drain_cpus = if smoke then 4 else 16 in
-    let drain_res = serve ~drain:true ~cpus:drain_cpus ~shards:4 ~batch:4 ~calls_each () in
-    (match drain_res with
+    let drain =
+      rpc_serve ~drain:true ~cpus:drain_cpus ~shards:4 ~batch:4 ~calls_each ()
+    in
+    (match drain with
     | Some r ->
         printf
           "shutdown drain: clean (%d cpus: %d served, %d in-flight answered \
            err_deactivated, all references balanced)\n"
           drain_cpus r.served r.drained
     | None -> printf "shutdown drain: FAILED\n");
-    printf "refcount panics: %d\n" !panics;
-    let res_json r =
-      [
-        ("served", Obs_json.Int r.served);
-        ("drained", Obs_json.Int r.drained);
-        ("makespan", Obs_json.Int r.makespan);
-        ("rpcs_per_sec", Obs_json.Float r.rps);
-        ("p50_cycles", Obs_json.Int r.p50);
-        ("p99_cycles", Obs_json.Int r.p99);
-      ]
+    printf "refcount panics: %d\n" !rpc_failures;
+    let leg name cpus =
+      Option.fold ~none:Obs_json.Null ~some:(fun res ->
+          json_obj (cpus_col :: res_cols) { name; cpus; res })
     in
-    let sweep_json =
-      List.concat_map
-        (fun cpus ->
-          List.filter_map
-            (fun (name, shards, batch) ->
-              Hashtbl.find_opt tbl (name, cpus)
-              |> Option.map (fun r ->
-                     Obs_json.Obj
-                       ([
-                          ("config", Obs_json.String name);
-                          ("cpus", Obs_json.Int cpus);
-                          ("shards", Obs_json.Int shards);
-                          ("batch", Obs_json.Int batch);
-                        ]
-                       @ res_json r)))
-            configs)
-        sweep
-    in
-    let speedup_json =
-      List.map
-        (fun c ->
-          let f name =
-            match ratio name c with
-            | Some x -> Obs_json.Float x
-            | None -> Obs_json.Null
-          in
-          Obs_json.Obj
-            [
-              ("cpus", Obs_json.Int c);
-              ("sharded_speedup", f "sharded");
-              ("batched_speedup", f "batched");
-              ("sharded_batched_speedup", f "sh+batch");
-            ])
-        sweep
-    in
-    let opt_obj extra = function
-      | Some r -> Obs_json.Obj (extra @ res_json r)
-      | None -> Obs_json.Null
-    in
-    write_json ~what:"rpc tables" "BENCH_rpc.json"
+    write_bench ~what:"rpc tables" "BENCH_rpc.json" "E20"
       (Obs_json.Obj
          [
-           ( "E20",
-             Obs_json.Obj
-               [
-                 ("mode", Obs_json.String (if smoke then "smoke" else "full"));
-                 ("sweep", Obs_json.List sweep_json);
-                 ("speedup", Obs_json.List speedup_json);
-                 ( "sustained",
-                   opt_obj [ ("cpus", Obs_json.Int sus_cpus) ] sustained );
-                 ("drain", opt_obj [ ("cpus", Obs_json.Int drain_cpus) ] drain_res);
-                 ("refcount_panics", Obs_json.Int !panics);
-               ] );
+           ("sweep", sweep_json);
+           ("speedup", speedup_json);
+           ("sustained", leg "sh+batch" sus_cpus sustained);
+           ("drain", leg "drain" drain_cpus drain);
+           ("refcount_panics", Obs_json.Int !rpc_failures);
          ])
 end
 
@@ -1849,10 +1424,18 @@ let experiments =
     ("E16", E16.run);
     ("E18", E18.run);
     ("E19", E19.run);
-    ("E20", (fun () -> E20.run ()));
-    ("E20-smoke", (fun () -> E20.run ~smoke:true ()));
+    ("E20", E20.run);
     ("X1", X1.run);
   ]
+
+(* A run replaces the sections of the experiments it ran and keeps the
+   others, in the order of [experiments]. *)
+let obs_path = "BENCH_observability.json"
+
+(* A section as it reads back from the file: a kept section is printed
+   from its parsed form, so a fresh one is too, and a section prints byte
+   for byte alike whichever run wrote it. *)
+let reread j = Result.get_ok (Obs_json.of_string (Obs_json.to_string j))
 
 let () =
   let requested =
@@ -1860,7 +1443,21 @@ let () =
     | _ :: (_ :: _ as ids) -> ids
     | _ -> List.map fst experiments
   in
-  let obs = ref [] in
+  let sections =
+    let refuse why =
+      Printf.eprintf "%s: %s (fix or delete the file)\n" obs_path why;
+      exit 1
+    in
+    if not (Sys.file_exists obs_path) then ref []
+    else
+      match
+        Obs_json.of_string
+          (In_channel.with_open_text obs_path In_channel.input_all)
+      with
+      | Ok (Obs_json.Obj kept) -> ref kept
+      | Ok _ -> refuse "not a JSON object"
+      | Error e -> refuse e
+  in
   List.iter
     (fun id ->
       match List.assoc_opt id experiments with
@@ -1868,12 +1465,17 @@ let () =
           obs_reset ();
           run ();
           obs_section ~id ();
-          obs := (id, obs_json ()) :: !obs
+          sections :=
+            (id, reread (obs_json ())) :: List.remove_assoc id !sections
       | None ->
           Printf.eprintf "unknown experiment %s (known: %s)\n" id
             (String.concat " " (List.map fst experiments));
           exit 1)
     requested;
-  write_json ~what:"per-experiment observability" "BENCH_observability.json"
-    (Obs_json.Obj (List.rev !obs));
+  write_json ~what:"per-experiment observability" obs_path
+    (Obs_json.Obj
+       (List.filter_map
+          (fun (id, _) ->
+            Option.map (fun j -> (id, j)) (List.assoc_opt id !sections))
+          experiments));
   Printf.printf "All requested experiments completed.\n"

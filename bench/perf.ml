@@ -13,6 +13,9 @@
    - domain-parallel seed sweep: `Sim_explore.run` over a fixed seed set,
      sequential vs. fanned out across domains, with the verdicts checked
      equal; reported as wall-clock speedup.
+   - deterministic guards (vm, cache, rpc): two makespans of the E16, E19
+     or E20 workload, run by the bench's own run functions, and their
+     ratio.
 
    Results are written to BENCH_sim_perf.json so CI can archive the perf
    trajectory per PR (`make perf-smoke` runs the `--fast` variant). *)
@@ -209,95 +212,64 @@ let sweep ~seeds ~domains:requested =
 
 (* ------------------------------------------------------------------ *)
 
-(* Deterministic guard on the range-locked fault path: for a fixed
-   (cfg, seed) the simulated makespan of the E16 storm is
-   schedule-deterministic, so the coarse/range makespan ratio has zero
-   host noise — the gate can pin it tightly.  A change that reserializes
-   faults (say, a range-lock conversion regressing to whole-map width)
-   collapses the ratio towards 1 and trips the gate without any
-   wall-clock measurement. *)
-let vm_storm locking =
-  let cfg = { (Config.bench ~cpus:16 ()) with Config.seed = 3 } in
-  let stats =
-    Engine.run ~cfg (fun () ->
-        Scenarios.vm_fault_storm ~locking ~threads:16
-          ~pages_per_thread:2 ~rounds:1 ())
+(* The deterministic guard rows: two makespans of one workload, the
+   same runs as the E16, E19 and E20 points, and their ratio.  For a
+   fixed (cfg, seed) a makespan is schedule-deterministic simulated time,
+   so the ratio has zero host noise and the gate can pin it tightly.  A
+   change that reserializes the mechanism behind a ratio collapses it
+   towards 1 and trips the gate without any wall-clock measurement. *)
+let makespan_row ~section ~what ~scenario ~ratio (a, ma) (b, mb) =
+  let speedup = float_of_int ma /. float_of_int mb in
+  Printf.printf
+    "%s: %s  %s makespan=%d  %s makespan=%d  %s=%.2fx (deterministic)\n%!"
+    section what a ma b mb ratio speedup;
+  let key label =
+    String.map (function '+' -> '_' | c -> c) label ^ "_makespan"
   in
-  stats.Engine.makespan
+  Obs_json.Obj
+    [
+      ("scenario", Obs_json.String scenario);
+      (key a, Obs_json.Int ma);
+      (key b, Obs_json.Int mb);
+      (ratio, Obs_json.Float speedup);
+    ]
 
+(* The range-locked fault path (E16 at 16 cpus): a regression of a
+   range-lock conversion to whole-map width reserializes faults. *)
 let vm_row () =
-  let coarse = vm_storm Mach_vm.Vm_map.Coarse in
-  let range = vm_storm Mach_vm.Vm_map.Range in
-  let speedup = float_of_int coarse /. float_of_int range in
-  Printf.printf
-    "vm: 16-cpu fault storm  coarse makespan=%d  range makespan=%d  \
-     range_speedup=%.2fx (deterministic)\n%!"
-    coarse range speedup;
-  Obs_json.Obj
-    [
-      ("scenario", Obs_json.String "vm-fault-storm-16cpu");
-      ("coarse_makespan", Obs_json.Int coarse);
-      ("range_makespan", Obs_json.Int range);
-      ("range_speedup", Obs_json.Float speedup);
-    ]
+  let storm l = (Bench_util.vm_storm l 16).Engine.makespan in
+  let coarse = storm Mach_vm.Vm_map.Coarse in
+  let range = storm Mach_vm.Vm_map.Range in
+  makespan_row ~section:"vm" ~what:"16-cpu fault storm"
+    ~scenario:"vm-fault-storm-16cpu" ~ratio:"range_speedup"
+    ("coarse", coarse) ("range", range)
 
-(* Same deterministic-guard idea for the scache page cache (E19): the
-   mutex/scache makespan ratio of the 64-cpu read-mostly lookup storm is
-   pure simulated time, so the gate can pin the read-side win of the
-   per-cpu refcount RW lock.  A change that reserializes readers (say, a
-   read path falling back to the write-side sweep) collapses the ratio
-   and trips the gate with zero host noise. *)
-let cache_storm locking =
-  let cfg = { (Config.bench ~cpus:64 ()) with Config.seed = 3 } in
-  let stats =
-    Engine.run ~cfg (fun () ->
-        Scenarios.vm_cache_ops ~locking ~threads:64 ())
-  in
-  stats.Engine.makespan
-
+(* The scache page cache's read side (E19 at 64 cpus): a read path
+   falling back to the write-side sweep reserializes readers. *)
 let cache_row () =
-  let mutex = cache_storm Mach_vm.Vm_cache.Mutex in
-  let scache = cache_storm Mach_vm.Vm_cache.Scache in
-  let speedup = float_of_int mutex /. float_of_int scache in
-  Printf.printf
-    "cache: 64-cpu lookup storm  mutex makespan=%d  scache makespan=%d  \
-     read_speedup=%.2fx (deterministic)\n%!"
-    mutex scache speedup;
-  Obs_json.Obj
-    [
-      ("scenario", Obs_json.String "vm-cache-lookup-storm-64cpu");
-      ("mutex_makespan", Obs_json.Int mutex);
-      ("scache_makespan", Obs_json.Int scache);
-      ("read_speedup", Obs_json.Float speedup);
-    ]
+  let storm l = (Bench_util.cache_storm l 64).Engine.makespan in
+  let mutex = storm Mach_vm.Vm_cache.Mutex in
+  let scache = storm Mach_vm.Vm_cache.Scache in
+  makespan_row ~section:"cache" ~what:"64-cpu lookup storm"
+    ~scenario:"vm-cache-lookup-storm-64cpu" ~ratio:"read_speedup"
+    ("mutex", mutex) ("scache", scache)
 
-(* Same deterministic-guard idea for the RPC serving path (E20): the
-   flat/sharded+batched makespan ratio of the 64-cpu serving workload is
-   pure simulated time, so the gate can pin the end-to-end throughput win
-   of batched dequeue + the sharded port name space.  A change that
-   reserializes the hot path (say, name lookups falling back to one
-   global table lock, or batching degrading to one message per lock
-   hold) collapses the ratio and trips the gate with zero host noise. *)
+(* The RPC serving path (E20 at 64 cpus): name lookups falling back to
+   one global table lock, or batching degrading to one message per lock
+   hold, reserializes the hot path. *)
 let rpc_serve ~shards ~batch =
-  let cfg = { (Config.bench ~cpus:64 ()) with Config.seed = 3 } in
-  Engine.run ~cfg (fun () ->
-      ignore (Scenarios.rpc_serve ~shards ~batch ~calls_each:16 ()))
+  match Bench_util.rpc_serve ~cpus:64 ~shards ~batch ~calls_each:16 () with
+  | Some r -> r
+  | None ->
+      Printf.eprintf "FATAL: 64-cpu rpc run (shards=%d batch=%d) failed\n"
+        shards batch;
+      exit 1
 
 let rpc_row () =
-  let flat = (rpc_serve ~shards:1 ~batch:1).Engine.makespan in
-  let sharded = (rpc_serve ~shards:8 ~batch:8).Engine.makespan in
-  let speedup = float_of_int flat /. float_of_int sharded in
-  Printf.printf
-    "rpc: 64-cpu serving  flat makespan=%d  sharded+batched makespan=%d  \
-     throughput_speedup=%.2fx (deterministic)\n%!"
-    flat sharded speedup;
-  Obs_json.Obj
-    [
-      ("scenario", Obs_json.String "rpc-serve-64cpu");
-      ("flat_makespan", Obs_json.Int flat);
-      ("sharded_batched_makespan", Obs_json.Int sharded);
-      ("throughput_speedup", Obs_json.Float speedup);
-    ]
+  let flat = (rpc_serve ~shards:1 ~batch:1).Bench_util.makespan in
+  let sharded = (rpc_serve ~shards:8 ~batch:8).Bench_util.makespan in
+  makespan_row ~section:"rpc" ~what:"64-cpu serving" ~scenario:"rpc-serve-64cpu"
+    ~ratio:"throughput_speedup" ("flat", flat) ("sharded+batched", sharded)
 
 (* Best-of-[repeats] rate of [f], which returns the work it did, with a
    calibration sample interleaved after every repeat: the same
@@ -313,12 +285,48 @@ let best_rate ~repeats f =
   done;
   (!best, !best_calib)
 
+(* A host-throughput row: the best-of-[repeats] rate of [run], which
+   returns the deterministic count of [unit]s it did and whether its
+   result checked out.  The count must equal [expected], so a change to
+   what is run cannot pass as a speedup and only the host cost per unit
+   moves.  The rate is reported over the committed [baseline] and over
+   the calibration, so the gate can pair the absolute and normalized
+   estimators. *)
+let host_row ~section ~what ~scenario ~repeats ~unit ~expected ~baseline
+    ~baseline_what ~digits run =
+  let best, calib =
+    best_rate ~repeats (fun () ->
+        let n, ok = run () in
+        if n <> expected || not ok then begin
+          Printf.eprintf "FATAL: %s: %d %s%s, expected %d\n" what n unit
+            (if ok then "" else " (not verified)")
+            expected;
+          exit 1
+        end;
+        n)
+  in
+  let vs_baseline = best /. baseline and vs_calib = best /. calib in
+  Printf.printf
+    "%s: %s x%d  %s=%d  best %s/sec=%.0f (%.2fx of %s baseline)  \
+     normalized=%.*f\n%!"
+    section what repeats unit expected unit best vs_baseline baseline_what
+    digits vs_calib;
+  Obs_json.Obj
+    [
+      ("scenario", Obs_json.String scenario);
+      ("repeats", Obs_json.Int repeats);
+      (unit, Obs_json.Int expected);
+      (unit ^ "_per_sec", Obs_json.Float best);
+      ("baseline_" ^ unit ^ "_per_sec", Obs_json.Float baseline);
+      ("vs_baseline", Obs_json.Float vs_baseline);
+      ("calib_ops_per_sec", Obs_json.Float calib);
+      ("vs_calib", Obs_json.Float vs_calib);
+    ]
+
 (* Engine host throughput at 64 cpus: the sharded+batched run of the rpc
    row, timed.  Almost every step is a spin pause with about 60
    candidate cpus, so a scheduler step that costs O(cpus) shows here four
-   times as strongly as in the 16-cpu engine row.  The step count is
-   deterministic and checked, so only the host cost per step can
-   move. *)
+   times as strongly as in the 16-cpu engine row. *)
 let engine64_steps = 4_696_993
 
 (* The same run's steps/sec when every scheduler step rebuilt its
@@ -328,47 +336,17 @@ let engine64_steps = 4_696_993
 let engine64_baseline_steps_per_sec = 1_080_000.
 
 let engine64_row () =
-  let repeats = 3 in
-  let sps, calib =
-    best_rate ~repeats (fun () ->
-        let steps = (rpc_serve ~shards:8 ~batch:8).Engine.steps in
-        if steps <> engine64_steps then begin
-          Printf.eprintf
-            "FATAL: 64-cpu rpc run took %d steps, expected %d\n" steps
-            engine64_steps;
-          exit 1
-        end;
-        steps)
-  in
-  let vs_baseline = sps /. engine64_baseline_steps_per_sec in
-  let vs_calib = sps /. calib in
-  Printf.printf
-    "engine64: 64-cpu rpc serving x%d  steps=%d  best steps/sec=%.0f \
-     (%.2fx of full-scan baseline)  normalized=%.5f\n%!"
-    repeats engine64_steps sps vs_baseline vs_calib;
-  Obs_json.Obj
-    [
-      ("scenario", Obs_json.String "rpc-serve-64cpu-sharded-batched");
-      ("repeats", Obs_json.Int repeats);
-      ("steps", Obs_json.Int engine64_steps);
-      ("steps_per_sec", Obs_json.Float sps);
-      ( "baseline_steps_per_sec",
-        Obs_json.Float engine64_baseline_steps_per_sec );
-      ("vs_baseline", Obs_json.Float vs_baseline);
-      ("calib_ops_per_sec", Obs_json.Float calib);
-      ("vs_calib", Obs_json.Float vs_calib);
-    ]
+  host_row ~section:"engine64" ~what:"64-cpu rpc serving"
+    ~scenario:"rpc-serve-64cpu-sharded-batched" ~repeats:3 ~unit:"steps"
+    ~expected:engine64_steps ~baseline:engine64_baseline_steps_per_sec
+    ~baseline_what:"full-scan" ~digits:5 (fun () ->
+      ((rpc_serve ~shards:8 ~batch:8).Bench_util.steps, true))
 
 (* ------------------------------------------------------------------ *)
 
 (* Model-checker host throughput: DPOR over the E14 wakeup-herd cell
    (2 cpus, preemption bound 2), reported as committed transitions per
-   second of wall-clock time.  The exploration is deterministic — the
-   transition count is checked, so a change to what the checker explores
-   cannot pass as a speedup — and only the host cost per transition
-   moves.  Best-of-N with an interleaved calibration sample, like the
-   engine row, so the gate can pair the absolute and normalized
-   estimators. *)
+   second of wall-clock time; the exploration must stay verified. *)
 let mc_herd_transitions = 39_939
 
 (* The same cell's transitions/sec before the checker's bookkeeping
@@ -383,37 +361,12 @@ let mc_row ~repeats =
     Mc.check ~cpus:2 ~mode:Mc.Dpor ~bound:2 (Scenarios.get "herd").run
   in
   ignore (check ());
-  let best, best_calib =
-    best_rate ~repeats (fun () ->
-        let r = check () in
-        let t = r.Mc.stats.Mc.transitions in
-        if t <> mc_herd_transitions || not r.Mc.verified then begin
-          Printf.eprintf
-            "FATAL: mc herd cell explored %d transitions (verified=%b), \
-             expected %d verified\n"
-            t r.Mc.verified mc_herd_transitions;
-          exit 1
-        end;
-        t)
-  in
-  let vs_baseline = best /. mc_baseline_transitions_per_sec in
-  let vs_calib = best /. best_calib in
-  Printf.printf
-    "mc: DPOR herd cell x%d  transitions=%d  best transitions/sec=%.0f \
-     (%.2fx of pre-rework baseline)  normalized=%.6f\n%!"
-    repeats mc_herd_transitions best vs_baseline vs_calib;
-  Obs_json.Obj
-    [
-      ("scenario", Obs_json.String "e14-herd-2cpu-bound2");
-      ("repeats", Obs_json.Int repeats);
-      ("transitions", Obs_json.Int mc_herd_transitions);
-      ("transitions_per_sec", Obs_json.Float best);
-      ( "baseline_transitions_per_sec",
-        Obs_json.Float mc_baseline_transitions_per_sec );
-      ("vs_baseline", Obs_json.Float vs_baseline);
-      ("calib_ops_per_sec", Obs_json.Float best_calib);
-      ("vs_calib", Obs_json.Float vs_calib);
-    ]
+  host_row ~section:"mc" ~what:"DPOR herd cell" ~scenario:"e14-herd-2cpu-bound2"
+    ~repeats ~unit:"transitions" ~expected:mc_herd_transitions
+    ~baseline:mc_baseline_transitions_per_sec ~baseline_what:"pre-rework"
+    ~digits:6 (fun () ->
+      let r = check () in
+      (r.Mc.stats.Mc.transitions, r.Mc.verified))
 
 let () =
   let fast = Array.exists (fun a -> a = "--fast") Sys.argv in

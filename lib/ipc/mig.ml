@@ -91,9 +91,8 @@ let release_body msg =
       | Port.Int _ | Port.Str _ -> ())
     msg.Port.body
 
-(* The per-request steps 2–5 of the section 10 sequence, shared by the
-   one-at-a-time and batched serve paths (step 1, the receive, is the
-   caller's). *)
+(* The per-request steps 2–5 of the section 10 sequence (step 1, the
+   receive, is the caller's). *)
 let dispatch reg port msg =
   (* Step 2: determine the represented object from the port and obtain
      a reference to it. *)
@@ -117,13 +116,6 @@ let dispatch reg port msg =
       reply_to_message msg result;
       release_body msg
 
-let serve_one ?spin reg port =
-  match Port.receive ?spin port with
-  | Error `Dead_port | Error `Would_block -> Error `Dead_port
-  | Ok msg ->
-      dispatch reg port msg;
-      Ok ()
-
 (* Batched dispatch: one port-lock acquisition yields up to [max]
    requests, each then dispatched without re-taking the port's message
    lock.  Returns how many were served. *)
@@ -137,12 +129,7 @@ let serve_batch ?spin reg port ~max =
 let serve_loop ?(stop = fun () -> false) ?(batch = 1) ?(spin = 256) reg port =
   if batch < 1 then invalid_arg "Mig.serve_loop: batch must be >= 1";
   let rec loop () =
-    if stop () then ()
-    else if batch = 1 then
-      match serve_one ~spin reg port with
-      | Ok () -> loop ()
-      | Error `Dead_port -> ()
-    else
+    if not (stop ()) then
       match serve_batch ~spin reg port ~max:batch with
       | Ok _ -> loop ()
       | Error `Dead_port -> ()

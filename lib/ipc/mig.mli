@@ -4,7 +4,7 @@
 
     Here, [routine] registrations play the role of the generated server
     stubs, {!call} plays the client stub (the msg_rpc pair of messages:
-    request + reply = one RPC, section 10), and {!serve_one}/{!serve_loop}
+    request + reply = one RPC, section 10), and {!serve_batch}/{!serve_loop}
     run the kernel side of the section 10 sequence:
 
     + receive the request message (it carried a reference to the port);
@@ -76,30 +76,25 @@ val send_async : Port.t -> id:int -> args -> (unit, [ `Dead_port ]) result
 
 (** {1 Server side} *)
 
-val serve_one : ?spin:int -> registry -> Port.t -> (unit, [ `Dead_port ]) result
-(** Receive and dispatch one request on the given service port, executing
-    the section 10 sequence, and reply (if a reply port was supplied).
-    [spin] is forwarded to {!Port.receive}. *)
-
 val dispatch : registry -> Port.t -> Port.message -> unit
 (** Steps 2–5 of the section 10 sequence for an already-received request:
     translate, run the routine, balance the object reference, reply, and
     release the body rights.  Exposed for servers that receive messages
-    themselves (e.g. batched). *)
+    themselves. *)
 
 val serve_batch :
   ?spin:int -> registry -> Port.t -> max:int -> (int, [ `Dead_port ]) result
 (** Batched dispatch: receive up to [max] requests under a single
     port-lock acquisition ({!Port.receive_batch}) and dispatch each.
-    Blocks like {!serve_one} while the queue is empty; [Ok n] is the
-    number served (1 <= n <= max). *)
+    Blocks while the queue is empty, probing it [spin] times before it
+    sleeps; [Ok n] is the number served (1 <= n <= max). *)
 
 val serve_loop :
   ?stop:(unit -> bool) -> ?batch:int -> ?spin:int -> registry -> Port.t -> unit
 (** Serve until the port dies or [stop ()] becomes true (checked between
-    receives).  [batch] > 1 uses {!serve_batch} per iteration (default 1,
-    one request per port-lock acquisition); [spin] (default 256) probes
-    an empty queue before sleeping. *)
+    receives), one {!serve_batch} of up to [batch] requests per
+    iteration (default 1, one request per port-lock acquisition); [spin]
+    (default 256) probes an empty queue before sleeping. *)
 
 val drain : Port.t -> int
 (** Shutdown under load: deactivate the service port

@@ -192,9 +192,24 @@ let spin_for_message t spin =
   in
   if pauses < spin then `Try (spin - pauses - 1) else `Block
 
-let receive ?(spin = 0) t =
-  let spans = Obs_span.enabled () in
+(* The one receive loop: up to [max] dequeues under ONE port-lock
+   acquisition, in FIFO order, so a batch amortizes the Simple_lock hold
+   (the E20 batching mechanism) and one message is a batch of one.  On
+   an empty queue a non-blocking receive returns [`Would_block]; a
+   blocking one probes [spin] times, then sleeps, and retries.  The
+   destination-port references are released outside the lock; body
+   rights and reply ports transfer to the receiver. *)
+let receive_loop ~block ~spin t ~max =
+  if max < 1 then invalid_arg "Port.receive_batch: max must be >= 1";
+  let spans = block && Obs_span.enabled () in
   if spans then K.Span.enter Obs_span.Ipc ("recv:" ^ name t);
+  let rec take n acc =
+    if n = 0 then acc
+    else
+      match dequeue_locked t with
+      | Some q -> take (n - 1) (q :: acc)
+      | None -> acc
+  in
   let rec attempt ~waited ~spin =
     Kobj.lock t.pobj;
     if waited then t.recv_waiters <- t.recv_waiters - 1;
@@ -203,71 +218,10 @@ let receive ?(spin = 0) t =
       Error `Dead_port
     end
     else
-      match dequeue_locked t with
-      | Some q ->
-          Kobj.unlock t.pobj;
-          (* The queued message's destination-port reference is released;
-             body rights and the reply port transfer to the receiver. *)
-          release q.dest;
-          Ok q.qm
-      | None ->
-          if spin > 0 then begin
-            Kobj.unlock t.pobj;
-            match spin_for_message t spin with
-            | `Try rest -> attempt ~waited:false ~spin:rest
-            | `Block -> attempt ~waited:false ~spin:0
-          end
-          else begin
-            t.recv_waiters <- t.recv_waiters + 1;
-            ignore (K.Ev.thread_sleep t.msg_event (Kobj.object_lock t.pobj));
-            attempt ~waited:true ~spin:0
-          end
-  in
-  let r = attempt ~waited:false ~spin in
-  if spans then K.Span.exit Obs_span.Ipc ("recv:" ^ name t);
-  r
-
-let try_receive t =
-  Kobj.lock t.pobj;
-  if not (Kobj.is_active t.pobj) then begin
-    Kobj.unlock t.pobj;
-    Error `Dead_port
-  end
-  else
-    match dequeue_locked t with
-    | Some q ->
-        Kobj.unlock t.pobj;
-        release q.dest;
-        Ok q.qm
-    | None ->
-        Kobj.unlock t.pobj;
-        Error `Would_block
-
-(* Batched receive: up to [max] dequeues under ONE port-lock
-   acquisition, amortizing the Simple_lock hold across the batch (the
-   E20 batching mechanism).  Dequeue order is FIFO, same as [receive]
-   called [max] times.  Returns at least one message — if the queue is
-   empty the caller sleeps and retries, exactly like [receive]. *)
-let receive_batch ?(spin = 0) t ~max =
-  if max < 1 then invalid_arg "Port.receive_batch: max must be >= 1";
-  let spans = Obs_span.enabled () in
-  if spans then K.Span.enter Obs_span.Ipc ("recv:" ^ name t);
-  let rec attempt ~waited ~spin =
-    Kobj.lock t.pobj;
-    if waited then t.recv_waiters <- t.recv_waiters - 1;
-    if not (Kobj.is_active t.pobj) then begin
-      Kobj.unlock t.pobj;
-      Error `Dead_port
-    end
-    else begin
-      let rec take n acc =
-        if n = 0 then acc
-        else
-          match dequeue_locked t with
-          | Some q -> take (n - 1) (q :: acc)
-          | None -> acc
-      in
       match take max [] with
+      | [] when not block ->
+          Kobj.unlock t.pobj;
+          Error `Would_block
       | [] ->
           if spin > 0 then begin
             Kobj.unlock t.pobj;
@@ -283,41 +237,17 @@ let receive_batch ?(spin = 0) t ~max =
       | batch_rev ->
           Kobj.unlock t.pobj;
           let batch = List.rev batch_rev in
-          (* Destination-port references released outside the lock; body
-             rights and reply ports transfer to the receiver. *)
           List.iter (fun q -> release q.dest) batch;
           Ok (List.map (fun q -> q.qm) batch)
-    end
   in
   let r = attempt ~waited:false ~spin in
   if spans then K.Span.exit Obs_span.Ipc ("recv:" ^ name t);
   r
 
-let try_receive_batch t ~max =
-  if max < 1 then invalid_arg "Port.try_receive_batch: max must be >= 1";
-  Kobj.lock t.pobj;
-  if not (Kobj.is_active t.pobj) then begin
-    Kobj.unlock t.pobj;
-    Error `Dead_port
-  end
-  else begin
-    let rec take n acc =
-      if n = 0 then acc
-      else
-        match dequeue_locked t with
-        | Some q -> take (n - 1) (q :: acc)
-        | None -> acc
-    in
-    match take max [] with
-    | [] ->
-        Kobj.unlock t.pobj;
-        Error `Would_block
-    | batch_rev ->
-        Kobj.unlock t.pobj;
-        let batch = List.rev batch_rev in
-        List.iter (fun q -> release q.dest) batch;
-        Ok (List.map (fun q -> q.qm) batch)
-  end
+let receive_batch ?(spin = 0) t ~max = receive_loop ~block:true ~spin t ~max
+let try_receive_batch t ~max = receive_loop ~block:false ~spin:0 t ~max
+let receive ?spin t = Result.map List.hd (receive_batch ?spin t ~max:1)
+let try_receive t = Result.map List.hd (try_receive_batch t ~max:1)
 
 let queued t = Kobj.with_lock t.pobj (fun () -> t.q_len)
 
@@ -325,7 +255,11 @@ let queued t = Kobj.with_lock t.pobj (fun () -> t.q_len)
 (* Death                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let destroy t =
+(* Deactivate under the port lock: empty the queue, take the object
+   pointer and wake every waiter (they re-check the active flag and fail
+   with Dead_port).  Returns the queued messages (FIFO) and the object,
+   or None if the port was already dead. *)
+let deactivate t =
   Kobj.lock t.pobj;
   if Kobj.deactivate t.pobj then begin
     let drained = t.q_front @ List.rev t.q_rear in
@@ -334,19 +268,27 @@ let destroy t =
     t.q_len <- 0;
     let obj = t.object_ptr in
     t.object_ptr <- None;
-    (* Waiters re-check the active flag and fail with Dead_port. *)
     ignore (K.Ev.thread_wakeup t.msg_event);
     ignore (K.Ev.thread_wakeup t.space_event);
     Kobj.unlock t.pobj;
-    (* References are released outside the port lock (section 8). *)
-    List.iter
-      (fun q ->
-        release q.dest;
-        release_rights q.qm)
-      drained;
-    match obj with Some o -> Kobj.release o | None -> ()
+    Some (drained, obj)
   end
-  else Kobj.unlock t.pobj
+  else begin
+    Kobj.unlock t.pobj;
+    None
+  end
+
+(* References are released outside the port lock (section 8). *)
+let destroy t =
+  match deactivate t with
+  | None -> ()
+  | Some (drained, obj) ->
+      List.iter
+        (fun q ->
+          release q.dest;
+          release_rights q.qm)
+        drained;
+      Option.iter Kobj.release obj
 
 (* Shutdown under load: deactivate like [destroy], but hand the in-flight
    messages back (in FIFO order) instead of silently destroying their
@@ -356,23 +298,9 @@ let destroy t =
    here; body rights and reply ports transfer to the caller, who must
    consume them ([destroy_message] after replying). *)
 let destroy_drain t =
-  Kobj.lock t.pobj;
-  if Kobj.deactivate t.pobj then begin
-    let drained = t.q_front @ List.rev t.q_rear in
-    t.q_front <- [];
-    t.q_rear <- [];
-    t.q_len <- 0;
-    let obj = t.object_ptr in
-    t.object_ptr <- None;
-    ignore (K.Ev.thread_wakeup t.msg_event);
-    ignore (K.Ev.thread_wakeup t.space_event);
-    Kobj.unlock t.pobj;
-    (* References are released outside the port lock (section 8). *)
-    List.iter (fun q -> release q.dest) drained;
-    (match obj with Some o -> Kobj.release o | None -> ());
-    List.map (fun q -> q.qm) drained
-  end
-  else begin
-    Kobj.unlock t.pobj;
-    []
-  end
+  match deactivate t with
+  | None -> []
+  | Some (drained, obj) ->
+      List.iter (fun q -> release q.dest) drained;
+      Option.iter Kobj.release obj;
+      List.map (fun q -> q.qm) drained

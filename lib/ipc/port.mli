@@ -75,14 +75,16 @@ val send : t -> message -> (unit, send_error) result
 val try_send : t -> message -> (unit, [ send_error | `Would_block ]) result
 
 val receive : ?spin:int -> t -> (message, receive_error) result
-(** Dequeue; blocks while the queue is empty.  With [spin] > 0 the empty
-    queue is first probed up to [spin] times with an unlocked peek (one
-    pause per probe) before the receiver commits to the sleep/wakeup
-    machinery — the spin-then-block discipline of the RPC hot path.
-    The returned message's port references are transferred to the caller
-    (release them via {!destroy_message} or keep the rights). *)
+(** Dequeue one message: {!receive_batch} with [max] = 1.  Blocks while
+    the queue is empty.  With [spin] > 0 the empty queue is first probed
+    up to [spin] times with an unlocked peek (one pause per probe) before
+    the receiver commits to the sleep/wakeup machinery — the
+    spin-then-block discipline of the RPC hot path.  The returned
+    message's port references are transferred to the caller (release
+    them via {!destroy_message} or keep the rights). *)
 
 val try_receive : t -> (message, receive_error) result
+(** Like {!receive}, but an empty queue fails with [`Would_block]. *)
 
 val receive_batch : ?spin:int -> t -> max:int -> (message list, receive_error) result
 (** Dequeue up to [max] messages under a single port-lock acquisition
@@ -92,6 +94,7 @@ val receive_batch : ?spin:int -> t -> max:int -> (message list, receive_error) r
     order is preserved. *)
 
 val try_receive_batch : t -> max:int -> (message list, receive_error) result
+(** Like {!receive_batch}, but an empty queue fails with [`Would_block]. *)
 
 val queued : t -> int
 

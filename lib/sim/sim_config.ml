@@ -93,14 +93,12 @@ type t = {
   atomic_cost : int;
   bus_occupancy : int;
   pause_cost : int;
-  local_cost : int;
   context_switch_cost : int;
   interrupt_cost : int;
   spin_max_backoff : int;
   watchdog_steps : int;
   max_steps : int option;
   trace : bool;
-  trace_capacity : int;
   spans : bool;
   faults : faults;
   track_waits : bool;
@@ -119,14 +117,12 @@ let default =
     atomic_cost = 50;
     bus_occupancy = 20;
     pause_cost = 4;
-    local_cost = 1;
     context_switch_cost = 300;
     interrupt_cost = 150;
     spin_max_backoff = 1024;
     watchdog_steps = 1_000_000;
     max_steps = None;
     trace = false;
-    trace_capacity = 65536;
     spans = true;
     faults = no_faults;
     track_waits = false;

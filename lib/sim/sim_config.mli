@@ -103,7 +103,6 @@ type t = {
   atomic_cost : int;        (** interlocked operation (test-and-set etc.) *)
   bus_occupancy : int;      (** bus cycles a miss/atomic keeps the bus busy *)
   pause_cost : int;         (** one spin-loop iteration's local work *)
-  local_cost : int;         (** generic local work unit *)
   context_switch_cost : int;
   interrupt_cost : int;     (** dispatch overhead of taking an interrupt *)
   spin_max_backoff : int;
@@ -113,8 +112,8 @@ type t = {
       (** scheduler steps without productive work before declaring a
           spin deadlock / livelock *)
   max_steps : int option;   (** hard step bound, None = unbounded *)
-  trace : bool;             (** record an event trace *)
-  trace_capacity : int;
+  trace : bool;
+      (** record an event trace: 65,536 events over all cpus' rings *)
   spans : bool;
       (** record causal spans and blocked-by edges ([Obs_span]) and feed
           the flight recorder.  On by default: recording consumes no

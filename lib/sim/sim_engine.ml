@@ -2078,6 +2078,9 @@ let dummy_intr =
     iwait = None;
   }
 
+(* Events a traced run keeps, over all cpus' rings together. *)
+let trace_capacity = 65_536
+
 let run ?(cfg = Sim_config.default) main =
   if the_engine () <> None then
     invalid_arg "Sim_engine.run: a simulation is already running";
@@ -2129,7 +2132,7 @@ let run ?(cfg = Sim_config.default) main =
       stale = 0;
       bus_free_at = 0;
       trace =
-        Sim_trace.make ~cpus:cfg.cpus ~capacity:cfg.trace_capacity
+        Sim_trace.make ~cpus:cfg.cpus ~capacity:trace_capacity
           ~enabled:cfg.trace ();
       st =
         {
