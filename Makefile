@@ -77,9 +77,11 @@ trace-smoke:
 
 # Causal-observability smoke: the report subcommand must attribute the
 # contention workload's critical path to the contended lock class and
-# print the blocked-by table, and a chaos-detected hang must carry the
+# print the blocked-by table, a chaos-detected hang must carry the
 # flight-recorder dump (closed-span tails + each thread's still-open
-# spans — the section 7 cycle's evidence).
+# spans — the section 7 cycle's evidence), and the profile of the
+# section 7 same-spl deadlock must name it from the learned lock order
+# (the handler's self-loop on the lock) and the same-spl finding.
 report-smoke:
 	dune exec bin/machsim.exe -- report contention --cpus 16 \
 		| tee /tmp/machsim-report.out
@@ -89,6 +91,11 @@ report-smoke:
 	dune exec bin/machsim.exe -- chaos --seeds 5 > /tmp/machsim-chaos-flight.out
 	grep -q "open spans at the hang" /tmp/machsim-chaos-flight.out
 	grep -q "lock:the-lock" /tmp/machsim-chaos-flight.out
+	dune exec bin/machsim.exe -- profile same-spl-buggy --cpus 2 > /tmp/machsim-order.out; \
+		test $$? -eq 1
+	grep -q "order cycle: vm-lock -> vm-lock (holder held vm-lock" /tmp/machsim-order.out
+	grep -q "simple lock vm-lock: acquired at splvm but pinned/first acquired at spl0" \
+		/tmp/machsim-order.out
 	@echo "report-smoke passed"
 
 # Regenerate a committed BENCH file with one bench experiment and fail,

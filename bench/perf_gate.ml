@@ -12,14 +12,14 @@
    the normalized one; an unlucky calibration slice slows the
    normalized number but not the absolute one — rarely sinks the two
    together.  Two checks read this spans-off engine row: the throughput
-   check (--min-ratio, default 0.9, times the reference) and the
-   tighter --max-spans-overhead check (default 0.03: at least 0.97
-   times the same reference).  Neither measures what spans cost.
+   check ([min_ratio], 0.9 times the reference) and the tighter
+   [max_spans_overhead] check (0.03: at least 0.97 times the same
+   reference).  Neither measures what spans cost.
 
    The host-time rows `engine64` (best-of-3 steps/sec of the 64-cpu
    RPC serving run) and `mc` (best-of-N DPOR transitions/sec on the
    E14 herd cell) are checked the same way: `vs_baseline` and
-   `vs_calib` against --min-ratio times their committed references,
+   `vs_calib` against [min_ratio] times their committed references,
    failing only when both are below.
 
    The cost of spans, which are on by default, is checked on
@@ -82,8 +82,8 @@ let section_field section path field =
 
 let perf = ref "BENCH_sim_perf.json"
 let reference = ref "bench/perf_reference.json"
-let min_ratio = ref 0.9
-let max_spans_overhead = ref 0.03
+let min_ratio = 0.9
+let max_spans_overhead = 0.03
 let inject = ref false
 let inject_row = ref ""
 
@@ -205,7 +205,7 @@ let det_row ~section ~label ~ref_field ~meas_field ~makespans ~fail_text =
    it. *)
 let host_row section label fail_msg =
   Obs_json.member section (json_of_file !reference) <> None
-  && both_below ~section (fun r -> !min_ratio *. r) label fail_msg
+  && both_below ~section (fun r -> min_ratio *. r) label fail_msg
 
 let estimator_fields section =
   [ (section, "vs_baseline"); (section, "vs_calib") ]
@@ -219,30 +219,30 @@ let rows =
         (fun () ->
           let ratio_failed =
             both_below
-              (fun r -> !min_ratio *. r)
+              (fun r -> min_ratio *. r)
               "throughput"
               (Printf.sprintf
                  "engine throughput is below %.0f%% of the committed \
                   reference on every estimator (bench/perf_reference.json); \
                   if the slowdown is intentional, regenerate the reference \
                   with `make perf-reference`"
-                 (100. *. !min_ratio))
+                 (100. *. min_ratio))
           in
           (* The same spans-off engine row against the same reference,
-             with the tighter floor 1 - --max-spans-overhead.  The
+             with the tighter floor 1 - [max_spans_overhead].  The
              reference predates the span layer, so this bounds how far
              the dormant span hooks (with everything else on the step
              path) may drift below it; it measures no span cost itself --
              the spans row does. *)
           let spans_failed =
             both_below
-              (fun r -> (1. -. !max_spans_overhead) *. r)
+              (fun r -> (1. -. max_spans_overhead) *. r)
               "spans-disabled overhead"
               (Printf.sprintf
                  "the spans-disabled engine is more than %.0f%% below the \
                   pre-span reference on every estimator; the dormant \
                   observability hooks are not free"
-                 (100. *. !max_spans_overhead))
+                 (100. *. max_spans_overhead))
           in
           ratio_failed || spans_failed);
     };
@@ -307,7 +307,7 @@ let rows =
                "DPOR transitions/sec on the E14 herd cell is below %.0f%% of \
                 the committed reference on every estimator; the checker's \
                 per-execution or per-transition host cost has regressed"
-               (100. *. !min_ratio)));
+               (100. *. min_ratio)));
     };
     (* Engine host cost per step at 64 cpus, where a scheduler step that
        costs O(cpus) shows four times as strongly as in the 16-cpu
@@ -322,7 +322,7 @@ let rows =
                "64-cpu engine steps/sec is below %.0f%% of the committed \
                 reference on every estimator; the scheduler's per-step host \
                 cost has regressed (an O(cpus) candidate scan is back?)"
-               (100. *. !min_ratio)));
+               (100. *. min_ratio)));
     };
   ]
 
@@ -356,11 +356,6 @@ let () =
     [
       ("--perf", Arg.Set_string perf, "FILE measured perf json (default BENCH_sim_perf.json)");
       ("--reference", Arg.Set_string reference, "FILE committed reference json");
-      ("--min-ratio", Arg.Set_float min_ratio, "R fail below R x reference (default 0.9)");
-      ( "--max-spans-overhead",
-        Arg.Set_float max_spans_overhead,
-        "F fail when the spans-disabled run is more than F below the \
-         reference (default 0.03)" );
       ("--inject-slowdown", Arg.Set inject, " halve the measured value (gate selftest)");
       ( "--inject-row",
         Arg.Set_string inject_row,
@@ -371,9 +366,8 @@ let () =
   in
   Arg.parse spec
     (fun a -> die "unexpected argument %S" a)
-    "perf_gate [--perf FILE] [--reference FILE] [--min-ratio R] \
-     [--max-spans-overhead F] [--inject-slowdown] [--inject-row ROW] \
-     [--list-rows]";
+    "perf_gate [--perf FILE] [--reference FILE] [--inject-slowdown] \
+     [--inject-row ROW] [--list-rows]";
   if !list_rows then List.iter (fun r -> print_endline r.row) rows
   else begin
     if !inject_row <> "" && not (List.exists (fun r -> r.row = !inject_row) rows)

@@ -278,8 +278,9 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:
          "Run a scenario and print the lock contention profile (top classes \
-          by wait cycles, first-attempt rates, waits-for edges) and the \
-          metrics registry.")
+          by wait cycles, first-attempt rates, waits-for edges, and any \
+          potential deadlock the learned lock order or the same-spl rule \
+          finds) and the metrics registry.")
     term
 
 let report_cmd =

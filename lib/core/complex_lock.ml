@@ -123,6 +123,7 @@ struct
                option (deadlock)"
               t.lname)
        end);
+      Ev.attempt t.site;
       let t0 = M.now_cycles () in
       (* The writer observed when the wait began, for blocked-by
          attribution (reader crowds have no single holder to blame, so
@@ -165,6 +166,7 @@ struct
         if t.writers_priority then t.want_write || t.want_upgrade
         else t.writer <> None
       in
+      Ev.attempt t.site;
       let t0 = M.now_cycles () in
       let blocker = t.writer in
       let waits = ref 0 in

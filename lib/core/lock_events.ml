@@ -69,6 +69,29 @@ module Make (M : Machine_intf.MACHINE) = struct
     | Thread_ctx.Hold h :: _ -> Some h.site.cls
     | _ :: rest -> innermost_hold rest
 
+  (* Once per (held class, wanted site) and profile generation: a
+     repeated pair allocates nothing and touches no table. *)
+  let rec note_holds (site : site) tname = function
+    | [] -> ()
+    | Thread_ctx.Hold { site = h; _ } :: rest ->
+        if not (List.mem h.cls site.ordered) then begin
+          site.ordered <- h.cls :: site.ordered;
+          Obs_profile.note_attempt ~held:h.cls ~wanted:site.cls
+            ~witness:(tname, h.name, site.name)
+        end;
+        note_holds site tname rest
+    | Thread_ctx.Span _ :: rest -> note_holds site tname rest
+
+  let attempt (site : site) =
+    Thread_ctx.build_strings site;
+    let gen = Obs_profile.generation () in
+    if site.ordered_gen <> gen then begin
+      site.ordered <- [];
+      site.ordered_gen <- gen
+    end;
+    let ctx = M.context (M.self ()) in
+    note_holds site ctx.tname ctx.stack
+
   let acquired ?blocker (site : site) ~spins ~wait_cycles =
     Thread_ctx.build_strings site;
     let cpu = M.current_cpu () in

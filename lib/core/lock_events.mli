@@ -1,11 +1,12 @@
 (** The lock-event pipeline: one call per lock transition.
 
     [Simple_lock], [Complex_lock], [Range_lock] and the raw read and
-    write sides of [Brlock] and [Scache_rwlock] report every wait,
-    acquisition and release here.  An acquisition or release feeds, in
-    this order, the ["lock.*"] metrics, {!Mach_obs.Obs_profile},
-    {!Mach_obs.Obs_span}, {!Mach_obs.Obs_trace} and the thread's
-    context ({!Thread_ctx}); a wait feeds the context's wait edges
+    write sides of [Brlock] and [Scache_rwlock] report every blocking
+    attempt, wait, acquisition and release here.  An acquisition or
+    release feeds, in this order, the ["lock.*"] metrics,
+    {!Mach_obs.Obs_profile}, {!Mach_obs.Obs_span}, {!Mach_obs.Obs_trace}
+    and the thread's context ({!Thread_ctx}); an attempt feeds the
+    profiler's lock-order record; a wait feeds the context's wait edges
     only.
 
     A hold is pushed on the acquiring thread's context whether or not
@@ -36,6 +37,11 @@ module Spans (M : Machine_intf.MACHINE) : sig
 end
 
 module Make (M : Machine_intf.MACHINE) : sig
+  val attempt : site -> unit
+  (** Before a lock can wait (a deadlock's last attempt never completes):
+      an order edge from each lock held to this one.  Try-acquires,
+      recursive and upgrade requests are no attempts. *)
+
   val wait_begin : site -> unit
   (** Sets the spin hint and, when waits are tracked, the wait edge. *)
 

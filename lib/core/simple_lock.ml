@@ -68,13 +68,15 @@ module Make (M : Machine_intf.MACHINE) = struct
     let ctx = M.context (M.self ()) in
     ctx.simple_locks_held <- ctx.simple_locks_held + delta
 
+  (* At the attempt: a handler spinning on a lock its interrupted thread
+     holds never acquires it. *)
   let check_spl t =
     let spl = M.get_spl () in
     match t.acquired_spl with
     | None -> t.acquired_spl <- Some spl
     | Some expected ->
         if not (Spl.equal expected spl) then
-          M.fatal
+          (if checking () then M.fatal else Mach_obs.Obs_profile.note_finding)
             (Printf.sprintf
                "simple lock %s: acquired at %s but pinned/first acquired at \
                 %s (same-spl rule, paper section 7)"
@@ -83,7 +85,6 @@ module Make (M : Machine_intf.MACHINE) = struct
   let note_acquired t =
     t.acquired_at <- M.now_cycles ();
     if checking () then begin
-      check_spl t;
       t.holder <- Some (M.self ());
       t.last_holder <- t.holder;
       bump_held 1
@@ -119,6 +120,8 @@ module Make (M : Machine_intf.MACHINE) = struct
                   t.lname
                   (M.thread_name h))
          | _ -> ());
+      check_spl t;
+      Ev.attempt t.site;
       let t0 = M.now_cycles () in
       (* [blocker] is the holder observed when the wait began: contended
          acquisitions attribute their wait to that holder's acquire site
@@ -170,6 +173,7 @@ module Make (M : Machine_intf.MACHINE) = struct
       in
       Lock_stats.record_try t.stats ~success:ok;
       if ok then begin
+        check_spl t;
         Lock_stats.record_acquire t.stats ~contended:false ~spins:0;
         Ev.acquired t.site ~spins:0 ~wait_cycles:0;
         note_acquired t

@@ -11,7 +11,7 @@
       this restriction cause kernel deadlocks", section 4 footnote) — the
       event layer reads the holder's {!Thread_ctx.t} count;
     - each lock must always be acquired at the same interrupt priority
-      level (section 7);
+      level (section 7), checked when [lock] is attempted;
     - the releasing thread must be the holder. *)
 
 module Make (M : Machine_intf.MACHINE) : sig
@@ -26,8 +26,8 @@ module Make (M : Machine_intf.MACHINE) : sig
     t
   (** Declare and initialize a simple lock in the unlocked state.  [spl]
       optionally pins the lock's interrupt priority level up front; without
-      it the level is learned from the first acquisition (checking mode
-      then enforces consistency, per section 7).
+      it the level is learned from the first attempt (checking mode then
+      enforces consistency, per section 7).
 
       The spin implementation is [protocol] (a flat-cell {!Spin} loop) by
       default; passing [proto] instead selects a queue-lock protocol from
@@ -67,7 +67,8 @@ module Make (M : Machine_intf.MACHINE) : sig
 
   val set_checking : bool -> unit
   (** Globally enable/disable debug checking (holder tracking, same-spl
-      rule, unlock-by-holder).  Default: enabled. *)
+      rule, unlock-by-holder).  Default: enabled.  Off, a same-spl
+      mismatch is a {!Mach_obs.Obs_profile} finding, not a panic. *)
 
   val checking : unit -> bool
 

@@ -11,9 +11,12 @@ type site = {
   mutable cls : string;
   mutable span : string;
   res : Waits_for.resource;
+  mutable ordered : string list;
+  mutable ordered_gen : int;
 }
 
-let site ~name res = { name; cls = ""; span = ""; res }
+let site ~name res =
+  { name; cls = ""; span = ""; res; ordered = []; ordered_gen = -1 }
 
 let build_strings s =
   if String.length s.cls = 0 then begin
@@ -25,12 +28,9 @@ let with_res s res =
   build_strings s;
   { s with res }
 
-type rank = { cname : string; rank : int }
-
 type entry =
   | Hold of { site : site; seq : int; t0 : int }
   | Span of { kind : Obs_span.kind; label : string; t0 : int }
-  | Rank of rank
 
 type t = {
   tid : int;
@@ -110,33 +110,20 @@ let wait_done t res =
   | Some (_, rest) -> t.waits <- rest
   | None -> ()
 
-let span_label = function
-  | Hold h -> Some h.site.span
-  | Span s -> Some s.label
-  | Rank _ -> None
+let span_label = function Hold h -> h.site.span | Span s -> s.label
 
 let open_spans t =
-  List.filter_map
-    (function
-      | Hold h -> Some (h.site.span, h.t0)
-      | Span s -> Some (s.label, s.t0)
-      | Rank _ -> None)
+  List.map
+    (function Hold h -> (h.site.span, h.t0) | Span s -> (s.label, s.t0))
     t.stack
 
 let holder_context t wanted =
-  let rec innermost = function
-    | [] -> "(top-level)"
-    | e :: rest -> (
-        match span_label e with Some l -> l | None -> innermost rest)
-  in
+  let innermost = function [] -> "(top-level)" | e :: _ -> span_label e in
   let rec after = function
-    | [] -> None
-    | e :: rest -> (
-        match span_label e with
-        | Some l when l = wanted -> Some (innermost rest)
-        | _ -> after rest)
+    | [] -> innermost t.stack
+    | e :: rest -> if span_label e = wanted then innermost rest else after rest
   in
-  match after t.stack with Some l -> l | None -> innermost t.stack
+  after t.stack
 
 let wait_edges ts =
   List.concat_map (fun t -> List.map (fun r -> (t.tid, t.tname, r)) t.waits) ts

@@ -9,8 +9,7 @@
     idle cpu.
 
     The context holds:
-    - one stack, innermost first, of lock holds, open spans and
-      {!Lock_order} ranks;
+    - one stack, innermost first, of lock holds and open spans;
     - the waits-for wait edges and the event the thread was last woken
       from;
     - the blocking-rule counters of Appendices A and B.
@@ -18,7 +17,7 @@
     A lock hold is pushed whether or not spans are on: the section 7
     buggy variants turn checking off and must still be explainable.
     When spans are on, a hold is also the lock's span.  Span entries are
-    pushed only when spans are on.  A rank entry is never a span.
+    pushed only when spans are on.
 
     Only the owning thread changes its context, with two exceptions that
     run on the simulator alone (where every thread of a run shares one
@@ -33,6 +32,9 @@ type site = {
   mutable cls : string;  (** profile class; [""] until first acquired *)
   mutable span : string;  (** span label; [""] until first acquired *)
   res : Waits_for.resource;
+  mutable ordered : string list;
+      (** held classes with an order edge to this site already recorded *)
+  mutable ordered_gen : int;  (** the profile generation of [ordered] *)
 }
 (** A lock (or one side of it), built once when the lock is made. *)
 
@@ -48,16 +50,12 @@ val with_res : site -> Waits_for.resource -> site
 
 (** {1 The context} *)
 
-type rank = { cname : string; rank : int }
-(** A {!Lock_order} class. *)
-
 type entry =
   | Hold of { site : site; seq : int; t0 : int }
       (** A lock hold: [seq] orders the holders of one resource by
           acquisition; [t0] is the span start clock (0 when spans are
           off). *)
   | Span of { kind : Mach_obs.Obs_span.kind; label : string; t0 : int }
-  | Rank of rank
 
 type t = {
   tid : int;
@@ -100,13 +98,13 @@ val wait_done : t -> Waits_for.resource -> unit
 (** {1 Readers over many contexts} *)
 
 val open_spans : t -> (string * int) list
-(** Span label and start clock of each hold and span entry, innermost
-    first; ranks are skipped.  Meaningful only when spans are on. *)
+(** Span label and start clock of each entry, innermost first.
+    Meaningful only when spans are on. *)
 
 val holder_context : t -> string -> string
 (** The label of the span enclosing the thread's span [wanted]: what the
     holder was doing when it took the resource.  Falls back to the
-    innermost span, then to ["(top-level)"].  Ranks are skipped. *)
+    innermost span, then to ["(top-level)"]. *)
 
 val wait_edges : t list -> (int * string * Waits_for.resource) list
 (** Every outstanding wait edge (tid, name, resource), sorted. *)

@@ -23,6 +23,7 @@ type t = {
      and the unconditional wakeup was the dominant cost per message. *)
   mutable recv_waiters : int;
   mutable send_waiters : int;
+  mutable probe_hint : string; (* "<port>.queue", built at the first probe *)
 }
 
 and element = Int of int | Str of string | Port_right of t
@@ -51,6 +52,7 @@ let create ?name ?(queue_limit = 16) () =
       space_event = K.Ev.fresh_event ();
       recv_waiters = 0;
       send_waiters = 0;
+      probe_hint = "";
     }
   in
   Kobj.set_payload p.pobj (Port_payload p);
@@ -184,8 +186,11 @@ let dequeue_locked t =
    UNLOCKED peek at [q_len]: a racy read costing one pause, confirmed
    under the lock only when it looks non-empty.  A dead port makes the
    peek loop exit through the locked path, so spinning receivers still
-   observe destroy promptly. *)
+   observe destroy promptly.  The probe names the queue as its spin
+   hint, so a report never blames the last lock the thread waited for. *)
 let spin_for_message t spin =
+  if t.probe_hint = "" then t.probe_hint <- name t ^ ".queue";
+  K.Machine.spin_hint t.probe_hint;
   let pauses =
     K.Machine.spin_until ~budget:spin (fun () ->
         t.q_len > 0 || not (Kobj.is_active t.pobj))

@@ -84,6 +84,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
     }
 
   let read_lock t =
+    Ev.attempt t.rsite;
     let slot = M.current_cpu () mod n_slots in
     let mine = t.readers.(slot) in
     let t0 = M.now_cycles () in
@@ -167,6 +168,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
   let write_release t = M.Cell.set t.writer 0
 
   let write_lock t =
+    Ev.attempt t.wsite;
     let t0 = M.now_cycles () in
     Ev.wait_begin t.wsite;
     let spins = write_acquire t in

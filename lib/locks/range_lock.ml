@@ -150,6 +150,7 @@ module Make
       invalid_arg
         (Printf.sprintf "Range_lock.acquire %s: empty range [%d,%d)" t.lname lo
            hi);
+    Ev.attempt t.site;
     Slock.lock t.il;
     let seq = t.next_seq in
     t.next_seq <- seq + 1;

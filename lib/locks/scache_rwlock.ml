@@ -103,6 +103,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
   type read_phase = Read_pending | Read_counted | Obtained of int
 
   let read_lock t =
+    Ev.attempt t.rsite;
     let slot = M.current_cpu () mod n_slots in
     let mine = t.refcounts.(slot) in
     let t0 = M.now_cycles () in
@@ -179,6 +180,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
     end
 
   let write_lock t =
+    Ev.attempt t.wsite;
     let t0 = M.now_cycles () in
     Ev.wait_begin t.wsite;
     let spins = write_acquire t in

@@ -1,21 +1,7 @@
-(* The contention profiler: per-lock-class aggregation of acquisition
-   outcomes, wait/hold time, and a waits-for edge list.
-
-   Individual locks are too numerous to report on (every vm object carries
-   several), so locks aggregate into *classes* derived from their names by
-   deleting digits: "slock12" and "slock40" are both class "slock",
-   "lock3.interlock" is "lock.interlock", "evt-bucket17" is "evt-bucket".
-   The class plays the role the declaration site plays in the paper's
-   Appendix A macros.
-
-   The waits-for list records, for each contended acquisition, an edge
-   from the most recently acquired still-held lock class to the wanted
-   class; the lock layer keeps the per-thread record of held locks
-   (Mach_core.Lock_events) and passes that holder class in.  A cycle in
-   that list is the shape of the section 4 deadlock ("a thread holding A
-   spins for B while another holding B spins for A"), and the
-   three-processor interrupt deadlock of section 7 shows up as the
-   barrier cell being wanted while a lock class is held. *)
+(* The contention profiler and the lock-order record (see the
+   interface).  Locks are too numerous to report on one by one, so they
+   aggregate into classes: the class plays the role the declaration site
+   plays in the paper's Appendix A macros. *)
 
 type class_stats = {
   cls : string;
@@ -26,9 +12,19 @@ type class_stats = {
   wait_hist : Obs_histogram.t;
 }
 
+(* Contended acquisitions with the held class innermost, and the first
+   blocking attempt's (thread, held lock, wanted lock). *)
+type edge = {
+  mutable count : int;
+  mutable witness : (string * string * string) option;
+}
+
 let mu = Mutex.create ()
 let classes_tbl : (string, class_stats) Hashtbl.t = Hashtbl.create 64
-let edges_tbl : (string * string, int ref) Hashtbl.t = Hashtbl.create 64
+let order_tbl : (string * string, edge) Hashtbl.t = Hashtbl.create 64
+let noted = ref [] (* findings the lock layer made itself, newest first *)
+let gen = Atomic.make 0
+let generation () = Atomic.get gen
 
 let class_of_name name =
   let buf = Buffer.create (String.length name) in
@@ -62,6 +58,14 @@ let class_stats_locked cls =
       Hashtbl.add classes_tbl cls cs;
       cs
 
+let edge_locked key =
+  match Hashtbl.find_opt order_tbl key with
+  | Some e -> e
+  | None ->
+      let e = { count = 0; witness = None } in
+      Hashtbl.add order_tbl key e;
+      e
+
 let note_acquire ~cls ~holder ~contended ~wait_cycles =
   locked (fun () ->
       let cs = class_stats_locked cls in
@@ -71,17 +75,23 @@ let note_acquire ~cls ~holder ~contended ~wait_cycles =
       Obs_histogram.record cs.wait_hist wait_cycles;
       if contended then
         match holder with
-        | Some h when h <> cls -> (
-            let key = (h, cls) in
-            match Hashtbl.find_opt edges_tbl key with
-            | Some r -> Stdlib.incr r
-            | None -> Hashtbl.add edges_tbl key (ref 1))
+        | Some h when h <> cls ->
+            let e = edge_locked (h, cls) in
+            e.count <- e.count + 1
         | _ -> ())
 
 let note_release ~cls ~held_cycles =
   locked (fun () ->
       let cs = class_stats_locked cls in
       if held_cycles > 0 then cs.hold_cycles <- cs.hold_cycles + held_cycles)
+
+let note_attempt ~held ~wanted ~witness =
+  locked (fun () ->
+      let e = edge_locked (held, wanted) in
+      if e.witness = None then e.witness <- Some witness)
+
+let note_finding f =
+  locked (fun () -> if not (List.mem f !noted) then noted := f :: !noted)
 
 let first_attempt_rate cs =
   if cs.acquisitions = 0 then 1.0
@@ -106,13 +116,65 @@ let top ~n =
 
 let edges () =
   locked (fun () ->
-      Hashtbl.fold (fun (a, b) n acc -> (a, b, !n) :: acc) edges_tbl [])
+      Hashtbl.fold
+        (fun (a, b) e acc ->
+          if e.count > 0 then (a, b, e.count) :: acc else acc)
+        order_tbl [])
   |> List.sort (fun (_, _, x) (_, _, y) -> compare y x)
+
+(* A path of edges from [src] to [dst], depth first. *)
+let rec path es seen src dst =
+  if String.equal src dst then Some []
+  else if List.mem src !seen then None
+  else begin
+    seen := src :: !seen;
+    List.find_map
+      (fun ((a, b, _) as e) ->
+        if String.equal a src then
+          Option.map (List.cons e) (path es seen b dst)
+        else None)
+      es
+  end
+
+(* A witnessed edge (a, b) closes a cycle when a path leads from b back
+   to a; the cycle is reported from the edge leaving its least class, so
+   every strongly connected set of classes shows one.  A lock and its
+   own interlock nest both ways by construction (the complex and range
+   locks take their interlock to change their state): no order. *)
+let order_findings () =
+  let own x y = String.equal y (x ^ ".interlock") in
+  let es =
+    locked (fun () ->
+        Hashtbl.fold
+          (fun (a, b) e acc ->
+            match e.witness with
+            | Some w when not (own a b || own b a) -> (a, b, w) :: acc
+            | _ -> acc)
+          order_tbl [])
+    |> List.sort compare
+  in
+  let cycle ((a, b, _) as e) =
+    match path es (ref []) b a with
+    | Some back when List.for_all (fun (x, _, _) -> x > a) back ->
+        let es = e :: back in
+        let wit (_, _, (t, h, w)) =
+          Printf.sprintf "%s held %s, wanted %s" t h w
+        in
+        Some
+          (Printf.sprintf "order cycle: %s -> %s (%s)"
+             (String.concat " -> " (List.map (fun (x, _, _) -> x) es))
+             a
+             (String.concat "; " (List.map wit es)))
+    | _ -> None
+  in
+  List.filter_map cycle es @ List.rev (locked (fun () -> !noted))
 
 let reset () =
   locked (fun () ->
       Hashtbl.reset classes_tbl;
-      Hashtbl.reset edges_tbl)
+      Hashtbl.reset order_tbl;
+      noted := [];
+      Atomic.incr gen)
 
 let pp_report ?(top_n = 10) ppf () =
   let tops = top ~n:top_n in
@@ -129,13 +191,18 @@ let pp_report ?(top_n = 10) ppf () =
           (Obs_histogram.percentile cs.wait_hist 50.0)
           (Obs_histogram.percentile cs.wait_hist 99.0))
       tops;
-    match edges () with
-    | [] -> ()
-    | es ->
-        Format.fprintf ppf "@.waits-for edges (holder -> wanted, count):@.";
-        List.iter
-          (fun (a, b, n) -> Format.fprintf ppf "  %s -> %s  (%d)@." a b n)
-          es
+    let section title = function
+      | [] -> ()
+      | lines ->
+          Format.fprintf ppf "@.%s:@." title;
+          List.iter (Format.fprintf ppf "  %s@.") lines
+    in
+    section "waits-for edges (holder -> wanted, count)"
+      (List.map
+         (fun (a, b, n) -> Printf.sprintf "%s -> %s  (%d)" a b n)
+         (edges ()));
+    section "potential deadlocks (learned lock order, same-spl rule)"
+      (order_findings ())
   end
 
 let to_json () =

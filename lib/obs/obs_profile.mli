@@ -1,16 +1,15 @@
-(** The contention profiler.
+(** The contention profiler and the lock-order record.
 
     Aggregates lock acquisitions by {e lock class} (the lock's name with
-    digits deleted, so "slock12" and "slock40" profile together) and
-    maintains a waits-for edge list: each contended acquisition records an
-    edge from the most recently acquired still-held lock class of the
-    acquiring thread to the wanted class.  A cycle among those edges is
-    the shape of the paper's deadlocks (section 4, section 7).
-
-    Fed by [Mach_core.Lock_events], which keeps the per-thread record of
-    held locks and supplies that holder class; read by
-    [machsim profile], the bench harness, and [examples/locking_tour].
-    All entry points are mutex-protected and safe from native domains. *)
+    digits deleted, so "slock12" and "slock40" profile together), and
+    keeps one record of nested lock requests keyed by (held class,
+    wanted class).  [Mach_core.Lock_events] feeds it an edge from each
+    held lock at every blocking attempt, and a count on the edge from
+    the innermost held lock at every contended acquisition: the
+    waits-for edge list.  A cycle among the attempted edges is a
+    potential deadlock (sections 4 and 7), found with no declarations on
+    a run that completes.  Mutex-protected; process-wide until {!reset},
+    so edges learned on different runs can close a cycle. *)
 
 type class_stats = {
   cls : string;
@@ -32,12 +31,23 @@ val note_acquire :
   contended:bool ->
   wait_cycles:int ->
   unit
-(** Record an acquisition of class [cls]; when contended, also records a
+(** Record an acquisition of class [cls]; when contended, also counts the
     waits-for edge from [holder] (the class of the acquiring thread's
     innermost held lock) unless it is [cls] itself. *)
 
 val note_release : cls:string -> held_cycles:int -> unit
 (** Record a release of class [cls] held for [held_cycles] (0: untimed). *)
+
+val note_attempt :
+  held:string -> wanted:string -> witness:string * string * string -> unit
+(** A blocking attempt on class [wanted] while holding class [held]; the
+    edge keeps its first witness (thread, held lock, wanted lock). *)
+
+val generation : unit -> int
+(** Changes at every {!reset}, which a memo of recorded edges outlives. *)
+
+val note_finding : string -> unit
+(** A same-spl mismatch with checking off; each distinct text once. *)
 
 (** {1 Reading} *)
 
@@ -52,13 +62,19 @@ val top : n:int -> class_stats list
 (** Top [n] classes by accumulated wait cycles. *)
 
 val edges : unit -> (string * string * int) list
-(** Waits-for edges (holder class, wanted class, count), most frequent
-    first. *)
+(** The contended view: waits-for edges (holder class, wanted class,
+    count), most frequent first. *)
+
+val order_findings : unit -> string list
+(** The potential deadlocks: each order cycle with its edges' witnesses,
+    then the noted findings in the order seen.  A lock and its own
+    ["<name>.interlock"] are no order (their edges stay in {!edges}). *)
 
 val reset : unit -> unit
 
 val pp_report : ?top_n:int -> Format.formatter -> unit -> unit
 (** The contention table (top classes with first-attempt rate and wait
-    percentiles) followed by the waits-for edge list. *)
+    percentiles), the waits-for edge list and any findings. *)
 
 val to_json : unit -> Obs_json.t
+(** Classes and waits-for edges. *)

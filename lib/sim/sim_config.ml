@@ -14,7 +14,6 @@ type faults = {
   fault_seed : int;
   drop_wakeup : int; (* unpark of a parked thread silently dropped *)
   delay_wakeup : int; (* unpark deferred by [wakeup_delay_steps] steps *)
-  wakeup_delay_steps : int;
   spurious_wakeup : int; (* per-step chance to unpark a random parked thread *)
   delay_interrupt : int; (* deliverable interrupt deferred when possible *)
   perturb_pick : int; (* per-step chance to pick a uniform-random candidate *)
@@ -27,13 +26,14 @@ let no_faults =
     fault_seed = 0;
     drop_wakeup = 0;
     delay_wakeup = 0;
-    wakeup_delay_steps = 40;
     spurious_wakeup = 0;
     delay_interrupt = 0;
     perturb_pick = 0;
     preempt_on_acquire = 0;
     drop_handoff = 0;
   }
+
+let wakeup_delay_steps = 40
 
 let faults_active f =
   f.drop_wakeup > 0 || f.delay_wakeup > 0 || f.spurious_wakeup > 0
@@ -83,18 +83,20 @@ type mc_hooks = {
          duplicates removed *)
 }
 
+(* The cycle cost model. *)
+let read_hit_cost = 1
+let read_miss_cost = 40
+let write_cost = 20
+let atomic_cost = 50
+let bus_occupancy = 20
+let pause_cost = 4
+let context_switch_cost = 300
+let interrupt_cost = 150
+
 type t = {
   cpus : int;
   seed : int;
   policy : policy;
-  read_hit_cost : int;
-  read_miss_cost : int;
-  write_cost : int;
-  atomic_cost : int;
-  bus_occupancy : int;
-  pause_cost : int;
-  context_switch_cost : int;
-  interrupt_cost : int;
   spin_max_backoff : int;
   watchdog_steps : int;
   max_steps : int option;
@@ -111,14 +113,6 @@ let default =
     cpus = 4;
     seed = 1;
     policy = Timed;
-    read_hit_cost = 1;
-    read_miss_cost = 40;
-    write_cost = 20;
-    atomic_cost = 50;
-    bus_occupancy = 20;
-    pause_cost = 4;
-    context_switch_cost = 300;
-    interrupt_cost = 150;
     spin_max_backoff = 1024;
     watchdog_steps = 1_000_000;
     max_steps = None;

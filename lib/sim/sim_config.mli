@@ -23,9 +23,8 @@ type faults = {
       (** 1-in-N chance (0 = never) that an unpark of a parked thread is
           silently dropped — the lost-wakeup hazard of section 6 *)
   delay_wakeup : int;
-      (** 1-in-N chance that an unpark is deferred *)
-  wakeup_delay_steps : int;
-      (** scheduler steps a delayed wakeup is deferred by *)
+      (** 1-in-N chance that an unpark is deferred by
+          {!wakeup_delay_steps} *)
   spurious_wakeup : int;
       (** per-step 1-in-N chance to unpark a random parked thread
           (spurious [thread_wakeup]; wait loops must tolerate it) *)
@@ -49,6 +48,9 @@ val no_faults : faults
     configuration without the faults record. *)
 
 val faults_active : faults -> bool
+
+val wakeup_delay_steps : int
+(** Scheduler steps a delayed wakeup is deferred by (40). *)
 
 (** {1 Model-checking hooks}
 
@@ -93,18 +95,30 @@ type mc_hooks = {
           order, duplicates removed *)
 }
 
+(** {1 The cycle cost model}
+
+    In cycles: a cached read 1; a read that misses and crosses the bus
+    40; a write (it invalidates other caches) 20; an interlocked
+    operation (test-and-set etc.) 50; the bus cycles a miss or atomic
+    keeps the bus busy 20; one spin-loop iteration's local work 4; a
+    context switch 300; the dispatch overhead of taking an interrupt
+    150. *)
+
+val read_hit_cost : int
+val read_miss_cost : int
+val write_cost : int
+val atomic_cost : int
+val bus_occupancy : int
+val pause_cost : int
+val context_switch_cost : int
+val interrupt_cost : int
+
+(** {1 The configuration} *)
+
 type t = {
   cpus : int;               (** number of virtual processors *)
   seed : int;               (** scheduling seed *)
   policy : policy;
-  read_hit_cost : int;      (** cached read *)
-  read_miss_cost : int;     (** read that misses and crosses the bus *)
-  write_cost : int;         (** write (invalidates other caches) *)
-  atomic_cost : int;        (** interlocked operation (test-and-set etc.) *)
-  bus_occupancy : int;      (** bus cycles a miss/atomic keeps the bus busy *)
-  pause_cost : int;         (** one spin-loop iteration's local work *)
-  context_switch_cost : int;
-  interrupt_cost : int;     (** dispatch overhead of taking an interrupt *)
   spin_max_backoff : int;
       (** cap (in cycles) on the exponential-backoff delay of the
           [Ttas_backoff] spin protocol *)
@@ -129,8 +143,7 @@ type t = {
 }
 
 val default : t
-(** 4 cpus, seed 1, [Timed], the calibrated cost table, checking-friendly
-    watchdog. *)
+(** 4 cpus, seed 1, [Timed], checking-friendly watchdog. *)
 
 val exploration : ?cpus:int -> seed:int -> unit -> t
 (** Random policy and a tighter watchdog: the configuration used by the

@@ -61,8 +61,6 @@ type chaos_stats = {
 (** Counts of the fault injections actually fired during a run.  Kept out
     of {!stats} so the golden determinism format is untouched. *)
 
-val pp_chaos_stats : Format.formatter -> chaos_stats -> unit
-
 type deadlock_analysis = {
   cycle : string list;
       (** labels of the waits-for cycle, in order (empty when none found) *)
@@ -157,8 +155,6 @@ val post_interrupt :
     nested context on that cpu and may spin on locks (other cpus keep
     running meanwhile) but must not block. *)
 
-val pending_interrupts : cpu:int -> int
-
 (** {1 Shared cells (used by Sim_machine.Cell)} *)
 
 module Cell : sig
@@ -206,5 +202,3 @@ val last_chaos : unit -> chaos_stats option
 val last_analysis : unit -> deadlock_analysis option
 (** The waits-for analysis of the most recent deadlock report, when the
     run had [track_waits] on.  [None] when the run ended cleanly. *)
-
-val live_threads : unit -> int

@@ -30,9 +30,6 @@ type entry = {
 type locking = Coarse | Range
 
 let locking_name = function Coarse -> "coarse" | Range -> "range"
-let default_locking_flag = Atomic.make Coarse
-let set_default_locking m = Atomic.set default_locking_flag m
-let default_locking () = Atomic.get default_locking_flag
 
 type t = {
   mname : string;
@@ -54,13 +51,10 @@ type t = {
 
 let map_counter = Atomic.make 0
 
-let create ?name ?locking ctx =
+let create ?name ?(locking = Coarse) ctx =
   let id = Atomic.fetch_and_add map_counter 1 in
   let mname =
     match name with Some n -> n | None -> Printf.sprintf "map%d" id
-  in
-  let locking =
-    match locking with Some l -> l | None -> Atomic.get default_locking_flag
   in
   {
     mname;

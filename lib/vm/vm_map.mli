@@ -49,14 +49,11 @@ type locking = Coarse | Range
 
 val locking_name : locking -> string
 
-val set_default_locking : locking -> unit
-(** Discipline for maps created without an explicit [?locking].
-    Default: [Coarse]. *)
-
-val default_locking : unit -> locking
 val locking : t -> locking
 
 val create : ?name:string -> ?locking:locking -> context -> t
+(** [locking] defaults to [Coarse]. *)
+
 val name : t -> string
 val context : t -> context
 val pmap : t -> Pmap.t

@@ -47,6 +47,26 @@ let test_receive_blocks_until_send () =
          Port.destroy p;
          Port.release p))
 
+(* A receive probing an empty queue past the watchdog: the spin-deadlock
+   report names the probed queue and the checks its budget has left,
+   not the port lock the receiver last waited for. *)
+let test_probe_named_in_report () =
+  let cfg =
+    { Mach_sim.Sim_config.default with cpus = 2; watchdog_steps = 200 }
+  in
+  match
+    Engine.run_outcome ~cfg (fun () ->
+        let p = Port.create ~name:"idle" () in
+        Engine.join
+          (Engine.spawn ~name:"receiver" (fun () ->
+               ignore (Port.receive ~spin:100_000 p))))
+  with
+  | Engine.Deadlocked (Engine.Spin_deadlock, report) ->
+      check_bool "names the queue and its checks left" true
+        (contains report "receiver (spinning on idle.queue, 99"
+        && contains report " checks left)")
+  | _ -> Alcotest.fail "expected a spin deadlock"
+
 let test_send_blocks_when_full () =
   ignore
     (Engine.run (fun () ->
@@ -447,6 +467,8 @@ let () =
             test_receive_blocks_until_send;
           Alcotest.test_case "send blocks when full" `Quick
             test_send_blocks_when_full;
+          Alcotest.test_case "probe named in report" `Quick
+            test_probe_named_in_report;
           Alcotest.test_case "dead port" `Quick test_dead_port_fails;
           Alcotest.test_case "destroy wakes receiver" `Quick
             test_destroy_wakes_blocked_receiver;

@@ -279,18 +279,34 @@ let test_same_spl_rule_prevents_deadlock () =
 (* ------------------------------------------------------------------ *)
 
 (* Every entry ends as it declares on seeds 1-5 at 4 cpus: [Completes]
-   on all five, [Deadlocks] on all five and never by a panic. *)
+   on all five, [Deadlocks] on all five and never by a panic.  The same
+   runs feed the learned lock order, reset per entry: it finds a
+   potential deadlock (an order cycle or a same-spl mismatch) in exactly
+   the three order and spl deadlocks, and in no entry that completes.
+   wire-recursive deadlocks on a recursive read, which is no order. *)
 let test_registry_expectations () =
-  List.iter
-    (fun (e : Scenarios.entry) ->
-      let v = Explore.run ~cpus:4 ~seeds:[ 1; 2; 3; 4; 5 ] e.run in
-      let deadlocks = v.Explore.sleep_deadlocks + v.Explore.spin_deadlocks in
-      match e.expect with
-      | Scenarios.Completes -> check_int (e.name ^ " completed") 5 v.Explore.completed
-      | Scenarios.Deadlocks ->
-          check_int (e.name ^ " deadlocked") 5 deadlocks;
-          check_int (e.name ^ " panics") 0 v.Explore.panics)
-    Scenarios.all
+  let flagged =
+    List.filter_map
+      (fun (e : Scenarios.entry) ->
+        Mach_obs.Obs_profile.reset ();
+        let v = Explore.run ~cpus:4 ~seeds:[ 1; 2; 3; 4; 5 ] e.run in
+        let deadlocks =
+          v.Explore.sleep_deadlocks + v.Explore.spin_deadlocks
+        in
+        (match e.expect with
+        | Scenarios.Completes ->
+            check_int (e.name ^ " completed") 5 v.Explore.completed
+        | Scenarios.Deadlocks ->
+            check_int (e.name ^ " deadlocked") 5 deadlocks;
+            check_int (e.name ^ " panics") 0 v.Explore.panics);
+        if Mach_obs.Obs_profile.order_findings () = [] then None
+        else Some e.name)
+      Scenarios.all
+  in
+  Alcotest.(check (list string))
+    "entries with order findings"
+    [ "interrupt-deadlock"; "range-deadlock"; "same-spl-buggy" ]
+    (List.sort compare flagged)
 
 let test_registry_names_unique () =
   let names = List.map (fun (e : Scenarios.entry) -> e.name) Scenarios.all in

@@ -1,96 +1,44 @@
-(* Lock-order conventions (section 5): the class-rank discipline checker,
-   uid-ordered pairs, the backout protocol's capped backoff, and the
-   per-run reset of the checker's held stacks. *)
+(* Lock-order conventions (section 5): the learned order record's reset,
+   uid-ordered pairs and the backout protocol's capped backoff. *)
 
 module Engine = Mach_sim.Sim_engine
 module Explore = Mach_sim.Sim_explore
-module Run_reset = Mach_core.Run_reset
 module K = Mach_ksync.Ksync
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
-  m = 0 || at 0
 
 let in_sim f =
   let result = ref None in
   ignore (Engine.run (fun () -> result := Some (f ())));
   Option.get !result
 
-(* The fixed fix: acquiring rank 2 while the stack holds [rank 3; rank 1]
-   must be flagged against the rank-3 class even though the most recent
-   acquisition is the rank-1 class. *)
-let test_deep_stack_violation () =
+(* The order record is process-wide until Obs_profile.reset: a cycle
+   learned before it is not reported after it, and the same lock sites
+   (whose memos of recorded edges predate the reset) learn it again. *)
+let test_reset_forgets_cycle () =
+  let module Profile = Mach_obs.Obs_profile in
+  let cycles () = List.length (Profile.order_findings ()) in
+  Profile.reset ();
   in_sim (fun () ->
-      K.Order.clear_violations ();
-      let low = K.Order.define_class ~name:"low" ~rank:1 in
-      let mid = K.Order.define_class ~name:"mid" ~rank:2 in
-      let high = K.Order.define_class ~name:"high" ~rank:3 in
-      K.Order.note_acquire high;
-      (* low-after-high is the first violation; it leaves the stack as
-         [low; high] with the lower rank on top *)
-      K.Order.note_acquire low;
-      check_int "low-after-high flagged" 1 (List.length (K.Order.violations ()));
-      (* top of stack is rank 1 < 2: only a whole-stack comparison sees
-         the rank-3 hold underneath *)
-      K.Order.note_acquire mid;
-      (match K.Order.violations () with
-      | v :: _ ->
-          check_bool "names the offending class" true (contains v "high");
-          check_bool "names its rank" true (contains v "rank 3");
-          check_bool "names the acquired class" true (contains v "mid")
-      | [] -> Alcotest.fail "deep-stack violation not recorded");
-      check_int "both violations recorded" 2
-        (List.length (K.Order.violations ()));
-      K.Order.note_release mid;
-      K.Order.note_release low;
-      K.Order.note_release high;
-      K.Order.clear_violations ())
-
-let test_release_not_held () =
-  in_sim (fun () ->
-      K.Order.clear_violations ();
-      let c = K.Order.define_class ~name:"phantom" ~rank:1 in
-      K.Order.note_release c;
-      (match K.Order.violations () with
-      | [ v ] ->
-          check_bool "flags release-not-held" true
-            (contains v "does not hold");
-          check_bool "names the class" true (contains v "phantom")
-      | vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs));
-      K.Order.clear_violations ())
-
-(* A stale stack from a previous run must not produce phantom violations
-   in the next one: the Run_reset hook clears every thread's stack. *)
-let test_per_run_reset () =
-  in_sim (fun () ->
-      K.Order.clear_violations ();
-      let high = K.Order.define_class ~name:"stale-high" ~rank:9 in
-      (* leak a hold (a buggy scenario that never released) *)
-      K.Order.note_acquire high);
-  in_sim (fun () ->
-      let low = K.Order.define_class ~name:"fresh-low" ~rank:1 in
-      K.Order.note_acquire low;
-      K.Order.note_release low;
-      check_int "no phantom violation from the previous run" 0
-        (List.length (K.Order.violations ()));
-      K.Order.clear_violations ())
-
-let test_reset_held_direct () =
-  in_sim (fun () ->
-      K.Order.clear_violations ();
-      let high = K.Order.define_class ~name:"h" ~rank:5 in
-      let low = K.Order.define_class ~name:"l" ~rank:1 in
-      K.Order.note_acquire high;
-      K.Order.reset_held ();
-      K.Order.note_acquire low;
-      check_int "reset cleared the held stack" 0
-        (List.length (K.Order.violations ()));
-      K.Order.note_release low;
-      K.Order.clear_violations ())
+      let a = K.Slock.make ~name:"reset-a" () in
+      let b = K.Slock.make ~name:"reset-b" () in
+      let inversion () =
+        K.Slock.lock a;
+        K.Slock.lock b;
+        K.Slock.unlock b;
+        K.Slock.unlock a;
+        K.Slock.lock b;
+        K.Slock.lock a;
+        K.Slock.unlock a;
+        K.Slock.unlock b
+      in
+      inversion ();
+      check_int "cycle learned" 1 (cycles ());
+      Profile.reset ();
+      check_int "not reported after the reset" 0 (cycles ());
+      inversion ();
+      check_int "learned again" 1 (cycles ()))
 
 let test_lock_both_by_uid_orders () =
   in_sim (fun () ->
@@ -176,13 +124,10 @@ let test_backout_explored () =
 let () =
   Alcotest.run "lock_order"
     [
-      ( "rank discipline",
+      ( "learned order",
         [
-          Alcotest.test_case "deep-stack violation" `Quick
-            test_deep_stack_violation;
-          Alcotest.test_case "release not held" `Quick test_release_not_held;
-          Alcotest.test_case "per-run reset" `Quick test_per_run_reset;
-          Alcotest.test_case "reset_held direct" `Quick test_reset_held_direct;
+          Alcotest.test_case "reset forgets a cycle" `Quick
+            test_reset_forgets_cycle;
         ] );
       ( "pairs and backout",
         [

@@ -259,24 +259,74 @@ let test_backout_protocol_never_deadlocks () =
   in
   check_bool "no deadlocks with backout" true (Explore.all_completed v)
 
-let test_order_checker_flags_violation () =
-  in_sim (fun () ->
-      K.Order.clear_violations ();
-      let map_cls = K.Order.define_class ~name:"map" ~rank:1 in
-      let obj_cls = K.Order.define_class ~name:"object" ~rank:2 in
-      (* correct order: no violation *)
-      K.Order.note_acquire map_cls;
-      K.Order.note_acquire obj_cls;
-      K.Order.note_release obj_cls;
-      K.Order.note_release map_cls;
-      check_int "no violations yet" 0 (List.length (K.Order.violations ()));
-      (* wrong order *)
-      K.Order.note_acquire obj_cls;
-      K.Order.note_acquire map_cls;
-      K.Order.note_release map_cls;
-      K.Order.note_release obj_cls;
-      check_int "violation recorded" 1 (List.length (K.Order.violations ()));
-      K.Order.clear_violations ())
+(* The learned lock order (section 5): no lock declares a rank.  One
+   thread takes map then object; after it has ended, another takes
+   object then map.  The run completes, yet the order record closes the
+   map -> object -> map cycle and names each edge's witness.  A
+   try_lock in the reverse order cannot block, so it adds no edge. *)
+let test_order_checker_flags_inversion () =
+  let module Profile = Mach_obs.Obs_profile in
+  let run reverse =
+    Profile.reset ();
+    let outcome =
+      Engine.run_outcome (fun () ->
+          let map = K.Slock.make ~name:"map" () in
+          let obj = K.Slock.make ~name:"object" () in
+          Engine.join
+            (Engine.spawn ~name:"forward" (fun () ->
+                 K.Slock.lock map;
+                 K.Slock.lock obj;
+                 K.Slock.unlock obj;
+                 K.Slock.unlock map));
+          Engine.join
+            (Engine.spawn ~name:"reverse" (fun () -> reverse map obj)))
+    in
+    (match outcome with
+    | Engine.Completed _ -> ()
+    | _ -> Alcotest.fail "the run must complete");
+    Profile.order_findings ()
+  in
+  Alcotest.(check (list string))
+    "the map/object cycle with both witnesses"
+    [
+      "order cycle: map -> object -> map (forward held map, wanted object; \
+       reverse held object, wanted map)";
+    ]
+    (run (fun map obj ->
+         K.Slock.lock obj;
+         K.Slock.lock map;
+         K.Slock.unlock map;
+         K.Slock.unlock obj));
+  check_int "a reverse try_lock adds no finding" 0
+    (List.length
+       (run (fun map obj ->
+            K.Slock.lock obj;
+            if K.Slock.try_lock map then K.Slock.unlock map;
+            K.Slock.unlock obj)))
+
+(* With checking off (the section-7 buggy variants) the same-spl rule
+   does not panic: the attempt at a second level is recorded as a
+   finding naming the lock and both levels. *)
+let test_same_spl_recorded_unchecked () =
+  let module Profile = Mach_obs.Obs_profile in
+  Profile.reset ();
+  K.Slock.set_checking false;
+  Fun.protect ~finally:(fun () -> K.Slock.set_checking true) (fun () ->
+      in_sim (fun () ->
+          let l = K.Slock.make ~name:"spl-learned" () in
+          K.Slock.lock l;
+          K.Slock.unlock l;
+          let old = Engine.set_spl Spl.Splvm in
+          K.Slock.lock l;
+          K.Slock.unlock l;
+          ignore (Engine.set_spl old)));
+  Alcotest.(check (list string))
+    "names the lock and both levels"
+    [
+      "simple lock spl-learned: acquired at splvm but pinned/first acquired \
+       at spl0 (same-spl rule, paper section 7)";
+    ]
+    (Profile.order_findings ())
 
 let () =
   Alcotest.run "simple_lock"
@@ -301,6 +351,8 @@ let () =
             test_same_spl_rule_enforced;
           Alcotest.test_case "spl pin at creation" `Quick
             test_spl_pinned_at_creation;
+          Alcotest.test_case "same-spl recorded unchecked" `Quick
+            test_same_spl_recorded_unchecked;
         ] );
       ( "exploration",
         [
@@ -313,6 +365,6 @@ let () =
           Alcotest.test_case "backout protocol safe" `Quick
             test_backout_protocol_never_deadlocks;
           Alcotest.test_case "order checker" `Quick
-            test_order_checker_flags_violation;
+            test_order_checker_flags_inversion;
         ] );
     ]
