@@ -41,6 +41,9 @@ struct
 
   let n_buckets = 64
 
+  (* Built once: the registry is rebuilt at every run. *)
+  let bucket_names = Array.init n_buckets (Printf.sprintf "evt-bucket%d")
+
   type bucket = { block : Slock.t; mutable waiters : waiter list }
 
   (* All mutable event state (wait-queue buckets, the waiter registry and
@@ -63,7 +66,7 @@ struct
       buckets =
         Array.init n_buckets (fun i ->
             {
-              block = Slock.make ~name:(Printf.sprintf "evt-bucket%d" i) ();
+              block = Slock.make ~name:bucket_names.(i) ();
               waiters = [];
             });
       registry = Hashtbl.create 256;

@@ -158,6 +158,16 @@ let footprint_conflict (f1 : footprint) (f2 : footprint) =
   in
   walk 0 0
 
+(* One word summarizing a footprint's keys: bit [key mod 63] for each.
+   Footprints that conflict share a key, so their signatures intersect;
+   the race scan runs the merge walk only where they do. *)
+let signature (f : footprint) =
+  let sg = ref 0 in
+  for i = 0 to Array.length f - 1 do
+    sg := !sg lor (1 lsl ((f.(i) asr 1 land max_int) mod 63))
+  done;
+  !sg
+
 (* Transitions on the same cpu are always dependent (program order). *)
 let dependent (t1 : C.mc_transition) fp1 (t2 : C.mc_transition) fp2 =
   t1.mc_cpu = t2.mc_cpu || footprint_conflict fp1 fp2
@@ -189,6 +199,7 @@ type node = {
   mutable sleep : (C.mc_transition * footprint) list;
   mutable chosen : int;
   mutable fp : footprint;  (* footprint of [chosen], set at commit *)
+  mutable sg : int;  (* [signature fp] *)
   mutable pid : int;  (* interned process of [chosen], set at commit *)
   mutable vc : int array;
       (* vector clock after [chosen], indexed by interned process: the
@@ -346,40 +357,63 @@ let dpor_commit s node d =
   for d' = d - 1 downto 0 do
     let n' = s.stack_arr.(d') in
     let p' = n'.pid in
-    if p' = p || footprint_conflict n'.fp node.fp then begin
+    if
+      p' = p
+      || (n'.sg land node.sg <> 0 && footprint_conflict n'.fp node.fp)
+    then begin
       if p' <> p && vc_get r p' < d' then
-        Array.iteri
-          (fun i _ ->
-            if n'.costs.(i) <= n'.budget then n'.backtrack.(i) <- true)
-          n'.cands;
-      Array.iteri (fun q v -> if v > r.(q) then r.(q) <- v) n'.vc
+        for i = 0 to Array.length n'.cands - 1 do
+          if n'.costs.(i) <= n'.budget then n'.backtrack.(i) <- true
+        done;
+      let vc = n'.vc in
+      for q = 0 to Array.length vc - 1 do
+        if vc.(q) > r.(q) then r.(q) <- vc.(q)
+      done
     end
   done;
   r.(p) <- d;
   node.vc <- r
 
-(* The hooks driving one execution.  Depths below the retained stack
-   replay the stored choice; beyond it, fresh nodes pick the cheapest
-   (least-preemptive, lowest-index) selectable candidate. *)
+(* The run offered [n] transitions at retained depth [d] ([got] lists
+   them when the step enumerated them), not the recorded node's number. *)
+let diverged s d n got =
+  let show a =
+    String.concat " | "
+      (Array.to_list
+         (Array.map (fun t -> Format.asprintf "%a" pp_transition t) a))
+  in
+  let node = s.stack_arr.(d) in
+  raise
+    (Diverged
+       (Printf.sprintf "depth %d: %d candidates%s, expected %d [%s]; prefix: %s"
+          d n
+          (match got with Some a -> " [" ^ show a ^ "]" | None -> "")
+          (Array.length node.cands) (show node.cands)
+          (show (trace_of_stack { s with depth = d }))))
+
+(* The hooks driving one execution.  Depths below [s.replayed] replay
+   the stored choice without enumerating or committing; the switched
+   node at [s.replayed] takes its new choice and commits afresh; beyond
+   the retained stack, fresh nodes pick the cheapest (least-preemptive,
+   lowest-index) selectable candidate. *)
 let hooks_of s ~forced =
+  let replay n =
+    let d = s.depth in
+    if d >= s.replayed then None
+    else begin
+      let node = s.stack_arr.(d) in
+      if Array.length node.cands <> n then diverged s d n None;
+      s.depth <- d + 1;
+      s.st_transitions <- s.st_transitions + 1;
+      Some node.cands.(node.chosen)
+    end
+  in
   let choose (cands : C.mc_transition array) =
     let d = s.depth in
     if d < s.stack_len then begin
       let node = s.stack_arr.(d) in
-      if Array.length node.cands <> Array.length cands then begin
-        let show a =
-          String.concat " | "
-            (Array.to_list
-               (Array.map (fun t -> Format.asprintf "%a" pp_transition t) a))
-        in
-        raise
-          (Diverged
-             (Printf.sprintf
-                "depth %d: %d candidates [%s], expected %d [%s]; prefix: %s" d
-                (Array.length cands) (show cands) (Array.length node.cands)
-                (show node.cands)
-                (show (trace_of_stack { s with depth = d }))))
-      end;
+      if Array.length node.cands <> Array.length cands then
+        diverged s d (Array.length cands) (Some cands);
       s.depth <- d + 1;
       node.chosen
     end
@@ -408,6 +442,7 @@ let hooks_of s ~forced =
           sleep = s.pending_sleep;
           chosen = -1;
           fp = [||];
+          sg = 0;
           pid = -1;
           vc = [||];
         }
@@ -453,9 +488,10 @@ let hooks_of s ~forced =
     let d = s.depth - 1 in
     let node = s.stack_arr.(d) in
     s.st_transitions <- s.st_transitions + 1;
-    if s.s_mode = Dpor && d >= s.replayed then begin
+    if s.s_mode = Dpor then begin
       let fp = encode_footprint accesses in
       node.fp <- fp;
+      node.sg <- signature fp;
       dpor_commit s node d;
       s.pending_sleep <-
         List.filter
@@ -464,7 +500,7 @@ let hooks_of s ~forced =
           node.sleep
     end
   in
-  { C.mc_choose = choose; mc_commit = commit }
+  { C.mc_replay = replay; mc_choose = choose; mc_commit = commit }
 
 (* Deepest node with an unexplored selectable alternative; switching to
    it puts the branch just explored to sleep (it may only be re-woken by
@@ -776,7 +812,13 @@ let replay ?(cpus = 2) ?(max_steps = default_max_steps) ~trace scenario =
     recorded := cands.(!k) :: !recorded;
     !k
   in
-  let hooks = { C.mc_choose = choose; mc_commit = (fun _ -> ()) } in
+  let hooks =
+    {
+      C.mc_replay = (fun _ -> None);
+      mc_choose = choose;
+      mc_commit = (fun _ -> ());
+    }
+  in
   let cfg = make_cfg ~cpus ~max_steps hooks in
   let outcome = E.run_outcome ~cfg scenario in
   (outcome, Array.of_list (List.rev !recorded))

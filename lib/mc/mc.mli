@@ -56,6 +56,11 @@ val footprint_conflict : footprint -> footprint -> bool
     same cpu's interrupt plumbing (its pending queues and its spl count
     as one resource). *)
 
+val signature : footprint -> int
+(** One word summarizing a footprint's resources.  Two footprints that
+    conflict always have intersecting signatures ([land] is non-zero), so
+    the race scan runs {!footprint_conflict} only on those pairs. *)
+
 type failure = {
   f_trace : trace;  (** the schedule that exhibits the failure *)
   f_kind : Mach_sim.Sim_engine.deadlock_kind option;
@@ -83,6 +88,13 @@ type result = {
   failure : failure option;  (** first failure in DFS order, if any *)
   stats : stats;
 }
+
+exception Diverged of string
+(** Raised by {!check} when a re-execution of a recorded choice prefix
+    offers a different number of transitions than it did when recorded:
+    the scenario is not a deterministic function of its schedule (it
+    reads state kept outside the run, say).  The message names the
+    depth, both candidate lists where known, and the prefix. *)
 
 val pp_result : Format.formatter -> result -> unit
 

@@ -43,7 +43,9 @@ let faults_active f =
 (* Model-checking hooks.  When [mc] is set the engine stops drawing from
    its RNG: at every scheduler step it enumerates the enabled transitions
    (in a deterministic order) and asks [mc_choose] which to execute, then
-   reports the executed slice's shared-state footprint to [mc_commit].
+   reports the executed slice's shared-state footprint to [mc_commit] --
+   except at a step [mc_replay] answers, which re-executes a recorded
+   choice.
    The driver lives in lib/mc; the types live here so lib/mc can depend
    on lib/sim without a cycle. *)
 
@@ -75,12 +77,17 @@ type mc_access =
   | Mc_spl of int (* a cpu's interrupt priority level *)
 
 type mc_hooks = {
+  mc_replay : int -> mc_transition option;
+      (* given the number of enabled transitions: the choice recorded at
+         this depth when it replays a committed prefix unchanged (the
+         engine executes it and records no footprint), or None for a
+         fresh step (enumerate, [mc_choose], [mc_commit]) *)
   mc_choose : mc_transition array -> int;
       (* pick the next transition; the array is non-empty and in
          deterministic (cpu-ascending) order *)
   mc_commit : mc_access list -> unit;
-      (* footprint of the transition just executed, in program order with
-         duplicates removed *)
+      (* footprint of the transition just executed: every access, in no
+         particular order, possibly repeated *)
 }
 
 (* The cycle cost model. *)

@@ -58,9 +58,10 @@ val wakeup_delay_steps : int
     instead of a seeded one: at every step it enumerates the enabled
     transitions in a deterministic order and asks [mc_choose] which one to
     execute, then reports the executed slice's shared-state footprint to
-    [mc_commit].  The DFS/DPOR driver over these hooks lives in [lib/mc];
-    the types live here so that library can depend on [lib/sim] without a
-    dependency cycle. *)
+    [mc_commit]; a step that replays an already-explored prefix skips
+    both ([mc_replay]).  The DFS/DPOR driver over these hooks lives in
+    [lib/mc]; the types live here so that library can depend on
+    [lib/sim] without a dependency cycle. *)
 
 type mc_action =
   | Mc_deliver of { slot : int; intr : string; level : string }
@@ -87,12 +88,19 @@ type mc_access =
   | Mc_spl of int  (** a cpu's interrupt priority level *)
 
 type mc_hooks = {
+  mc_replay : int -> mc_transition option;
+      (** asked first at every step, with the number of enabled
+          transitions.  [Some t]: this step replays a prefix already
+          committed, and [t] is the choice recorded there; the engine
+          executes it without enumerating the transitions or recording a
+          footprint, and calls neither hook below.  [None]: a fresh
+          step. *)
   mc_choose : mc_transition array -> int;
       (** pick the index of the next transition to execute; the array is
           non-empty, in deterministic (cpu-ascending) order *)
   mc_commit : mc_access list -> unit;
-      (** the footprint of the transition just executed, in program
-          order, duplicates removed *)
+      (** the footprint of the transition just executed: every access it
+          made, in no particular order, possibly repeated *)
 }
 
 (** {1 The cycle cost model}

@@ -161,6 +161,11 @@ module Cell : sig
   type t
 
   val make : ?name:string -> int -> t
+  (** A cell made during a run caches per cpu of that machine only: kept
+      into a later run on a larger machine, it is fatal (the error names
+      the cell) for a cpu beyond them to touch it.  A cell made outside
+      any run serves every machine. *)
+
   val get : t -> int
   val set : t -> int -> unit
   val test_and_set : t -> int

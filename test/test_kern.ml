@@ -283,13 +283,19 @@ let test_same_spl_rule_prevents_deadlock () =
    runs feed the learned lock order, reset per entry: it finds a
    potential deadlock (an order cycle or a same-spl mismatch) in exactly
    the three order and spl deadlocks, and in no entry that completes.
-   wire-recursive deadlocks on a recursive read, which is no order. *)
+   wire-recursive deadlocks on a recursive read, which is no order.
+   Each of the three also shows its finding at its declared cpu
+   minimum, so the minimum is a machine the entry's point is made on. *)
 let test_registry_expectations () =
+  let explore (e : Scenarios.entry) ~cpus =
+    Mach_obs.Obs_profile.reset ();
+    let v = Explore.run ~cpus ~seeds:[ 1; 2; 3; 4; 5 ] e.run in
+    (v, Mach_obs.Obs_profile.order_findings () <> [])
+  in
   let flagged =
-    List.filter_map
+    List.filter
       (fun (e : Scenarios.entry) ->
-        Mach_obs.Obs_profile.reset ();
-        let v = Explore.run ~cpus:4 ~seeds:[ 1; 2; 3; 4; 5 ] e.run in
+        let v, found = explore e ~cpus:4 in
         let deadlocks =
           v.Explore.sleep_deadlocks + v.Explore.spin_deadlocks
         in
@@ -299,14 +305,23 @@ let test_registry_expectations () =
         | Scenarios.Deadlocks ->
             check_int (e.name ^ " deadlocked") 5 deadlocks;
             check_int (e.name ^ " panics") 0 v.Explore.panics);
-        if Mach_obs.Obs_profile.order_findings () = [] then None
-        else Some e.name)
+        found)
       Scenarios.all
   in
   Alcotest.(check (list string))
     "entries with order findings"
     [ "interrupt-deadlock"; "range-deadlock"; "same-spl-buggy" ]
-    (List.sort compare flagged)
+    (List.sort compare
+       (List.map (fun (e : Scenarios.entry) -> e.name) flagged));
+  (* A declared minimum is a machine the finding shows on. *)
+  List.iter
+    (fun (e : Scenarios.entry) ->
+      check_bool
+        (Printf.sprintf "%s: order finding at its %d-cpu minimum" e.name
+           e.min_cpus)
+        true
+        (snd (explore e ~cpus:e.min_cpus)))
+    flagged
 
 let test_registry_names_unique () =
   let names = List.map (fun (e : Scenarios.entry) -> e.name) Scenarios.all in

@@ -266,7 +266,8 @@ let test_scache_rrw_matrix () =
 
 (* The reference model: the dependence relation as a plain pairwise test
    over access lists.  The checker encodes footprints into sorted int
-   arrays; the two must agree on every pair. *)
+   arrays; the two must agree on every pair, and the one-word signatures
+   must intersect on every pair that conflicts. *)
 let access_conflict a b =
   match (a, b) with
   | Config.Mc_cell x, Config.Mc_cell y -> x.cell = y.cell && (x.write || y.write)
@@ -303,8 +304,39 @@ let footprint_conflict_prop =
     ~name:"encoded footprint conflict = list-based access_conflict"
     (QCheck.make (QCheck.Gen.pair footprint_gen footprint_gen))
     (fun (f1, f2) ->
-      Mc.footprint_conflict (Mc.encode_footprint f1) (Mc.encode_footprint f2)
-      = fp_conflict f1 f2)
+      let e1 = Mc.encode_footprint f1 and e2 = Mc.encode_footprint f2 in
+      let conflict = fp_conflict f1 f2 in
+      (* The race scan merges only footprints whose signatures
+         intersect, so a conflict must never have disjoint ones. *)
+      Mc.footprint_conflict e1 e2 = conflict
+      && ((not conflict) || Mc.signature e1 land Mc.signature e2 <> 0))
+
+(* A scenario that is not a function of its schedule: every execution
+   after the first spawns a third worker.  The second execution replays
+   the first one's prefix by stored choice, without enumerating the
+   transitions, and must still stop where the count differs (two idle
+   cpus, three queued workers where two were recorded) rather than
+   explore a tree that is not there.  A depth that enumerated would list
+   the transitions it saw after the count; a replayed one reports the
+   count alone. *)
+let test_divergence_detected () =
+  let runs = ref 0 in
+  let scenario () =
+    incr runs;
+    let c = Engine.Cell.make ~name:"shared" 0 in
+    let workers = if !runs = 1 then 2 else 3 in
+    List.init workers (fun i ->
+        Engine.spawn ~name:(Printf.sprintf "w%d" i) (fun () ->
+            Engine.Cell.set c (Engine.Cell.get c + 1)))
+    |> List.iter Engine.join
+  in
+  match Mc.check ~cpus:2 scenario with
+  | _ -> Alcotest.fail "a third worker in the second execution must diverge"
+  | exception Mc.Diverged msg ->
+      check_bool
+        (Printf.sprintf "replayed depth reports the count it saw: %s" msg)
+        true
+        (contains msg "6 candidates, expected 4")
 
 let test_faults_excluded () =
   let cfg =
@@ -314,7 +346,8 @@ let test_faults_excluded () =
       mc =
         Some
           {
-            Config.mc_choose = (fun _ -> 0);
+            Config.mc_replay = (fun _ -> None);
+            mc_choose = (fun _ -> 0);
             mc_commit = (fun _ -> ());
           };
     }
@@ -365,6 +398,8 @@ let () =
           Alcotest.test_case "preemption bounding" `Quick test_preemption_bound;
           Alcotest.test_case "fault injection excluded" `Quick
             test_faults_excluded;
+          Alcotest.test_case "divergence detected on a replayed depth" `Quick
+            test_divergence_detected;
           QCheck_alcotest.to_alcotest footprint_conflict_prop;
         ] );
     ]

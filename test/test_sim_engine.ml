@@ -169,6 +169,33 @@ let test_cell_semantics () =
   in
   ()
 
+let test_kept_cell_on_a_larger_machine () =
+  (* A cell made during a run has a cache slot per cpu of that machine
+     only.  Kept into a larger machine's run and touched from a cpu
+     beyond them, every kind of access is a fatal error naming the cell,
+     not an anonymous index-out-of-bounds exception. *)
+  let kept = ref None in
+  ignore
+    (run ~cpus:2 (fun () -> kept := Some (Engine.Cell.make ~name:"kept" 0)));
+  let c = Option.get !kept in
+  List.iter
+    (fun (what, touch) ->
+      match
+        Engine.run_outcome ~cfg:(cfg ~cpus:4 ()) (fun () ->
+            Engine.join (Engine.spawn ~bound:3 (fun () -> touch c)))
+      with
+      | Engine.Panicked msg ->
+          check_bool
+            (Printf.sprintf "%s names the cell and the cpu: %s" what msg)
+            true
+            (contains msg "cell kept" && contains msg "cpu 3")
+      | _ -> Alcotest.failf "%s on cpu 3 of a 4-cpu run must panic" what)
+    [
+      ("read", fun c -> ignore (Engine.Cell.get c));
+      ("write", fun c -> Engine.Cell.set c 1);
+      ("atomic", fun c -> ignore (Engine.Cell.fetch_and_add c 1));
+    ]
+
 let test_fetch_add_atomic_under_contention () =
   let final = ref 0 in
   let _ =
@@ -650,6 +677,8 @@ let () =
             test_fetch_add_atomic_under_contention;
           Alcotest.test_case "ttas < tas bus traffic" `Quick
             test_ttas_fewer_bus_transactions_than_tas;
+          Alcotest.test_case "kept cell on a larger machine" `Quick
+            test_kept_cell_on_a_larger_machine;
         ] );
       ( "interrupts",
         [
