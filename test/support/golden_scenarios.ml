@@ -131,10 +131,11 @@ let matrix : (string * int * int * Config.policy) list =
     ("scache-readers", 4, 5, Config.Random_policy);
     ("cx-scache", 4, 7, Config.Round_robin);
     ("cx-scache", 8, 3, Config.Timed);
-    (* Above 16 cpus: the scheduler keeps its candidate and near sets as
-       two-word cpu bitmasks, so these rows pin schedules whose masks
-       cross cpu 31 -> 32 and reach cpu 63, under every policy, with
-       bound threads and IPIs (shootdown). *)
+    (* Above 16 cpus: the scheduler keeps its candidate set as a
+       two-word cpu bitmask and its Timed near set as a sorted cpu
+       array, so these rows pin schedules whose sets cross cpu 31 -> 32
+       and reach cpu 63, under every policy, with bound threads and IPIs
+       (shootdown). *)
     ("shootdown", 33, 5, Config.Random_policy);
     ("shootdown", 48, 7, Config.Timed);
     ("shootdown", 64, 5, Config.Random_policy);
@@ -147,6 +148,10 @@ let matrix : (string * int * int * Config.policy) list =
     ("rpc-serve", 4, 11, Config.Random_policy);
     ("rpc-serve", 4, 7, Config.Round_robin);
     ("rpc-serve", 64, 5, Config.Random_policy);
+    (* Timed at scale on the hot path: budgeted probes that park, and
+       wait iterations picked from near sets that span both words. *)
+    ("rpc-serve", 64, 5, Config.Timed);
+    ("rpc-serve", 33, 9, Config.Timed);
   ]
 
 let line (name, cpus, seed, policy) =
