@@ -919,17 +919,48 @@ module E14 = struct
          deadlocks are found without fault injection with minimal \
          replayable counterexamples, and DPOR makes exhaustive search \
          tractable where naive enumeration is not";
+    let explore (sname, cpus, mode, bound, max_executions) =
+      let t0 = Unix.gettimeofday () in
+      let r =
+        Mc.check ~cpus ~mode ?bound ?max_executions (Scenarios.get sname).run
+      in
+      (r, (Unix.gettimeofday () -. t0) *. 1000.)
+    in
+    let outcome (r : Mc.result) =
+      Printf.sprintf "%d schedules, %d transitions, %s"
+        r.Mc.stats.Mc.executions r.Mc.stats.Mc.transitions (verdict_of r)
+    in
+    (* Three passes over the rows; each row keeps its fastest time, since
+       host noise only ever adds time.  The exploration itself is
+       deterministic, so every pass must reproduce the first one's counts
+       and verdicts.  The observability section reports the last pass
+       alone. *)
+    let reps = 3 in
+    let first = List.map (fun case -> (case, explore case)) cases in
+    let fastest = ref (List.map (fun (_, (_, ms)) -> ms) first) in
+    for pass = 2 to reps do
+      if pass = reps then obs_reset ();
+      fastest :=
+        List.map2
+          (fun (((sname, _, mode, bound, _) as case), (r, _)) best ->
+            let r', ms = explore case in
+            if r'.Mc.stats <> r.Mc.stats || verdict_of r' <> verdict_of r
+            then begin
+              Printf.eprintf
+                "E14 row %s %s bound %s: pass %d gave %s, the first %s\n"
+                sname (Mc.mode_name mode)
+                (Option.fold ~none:"-" ~some:string_of_int bound)
+                pass (outcome r') (outcome r);
+              exit 1
+            end;
+            Float.min best ms)
+          first !fastest
+    done;
     (* naive execution counts per (scenario, cpus), for reduction ratios *)
     let naive_execs = ref [] in
     let rows =
-      List.map
-        (fun (sname, cpus, mode, bound, max_executions) ->
-          let t0 = Unix.gettimeofday () in
-          let r =
-            Mc.check ~cpus ~mode ?bound ?max_executions
-              (Scenarios.get sname).run
-          in
-          let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+      List.map2
+        (fun ((sname, cpus, mode, bound, _), (r, _)) ms ->
           let execs = r.Mc.stats.Mc.executions in
           if mode = Mc.Naive && r.Mc.complete then
             naive_execs := ((sname, cpus), execs) :: !naive_execs;
@@ -940,7 +971,7 @@ module E14 = struct
             | _ -> None
           in
           { sname; cpus; mode; bound; r; ms; ratio })
-        cases
+        first !fastest
     in
     write_bench ~what:"exploration table" "BENCH_mc.json" "E14"
       (tabulate cols rows)

@@ -1,12 +1,18 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in an 8-byte buffer: a draw reads
+   and writes it in place and allocates nothing. *)
+type t = Bytes.t
 
-let make seed = { state = Int64.of_int (seed lxor 0x5DEECE66D) }
-let copy t = { state = t.state }
+let make seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 (Int64.of_int (seed lxor 0x5DEECE66D));
+  t
 
-let next_int64 t =
+let copy = Bytes.copy
+
+let[@inline] next_int64 t =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+  let z = add (Bytes.get_int64_le t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_le t 0 z;
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
