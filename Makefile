@@ -65,7 +65,8 @@ perf-reference:
 # Run the shootdown scenario with tracing, export Chrome trace-event
 # JSON, and verify it parses and contains the shootdown events (machsim
 # re-reads and validates its own output; the greps double-check from the
-# outside).
+# outside).  The text trace names events as the export does and ends
+# with the overflow accounting.
 trace-smoke:
 	dune exec bin/machsim.exe -- trace shootdown --cpus 4 --out /tmp/machsim-trace.json \
 		| grep "trace JSON ok"
@@ -73,15 +74,20 @@ trace-smoke:
 	grep -q "Tlb_shootdown_done" /tmp/machsim-trace.json
 	grep -q "Span_close" /tmp/machsim-trace.json
 	grep -q '"span:' /tmp/machsim-trace.json
+	dune exec bin/machsim.exe -- trace shootdown --cpus 4 > /tmp/machsim-trace.txt
+	grep -q "Tlb_shootdown_start" /tmp/machsim-trace.txt
+	grep -q "^drops: overflow spans=" /tmp/machsim-trace.txt
 	@echo "trace-smoke passed"
 
 # Causal-observability smoke: the report subcommand must attribute the
 # contention workload's critical path to the contended lock class and
 # print the blocked-by table, a chaos-detected hang must carry the
 # flight-recorder dump (closed-span tails + each thread's still-open
-# spans — the section 7 cycle's evidence), and the profile of the
-# section 7 same-spl deadlock must name it from the learned lock order
-# (the handler's self-loop on the lock) and the same-spl finding.
+# spans — the section 7 cycle's evidence), the profile of the section 7
+# same-spl deadlock must name it from the learned lock order (the
+# handler's self-loop on the lock) and the same-spl finding, and a plain
+# run of the section 7 interrupt deadlock, in the default configuration,
+# must name its waits-for cycle.
 report-smoke:
 	dune exec bin/machsim.exe -- report contention --cpus 16 \
 		| tee /tmp/machsim-report.out
@@ -96,6 +102,9 @@ report-smoke:
 	grep -q "order cycle: vm-lock -> vm-lock (holder held vm-lock" /tmp/machsim-order.out
 	grep -q "simple lock vm-lock: acquired at splvm but pinned/first acquired at spl0" \
 		/tmp/machsim-order.out
+	dune exec bin/machsim.exe -- run interrupt-deadlock --cpus 3 > /tmp/machsim-cycle.out; \
+		test $$? -eq 1
+	grep -q "waits-for cycle" /tmp/machsim-cycle.out
 	@echo "report-smoke passed"
 
 # Regenerate a committed BENCH file with one bench experiment and fail,

@@ -1254,7 +1254,7 @@ module E18 = struct
             sim_run ~cpus
               ~tweak:(fun cfg ->
                 policy_tweak
-                  { cfg with Config.trace = true; track_waits = true })
+                  { cfg with Config.trace = true })
               workload
           in
           let view =

@@ -215,15 +215,12 @@ let trace_cmd =
           Format.printf "(%d of %d events shown)@." (List.length tail) total;
           0
     in
-    (* Loss accounting, split span-vs-instant and overflow-vs-disabled:
-       "the ring wrapped" and "tracing was off" are different facts, and
-       span records matter to the critical-path pass specifically. *)
+    (* Overflow loss, split span-vs-instant: span records matter to the
+       critical-path pass specifically. *)
     (match Engine.trace_drop_stats () with
     | Some d ->
-        Format.printf
-          "drops: overflow spans=%d events=%d; disabled spans=%d events=%d@."
-          d.Trace.dropped_spans d.Trace.dropped_events d.Trace.disabled_spans
-          d.Trace.disabled_events
+        Format.printf "drops: overflow spans=%d events=%d@."
+          d.Trace.dropped_spans d.Trace.dropped_events
     | None -> ());
     ignore (print_outcome outcome);
     status
@@ -287,13 +284,8 @@ let report_cmd =
   let run name cpus seed policy top json =
     let body = scenario name ~cpus in
     Obs_profile.reset ();
-    (* Tracing feeds the critical-path pass; track_waits feeds the
-       waits-for graph so a deadlocked run still prints a diagnosis
-       (with the flight-recorder dump the engine appends to it). *)
-    let cfg =
-      { Config.default with Config.cpus; seed; policy; trace = true;
-        track_waits = true }
-    in
+    (* Tracing feeds the critical-path pass. *)
+    let cfg = { Config.default with Config.cpus; seed; policy; trace = true } in
     let outcome = Engine.run_outcome ~cfg body in
     let view = Option.value (Obs_span.last ()) ~default:Obs_span.empty_view in
     let makespan =

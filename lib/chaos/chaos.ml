@@ -33,7 +33,6 @@ let chaos_tweak ~faults ~max_steps ~watchdog cfg =
   {
     cfg with
     Sim_config.faults;
-    track_waits = true;
     (* The flight recorder rides on spans: force them on regardless of
        the base config so every chaos-detected hang carries the recent
        per-cpu span tail in its report (spans never perturb the
@@ -45,7 +44,7 @@ let chaos_tweak ~faults ~max_steps ~watchdog cfg =
 
 (* Classification looks at the engine's waits-for analysis first: a found
    cycle or an orphaned waiter is a *diagnosed* deadlock; a bare deadlock
-   report (tracking found nothing) falls back to its kind, and a run that
+   report (the analysis found nothing) falls back to its kind, and a run that
    only stopped at the step bound (e.g. spurious wakeups keep resetting
    the watchdog) is its own bucket. *)
 let classify outcome =

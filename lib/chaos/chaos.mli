@@ -27,7 +27,8 @@ val run_one :
   faults:Mach_sim.Sim_config.faults ->
   (unit -> unit) ->
   result
-(** One exploration run with [faults] injected and wait tracking on. *)
+(** One exploration run with [faults] injected, spans on and the given
+    step bound and watchdog. *)
 
 type sweep = {
   runs : int;

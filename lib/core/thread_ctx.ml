@@ -106,9 +106,14 @@ let wait_done t res =
   (match res with
   | Waits_for.Event { id } -> t.last_event <- Some id
   | _ -> ());
-  match remove_first (fun r -> r = res) t.waits with
-  | Some (_, rest) -> t.waits <- rest
-  | None -> ()
+  (* The wait ending is almost always the latest one: take it off the
+     head without allocating. *)
+  match t.waits with
+  | r :: rest when r = res -> t.waits <- rest
+  | waits -> (
+      match remove_first (fun r -> r = res) waits with
+      | Some (_, rest) -> t.waits <- rest
+      | None -> ())
 
 let span_label = function Hold h -> h.site.span | Span s -> s.label
 

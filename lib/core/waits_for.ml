@@ -8,10 +8,10 @@
    explain a hang as a cycle or an orphaned waiter instead of a raw
    thread dump.
 
-   Tracking is off by default and gated per call site, so the hot path
-   costs one domain-local read when disabled; the flag is domain-local
-   because parallel seed sweeps (Sim_explore ?domains) run one
-   simulation per domain. *)
+   The engine turns tracking on for every simulated run; native machines,
+   which run no detector, leave it off, and each call site checks it
+   (one domain-local read).  The flag is domain-local because parallel
+   seed sweeps (Sim_explore ?domains) run one simulation per domain. *)
 
 type resource =
   | Slock of { uid : int; name : string }

@@ -4,9 +4,9 @@
     lock holds on the same contexts ({!Thread_ctx.hold_edges}), kept
     whether or not waits are tracked.
 
-    Tracking is off by default; when off, every call site is expected to
-    skip recording a wait after checking {!tracking} (one domain-local
-    read). *)
+    The simulator turns tracking on for every run; it is off on native
+    machines, which run no detector.  Every call site skips recording a
+    wait after checking {!tracking} (one domain-local read). *)
 
 type resource =
   | Slock of { uid : int; name : string }

@@ -555,7 +555,6 @@ let make_cfg ~cpus ~max_steps hooks =
     C.cpus;
     seed = 0;
     max_steps = Some max_steps;
-    track_waits = true;
     (* Spans stay on through the whole search: they consume no engine
        randomness and make no scheduling choices, so DPOR's replayed
        prefixes stay bit-identical, and the counterexample report the

@@ -1,5 +1,5 @@
 type t =
-  (* scheduler / machine events (previously string tags in Sim_trace) *)
+  (* scheduler / machine events *)
   | Spawn of { thread : string }
   | Thread_exit of { thread : string }
   | Park of { thread : string }
@@ -26,8 +26,6 @@ type t =
   (* chaos / deadlock-detection events *)
   | Chaos_inject of { kind : string; victim : string }
   | Deadlock_note of { line : string }
-  (* escape hatch for ad-hoc instrumentation *)
-  | Raw of { tag : string; detail : string }
 
 let name = function
   | Spawn _ -> "Spawn"
@@ -52,34 +50,6 @@ let name = function
   | Span_close _ -> "Span_close"
   | Chaos_inject _ -> "Chaos_inject"
   | Deadlock_note _ -> "Deadlock_note"
-  | Raw { tag; _ } -> tag
-
-(* The short tags the string-tagged trace used; kept so text dumps look
-   the same as before the typed-event change. *)
-let tag = function
-  | Spawn _ -> "spawn"
-  | Thread_exit _ -> "exit"
-  | Park _ -> "park"
-  | Unpark _ -> "unpark"
-  | Permit _ -> "permit"
-  | Dispatch _ -> "dispatch"
-  | Intr_post _ -> "post-intr"
-  | Intr_deliver _ -> "intr"
-  | Intr_done _ -> "intr-done"
-  | Spl_raise _ -> "spl"
-  | Cell_set _ -> "set"
-  | Tas _ -> "tas"
-  | Lock_acquire _ -> "lock"
-  | Lock_release _ -> "unlock"
-  | Event_wait _ -> "evt-wait"
-  | Event_signal _ -> "evt-signal"
-  | Refcount_drop _ -> "ref-drop"
-  | Tlb_shootdown_start _ -> "shoot-start"
-  | Tlb_shootdown_done _ -> "shoot-done"
-  | Span_close _ -> "span"
-  | Chaos_inject _ -> "chaos"
-  | Deadlock_note _ -> "deadlock"
-  | Raw { tag; _ } -> tag
 
 let detail = function
   | Spawn { thread } | Thread_exit { thread } | Park { thread }
@@ -112,7 +82,6 @@ let detail = function
       Printf.sprintf "%s %s dur=%d" kind site dur
   | Chaos_inject { kind; victim } -> Printf.sprintf "%s -> %s" kind victim
   | Deadlock_note { line } -> line
-  | Raw { detail; _ } -> detail
 
 (* Structured payload as Chrome trace-event "args". *)
 let args ev =
@@ -161,11 +130,7 @@ let args ev =
   | Chaos_inject { kind; victim } ->
       [ ("kind", String kind); ("victim", String victim) ]
   | Deadlock_note { line } -> [ ("line", String line) ]
-  | Raw { tag; detail } ->
-      [ ("tag", String tag); ("detail", String detail) ]
 
 (* Span records and plain instants are accounted separately in the trace
    rings (dropped-span vs dropped-event counters). *)
 let is_span = function Span_close _ -> true | _ -> false
-
-let pp ppf ev = Format.fprintf ppf "%-12s %s" (tag ev) (detail ev)

@@ -1,14 +1,10 @@
 (** Typed trace events.
 
-    The simulator's trace used to carry [tag : string] + [detail : string];
-    this variant replaces it with structured payloads so exporters (the
-    Chrome trace-event writer, the contention profiler) can consume events
-    without re-parsing strings.  Interrupt-priority levels and threads are
-    carried as strings to keep this module at the bottom of the dependency
-    stack (everything — core, sim, vm — may emit events).
-
-    [Raw] is the escape hatch for ad-hoc instrumentation and keeps old
-    string-tagged call sites expressible. *)
+    Structured payloads, so exporters (the Chrome trace-event writer, the
+    contention profiler) can consume events without re-parsing strings.
+    Interrupt-priority levels and threads are carried as strings to keep
+    this module at the bottom of the dependency stack (everything — core,
+    sim, vm — may emit events). *)
 
 type t =
   | Spawn of { thread : string }
@@ -38,18 +34,13 @@ type t =
       (** a fault-injection hook fired ([kind] names the fault class) *)
   | Deadlock_note of { line : string }
       (** one line of the deadlock detector's waits-for analysis *)
-  | Raw of { tag : string; detail : string }
 
 val name : t -> string
-(** Constructor name ("Lock_acquire", "Tlb_shootdown_start", ...); used as
-    the Chrome trace-event name. *)
-
-val tag : t -> string
-(** Back-compat short tag ("spawn", "tas", "spl", ...) matching the old
-    string-tagged trace, so text dumps render as before. *)
+(** Constructor name ("Lock_acquire", "Tlb_shootdown_start", ...): the
+    event's name in both the text trace and the Chrome export. *)
 
 val detail : t -> string
-(** Back-compat human-readable detail string. *)
+(** The payload as one human-readable line. *)
 
 val args : t -> (string * Obs_json.t) list
 (** The structured payload as Chrome trace-event args. *)
@@ -57,5 +48,3 @@ val args : t -> (string * Obs_json.t) list
 val is_span : t -> bool
 (** [true] exactly for [Span_close]: trace rings account span records
     separately from plain instants when counting drops. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,4 +1,4 @@
-(* The kernel-wide metrics registry: named counters, gauges and latency
+(* The kernel-wide metrics registry: named counters and latency
    histograms.  Writes go to per-cpu shards (cpu index masked into a fixed
    shard count) and are merged at read time, so the hot update path is one
    array-indexed atomic add with no shared cache line between cpus. *)
@@ -7,15 +7,11 @@ let shards = 16 (* power of two *)
 let shard_of cpu = (if cpu < 0 then 0 else cpu) land (shards - 1)
 
 type counter = { c_name : string; c_shards : int Atomic.t array }
-type gauge = { g_name : string; g_cell : int Atomic.t }
 type histogram = { h_name : string; h_shards : Obs_histogram.t array }
 
-type entry = Counter of counter | Gauge of gauge | Histogram of histogram
+type entry = Counter of counter | Histogram of histogram
 
-let entry_name = function
-  | Counter c -> c.c_name
-  | Gauge g -> g.g_name
-  | Histogram h -> h.h_name
+let entry_name = function Counter c -> c.c_name | Histogram h -> h.h_name
 
 (* Registration is rare (first use of a name) and guarded by a real mutex
    so native-domain users are safe; updates touch only the entry. *)
@@ -47,11 +43,6 @@ let counter name =
         { c_name = name; c_shards = Array.init shards (fun _ -> Atomic.make 0) })
     (function Counter c -> Some c | _ -> None)
 
-let gauge name =
-  intern name
-    (fun () -> Gauge { g_name = name; g_cell = Atomic.make 0 })
-    (function Gauge g -> Some g | _ -> None)
-
 let histogram name =
   intern name
     (fun () ->
@@ -70,19 +61,12 @@ let incr ?cpu c = add ?cpu c 1
 let counter_value c =
   Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c.c_shards
 
-let set g v = Atomic.set g.g_cell v
-let gauge_value g = Atomic.get g.g_cell
-
 let observe ?(cpu = 0) h v = Obs_histogram.record h.h_shards.(shard_of cpu) v
 
 let merged h =
   let out = Obs_histogram.make () in
   Array.iter (fun s -> Obs_histogram.merge_into ~dst:out s) h.h_shards;
   out
-
-let counter_name c = c.c_name
-let gauge_name g = g.g_name
-let histogram_name h = h.h_name
 
 (* ------------------------------------------------------------------ *)
 (* Reading the whole registry                                           *)
@@ -98,7 +82,6 @@ let reset () =
   List.iter
     (function
       | Counter c -> Array.iter (fun a -> Atomic.set a 0) c.c_shards
-      | Gauge g -> Atomic.set g.g_cell 0
       | Histogram h -> Array.iter Obs_histogram.reset h.h_shards)
     (entries ())
 
@@ -111,7 +94,6 @@ let pp ppf () =
         match e with
         | Counter c ->
             Format.fprintf ppf "%-28s %d@." c.c_name (counter_value c)
-        | Gauge g -> Format.fprintf ppf "%-28s %d@." g.g_name (gauge_value g)
         | Histogram h ->
             Format.fprintf ppf "%-28s %a@." h.h_name Obs_histogram.pp
               (merged h))
@@ -124,6 +106,5 @@ let to_json () =
        (fun e ->
          match e with
          | Counter c -> (c.c_name, Int (counter_value c))
-         | Gauge g -> (g.g_name, Int (gauge_value g))
          | Histogram h -> (h.h_name, Obs_histogram.to_json (merged h)))
        (entries ()))

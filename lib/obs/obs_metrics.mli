@@ -1,6 +1,6 @@
 (** The kernel-wide metrics registry.
 
-    Named counters, gauges and log-bucketed latency histograms, with
+    Named counters and log-bucketed latency histograms, with
     per-cpu shards merged at read time.  The paper's Appendix A wraps
     every simple lock "in a structure to allow the simple addition of
     debugging and statistics information"; this registry is where that
@@ -22,28 +22,21 @@
     The four ["lock.*"] names are fed through [Mach_core.Lock_events]. *)
 
 type counter
-type gauge
 type histogram
 
 val counter : string -> counter
-val gauge : string -> gauge
 val histogram : string -> histogram
 
 (** {1 Updating} ([cpu] selects the shard; defaults to 0) *)
 
 val add : ?cpu:int -> counter -> int -> unit
 val incr : ?cpu:int -> counter -> unit
-val set : gauge -> int -> unit
 val observe : ?cpu:int -> histogram -> int -> unit
 
 (** {1 Reading} (shards are merged at read time) *)
 
 val counter_value : counter -> int
-val gauge_value : gauge -> int
 val merged : histogram -> Obs_histogram.t
-val counter_name : counter -> string
-val gauge_name : gauge -> string
-val histogram_name : histogram -> string
 
 (** {1 The whole registry} *)
 

@@ -1,16 +1,11 @@
-(* Sink and gate are domain-local: each domain runs at most one simulator
+(* The sink is domain-local: each domain runs at most one simulator
    engine, and parallel seed sweeps must not have one domain's engine
    receive another domain's events. *)
 
 let sink : (Obs_event.t -> unit) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let on : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-
 let set_sink f = Domain.DLS.set sink f
-let set_enabled b = Domain.DLS.set on b
-let enabled () = Domain.DLS.get on && Domain.DLS.get sink <> None
+let enabled () = Domain.DLS.get sink <> None
 
-let emit ev =
-  if Domain.DLS.get on then
-    match Domain.DLS.get sink with Some f -> f ev | None -> ()
+let emit ev = match Domain.DLS.get sink with Some f -> f ev | None -> ()

@@ -2,20 +2,16 @@
 
     Layers that have no handle on the trace buffer (the lock and event
     modules in [lib/core], the vm layer) emit through this hook; the
-    simulator engine installs itself as the sink and stamps each event
-    with its scheduling context (step, cpu, clock, running frame).
-
-    Emission is gated twice: a sink must be installed ([set_sink]) and
-    tracing must be switched on ([set_enabled], done by the engine from
-    its run configuration).  Hot paths should guard payload construction
-    with {!enabled} — e.g.
+    simulator engine installs itself as the sink for a traced run and
+    stamps each event with its scheduling context (step, cpu, clock,
+    running frame).  No sink is installed outside a traced run.  Hot
+    paths should guard payload construction with {!enabled} — e.g.
     [if Obs_trace.enabled () then Obs_trace.emit (Lock_acquire ...)]. *)
 
 val set_sink : (Obs_event.t -> unit) option -> unit
-val set_enabled : bool -> unit
 
 val enabled : unit -> bool
-(** True iff a sink is installed and tracing is on. *)
+(** True iff a sink is installed. *)
 
 val emit : Obs_event.t -> unit
-(** Forward [ev] to the sink; no-op when disabled. *)
+(** Forward [ev] to the sink; no-op when none is installed. *)

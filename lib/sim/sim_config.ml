@@ -110,7 +110,6 @@ type t = {
   trace : bool;
   spans : bool;
   faults : faults;
-  track_waits : bool;
   mc : mc_hooks option;
       (* systematic-exploration hooks; None = seeded scheduling *)
 }
@@ -126,7 +125,6 @@ let default =
     trace = false;
     spans = true;
     faults = no_faults;
-    track_waits = false;
     mc = None;
   }
 

@@ -142,9 +142,6 @@ type t = {
           schedule randomness and charges no cycles, so stats are
           byte-identical either way (pinned by the determinism tests). *)
   faults : faults;          (** fault-injection odds; {!no_faults} = off *)
-  track_waits : bool;
-      (** report exact wait/hold edges into [Waits_for] so the engine's
-          deadlock detector can name cycles and orphaned waiters *)
   mc : mc_hooks option;
       (** systematic-exploration hooks; [None] = seeded scheduling.
           Incompatible with fault injection. *)

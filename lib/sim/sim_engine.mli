@@ -192,11 +192,12 @@ val handoff_fault : unit -> bool
 (** {1 Introspection} *)
 
 val trace_events : unit -> Sim_trace.event list
-(** Events of the current (or most recent) run, when tracing is enabled. *)
+(** Events of the current (or most recent) run; empty when it did not
+    trace. *)
 
 val trace_drop_stats : unit -> Sim_trace.drop_stats option
-(** The trace's loss counters (ring overflow vs disabled, split span vs
-    plain event) for the current or most recent run. *)
+(** The trace's overflow counters (split span vs plain event) for the
+    current or most recent run; [None] when it did not trace. *)
 
 val last_stats : unit -> stats option
 (** Stats of the most recently completed run. *)
@@ -205,5 +206,5 @@ val last_chaos : unit -> chaos_stats option
 (** Injection counts of the most recently completed run (this domain). *)
 
 val last_analysis : unit -> deadlock_analysis option
-(** The waits-for analysis of the most recent deadlock report, when the
-    run had [track_waits] on.  [None] when the run ended cleanly. *)
+(** The waits-for analysis of the most recent deadlock report.  [None]
+    when the run ended cleanly. *)

@@ -55,4 +55,4 @@ val find_first_deadlock :
   (int * string) option
 (** Search seeds 1,2,... until a deadlock is found; [None] if none within
     [max_seeds] (default 200).  [tweak] post-processes each seed's
-    configuration (e.g. to enable fault injection or wait tracking). *)
+    configuration (e.g. to enable fault injection). *)

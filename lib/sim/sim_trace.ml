@@ -23,49 +23,37 @@ type ring = {
 (* Span records ([Obs_event.Span_close]) and plain instants are lost for
    different reasons and debugged differently (a missing span breaks
    critical-path attribution; a missing instant breaks event forensics),
-   so both loss counters are kept per kind.  Overflow classifies the
+   so the overflow counter is kept per kind.  Overflow classifies the
    EVICTED record, not the incoming one — the evicted record is the one
    actually lost. *)
-type drop_stats = {
-  dropped_spans : int;
-  dropped_events : int;
-  disabled_spans : int;
-  disabled_events : int;
-}
+type drop_stats = { dropped_spans : int; dropped_events : int }
 
 type t = {
   per_ring : int;
-  on : bool;
   rings : ring array;
   mutable seq : int;
-  mutable disabled_discards : int;
   mutable dropped_spans : int;
   mutable dropped_events : int;
-  mutable disabled_spans : int;
 }
 
-(* A disabled trace gets no rings at all: [record] only counts discards,
-   so the model checker and seed sweeps, which build one engine per
-   execution with tracing off, allocate and scan nothing per run. *)
-let make ?(cpus = 1) ~capacity ~enabled () =
+let make ?(cpus = 1) ~capacity () =
   let nrings = max 1 cpus + 1 in
   let per_ring = max 1 (capacity / nrings) in
   {
     per_ring;
-    on = enabled;
     rings =
-      (if not enabled then [||]
-       else
-         Array.init nrings (fun _ ->
-             { buf = Array.make per_ring None; next = 0; count = 0; overflowed = 0 }));
+      Array.init nrings (fun _ ->
+          {
+            buf = Array.make per_ring None;
+            next = 0;
+            count = 0;
+            overflowed = 0;
+          });
     seq = 0;
-    disabled_discards = 0;
     dropped_spans = 0;
     dropped_events = 0;
-    disabled_spans = 0;
   }
 
-let enabled t = t.on
 let capacity t = t.per_ring * Array.length t.rings
 
 let ring_of t cpu =
@@ -74,25 +62,19 @@ let ring_of t cpu =
   t.rings.(if i < 0 || i >= n then 0 else i)
 
 let record t ~step ~clock ~cpu ~context ev =
-  if not t.on then begin
-    t.disabled_discards <- t.disabled_discards + 1;
-    if Obs_event.is_span ev then t.disabled_spans <- t.disabled_spans + 1
+  let r = ring_of t cpu in
+  if r.count = t.per_ring then begin
+    r.overflowed <- r.overflowed + 1;
+    (* The slot about to be overwritten holds the record we lose. *)
+    match r.buf.(r.next) with
+    | Some evicted when Obs_event.is_span evicted.ev ->
+        t.dropped_spans <- t.dropped_spans + 1
+    | _ -> t.dropped_events <- t.dropped_events + 1
   end
-  else begin
-    let r = ring_of t cpu in
-    if r.count = t.per_ring then begin
-      r.overflowed <- r.overflowed + 1;
-      (* The slot about to be overwritten holds the record we lose. *)
-      match r.buf.(r.next) with
-      | Some evicted when Obs_event.is_span evicted.ev ->
-          t.dropped_spans <- t.dropped_spans + 1
-      | _ -> t.dropped_events <- t.dropped_events + 1
-    end
-    else r.count <- r.count + 1;
-    r.buf.(r.next) <- Some { seq = t.seq; step; clock; cpu; context; ev };
-    t.seq <- t.seq + 1;
-    r.next <- (r.next + 1) mod t.per_ring
-  end
+  else r.count <- r.count + 1;
+  r.buf.(r.next) <- Some { seq = t.seq; step; clock; cpu; context; ev };
+  t.seq <- t.seq + 1;
+  r.next <- (r.next + 1) mod t.per_ring
 
 let events t =
   let out = ref [] in
@@ -108,38 +90,12 @@ let events t =
 let dropped t =
   Array.fold_left (fun acc r -> acc + r.overflowed) 0 t.rings
 
-let disabled_discards t = t.disabled_discards
-
 let drop_stats t =
-  {
-    dropped_spans = t.dropped_spans;
-    dropped_events = t.dropped_events;
-    disabled_spans = t.disabled_spans;
-    disabled_events = t.disabled_discards - t.disabled_spans;
-  }
-
-let clear t =
-  Array.iter
-    (fun r ->
-      Array.fill r.buf 0 t.per_ring None;
-      r.next <- 0;
-      r.count <- 0;
-      r.overflowed <- 0)
-    t.rings;
-  t.seq <- 0;
-  t.disabled_discards <- 0;
-  t.dropped_spans <- 0;
-  t.dropped_events <- 0;
-  t.disabled_spans <- 0
+  { dropped_spans = t.dropped_spans; dropped_events = t.dropped_events }
 
 let pp_event ppf e =
-  Format.fprintf ppf "[%8d c%d @%8d] %-12s %-8s %s" e.step e.cpu e.clock
-    e.context (Obs_event.tag e.ev) (Obs_event.detail e.ev)
-
-let dump ppf t =
-  List.iter (fun e -> Format.fprintf ppf "%a@." pp_event e) (events t);
-  if dropped t > 0 then
-    Format.fprintf ppf "... (%d earlier events dropped)@." (dropped t)
+  Format.fprintf ppf "[%8d c%d @%8d] %-12s %-12s %s" e.step e.cpu e.clock
+    e.context (Obs_event.name e.ev) (Obs_event.detail e.ev)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export                                            *)

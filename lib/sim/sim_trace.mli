@@ -4,8 +4,7 @@
     a chatty cpu cannot evict other cpus' recent history.  Events carry
     the typed payloads of {!Mach_obs.Obs_event} rather than string tags,
     so tests can match on structure and the Chrome exporter can emit real
-    args; [pp_event] renders the same text format as the original
-    string-tagged trace. *)
+    args.  A run that does not trace makes no trace at all. *)
 
 module Obs_event = Mach_obs.Obs_event
 module Obs_json = Mach_obs.Obs_json
@@ -21,50 +20,37 @@ type event = {
 
 type t
 
-val make : ?cpus:int -> capacity:int -> enabled:bool -> unit -> t
+val make : ?cpus:int -> capacity:int -> unit -> t
 (** [capacity] is the {e total} event budget; it is divided evenly over
-    the per-cpu rings ([cpus]+1 of them, at least 1 slot each).  A
-    disabled trace allocates no rings: it retains nothing and only
-    counts discards. *)
-
-val enabled : t -> bool
+    the per-cpu rings ([cpus]+1 of them, at least 1 slot each). *)
 
 val capacity : t -> int
 (** Total events the trace can retain (per-ring capacity × rings; may be
-    slightly below the requested capacity due to even division; 0 when
-    disabled). *)
+    slightly below the requested capacity due to even division). *)
 
 val record :
   t -> step:int -> clock:int -> cpu:int -> context:string -> Obs_event.t -> unit
-(** Append an event.  On a disabled trace this counts the discard (see
-    {!disabled_discards}) instead of silently dropping. *)
+(** Append an event, evicting its ring's oldest when the ring is full. *)
 
 val events : t -> event list
 (** All retained events merged across rings, oldest first. *)
 
 val dropped : t -> int
-(** Events lost to ring overflow while the trace was {e enabled}. *)
-
-val disabled_discards : t -> int
-(** Events discarded because the trace was disabled — kept distinct from
-    {!dropped} so "trace off" and "trace overflowed" are distinguishable. *)
+(** Events lost to ring overflow. *)
 
 type drop_stats = {
   dropped_spans : int;  (** span records evicted by ring overflow *)
   dropped_events : int;  (** plain instants evicted by ring overflow *)
-  disabled_spans : int;  (** span records discarded while disabled *)
-  disabled_events : int;  (** plain instants discarded while disabled *)
 }
 
 val drop_stats : t -> drop_stats
-(** The loss counters split by record kind ([Obs_event.is_span]).
-    Overflow counters classify the {e evicted} record (the one actually
-    lost), so [dropped_spans + dropped_events = dropped] and
-    [disabled_spans + disabled_events = disabled_discards] exactly. *)
+(** The overflow counter split by record kind ([Obs_event.is_span]) of
+    the {e evicted} record (the one actually lost), so
+    [dropped_spans + dropped_events = dropped] exactly. *)
 
-val clear : t -> unit
 val pp_event : Format.formatter -> event -> unit
-val dump : Format.formatter -> t -> unit
+(** One line: step, cpu, clock, context, the event's constructor name
+    ({!Obs_event.name}) and its detail. *)
 
 val chrome_json : event list -> Obs_json.t
 (** Export as a Chrome trace-event document (loadable in chrome://tracing

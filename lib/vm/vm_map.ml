@@ -49,12 +49,23 @@ type t = {
   mutable reserved : (int * int) list;
 }
 
-let map_counter = Atomic.make 0
+(* Unnamed maps are numbered per run, as thread contexts number their
+   acquisitions, so a report's lock and span names do not depend on what
+   ran earlier in the process. *)
+let unnamed_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+
+let () =
+  Mach_core.Run_reset.register (fun () -> Domain.DLS.get unnamed_key := 0)
 
 let create ?name ?(locking = Coarse) ctx =
-  let id = Atomic.fetch_and_add map_counter 1 in
   let mname =
-    match name with Some n -> n | None -> Printf.sprintf "map%d" id
+    match name with
+    | Some n -> n
+    | None ->
+        let r = Domain.DLS.get unnamed_key in
+        let id = !r in
+        r := id + 1;
+        Printf.sprintf "map%d" id
   in
   {
     mname;

@@ -52,7 +52,8 @@ val locking_name : locking -> string
 val locking : t -> locking
 
 val create : ?name:string -> ?locking:locking -> context -> t
-(** [locking] defaults to [Coarse]. *)
+(** [locking] defaults to [Coarse].  An unnamed map is named ["mapN"],
+    N counting the unnamed maps created so far in this simulated run. *)
 
 val name : t -> string
 val context : t -> context

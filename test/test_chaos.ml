@@ -23,7 +23,7 @@ let contains s sub =
 (* With every fault's odds at zero the chaos RNG is never drawn and the
    stats must be byte-identical to a run without the faults record (the
    golden determinism test pins the text format; this pins the invariance
-   under the chaos plumbing, tracking included). *)
+   under the chaos plumbing). *)
 let test_injection_off_preserves_schedule () =
   let scenario () = Scenarios.lost_wakeup_handoff () in
   let base = Config.exploration ~cpus:4 ~seed:7 () in
@@ -34,7 +34,6 @@ let test_injection_off_preserves_schedule () =
         {
           base with
           Config.faults = { Config.no_faults with Config.fault_seed = 999 };
-          track_waits = true;
         }
       scenario
   in

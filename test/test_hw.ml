@@ -130,6 +130,23 @@ let test_spl_tracking_native () =
     (Mach_core.Spl.equal (HM.get_spl ()) Mach_core.Spl.Splvm);
   ignore (HM.set_spl old)
 
+(* Wait edges feed the simulator's deadlock detector only: a simulated
+   run stops recording them when it ends, and native domains never
+   start. *)
+let test_no_wait_edges_native () =
+  ignore (Mach_sim.Sim_engine.run (fun () -> ()));
+  check_bool "off after a simulated run" false
+    (Mach_core.Waits_for.tracking ());
+  let l = HS.Slock.make () in
+  let seen =
+    Run.parallel_with_barrier domains (fun _ () ->
+        HS.Slock.lock l;
+        let on = Mach_core.Waits_for.tracking () in
+        HS.Slock.unlock l;
+        on)
+  in
+  check_bool "off on every native domain" false (List.mem true seen)
+
 let () =
   Alcotest.run "hw"
     [
@@ -138,6 +155,7 @@ let () =
           Alcotest.test_case "cell semantics" `Quick test_cell_semantics;
           Alcotest.test_case "parallel helper" `Quick test_parallel_helper;
           Alcotest.test_case "spl tracking" `Quick test_spl_tracking_native;
+          Alcotest.test_case "no wait edges" `Quick test_no_wait_edges_native;
         ] );
       ( "locks",
         [

@@ -315,7 +315,6 @@ let test_drop_handoff_detected () =
     {
       (Config.exploration ~cpus:3 ~seed:5 ()) with
       Config.faults;
-      track_waits = true;
       watchdog_steps = 30_000;
     }
   in
@@ -508,8 +507,7 @@ let test_brlock_abba_attributed () =
   let cfg =
     {
       (Config.exploration ~cpus:2 ~seed:1 ()) with
-      Config.track_waits = true;
-      watchdog_steps = 30_000;
+      Config.watchdog_steps = 30_000;
     }
   in
   match
@@ -568,7 +566,6 @@ let test_scache_drop_handoff_detected () =
     {
       (Config.exploration ~cpus:3 ~seed:5 ()) with
       Config.faults;
-      track_waits = true;
       watchdog_steps = 30_000;
     }
   in

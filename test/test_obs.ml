@@ -1,6 +1,6 @@
 (* The observability layer: lock statistics invariants, histogram bucket
-   geometry and percentiles, trace accounting (disabled vs overflow), and
-   the Chrome trace-event export round-trip. *)
+   geometry and percentiles, trace overflow accounting, and the Chrome
+   trace-event export round-trip. *)
 
 module Stats = Mach_core.Lock_stats
 module Hist = Mach_obs.Obs_histogram
@@ -161,76 +161,51 @@ let test_hist_merge_and_reset () =
 (* Trace ring accounting                                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_trace_disabled_vs_overflow () =
-  (* disabled: nothing stored, discards counted separately *)
-  let off = Trace.make ~cpus:2 ~capacity:30 ~enabled:false () in
-  for i = 0 to 9 do
-    Trace.record off ~step:i ~clock:i ~cpu:0 ~context:"t"
-      (Event.Raw { tag = "x"; detail = "" })
-  done;
-  check_int "disabled stores nothing" 0 (List.length (Trace.events off));
-  check_int "disabled discards counted" 10 (Trace.disabled_discards off);
-  check_int "disabled is not overflow" 0 (Trace.dropped off);
-  (* enabled: overflow evicts oldest per ring and counts as dropped *)
-  let on = Trace.make ~cpus:2 ~capacity:30 ~enabled:true () in
+let test_trace_overflow () =
+  (* overflow evicts oldest per ring and counts as dropped *)
+  let on = Trace.make ~cpus:2 ~capacity:30 () in
   check_int "capacity = per-ring x rings" 30 (Trace.capacity on);
   for i = 0 to 14 do
     Trace.record on ~step:i ~clock:i ~cpu:0 ~context:"t"
-      (Event.Raw { tag = "x"; detail = string_of_int i })
+      (Event.Cell_set { cell = "x"; value = i })
   done;
   check_int "cpu0 ring keeps its 10 newest" 10 (List.length (Trace.events on));
   check_int "overflow counted" 5 (Trace.dropped on);
-  check_int "no disabled discards when enabled" 0 (Trace.disabled_discards on);
   (* the 5 oldest were evicted; events come back in seq order *)
   (match Trace.events on with
   | first :: _ -> check_int "oldest surviving event" 5 first.Trace.step
   | [] -> Alcotest.fail "expected events");
   (* a chatty cpu must not evict another cpu's history *)
   Trace.record on ~step:99 ~clock:99 ~cpu:1 ~context:"u"
-    (Event.Raw { tag = "y"; detail = "" });
+    (Event.Cell_set { cell = "y"; value = 0 });
   check_int "cpu1 unaffected by cpu0 overflow" 11
-    (List.length (Trace.events on));
-  Trace.clear on;
-  check_int "clear empties" 0 (List.length (Trace.events on));
-  check_int "clear resets dropped" 0 (Trace.dropped on)
+    (List.length (Trace.events on))
 
-(* A disabled trace keeps no rings: it retains nothing, [clear] is safe
-   on it, and its discard counters stay exact across a [clear]. *)
-let test_trace_disabled_keeps_no_ring () =
-  let off = Trace.make ~cpus:4 ~capacity:65_536 ~enabled:false () in
-  check_int "no ring capacity" 0 (Trace.capacity off);
-  let feed ~spans ~raws =
-    for i = 1 to spans do
-      Trace.record off ~step:i ~clock:i ~cpu:(i mod 5 - 1) ~context:"t"
-        (Event.Span_close { kind = "lock"; site = "lock:l"; dur = i })
-    done;
-    for i = 1 to raws do
-      Trace.record off ~step:i ~clock:i ~cpu:(i mod 5 - 1) ~context:"t"
-        (Event.Raw { tag = "x"; detail = "" })
-    done
-  in
-  let expect label ~spans ~raws =
-    let d = Trace.drop_stats off in
-    check_bool (label ^ ": events = []") true (Trace.events off = []);
-    check_int (label ^ ": disabled spans") spans d.Trace.disabled_spans;
-    check_int (label ^ ": disabled events") raws d.Trace.disabled_events;
-    check_int (label ^ ": discards") (spans + raws) (Trace.disabled_discards off);
-    check_int (label ^ ": nothing overflowed") 0
-      (Trace.dropped off + d.Trace.dropped_spans + d.Trace.dropped_events)
-  in
-  feed ~spans:7 ~raws:5;
-  expect "fed" ~spans:7 ~raws:5;
-  Trace.clear off;
-  expect "cleared" ~spans:0 ~raws:0;
-  feed ~spans:2 ~raws:3;
-  expect "fed after clear" ~spans:2 ~raws:3
+(* An untraced run makes no trace and installs no sink, so the core
+   layers build no event: the model checker and seed sweeps allocate no
+   ring per run. *)
+let test_untraced_run_makes_no_trace () =
+  let module Engine = Mach_sim.Sim_engine in
+  let module K = Mach_ksync.Ksync in
+  let sink_seen = ref true in
+  ignore
+    (Engine.run
+       ~cfg:{ Mach_sim.Sim_config.default with Mach_sim.Sim_config.cpus = 2 }
+       (fun () ->
+         let l = K.Slock.make ~name:"untraced" () in
+         K.Slock.lock l;
+         sink_seen := Mach_obs.Obs_trace.enabled ();
+         K.Slock.unlock l));
+  check_bool "no sink during the run" false !sink_seen;
+  check_bool "no events" true (Engine.trace_events () = []);
+  check_bool "no loss counters" true (Engine.trace_drop_stats () = None)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome export + JSON round-trip                                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_chrome_export_round_trip () =
-  let t = Trace.make ~cpus:2 ~capacity:100 ~enabled:true () in
+  let t = Trace.make ~cpus:2 ~capacity:100 () in
   let record ~clock ~cpu ev =
     Trace.record t ~step:clock ~clock ~cpu ~context:"thr" ev
   in
@@ -781,29 +756,17 @@ let test_section7_deadlock_flight_dump () =
   check_bool "the dump names the held section 7 lock" true
     (contains r.Chaos.report "lock:the-lock")
 
-(* Span records in the drop accounting: both the disabled and the
-   overflow counters split exactly by record kind. *)
+(* Span records in the drop accounting: the overflow counter splits
+   exactly by record kind. *)
 let test_drop_stats_split () =
   let mk_span i = Event.Span_close { kind = "lock"; site = "lock:l"; dur = i } in
-  let mk_raw i = Event.Raw { tag = "x"; detail = string_of_int i } in
-  let off = Trace.make ~cpus:2 ~capacity:30 ~enabled:false () in
-  for i = 0 to 2 do
-    Trace.record off ~step:i ~clock:i ~cpu:0 ~context:"t" (mk_span i)
-  done;
-  for i = 0 to 3 do
-    Trace.record off ~step:i ~clock:i ~cpu:0 ~context:"t" (mk_raw i)
-  done;
-  let d = Trace.drop_stats off in
-  check_int "disabled spans" 3 d.Trace.disabled_spans;
-  check_int "disabled events" 4 d.Trace.disabled_events;
-  check_int "disabled split is exact" (Trace.disabled_discards off)
-    (d.Trace.disabled_spans + d.Trace.disabled_events);
+  let mk_instant i = Event.Cell_set { cell = "x"; value = i } in
   (* per-cpu ring capacity is 10 (30 over 3 rings): 12 instants overflow
      by 2, then 10 spans evict the remaining 10 instants, then 5 more
      spans evict 5 spans — the counters classify the EVICTED record. *)
-  let on = Trace.make ~cpus:2 ~capacity:30 ~enabled:true () in
+  let on = Trace.make ~cpus:2 ~capacity:30 () in
   for i = 0 to 11 do
-    Trace.record on ~step:i ~clock:i ~cpu:0 ~context:"t" (mk_raw i)
+    Trace.record on ~step:i ~clock:i ~cpu:0 ~context:"t" (mk_instant i)
   done;
   for i = 0 to 9 do
     Trace.record on ~step:i ~clock:i ~cpu:0 ~context:"t" (mk_span i)
@@ -817,16 +780,11 @@ let test_drop_stats_split () =
   let d = Trace.drop_stats on in
   check_int "overflow spans after phase 3" 5 d.Trace.dropped_spans;
   check_int "overflow split is exact" (Trace.dropped on)
-    (d.Trace.dropped_spans + d.Trace.dropped_events);
-  Trace.clear on;
-  let d = Trace.drop_stats on in
-  check_int "clear resets the span counters" 0
-    (d.Trace.dropped_spans + d.Trace.dropped_events + d.Trace.disabled_spans
-   + d.Trace.disabled_events)
+    (d.Trace.dropped_spans + d.Trace.dropped_events)
 
 (* Span_close records survive to the Chrome export as complete spans. *)
 let test_chrome_export_has_spans () =
-  let t = Trace.make ~cpus:2 ~capacity:100 ~enabled:true () in
+  let t = Trace.make ~cpus:2 ~capacity:100 () in
   Trace.record t ~step:1 ~clock:120 ~cpu:0 ~context:"thr"
     (Event.Span_close { kind = "ipc"; site = "ipc:send:p"; dur = 100 });
   let text = Json.to_string (Trace.chrome_json (Trace.events t)) in
@@ -855,10 +813,9 @@ let () =
         ] );
       ( "trace",
         [
-          test_case "disabled vs overflow accounting" `Quick
-            test_trace_disabled_vs_overflow;
-          test_case "disabled trace keeps no ring" `Quick
-            test_trace_disabled_keeps_no_ring;
+          test_case "overflow accounting" `Quick test_trace_overflow;
+          test_case "untraced run makes no trace" `Quick
+            test_untraced_run_makes_no_trace;
           test_case "chrome export round-trip" `Quick
             test_chrome_export_round_trip;
           test_case "traced run emits typed lock events" `Quick

@@ -311,12 +311,12 @@ let test_interrupt_on_idle_cpu () =
    identity.  Thread [t] holds [intr-m] and wants [intr-l]; the handler
    it posted to idle cpu 1 holds [intr-l] and wants [intr-m].  The
    handler's hold and wait edges exist only under [cpu1-idle], so the
-   waits-for cycle must go through that identity. *)
+   waits-for cycle must go through that identity.  The run keeps the
+   default configuration: every simulated deadlock carries its analysis. *)
 let test_deadlock_through_idle_interrupt () =
   let module K = Mach_ksync.Ksync in
-  let cfg = { (cfg ~cpus:2 ()) with Config.track_waits = true } in
   let outcome =
-    Engine.run_outcome ~cfg (fun () ->
+    Engine.run_outcome ~cfg:(cfg ~cpus:2 ()) (fun () ->
         let m = K.Slock.make ~name:"intr-m" () in
         let l = K.Slock.make ~name:"intr-l" () in
         let handler_has_l = ref false in

@@ -458,13 +458,7 @@ let test_range_storm_explored () =
 let test_range_deadlock_names_ranges () =
   (* The waits-for integration: an ABBA deadlock across two ranges of
      one lock is reported with the exact [lo,hi) of each range. *)
-  let cfg =
-    {
-      Mach_sim.Sim_config.default with
-      Mach_sim.Sim_config.cpus = 2;
-      track_waits = true;
-    }
-  in
+  let cfg = { Mach_sim.Sim_config.default with Mach_sim.Sim_config.cpus = 2 } in
   match Engine.run_outcome ~cfg Scenarios.range_abba with
   | Engine.Deadlocked (Engine.Sleep_deadlock, report) ->
       check_bool "cycle names the range lock" true
