@@ -16,7 +16,6 @@ module Engine = Mach_sim.Sim_engine
 module Config = Mach_sim.Sim_config
 module Explore = Mach_sim.Sim_explore
 module Spin = Mach_core.Spin
-module Stats = Mach_core.Lock_stats
 module K = Mach_ksync.Ksync
 module Vm = Mach_vm
 module Scenarios = Mach_kernel.Scenarios
@@ -130,8 +129,20 @@ end
 (* ================================================================== *)
 
 module E2 = struct
+  (* The profiler's (acquisitions, contended) for the lock's class.  It
+     adds up across the sweep, and the observability section prints that
+     total, so each point reads its own counts as a difference. *)
+  let counts () =
+    match
+      List.find_opt
+        (fun (c : Obs_profile.class_stats) -> c.cls = "l")
+        (Obs_profile.classes ())
+    with
+    | Some c -> (c.acquisitions, c.contended)
+    | None -> (0, 0)
+
   let workload protocol cpus =
-    let stats = ref None in
+    let a0, c0 = counts () in
     let s =
       sim_run ~cpus (fun () ->
           let lock = K.Slock.make ~name:"l" ~protocol () in
@@ -146,10 +157,14 @@ module E2 = struct
             done
           in
           let ts = List.init cpus (fun _ -> Engine.spawn worker) in
-          List.iter Engine.join ts;
-          stats := Some (K.Slock.stats lock))
+          List.iter Engine.join ts)
     in
-    (s, Option.get !stats)
+    let a1, c1 = counts () in
+    (s, (a1 - a0, c1 - c0))
+
+  let first_attempt (acquisitions, contended) =
+    if acquisitions = 0 then 1.0
+    else float_of_int (acquisitions - contended) /. float_of_int acquisitions
 
   let run () =
     section ~id:"E2" ~title:"low contention: the first-attempt observation"
@@ -161,9 +176,9 @@ module E2 = struct
          (point_cols "protocol"
          @ [
              col "makespan" int (fun p -> (fst p.res).Engine.makespan);
-             col "first-attempt" (real f2) (fun p ->
-                 Stats.first_attempt_rate (snd p.res));
-             col "spins" int (fun p -> Stats.total_spins (snd p.res));
+             col "first-attempt" (real f2) (fun p -> first_attempt (snd p.res));
+             (* Every spin pause of this workload is a failed attempt. *)
+             col "spins" int (fun p -> (fst p.res).Engine.spin_pauses);
            ])
          (grid ~sweep:[ 2; 8 ] protocols (fun p cpus ->
               Some (workload p cpus))))
@@ -1474,6 +1489,15 @@ let () =
     | _ :: (_ :: _ as ids) -> ids
     | _ -> List.map fst experiments
   in
+  (* Refuse an unknown id before anything runs or is written. *)
+  List.iter
+    (fun id ->
+      if not (List.mem_assoc id experiments) then begin
+        Printf.eprintf "unknown experiment %s (known: %s)\n" id
+          (String.concat " " (List.map fst experiments));
+        exit 1
+      end)
+    requested;
   let sections =
     let refuse why =
       Printf.eprintf "%s: %s (fix or delete the file)\n" obs_path why;
@@ -1491,17 +1515,10 @@ let () =
   in
   List.iter
     (fun id ->
-      match List.assoc_opt id experiments with
-      | Some run ->
-          obs_reset ();
-          run ();
-          obs_section ~id ();
-          sections :=
-            (id, reread (obs_json ())) :: List.remove_assoc id !sections
-      | None ->
-          Printf.eprintf "unknown experiment %s (known: %s)\n" id
-            (String.concat " " (List.map fst experiments));
-          exit 1)
+      obs_reset ();
+      (List.assoc id experiments) ();
+      obs_section ~id ();
+      sections := (id, reread (obs_json ())) :: List.remove_assoc id !sections)
     requested;
   write_json ~what:"per-experiment observability" obs_path
     (Obs_json.Obj

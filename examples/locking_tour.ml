@@ -23,7 +23,7 @@ let simple_locks () =
   K.Slock.unlock l;
   say "unlocked; try_lock -> %b (then unlock)" (K.Slock.try_lock l);
   K.Slock.unlock l;
-  (* contention from three threads; the stats record it *)
+  (* contention from three threads; the profiler records it *)
   let worker () =
     for _ = 1 to 50 do
       K.Slock.lock l;
@@ -33,8 +33,16 @@ let simple_locks () =
   in
   let ts = List.init 3 (fun _ -> Engine.spawn worker) in
   List.iter Engine.join ts;
-  say "after 3x50 contended acquisitions: %s"
-    (Format.asprintf "%a" Mach_core.Lock_stats.pp (K.Slock.stats l))
+  let c =
+    List.find
+      (fun (c : Mach_obs.Obs_profile.class_stats) -> c.cls = "demo")
+      (Mach_obs.Obs_profile.classes ())
+  in
+  say
+    "after 3x50 contended acquisitions: demo acquisitions=%d contended=%d \
+     first-attempt=%.3f"
+    c.acquisitions c.contended
+    (Mach_obs.Obs_profile.first_attempt_rate c)
 
 let complex_locks () =
   section "Complex locks (Appendix B)";

@@ -10,7 +10,6 @@ struct
     event : E.event;
     lname : string;
     site : Lock_events.site;
-    stats : Lock_stats.t;
     mutable want_write : bool;
     mutable want_upgrade : bool;
     mutable read_count : int;
@@ -42,7 +41,6 @@ struct
       event;
       lname;
       site = Lock_events.site ~name:lname res;
-      stats = Lock_stats.make ();
       want_write = false;
       want_upgrade = false;
       read_count = 0;
@@ -84,7 +82,6 @@ struct
   let lock_wait t =
     if t.can_sleep then begin
       t.waiting <- true;
-      Lock_stats.record_sleep t.stats;
       E.assert_wait t.event;
       Slock.unlock t.interlock;
       ignore (E.thread_block ());
@@ -111,7 +108,6 @@ struct
     if self_is t t.writer && is_recursive_holder t then begin
       (* Recursive write acquisition. *)
       t.recursion_depth <- t.recursion_depth + 1;
-      Lock_stats.record_recursive t.stats;
       Slock.unlock t.interlock
     end
     else begin
@@ -144,7 +140,6 @@ struct
       done;
       t.writer <- Some (M.self ());
       t.write_acquired_at <- M.now_cycles ();
-      Lock_stats.record_write t.stats;
       Ev.acquired ?blocker t.site ~spins:!waits
         ~wait_cycles:(if !waits > 0 then max 0 (M.now_cycles () - t0) else 0);
       bump_spin_held t 1;
@@ -158,7 +153,6 @@ struct
          or upgrade requests (section 4). *)
       t.read_count <- t.read_count + 1;
       t.recursive_reads <- t.recursive_reads + 1;
-      Lock_stats.record_recursive t.stats;
       Slock.unlock t.interlock
     end
     else begin
@@ -175,7 +169,6 @@ struct
         lock_wait t
       done;
       t.read_count <- t.read_count + 1;
-      Lock_stats.record_read t.stats;
       Ev.acquired ?blocker t.site ~spins:!waits
         ~wait_cycles:(if !waits > 0 then max 0 (M.now_cycles () - t0) else 0);
       bump_spin_held t 1;
@@ -195,7 +188,6 @@ struct
     t.read_count <- t.read_count - 1;
     if t.want_upgrade then begin
       (* Another upgrade is pending: fail, releasing the read lock. *)
-      Lock_stats.record_upgrade t.stats ~success:false;
       if t.read_count = 0 then lock_wakeup t;
       bump_spin_held t (-1);
       Ev.released t.site;
@@ -209,7 +201,6 @@ struct
       done;
       t.writer <- Some (M.self ());
       t.write_acquired_at <- M.now_cycles ();
-      Lock_stats.record_upgrade t.stats ~success:true;
       Slock.unlock t.interlock;
       false
     end
@@ -233,7 +224,6 @@ struct
     if t.want_upgrade then t.want_upgrade <- false
     else t.want_write <- false;
     t.writer <- None;
-    Lock_stats.record_downgrade t.stats;
     (* The write portion of the hold ends here; the (untimed) read hold
        keeps the held entry and the span. *)
     Ev.downgraded ~held_cycles:(max 0 (M.now_cycles () - t.write_acquired_at));
@@ -278,7 +268,6 @@ struct
            takes the recursive-read release path. *)
         t.read_count <- t.read_count + 1;
         t.recursive_reads <- t.recursive_reads + 1;
-        Lock_stats.record_recursive t.stats;
         true
       end
       else if
@@ -287,13 +276,11 @@ struct
       then false
       else begin
         t.read_count <- t.read_count + 1;
-        Lock_stats.record_read t.stats;
         Ev.acquired t.site ~spins:0 ~wait_cycles:0;
         bump_spin_held t 1;
         true
       end
     in
-    Lock_stats.record_try t.stats ~success:ok;
     Slock.unlock t.interlock;
     ok
 
@@ -302,7 +289,6 @@ struct
     let ok =
       if self_is t t.writer && is_recursive_holder t then begin
         t.recursion_depth <- t.recursion_depth + 1;
-        Lock_stats.record_recursive t.stats;
         true
       end
       else if t.want_write || t.want_upgrade || t.read_count > 0 then false
@@ -310,13 +296,11 @@ struct
         t.want_write <- true;
         t.writer <- Some (M.self ());
         t.write_acquired_at <- M.now_cycles ();
-        Lock_stats.record_write t.stats;
         Ev.acquired t.site ~spins:0 ~wait_cycles:0;
         bump_spin_held t 1;
         true
       end
     in
-    Lock_stats.record_try t.stats ~success:ok;
     Slock.unlock t.interlock;
     ok
 
@@ -325,7 +309,6 @@ struct
     if t.want_upgrade then begin
       (* Would deadlock against the pending upgrade: refuse without
          dropping the read lock (Appendix B.3). *)
-      Lock_stats.record_try t.stats ~success:false;
       Slock.unlock t.interlock;
       false
     end
@@ -338,8 +321,6 @@ struct
       done;
       t.writer <- Some (M.self ());
       t.write_acquired_at <- M.now_cycles ();
-      Lock_stats.record_upgrade t.stats ~success:true;
-      Lock_stats.record_try t.stats ~success:true;
       Slock.unlock t.interlock;
       true
     end
@@ -415,7 +396,6 @@ struct
         raise e
 
   let name t = t.lname
-  let stats t = t.stats
 
   let read_count t =
     Slock.with_lock t.interlock (fun () -> t.read_count)
@@ -433,7 +413,6 @@ struct
     Slock.with_lock t.interlock (fun () -> t.want_upgrade)
 
   let can_sleep t = t.can_sleep
-  let writers_priority t = t.writers_priority
 
   let set_writers_priority t b =
     Slock.lock t.interlock;

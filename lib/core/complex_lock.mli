@@ -81,7 +81,6 @@ module Make
   (** {1 Diagnostics} *)
 
   val name : t -> string
-  val stats : t -> Lock_stats.t
   val read_count : t -> int
   val held_for_write : t -> bool
   val held_for_write_by_self : t -> bool
@@ -94,7 +93,6 @@ module Make
   (** An upgrade is pending or an upgrader holds the lock for write. *)
 
   val can_sleep : t -> bool
-  val writers_priority : t -> bool
 
   val set_writers_priority : t -> bool -> unit
   (** Ablation switch for experiment E4: when disabled, readers are admitted

@@ -5,14 +5,6 @@ module Obs_span = Mach_obs.Obs_span
 
 type wait_result = Awakened | Cleared | Interrupted | Restart
 
-let wait_result_to_string = function
-  | Awakened -> "awakened"
-  | Cleared -> "cleared"
-  | Interrupted -> "interrupted"
-  | Restart -> "restart"
-
-let pp_wait_result ppf r = Format.pp_print_string ppf (wait_result_to_string r)
-
 module Make
     (M : Machine_intf.MACHINE)
     (Slock : module type of Simple_lock.Make (M)) =

@@ -19,9 +19,6 @@ type wait_result =
   | Interrupted  (** an interruptible wait was interrupted *)
   | Restart      (** the operation should be restarted from the top *)
 
-val pp_wait_result : Format.formatter -> wait_result -> unit
-val wait_result_to_string : wait_result -> string
-
 module Make
     (M : Machine_intf.MACHINE)
     (Slock : module type of Simple_lock.Make (M)) : sig

@@ -5,7 +5,7 @@ module Make (M : Machine_intf.MACHINE) = struct
   (* A lock spins either on one flat cell via a {!Spin} protocol (the
      tas/ttas family) or on protocol-private state behind a packed
      {!Lock_proto.instance} (the lib/locks queue locks).  Everything
-     above the spin — checking, stats, lock events — is shared. *)
+     above the spin — checking and lock events — is shared. *)
   type impl =
     | Flat of { cell : M.Cell.t; protocol : Spin.protocol }
     | Queued of Lock_proto.instance
@@ -15,7 +15,6 @@ module Make (M : Machine_intf.MACHINE) = struct
     impl : impl;
     lname : string;
     site : Lock_events.site;
-    stats : Lock_stats.t;
     mutable holder : M.thread option;
     (* Last thread to acquire, NOT cleared on release: a contended
        acquisition that began while the lock was momentarily free (the
@@ -52,7 +51,6 @@ module Make (M : Machine_intf.MACHINE) = struct
       site =
         Lock_events.site ~name:lname
           (Waits_for.Slock { uid = id; name = lname });
-      stats = Lock_stats.make ();
       holder = None;
       last_holder = None;
       acquired_spl = spl;
@@ -103,8 +101,6 @@ module Make (M : Machine_intf.MACHINE) = struct
       | None ->
           M.fatal (Printf.sprintf "simple lock %s: unlock while free" t.lname));
       t.holder <- None;
-      Lock_stats.record_release t.stats
-        ~held_cycles:(M.now_cycles () - t.acquired_at);
       bump_held (-1)
     end
 
@@ -135,7 +131,6 @@ module Make (M : Machine_intf.MACHINE) = struct
       in
       Ev.wait_end t.site;
       let wait_cycles = if spins > 0 then max 0 (M.now_cycles () - t0) else 0 in
-      Lock_stats.record_acquire t.stats ~contended:(spins > 0) ~spins;
       (* A contended wait whose entry snapshot missed the holder (it
          released before our first test) still spun behind SOMEBODY:
          [last_holder] is whoever held the lock during the final wait
@@ -171,10 +166,8 @@ module Make (M : Machine_intf.MACHINE) = struct
         | Flat { cell; _ } -> S.try_acquire cell
         | Queued q -> Lock_proto.try_acquire q
       in
-      Lock_stats.record_try t.stats ~success:ok;
       if ok then begin
         check_spl t;
-        Lock_stats.record_acquire t.stats ~contended:false ~spins:0;
         Ev.acquired t.site ~spins:0 ~wait_cycles:0;
         note_acquired t
       end;
@@ -203,6 +196,5 @@ module Make (M : Machine_intf.MACHINE) = struct
     | None -> false
 
   let name t = t.lname
-  let stats t = t.stats
   let uid t = t.id
 end

@@ -59,7 +59,6 @@ module Make (M : Machine_intf.MACHINE) : sig
   (** True iff checking mode is on and the current thread holds [t]. *)
 
   val name : t -> string
-  val stats : t -> Lock_stats.t
 
   val uid : t -> int
   (** Unique id, the analog of the lock's kernel address; used to order

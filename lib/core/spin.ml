@@ -8,13 +8,6 @@ let protocol_name = function
   | Tas_then_ttas -> "tas+ttas"
   | Ttas_backoff -> "ttas-backoff"
 
-let protocol_of_string = function
-  | "tas" -> Some Tas
-  | "ttas" -> Some Ttas
-  | "tas+ttas" -> Some Tas_then_ttas
-  | "ttas-backoff" -> Some Ttas_backoff
-  | _ -> None
-
 module Make (M : Machine_intf.MACHINE) = struct
   (* Spin on the cacheable read until the lock looks free, then attempt the
      atomic instruction; repeat.  Counts iterations for statistics. *)

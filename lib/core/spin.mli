@@ -20,8 +20,6 @@ val all_protocols : protocol list
 
 val protocol_name : protocol -> string
 
-val protocol_of_string : string -> protocol option
-
 module Make (M : Machine_intf.MACHINE) : sig
   val acquire : protocol -> M.Cell.t -> int
   (** Spin until the cell is acquired (0 -> 1); returns the number of spin

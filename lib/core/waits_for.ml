@@ -32,13 +32,15 @@ let res_label = function
 (* Stable node identifier for graph construction (distinct constructors
    use distinct prefixes so a simple lock and a complex lock with equal
    uids never collide).  Range nodes are per-(lock, range): waiters on
-   [lo, hi) point at the holders of exactly that range. *)
+   [lo, hi) point at the holders of exactly that range.  Uids are
+   process-wide and zero-padded, so ids sort as their uids do whatever
+   their width (the detector starts its cycle search in id order). *)
 let res_id = function
-  | Slock { uid; _ } -> "S" ^ string_of_int uid
-  | Clock { uid; _ } -> "C" ^ string_of_int uid
+  | Slock { uid; _ } -> Printf.sprintf "S%09d" uid
+  | Clock { uid; _ } -> Printf.sprintf "C%09d" uid
   | Event { id } -> "E" ^ string_of_int id
   | Rendezvous { name } -> "R" ^ name
-  | Range { uid; lo; hi; _ } -> Printf.sprintf "G%d:%d:%d" uid lo hi
+  | Range { uid; lo; hi; _ } -> Printf.sprintf "G%09d:%d:%d" uid lo hi
 
 let tracking_key : bool ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref false)
@@ -48,20 +50,15 @@ let set_tracking b = Domain.DLS.get tracking_key := b
 
 (* Event ids of complex locks (and other event-backed protocols) alias a
    higher-level resource: the detector follows the alias so a cycle
-   through a complex lock names the lock, not the anonymous event.
-   Registration happens at lock creation (cold path) and locks may cross
-   domains, hence a mutex rather than domain-local state. *)
+   through a complex lock names the lock, not the anonymous event.  Event
+   ids belong to one run in one domain (they restart at every run), so
+   the aliases are domain-local and cleared with the run. *)
 
-let alias_mu = Mutex.create ()
-let aliases : (int, resource) Hashtbl.t = Hashtbl.create 64
+let aliases_key : (int, resource) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
 
-let note_event_resource ~event res =
-  Mutex.lock alias_mu;
-  Hashtbl.replace aliases event res;
-  Mutex.unlock alias_mu
+let aliases () = Domain.DLS.get aliases_key
+let () = Run_reset.register (fun () -> Hashtbl.reset (aliases ()))
 
-let event_resource ~event =
-  Mutex.lock alias_mu;
-  let r = Hashtbl.find_opt aliases event in
-  Mutex.unlock alias_mu;
-  r
+let note_event_resource ~event res = Hashtbl.replace (aliases ()) event res
+let event_resource ~event = Hashtbl.find_opt (aliases ()) event

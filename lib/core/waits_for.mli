@@ -29,6 +29,7 @@ val set_tracking : bool -> unit
 
 val note_event_resource : event:int -> resource -> unit
 (** Declare that an event id belongs to a higher-level resource (e.g. a
-    complex lock's internal event); the detector follows the alias. *)
+    complex lock's internal event); the detector follows the alias.  Like
+    event ids, aliases belong to the calling domain's current run. *)
 
 val event_resource : event:int -> resource option

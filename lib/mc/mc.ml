@@ -852,21 +852,3 @@ let pp_result ppf r =
         f.f_preemptions;
       Array.iter (fun t -> fprintf ppf "  %a@," pp_transition t) f.f_trace;
       fprintf ppf "%s@]" f.f_report
-
-let to_verdict r =
-  {
-    Mach_sim.Sim_explore.seeds_run = r.stats.executions;
-    completed = (r.stats.executions - (match r.failure with Some _ -> 1 | None -> 0));
-    sleep_deadlocks =
-      (match r.failure with
-      | Some { f_kind = Some E.Sleep_deadlock; _ } -> 1
-      | _ -> 0);
-    spin_deadlocks =
-      (match r.failure with
-      | Some { f_kind = Some E.Spin_deadlock; _ } -> 1
-      | _ -> 0);
-    panics = (match r.failure with Some { f_kind = None; _ } -> 1 | _ -> 0);
-    step_limits = r.stats.truncated;
-    failures =
-      (match r.failure with Some f -> [ (0, f.f_report) ] | None -> []);
-  }

@@ -140,9 +140,3 @@ val replay :
 val preemptions : trace -> int
 (** Number of preemptive cpu switches in a schedule (a switch away from
     a cpu that still had an enabled transition). *)
-
-val to_verdict : result -> Mach_sim.Sim_explore.verdict
-(** View a model-checking result in {!Mach_sim.Sim_explore}'s verdict
-    shape, so mc slots into tooling built for seed fan-out: every
-    explored schedule counts as a "seed", and the failure (if any) is
-    reported under pseudo-seed 0. *)

@@ -52,8 +52,10 @@ val note_finding : string -> unit
 (** {1 Reading} *)
 
 val first_attempt_rate : class_stats -> float
-(** 1.0 when the class has no acquisitions (mirrors
-    {!Mach_core.Lock_stats.first_attempt_rate}). *)
+(** Fraction of acquisitions that succeeded without contention — the
+    quantity behind the paper's "most locks in a well designed system are
+    acquired on the first attempt" (section 2).  1.0 when the class has
+    no acquisitions. *)
 
 val classes : unit -> class_stats list
 (** All classes, sorted by name. *)

@@ -17,15 +17,14 @@ type ring = {
   buf : event option array;
   mutable next : int;
   mutable count : int;
-  mutable overflowed : int;
 }
 
 (* Span records ([Obs_event.Span_close]) and plain instants are lost for
    different reasons and debugged differently (a missing span breaks
    critical-path attribution; a missing instant breaks event forensics),
-   so the overflow counter is kept per kind.  Overflow classifies the
-   EVICTED record, not the incoming one — the evicted record is the one
-   actually lost. *)
+   so overflow is counted per kind.  Overflow classifies the EVICTED
+   record, not the incoming one — the evicted record is the one actually
+   lost. *)
 type drop_stats = { dropped_spans : int; dropped_events : int }
 
 type t = {
@@ -43,12 +42,7 @@ let make ?(cpus = 1) ~capacity () =
     per_ring;
     rings =
       Array.init nrings (fun _ ->
-          {
-            buf = Array.make per_ring None;
-            next = 0;
-            count = 0;
-            overflowed = 0;
-          });
+          { buf = Array.make per_ring None; next = 0; count = 0 });
     seq = 0;
     dropped_spans = 0;
     dropped_events = 0;
@@ -64,7 +58,6 @@ let ring_of t cpu =
 let record t ~step ~clock ~cpu ~context ev =
   let r = ring_of t cpu in
   if r.count = t.per_ring then begin
-    r.overflowed <- r.overflowed + 1;
     (* The slot about to be overwritten holds the record we lose. *)
     match r.buf.(r.next) with
     | Some evicted when Obs_event.is_span evicted.ev ->
@@ -86,9 +79,6 @@ let events t =
       done)
     t.rings;
   List.sort (fun (a : event) (b : event) -> compare a.seq b.seq) !out
-
-let dropped t =
-  Array.fold_left (fun acc r -> acc + r.overflowed) 0 t.rings
 
 let drop_stats t =
   { dropped_spans = t.dropped_spans; dropped_events = t.dropped_events }

@@ -35,18 +35,15 @@ val record :
 val events : t -> event list
 (** All retained events merged across rings, oldest first. *)
 
-val dropped : t -> int
-(** Events lost to ring overflow. *)
-
 type drop_stats = {
   dropped_spans : int;  (** span records evicted by ring overflow *)
   dropped_events : int;  (** plain instants evicted by ring overflow *)
 }
 
 val drop_stats : t -> drop_stats
-(** The overflow counter split by record kind ([Obs_event.is_span]) of
-    the {e evicted} record (the one actually lost), so
-    [dropped_spans + dropped_events = dropped] exactly. *)
+(** Records lost to ring overflow, counted by the kind
+    ([Obs_event.is_span]) of the {e evicted} record (the one actually
+    lost). *)
 
 val pp_event : Format.formatter -> event -> unit
 (** One line: step, cpu, clock, context, the event's constructor name

@@ -24,6 +24,3 @@ let reverse t f =
   | exception e ->
       K.Clock.lock_done t.lock;
       raise e
-
-let reads t = Mach_core.Lock_stats.reads (K.Clock.stats t.lock)
-let writes t = Mach_core.Lock_stats.writes (K.Clock.stats t.lock)

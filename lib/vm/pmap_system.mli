@@ -11,9 +11,10 @@
     The lock is a non-sleep (spin) complex lock: both paths run at splvm
     with interrupts masked and may not block.
 
-    {!backout_reverse} is the alternative the paper also describes — a
-    single attempt on the second lock with release-and-retry on failure —
-    used by the E12 ablation. *)
+    The alternative the paper also describes — a single attempt on the
+    second lock with release-and-retry on failure — is not here: E12's
+    backout strategy runs its own retry loop in bench/main.ml (ROADMAP
+    item 2 weighs moving it onto [Lock_order.backout_lock_pair]). *)
 
 type t
 
@@ -24,6 +25,3 @@ val forward : t -> (unit -> 'a) -> 'a
 
 val reverse : t -> (unit -> 'a) -> 'a
 (** Run [f] under the write side: exclusive; pv-then-pmap order allowed. *)
-
-val reads : t -> int
-val writes : t -> int

@@ -65,20 +65,30 @@ let test_lock_both_by_uid_orders () =
    exactly this), and the capped backoff keeps retries bounded. *)
 let test_backout_backs_off () =
   let backouts = ref (-1) in
+  let firsts () =
+    match
+      List.find_opt
+        (fun (c : Mach_obs.Obs_profile.class_stats) -> c.cls = "bo-first")
+        (Mach_obs.Obs_profile.classes ())
+    with
+    | Some c -> c.acquisitions
+    | None -> 0
+  in
   in_sim (fun () ->
       let first = K.Slock.make ~name:"bo-first" () in
       let second = K.Slock.make ~name:"bo-second" () in
-      (* Hold [second] until the contender's single-attempt try has
-         observably failed twice (visible in the lock's try stats), so the
-         protocol must back off at least twice regardless of timing. *)
+      (* Hold [second] until the contender has taken [first] three times
+         (counted by the profiler), so its single-attempt try on [second]
+         failed at least twice and the protocol backed off at least twice
+         regardless of timing. *)
       let held = Engine.Cell.make ~name:"bo-held" 0 in
       let holder =
         Engine.spawn ~name:"holder" (fun () ->
             K.Slock.lock second;
+            let start = firsts () in
             Engine.Cell.set held 1;
-            let stats = K.Slock.stats second in
-            Engine.spin_hint "bo-failed-tries";
-            while Mach_core.Lock_stats.failed_tries stats < 2 do
+            Engine.spin_hint "bo-first-acquisitions";
+            while firsts () - start < 3 do
               Engine.pause ()
             done;
             K.Slock.unlock second)

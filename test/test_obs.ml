@@ -1,8 +1,7 @@
-(* The observability layer: lock statistics invariants, histogram bucket
-   geometry and percentiles, trace overflow accounting, and the Chrome
+(* The observability layer: histogram bucket geometry and percentiles,
+   trace overflow accounting, the contention profiler, and the Chrome
    trace-event export round-trip. *)
 
-module Stats = Mach_core.Lock_stats
 module Hist = Mach_obs.Obs_histogram
 module Metrics = Mach_obs.Obs_metrics
 module Profile = Mach_obs.Obs_profile
@@ -10,78 +9,6 @@ module Json = Mach_obs.Obs_json
 module Event = Mach_obs.Obs_event
 module Trace = Mach_sim.Sim_trace
 open Test_support
-
-(* ------------------------------------------------------------------ *)
-(* Lock_stats                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Populate every counter with a distinct value pattern. *)
-let populated () =
-  let s = Stats.make () in
-  Stats.record_acquire s ~contended:false ~spins:0;
-  Stats.record_acquire s ~contended:true ~spins:7;
-  Stats.record_release s ~held_cycles:40;
-  Stats.record_try s ~success:true;
-  Stats.record_try s ~success:false;
-  Stats.record_sleep s;
-  Stats.record_read s;
-  Stats.record_read s;
-  Stats.record_write s;
-  Stats.record_upgrade s ~success:true;
-  Stats.record_upgrade s ~success:false;
-  Stats.record_downgrade s;
-  Stats.record_recursive s;
-  s
-
-let readers =
-  [
-    ("acquisitions", Stats.acquisitions);
-    ("contentions", Stats.contentions);
-    ("total_spins", Stats.total_spins);
-    ("tries", Stats.tries);
-    ("failed_tries", Stats.failed_tries);
-    ("sleeps", Stats.sleeps);
-    ("reads", Stats.reads);
-    ("writes", Stats.writes);
-    ("upgrades", Stats.upgrades);
-    ("failed_upgrades", Stats.failed_upgrades);
-    ("downgrades", Stats.downgrades);
-    ("recursive_acquires", Stats.recursive_acquires);
-    ("held_cycles", Stats.held_cycles);
-  ]
-
-let test_stats_merge_sums_every_counter () =
-  let a = populated () and b = populated () in
-  let dst = populated () in
-  Stats.merge_into ~dst a;
-  Stats.merge_into ~dst b;
-  List.iter
-    (fun (name, read) ->
-      check_int (name ^ " tripled by two merges") (3 * read a) (read dst))
-    readers;
-  (* every reader must see a nonzero source value, or the sum test above
-     proves nothing for that counter *)
-  List.iter
-    (fun (name, read) ->
-      check_bool (name ^ " exercised by populate") true (read a > 0))
-    readers
-
-let test_stats_reset_zeroes_every_counter () =
-  let s = populated () in
-  Stats.reset s;
-  List.iter
-    (fun (name, read) -> check_int (name ^ " zero after reset") 0 (read s))
-    readers;
-  check_bool "first_attempt_rate back to the empty case" true
-    (Stats.first_attempt_rate s = 1.0)
-
-let test_stats_zero_acquisition_rate () =
-  let s = Stats.make () in
-  check_bool "no acquisitions -> rate 1.0" true
-    (Stats.first_attempt_rate s = 1.0);
-  Stats.record_acquire s ~contended:true ~spins:3;
-  check_bool "all contended -> rate 0.0" true
-    (Stats.first_attempt_rate s = 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* Histogram                                                            *)
@@ -170,7 +97,9 @@ let test_trace_overflow () =
       (Event.Cell_set { cell = "x"; value = i })
   done;
   check_int "cpu0 ring keeps its 10 newest" 10 (List.length (Trace.events on));
-  check_int "overflow counted" 5 (Trace.dropped on);
+  let d = Trace.drop_stats on in
+  check_int "overflow counted" 5
+    (d.Trace.dropped_spans + d.Trace.dropped_events);
   (* the 5 oldest were evicted; events come back in seq order *)
   (match Trace.events on with
   | first :: _ -> check_int "oldest surviving event" 5 first.Trace.step
@@ -324,6 +253,14 @@ let test_profile_classes_and_edges () =
       check_bool "top class by wait" true (c.Profile.cls = "pv");
       check_int "wait cycles" 250 c.Profile.wait_cycles
   | _ -> Alcotest.fail "expected a top class");
+  Profile.reset ();
+  check_bool "reset clears classes" true (Profile.classes () = [])
+
+(* A lock's statistics are its class record in the profiler: the
+   first-attempt rate of a class nothing acquired, and of one whose every
+   acquisition was contended. *)
+let test_first_attempt_rate_edges () =
+  Profile.reset ();
   let empty =
     {
       Profile.cls = "x";
@@ -334,10 +271,20 @@ let test_profile_classes_and_edges () =
       wait_hist = Hist.make ();
     }
   in
-  check_bool "zero-acquisition rate is 1.0" true
+  check_bool "no acquisitions -> rate 1.0" true
     (Profile.first_attempt_rate empty = 1.0);
-  Profile.reset ();
-  check_bool "reset clears classes" true (Profile.classes () = [])
+  for _ = 1 to 3 do
+    Profile.note_acquire ~cls:"l" ~holder:None ~contended:true ~wait_cycles:5;
+    Profile.note_release ~cls:"l" ~held_cycles:1
+  done;
+  (match Profile.classes () with
+  | [ c ] ->
+      check_int "acquisitions counted" 3 c.Profile.acquisitions;
+      check_bool "all contended -> rate 0.0" true
+        (Profile.first_attempt_rate c = 0.0)
+  | cs ->
+      Alcotest.fail (Printf.sprintf "expected 1 class, got %d" (List.length cs)));
+  Profile.reset ()
 
 (* The lock holds on a thread's context: innermost first and exact per
    lock instance.  A context belongs to its thread, so a thread that
@@ -756,8 +703,8 @@ let test_section7_deadlock_flight_dump () =
   check_bool "the dump names the held section 7 lock" true
     (contains r.Chaos.report "lock:the-lock")
 
-(* Span records in the drop accounting: the overflow counter splits
-   exactly by record kind. *)
+(* Span records in the drop accounting: overflow is counted by the kind
+   of the record it evicts. *)
 let test_drop_stats_split () =
   let mk_span i = Event.Span_close { kind = "lock"; site = "lock:l"; dur = i } in
   let mk_instant i = Event.Cell_set { cell = "x"; value = i } in
@@ -778,9 +725,7 @@ let test_drop_stats_split () =
     Trace.record on ~step:i ~clock:i ~cpu:0 ~context:"t" (mk_span i)
   done;
   let d = Trace.drop_stats on in
-  check_int "overflow spans after phase 3" 5 d.Trace.dropped_spans;
-  check_int "overflow split is exact" (Trace.dropped on)
-    (d.Trace.dropped_spans + d.Trace.dropped_events)
+  check_int "overflow spans after phase 3" 5 d.Trace.dropped_spans
 
 (* Span_close records survive to the Chrome export as complete spans. *)
 let test_chrome_export_has_spans () =
@@ -797,12 +742,8 @@ let () =
     [
       ( "lock stats",
         [
-          test_case "merge_into sums every counter" `Quick
-            test_stats_merge_sums_every_counter;
-          test_case "reset zeroes every counter" `Quick
-            test_stats_reset_zeroes_every_counter;
           test_case "first_attempt_rate edge cases" `Quick
-            test_stats_zero_acquisition_rate;
+            test_first_attempt_rate_edges;
         ] );
       ( "histogram",
         [
