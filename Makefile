@@ -140,7 +140,10 @@ chaos-smoke:
 # section 7 same-spl rule, find the section 7 deadlocks WITHOUT fault
 # injection (two-cpu handler-vs-holder and the three-processor barrier
 # cycle), then regenerate the E14 exploration table.  Exit codes: mc
-# returns 0 verified / 1 failure found / 2 incomplete.
+# returns 0 verified / 1 failure found / 2 incomplete.  The seeded
+# same-spl-buggy sweep must print the same verdict on one domain and on
+# two: a switch one domain's run (or its teardown) flips must not reach
+# another domain's runs.
 mc-smoke:
 	dune exec bin/machsim.exe -- mc same-spl --no-baseline | grep -q "VERIFIED"
 	dune exec bin/machsim.exe -- mc same-spl-buggy --no-baseline > /tmp/machsim-mc.out; \
@@ -148,6 +151,11 @@ mc-smoke:
 	grep -q "0 preemption" /tmp/machsim-mc.out
 	dune exec bin/machsim.exe -- mc interrupt-deadlock --cpus 3 --no-baseline \
 		| grep -q "waits-for cycle"
+	dune exec bin/machsim.exe -- explore same-spl-buggy --cpus 2 --seeds 200 \
+		--domains 1 > /tmp/machsim-explore-1.out; test $$? -eq 1
+	dune exec bin/machsim.exe -- explore same-spl-buggy --cpus 2 --seeds 200 \
+		--domains 2 > /tmp/machsim-explore-2.out; test $$? -eq 1
+	cmp /tmp/machsim-explore-1.out /tmp/machsim-explore-2.out
 	dune exec bench/main.exe -- E14
 	test -f BENCH_mc.json
 	@echo "mc-smoke passed"

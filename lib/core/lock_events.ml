@@ -118,6 +118,9 @@ module Make (M : Machine_intf.MACHINE) = struct
       Thread_ctx.Hold { site; seq = Thread_ctx.next_seq (); t0 } :: ctx.stack
 
   let released ?held_cycles (site : site) =
+    (* A machine operation before any recorder: a release made while a
+       finished run unwinds stops here, having recorded nothing. *)
+    let ctx = M.context (M.self ()) in
     let held =
       match held_cycles with
       | Some c ->
@@ -127,7 +130,6 @@ module Make (M : Machine_intf.MACHINE) = struct
     in
     Obs_profile.note_release ~cls:site.cls ~held_cycles:held;
     (* Releases need not nest: drop this site's innermost hold. *)
-    let ctx = M.context (M.self ()) in
     (match
        Thread_ctx.take ctx (function
          | Thread_ctx.Hold h -> h.site == site

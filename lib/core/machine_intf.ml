@@ -10,7 +10,15 @@
       used by the native benchmarks;
     - [Mach_sim.Sim_machine]: the deterministic simulated multiprocessor —
       used by the kernel model, the schedule-exploration tests and the
-      cycle-model benchmarks. *)
+      cycle-model benchmarks.
+
+    Code in a simulated thread must not swallow the simulator's unwinding
+    exception.  When a simulated run ends, every thread and interrupt
+    handler still suspended in it is unwound by an exception private to
+    the simulator, raised where it is suspended; its handlers and
+    [finally] blocks run, and any machine operation they make raises the
+    same exception.  A catch-all handler therefore re-raises what it
+    caught, as [Simple_lock.with_lock] does. *)
 
 (** An atomic memory cell holding an [int]; the operand of the machine's
     test-and-set (or similar) instruction.  The paper notes a C integer has

@@ -8,9 +8,12 @@ module Make
 struct
   type t = { cell : M.Cell.t; rname : string }
 
-  let checking_flag = Atomic.make true
-  let set_checking b = Atomic.set checking_flag b
-  let checking () = Atomic.get checking_flag
+  (* Domain-local and inherited, as {!Simple_lock}'s switch. *)
+  let checking_flag =
+    Domain.DLS.new_key ~split_from_parent:Fun.id (fun () -> true)
+
+  let set_checking b = Domain.DLS.set checking_flag b
+  let checking () = Domain.DLS.get checking_flag
 
   let next_id = Atomic.make 0
 
@@ -25,7 +28,7 @@ struct
 
   let clone t =
     let old = M.Cell.fetch_and_add t.cell 1 in
-    if checking () && old <= 0 then
+    if old <= 0 && checking () then
       M.fatal
         (Printf.sprintf
            "refcount %s: clone with count %d — cloning requires an existing \

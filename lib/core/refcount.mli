@@ -44,6 +44,9 @@ module Make
   val name : t -> string
 
   val set_checking : bool -> unit
+  (** Domain-local, inherited by a spawned domain, as
+      {!Simple_lock.Make.set_checking}. *)
+
   val checking : unit -> bool
 
   (** A hybrid of a reference and a lock (section 8): counts operations in

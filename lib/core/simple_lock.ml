@@ -26,10 +26,15 @@ module Make (M : Machine_intf.MACHINE) = struct
     mutable acquired_at : int; (* cycle clock at acquisition *)
   }
 
-  let checking_flag = Atomic.make true
+  (* Domain-local, inherited by a spawned domain: a simulated run (and
+     the unwinding of its fibers at the end) switches it only for the
+     runs of its own domain. *)
+  let checking_flag =
+    Domain.DLS.new_key ~split_from_parent:Fun.id (fun () -> true)
+
   let uniprocessor = Atomic.make false
-  let set_checking b = Atomic.set checking_flag b
-  let checking () = Atomic.get checking_flag
+  let set_checking b = Domain.DLS.set checking_flag b
+  let checking () = Domain.DLS.get checking_flag
   let set_uniprocessor b = Atomic.set uniprocessor b
 
   let next_id = Atomic.make 0

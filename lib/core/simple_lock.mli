@@ -65,9 +65,11 @@ module Make (M : Machine_intf.MACHINE) : sig
       acquisitions of two same-type locks "by address" (section 5). *)
 
   val set_checking : bool -> unit
-  (** Globally enable/disable debug checking (holder tracking, same-spl
-      rule, unlock-by-holder).  Default: enabled.  Off, a same-spl
-      mismatch is a {!Mach_obs.Obs_profile} finding, not a panic. *)
+  (** Enable/disable debug checking (holder tracking, same-spl rule,
+      unlock-by-holder) in the calling domain; a domain spawned later
+      starts with its parent's setting.  Default: enabled.  Off, a
+      same-spl mismatch is a {!Mach_obs.Obs_profile} finding, not a
+      panic. *)
 
   val checking : unit -> bool
 

@@ -72,7 +72,11 @@ type deadlock_analysis = {
 
 val run : ?cfg:Sim_config.t -> (unit -> unit) -> stats
 (** Boot the machine, run [main] as the first thread, schedule until every
-    thread has finished.  @raise Deadlock, @raise Kernel_panic,
+    thread has finished.  However the run ends, every thread and
+    interrupt handler it leaves suspended is unwound before [run]
+    returns or raises: its [finally] blocks run, and any machine
+    operation made meanwhile raises instead of acting (see
+    {!Mach_core.Machine_intf}).  @raise Deadlock, @raise Kernel_panic,
     @raise Step_limit. *)
 
 type outcome =

@@ -667,6 +667,177 @@ let test_rng_stream_and_copy () =
   ignore (Rng.next u);
   check_int "the original is untouched by the copy's draws" first (Rng.next t)
 
+(* ------------------------------------------------------------------ *)
+(* Ending a run: every fiber a run abandons is unwound, inertly         *)
+(* ------------------------------------------------------------------ *)
+
+(* The report of [test_abandoned_fibers_unwound]'s run: its fibers are
+   unwound only after the report is fixed. *)
+let abandoned_report =
+  "no productive operation for 2000 steps; machine state:\n\
+  \  cpu0 clock=4920 spl=spl0 frames=[spinner] pending=0\n\
+  \  cpu1 clock=624 spl=spl0 frames=[] pending=0\n\
+  \  cpu2 clock=4797 spl=splvm frames=[intr:spin; awaiter] pending=0\n\
+  \  runq=[queued]\n\
+  \  parked=[waker; main]\n"
+
+(* A spin deadlock that leaves one fiber of every suspended kind:
+   [parked] waits for a wakeup that never comes; [spin_until] holds cpu
+   0 in an engine-run wait; [queued] was woken but waits on cpu 0's run
+   queue behind it; [await] is in an engine-run [Cell.await] on cpu 2,
+   with [handler] spinning in an interrupt frame above it; [main]
+   joins.  Each body's [finally] runs once, before [run] returns. *)
+let test_abandoned_fibers_unwound () =
+  let finished = ref [] in
+  let protect name body =
+    Fun.protect ~finally:(fun () -> finished := name :: !finished) body
+  in
+  let outcome =
+    Engine.run_outcome
+      ~cfg:
+        { (cfg ~cpus:3 ()) with Config.watchdog_steps = 2_000; spans = false }
+      (fun () ->
+        protect "main" @@ fun () ->
+        let never = Engine.Cell.make ~name:"never" 0 in
+        let queued_parked = ref false and awaiting = ref false in
+        let queued =
+          Engine.spawn ~name:"queued" ~bound:0 (fun () ->
+              protect "queued" @@ fun () ->
+              queued_parked := true;
+              Engine.park ())
+        in
+        ignore
+          (Engine.spawn ~name:"spinner" ~bound:0 (fun () ->
+               protect "spin_until" @@ fun () ->
+               ignore (Engine.spin_until (fun () -> false))));
+        ignore
+          (Engine.spawn ~name:"awaiter" ~bound:2 (fun () ->
+               protect "await" @@ fun () ->
+               ignore
+                 (Engine.Cell.await never (fun v ->
+                      awaiting := true;
+                      v = 1))));
+        let waker =
+          Engine.spawn ~name:"waker" ~bound:1 (fun () ->
+              protect "parked" @@ fun () ->
+              ignore
+                (Engine.spin_until (fun () -> !queued_parked && !awaiting));
+              Engine.unpark queued;
+              Engine.post_interrupt ~name:"spin" ~cpu:2 ~level:Spl.Splvm
+                (fun () ->
+                  protect "handler" @@ fun () ->
+                  ignore (Engine.spin_until (fun () -> false)));
+              Engine.park ())
+        in
+        Engine.join waker)
+  in
+  (match outcome with
+  | Engine.Deadlocked (Engine.Spin_deadlock, report) ->
+      Alcotest.(check string) "the report" abandoned_report report
+  | _ -> Alcotest.fail "expected a spin deadlock");
+  Alcotest.(check (list string))
+    "every body's finally ran once"
+    [ "await"; "handler"; "main"; "parked"; "queued"; "spin_until" ]
+    (List.sort compare !finished)
+
+(* Unwinding changes nothing the run reported: a handler stops at its
+   first machine operation.  A hold unwound through [with_lock]
+   releases nothing, even with checking off (as in the section-7 buggy
+   scenarios), where no holder check would refuse the release; and a
+   write after the first machine operation never lands. *)
+let test_unwinding_is_inert () =
+  let module K = Mach_ksync.Ksync in
+  let module Metrics = Mach_obs.Obs_metrics in
+  let module Profile = Mach_obs.Obs_profile in
+  let module Histogram = Mach_obs.Obs_histogram in
+  let outside = Engine.Cell.make ~name:"outside" 0 in
+  let stage = ref 0 in
+  let deadlock hold =
+    Metrics.reset ();
+    Profile.reset ();
+    (match
+       Engine.run_outcome ~cfg:(cfg ~cpus:2 ()) (fun () ->
+           let m = K.Slock.make ~name:"timed" () in
+           let l = K.Slock.make ~name:"held" () in
+           K.Slock.with_lock m (fun () -> Engine.cycles 10);
+           let holder = Engine.spawn ~name:"holder" (fun () -> hold l) in
+           ignore
+             (Engine.spawn ~name:"writer" (fun () ->
+                  try Engine.park ()
+                  with e ->
+                    stage := 1;
+                    Engine.Cell.set outside 7;
+                    stage := 2;
+                    raise e));
+           Engine.join holder)
+     with
+    | Engine.Deadlocked (Engine.Sleep_deadlock, _) -> ()
+    | _ -> Alcotest.fail "expected a sleep deadlock");
+    let hold = Metrics.merged (Metrics.histogram "lock.hold_cycles") in
+    ( Metrics.counter_value (Metrics.counter "lock.acquisitions"),
+      (Histogram.count hold, Histogram.sum hold),
+      Profile.classes () )
+  in
+  K.Slock.set_checking false;
+  let scoped, plain =
+    Fun.protect ~finally:(fun () -> K.Slock.set_checking true) (fun () ->
+        let scoped = deadlock (fun l -> K.Slock.with_lock l Engine.park) in
+        ( scoped,
+          deadlock (fun l ->
+              K.Slock.lock l;
+              Engine.park ()) ))
+  in
+  let acquisitions, (holds, _), _ = plain in
+  check_int "two acquisitions" 2 acquisitions;
+  check_int "one timed hold" 1 holds;
+  check_bool "with_lock and lock leave the same metrics and profile" true
+    (scoped = plain);
+  check_int "the handler ran up to its first machine operation" 1 !stage;
+  check_int "its write never landed" 0 (Engine.Cell.get outside)
+
+(* Every run's abandoned stacks go back to the runtime: thousands of
+   deadlocked runs leave the resident size where it was.  Skipped where
+   /proc/self/status does not exist. *)
+let vm_rss_kb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+      let rec scan () =
+        match input_line ic with
+        | exception End_of_file -> None
+        | l when String.starts_with ~prefix:"VmRSS:" l ->
+            Scanf.sscanf l "VmRSS: %d kB" Option.some
+        | _ -> scan ()
+      in
+      let kb = scan () in
+      close_in ic;
+      kb
+
+let test_abandoned_stacks_freed () =
+  let deadlocked_runs n =
+    for _ = 1 to n do
+      match
+        Engine.run_outcome ~cfg:(cfg ~cpus:2 ()) (fun () ->
+            let ts = List.init 4 (fun _ -> Engine.spawn Engine.park) in
+            List.iter Engine.join ts)
+      with
+      | Engine.Deadlocked (Engine.Sleep_deadlock, _) -> ()
+      | _ -> Alcotest.fail "expected a sleep deadlock"
+    done
+  in
+  match vm_rss_kb () with
+  | None -> Alcotest.skip ()
+  | Some _ ->
+      deadlocked_runs 100;
+      Gc.compact ();
+      let before = Option.get (vm_rss_kb ()) in
+      deadlocked_runs 5_000;
+      Gc.compact ();
+      let grown = Option.get (vm_rss_kb ()) - before in
+      check_bool
+        (Printf.sprintf "5000 deadlocked runs grew VmRSS by %d kB" grown)
+        true (grown < 5 * 1024)
+
 let test_explore_all_completed () =
   let v =
     Explore.run ~cpus:2 ~seeds:(List.init 20 (fun i -> i + 1)) (fun () ->
@@ -739,6 +910,15 @@ let () =
             test_wait_predicate_contract;
           Alcotest.test_case "outside a thread" `Quick
             test_wait_outside_a_thread;
+        ] );
+      ( "teardown",
+        [
+          Alcotest.test_case "every abandoned fiber unwound" `Quick
+            test_abandoned_fibers_unwound;
+          Alcotest.test_case "unwinding is inert" `Quick
+            test_unwinding_is_inert;
+          Alcotest.test_case "abandoned stacks freed" `Quick
+            test_abandoned_stacks_freed;
         ] );
       ( "rng",
         [

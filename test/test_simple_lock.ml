@@ -338,6 +338,51 @@ let test_same_spl_recorded_unchecked () =
     ]
     (Profile.order_findings ())
 
+(* The buggy section-7 scenarios switch checking off for their run and
+   back on in a [finally] that runs when the run unwinds its fibers, so
+   a deadlocked run or a model-checked failure leaves checking on.  The
+   switch is domain-local: a domain spawned earlier keeps its own
+   setting, one spawned later inherits its parent's. *)
+let test_checking_switch () =
+  let module Scenarios = Mach_kernel.Scenarios in
+  let module Mc = Mach_mc.Mc in
+  (match
+     Engine.run_outcome
+       ~cfg:{ Mach_sim.Sim_config.default with cpus = 3 }
+       (Scenarios.interrupt_barrier_scenario ~disciplined:false)
+   with
+  | Engine.Deadlocked _ -> ()
+  | _ -> Alcotest.fail "interrupt-deadlock must deadlock at 3 cpus");
+  check_bool "on after interrupt-deadlock" true (K.Slock.checking ());
+  let r =
+    Mc.check ~cpus:2 (Scenarios.same_spl_holder ~disciplined:false)
+  in
+  check_bool "mc finds same-spl-buggy's failure" true (r.Mc.failure <> None);
+  check_bool "on after mc of same-spl-buggy" true (K.Slock.checking ());
+  let switches () = (K.Slock.checking (), K.Ref.checking ()) in
+  let switched = Atomic.make false in
+  let earlier =
+    Domain.spawn (fun () ->
+        while not (Atomic.get switched) do
+          Domain.cpu_relax ()
+        done;
+        switches ())
+  in
+  K.Slock.set_checking false;
+  K.Ref.set_checking false;
+  Fun.protect
+    ~finally:(fun () ->
+      K.Slock.set_checking true;
+      K.Ref.set_checking true)
+    (fun () ->
+      Atomic.set switched true;
+      let later = Domain.spawn switches in
+      let pair = Alcotest.(pair bool bool) in
+      Alcotest.check pair "a domain spawned earlier keeps its setting"
+        (true, true) (Domain.join earlier);
+      Alcotest.check pair "a domain spawned later inherits its parent's"
+        (false, false) (Domain.join later))
+
 let () =
   Alcotest.run "simple_lock"
     [
@@ -363,6 +408,7 @@ let () =
             test_spl_pinned_at_creation;
           Alcotest.test_case "same-spl recorded unchecked" `Quick
             test_same_spl_recorded_unchecked;
+          Alcotest.test_case "checking switch" `Quick test_checking_switch;
         ] );
       ( "exploration",
         [
