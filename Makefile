@@ -41,10 +41,18 @@ perf-gate:
 # require exit code 1 (a gate that cannot fail gates nothing).  Every
 # row the gate lists (--list-rows) is additionally injected on its own
 # so a row the gate silently stopped reading cannot pass the selftest.
+# The injection goes into the committed measurement (BENCH_sim_perf.json
+# as of HEAD), not into the file `make perf-gate` has just rewritten: a
+# host-time row measured in a fast window can stay above its floor when
+# halved, so a fresh measurement would make the selftest fail on noise.
+PERF_COMMITTED = /tmp/perf-gate-committed.json
+
 perf-gate-selftest:
-	dune exec bench/perf_gate.exe -- --inject-slowdown; test $$? -eq 1
+	git show HEAD:BENCH_sim_perf.json > $(PERF_COMMITTED)
+	dune exec bench/perf_gate.exe -- --perf $(PERF_COMMITTED) --inject-slowdown; \
+		test $$? -eq 1
 	for row in $$(dune exec bench/perf_gate.exe -- --list-rows); do \
-		dune exec bench/perf_gate.exe -- --inject-row $$row; \
+		dune exec bench/perf_gate.exe -- --perf $(PERF_COMMITTED) --inject-row $$row; \
 		test $$? -eq 1 || { echo "row $$row did not trip"; exit 1; }; \
 	done
 	@echo "perf-gate-selftest passed (gate trips on injected 2x slowdown, every row)"

@@ -45,7 +45,9 @@
    --inject-row ROW halves only that row; --list-rows prints the row
    names.  The selftest (`make perf-gate-selftest`) injects every listed
    row to prove the gate actually trips on each one (a gate that cannot
-   fail gates nothing). *)
+   fail gates nothing).  It reads the committed measurement (--perf on
+   HEAD's BENCH_sim_perf.json), not a fresh one: a host-time row
+   measured in a fast window can stay above its floor when halved. *)
 
 module Obs_json = Mach_obs.Obs_json
 

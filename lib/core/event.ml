@@ -33,7 +33,7 @@ struct
 
   let n_buckets = 64
 
-  (* Built once: the registry is rebuilt at every run. *)
+  (* Built once: the event layer is rebuilt at every run. *)
   let bucket_names = Array.init n_buckets (Printf.sprintf "evt-bucket%d")
 
   type bucket = { block : Slock.t; mutable waiters : waiter list }
@@ -43,64 +43,65 @@ struct
      simulation run, so a waiter record or enqueued waiter surviving one
      run would be found — stale — by an unrelated thread of the next run,
      and parallel simulations in other domains must not share the queues
-     at all.  The [Run_reset] hook rebuilds it between runs. *)
+     at all.  A simulated machine lives for one run, so [machine_local]
+     gives every run an empty slot, and the layer is rebuilt from scratch
+     rather than cleared in place: a run torn down mid-critical-section
+     (step limit, model-checker cut) leaves a bucket or registry lock
+     held, and merely emptying the queues would hand the next run a lock
+     nobody will ever release.
+
+     A bucket's lock is made the first time the bucket is used: most runs
+     touch a handful of the 64, and a model-checking search rebuilds the
+     layer at every execution that uses events.  Each bucket and the
+     layer itself sit in an [Atomic] slot, so two native domains racing
+     to build one install a single copy. *)
   type dstate = {
-    mutable counter : int;
-    buckets : bucket array;
+    counter : int Atomic.t; (* native domains draw ids concurrently *)
+    buckets : bucket option Atomic.t array;
     registry : (int, waiter) Hashtbl.t;
         (* waiter records, keyed by thread id *)
     registry_lock : Slock.t;
   }
 
-  let mk_dstate () =
-    {
-      counter = 1;
-      buckets =
-        Array.init n_buckets (fun i ->
-            {
-              block = Slock.make ~name:bucket_names.(i) ();
-              waiters = [];
-            });
-      registry = Hashtbl.create 256;
-      registry_lock = Slock.make ~name:"evt-registry" ();
-    }
+  (* Fill an empty slot with [v], or return what another domain put
+     there first. *)
+  let install slot v =
+    if Atomic.compare_and_set slot None (Some v) then v
+    else match Atomic.get slot with Some v -> v | None -> assert false
 
-  (* The slot holds an option and the dstate is built on first use
-     INSIDE the run, not by the reset hook: the hook fires during run
-     setup, where a built dstate would allocate lock cells into the
-     run's footprint id sequence — and the machine-local slot's own
-     one-time lazy init would then allocate an extra batch on the very
-     first run of a domain, shifting every later cell id of that run
-     relative to re-executions and corrupting the model checker's
-     footprint identities. *)
-  let dstate_cell = M.machine_local (fun () -> ref None)
+  (* The layer is built on first use INSIDE the run, not when the slot is
+     made: the slot is made during run setup, where a built layer would
+     allocate lock cells into the run's footprint id sequence.  Built
+     inside the run, every re-execution of a schedule prefix makes the
+     same cells in the same order, which the model checker's footprint
+     identities rely on. *)
+  let dstate_cell = M.machine_local (fun () -> Atomic.make None)
 
   let dstate () =
-    let c = dstate_cell () in
-    match !c with
+    let slot = dstate_cell () in
+    match Atomic.get slot with
     | Some s -> s
     | None ->
-        let s = mk_dstate () in
-        c := Some s;
-        s
+        install slot
+          {
+            counter = Atomic.make 1;
+            buckets = Array.init n_buckets (fun _ -> Atomic.make None);
+            registry = Hashtbl.create 16;
+            registry_lock = Slock.make ~name:"evt-registry" ();
+          }
 
-  (* Rebuild from scratch rather than clearing in place: a run torn down
-     mid-critical-section (step limit, model-checker cut) leaves a
-     bucket or registry lock held, and merely emptying the queues would
-     hand the next run a lock nobody will ever release. *)
-  let () = Run_reset.register (fun () -> dstate_cell () := None)
-
-  let fresh_event () =
-    let s = dstate () in
-    let v = s.counter in
-    s.counter <- v + 1;
-    v
+  let fresh_event () = Atomic.fetch_and_add (dstate ()).counter 1
 
   (* splitmix-style mix so that consecutive event ids spread over buckets *)
   let bucket_of ev =
     let h = ev * 0x9E3779B1 in
-    let h = h lxor (h lsr 16) in
-    (dstate ()).buckets.(h land (n_buckets - 1))
+    let i = (h lxor (h lsr 16)) land (n_buckets - 1) in
+    let slot = (dstate ()).buckets.(i) in
+    match Atomic.get slot with
+    | Some b -> b
+    | None ->
+        install slot
+          { block = Slock.make ~name:bucket_names.(i) (); waiters = [] }
 
   let waiter_of thread =
     let s = dstate () in

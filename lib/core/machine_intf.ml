@@ -166,12 +166,15 @@ module type MACHINE = sig
       to one machine instance — shared by every thread and interrupt of
       that machine, but never by two machines.  On the native machine
       all domains are cpus of the single process-wide machine, so the
-      state is process-global (built once, eagerly).  On the simulated
-      machine a domain hosts at most one simulation at a time while
-      other domains may run unrelated simulations concurrently, so the
-      state is domain-local (built lazily per domain).  Modules holding
-      per-run state in a [machine_local] must also register a
-      {!Run_reset} hook to rebuild it between runs. *)
+      state is process-global: [init] runs once, eagerly, and no
+      simulated run ever touches it.  A simulated machine lives for one
+      run, and a domain hosts at most one run at a time while other
+      domains may run unrelated simulations concurrently, so the state
+      is domain-local and every run gets a fresh [init ()] (through a
+      {!Run_reset} hook the simulated machine registers).  [init] runs
+      at run set-up, so it should only make an empty slot: state built
+      inside the run is what every re-execution of a schedule rebuilds
+      identically. *)
 
   (** {1 Fault injection} *)
 

@@ -1,6 +1,7 @@
 (* Registry of per-run teardown hooks.  Modules with per-run state that
-   outlives any single simulation (the event layer, the waits-for event
-   aliases) register a hook once at initialization; the engine
+   outlives any single simulation (a simulated machine's [machine_local]
+   state, the waits-for event aliases) register a hook once at
+   initialization; the engine
    runs them all at teardown so one run's residue cannot leak into the
    next (e.g. phantom lock-order violations across Sim_explore seeds). *)
 

@@ -138,7 +138,8 @@ let fatal msg = raise (Kernel_panic msg)
 
 (* Every domain is a cpu of the one process-wide machine: machine-scoped
    state is plain process-global state, built eagerly so no two domains
-   race to initialize it. *)
+   race to initialize it, and never reset (a simulated run's [Run_reset]
+   hooks reset only simulated machines). *)
 let machine_local init =
   let v = init () in
   fun () -> v

@@ -349,7 +349,10 @@ let vc_get r p = if p < Array.length r then r.(p) else -1
    race is not directly identifiable from the candidate list, we add
    every budget-eligible candidate at the racing node (a sound,
    conservative superset of the classic "the racing thread or all"
-   rule). *)
+   rule).  A node whose process [r] already orders at or after it
+   (r(its process) >= its depth) is skipped before any footprint test:
+   it cannot race, and its clock is already below [r], so the join
+   would change nothing. *)
 let dpor_commit s node d =
   let p = intern s (proc_of node.cands.(node.chosen)) in
   node.pid <- p;
@@ -358,10 +361,11 @@ let dpor_commit s node d =
     let n' = s.stack_arr.(d') in
     let p' = n'.pid in
     if
-      p' = p
-      || (n'.sg land node.sg <> 0 && footprint_conflict n'.fp node.fp)
+      vc_get r p' < d'
+      && (p' = p
+         || (n'.sg land node.sg <> 0 && footprint_conflict n'.fp node.fp))
     then begin
-      if p' <> p && vc_get r p' < d' then
+      if p' <> p then
         for i = 0 to Array.length n'.cands - 1 do
           if n'.costs.(i) <= n'.budget then n'.backtrack.(i) <- true
         done;
@@ -570,6 +574,41 @@ type exec_outcome =
   | X_cut
   | X_truncated
 
+(* Pace the major GC by heap growth, at execution boundaries.  An
+   execution promotes a few thousand words, all dead once it ends, yet a
+   search can run thousands of executions without the runtime finishing
+   a major cycle, and the heap only grows: over ten passes of the
+   benchmark's mc-verify matrix in one process (x86-64, OCaml 5.1.1),
+   unpaced, it reached 3.4M words and the process 33 MB resident.  So
+   once [growth_bound] words have reached the major heap since the last
+   collection (promoted, or allocated there directly), the next
+   execution boundary runs one full major collection; a whole one,
+   because garbage promoted while a cycle is under way survives that
+   cycle.  Paced so, ten passes keep the heap at 123k-127k words and the
+   process at 9.1 MB, with 64-67 major cycles a pass.  A major slice
+   after every execution held 8.9 MB but marked the live heap 7,231
+   times a pass: a pass took 0.34 s against 0.23-0.26 s (best of eight
+   passes, three alternating processes).  A slice sized to what each
+   execution promoted would do nothing at most boundaries: promotion
+   happens only at a minor collection, about once per 20 runs.  At
+   65,536 words a pass was no faster and the process held 0.3 MB more. *)
+let growth_bound = 32_768.
+
+(* [Gc.counters]'s major words include the promoted ones; the counters
+   are the domain's own, so the mark is too. *)
+let major_words () =
+  let _, _, major = Gc.counters () in
+  major
+
+let last_collection = Domain.DLS.new_key major_words
+
+let collect_by_growth () =
+  let mark = Domain.DLS.get last_collection in
+  if major_words () -. mark > growth_bound then begin
+    Gc.full_major ();
+    Domain.DLS.set last_collection (major_words ())
+  end
+
 let run_one s ~cpus ~max_steps ~forced scenario =
   s.depth <- 0;
   s.pending_sleep <- [];
@@ -583,17 +622,7 @@ let run_one s ~cpus ~max_steps ~forced scenario =
     | exception E.Kernel_panic r -> X_fail (None, r)
     | exception E.Step_limit -> X_truncated
   in
-  (* Pace the major GC at the execution boundary.  An execution promotes
-     a few thousand words, all dead once it ends, yet a search started on
-     a freshly compacted heap can run thousands of executions without the
-     runtime starting a major cycle, and the heap only grows.  Over ten
-     passes of the benchmark's mc-verify matrix in one process (x86-64,
-     OCaml 5.1.1), unpaced, the heap reached 3.4M words and the process
-     33 MB resident; paced, they stayed near 0.4M words and 10 MB.  The
-     slice costs host time (unpaced, a pass took about a quarter less),
-     which the memory is worth; an automatic slice ([Gc.major_slice 0])
-     or a minor collection here does not keep the heap flat. *)
-  ignore (Gc.major_slice 10_000);
+  collect_by_growth ();
   if s.depth > s.st_max_depth then s.st_max_depth <- s.depth;
   (match out with
   | X_cut -> s.st_pruned <- s.st_pruned + 1

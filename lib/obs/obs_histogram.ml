@@ -4,8 +4,15 @@
    exactly (bucket width 1); above that, bucket width doubles with each
    power of two, bounding the relative quantization error at 1/32.  With
    62-bit values the bucket array tops out below 1920 entries, so a
-   histogram is a flat int array — cheap enough to put one in every
-   lock-class profile. *)
+   histogram is one flat array of counts — cheap enough to put one in
+   every lock-class profile.
+
+   The counts live in a bigarray, outside the OCaml heap: the major GC
+   never marks them.  The metrics registry alone holds 16 shards of
+   every named histogram, and as plain int arrays their 1,920 words each
+   were almost all of a model-checking process's live heap, marked again
+   by every major cycle.  [record] compiles to inline loads and stores;
+   only [make] and [reset] call into the runtime (to fill). *)
 
 let sub_buckets = 32 (* must be a power of two *)
 let sub_bits = 5
@@ -28,8 +35,10 @@ let bucket_bounds i =
   let sub = i - (b * sub_buckets) in
   (sub lsl b, ((sub + 1) lsl b) - 1)
 
+type buckets = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
-  buckets : int array;
+  buckets : buckets;
   mutable count : int;
   mutable sum : int;
   mutable min_v : int;
@@ -37,13 +46,15 @@ type t = {
 }
 
 let make () =
-  { buckets = Array.make n_buckets 0; count = 0; sum = 0; min_v = max_int; max_v = 0 }
+  let buckets = Bigarray.(Array1.create Int C_layout n_buckets) in
+  Bigarray.Array1.fill buckets 0;
+  { buckets; count = 0; sum = 0; min_v = max_int; max_v = 0 }
 
 let record_n t v ~n =
   if n > 0 then begin
     let v = if v < 0 then 0 else v in
     let i = bucket_index v in
-    t.buckets.(i) <- t.buckets.(i) + n;
+    t.buckets.{i} <- t.buckets.{i} + n;
     t.count <- t.count + n;
     t.sum <- t.sum + (v * n);
     if v < t.min_v then t.min_v <- v;
@@ -74,7 +85,7 @@ let percentile t p =
     let rec walk i seen =
       if i >= n_buckets then t.max_v
       else
-        let seen = seen + t.buckets.(i) in
+        let seen = seen + t.buckets.{i} in
         if seen >= rank then Stdlib.min (snd (bucket_bounds i)) t.max_v
         else walk (i + 1) seen
     in
@@ -82,9 +93,10 @@ let percentile t p =
   end
 
 let merge_into ~dst src =
-  Array.iteri
-    (fun i n -> if n > 0 then dst.buckets.(i) <- dst.buckets.(i) + n)
-    src.buckets;
+  for i = 0 to n_buckets - 1 do
+    let n = src.buckets.{i} in
+    if n > 0 then dst.buckets.{i} <- dst.buckets.{i} + n
+  done;
   dst.count <- dst.count + src.count;
   dst.sum <- dst.sum + src.sum;
   if src.count > 0 then begin
@@ -93,7 +105,7 @@ let merge_into ~dst src =
   end
 
 let reset t =
-  Array.fill t.buckets 0 n_buckets 0;
+  Bigarray.Array1.fill t.buckets 0;
   t.count <- 0;
   t.sum <- 0;
   t.min_v <- max_int;

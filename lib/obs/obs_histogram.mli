@@ -4,9 +4,11 @@
     distinguish locking protocols (Brandenburg's survey, PAPERS.md), so
     the metrics registry records latencies here rather than as flat sums.
     32 sub-buckets per power of two: values below 64 are exact, larger
-    values are quantized with at most 1/32 relative error.  Not
-    thread-safe on its own; the registry shards per cpu and merges at
-    read time. *)
+    values are quantized with at most 1/32 relative error.  The 1,920
+    bucket counts are kept outside the OCaml heap, where the major GC
+    does not scan them: a histogram adds a few dozen words to the live
+    heap, not two thousand.  Not thread-safe on its own; the registry
+    shards per cpu and merges at read time. *)
 
 type t
 

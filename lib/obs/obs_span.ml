@@ -14,10 +14,12 @@
    no simulated cycles: a spans-on run is schedule- and stats-identical
    to a spans-off run (pinned by the determinism tests).
 
-   The engine latches a frozen [view] at run end, before the [Run_reset]
-   hook wipes the live tables — so post-run reporting ([machsim report],
-   bench E18) reads [last] while in-run post-mortems (the deadlock flight
-   dump) read the live tables. *)
+   At run end the engine latches the finished run's tables as the last
+   run's, and the previous last run's tables, cleared, become the live
+   ones for the next run; post-run reporting ([machsim report], bench
+   E18) reads [last], which builds its sorted view only when it is read,
+   while in-run post-mortems (the deadlock flight dump) read the live
+   tables. *)
 
 type kind = Lock | Event | Ipc | Vm
 
@@ -75,37 +77,49 @@ type flight_ring = {
   mutable fnext : int;
 }
 
-type state = {
-  mutable on : bool;
+(* One run's tables.  A domain keeps two sets: the live one, which the
+   running simulation records into, and the last finished run's. *)
+type tables = {
   sites : (string, site) Hashtbl.t;
   edges : (string * string, edge) Hashtbl.t;
   mutable flight : flight_ring array; (* index cpu+1; slot 0 = off-cpu *)
+  mutable open_at_end : int; (* spans still open when latched *)
 }
+
+type state = {
+  mutable on : bool;
+  mutable live : tables;
+  mutable last : tables option;
+  mutable last_view : view option; (* [last]'s view, once it is read *)
+}
+
+let new_tables () =
+  {
+    sites = Hashtbl.create 64;
+    edges = Hashtbl.create 64;
+    flight = [||];
+    open_at_end = 0;
+  }
 
 let state_key : state Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      {
-        on = false;
-        sites = Hashtbl.create 64;
-        edges = Hashtbl.create 64;
-        flight = [||];
-      })
+      { on = false; live = new_tables (); last = None; last_view = None })
 
 let st () = Domain.DLS.get state_key
-
-let last_key : view option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let set_enabled b = (st ()).on <- b
 let enabled () = (st ()).on
 
+let clear t =
+  Hashtbl.reset t.sites;
+  Hashtbl.reset t.edges;
+  t.flight <- [||];
+  t.open_at_end <- 0
+
 (* Clears the per-run tables only: the enabled gate belongs to the
    engine's run lifecycle, not to the [Run_reset] hook (which also fires
    at run *setup*, after the engine has switched the layer on). *)
-let reset () =
-  let s = st () in
-  Hashtbl.reset s.sites;
-  Hashtbl.reset s.edges;
-  s.flight <- [||]
+let reset () = clear (st ()).live
 
 (* ------------------------------------------------------------------ *)
 (* Recording                                                            *)
@@ -150,7 +164,7 @@ let push_flight s fs =
   r.fnext <- (r.fnext + 1) mod flight_cap
 
 let close ~kind ~label ~t0 ~t1 ~cpu ~tname =
-  let s = st () in
+  let s = (st ()).live in
   let dur = max 0 (t1 - t0) in
   let site = site_of s kind label in
   site.s_spans <- site.s_spans + 1;
@@ -163,7 +177,7 @@ let close ~kind ~label ~t0 ~t1 ~cpu ~tname =
       (Obs_event.Span_close { kind = kind_name kind; site = label; dur })
 
 let blocked ~kind ~label:wanted ~holder ~wait_cycles =
-  let s = st () in
+  let s = (st ()).live in
   let site = site_of s kind wanted in
   site.s_blocked <- site.s_blocked + 1;
   site.s_blocked_cycles <- site.s_blocked_cycles + max 0 wait_cycles;
@@ -200,23 +214,47 @@ let flight s =
   Array.to_list (Array.mapi (fun i r -> (i - 1, flight_of_ring r)) s.flight)
   |> List.filter (fun (_, l) -> l <> [])
 
-let current ~open_spans =
-  let s = st () in
+let view_of t =
   let sites =
-    Hashtbl.fold (fun _ site acc -> copy_site site :: acc) s.sites []
+    Hashtbl.fold (fun _ site acc -> copy_site site :: acc) t.sites []
     |> List.sort (fun a b -> String.compare a.s_label b.s_label)
   in
   let edges =
-    Hashtbl.fold (fun _ e acc -> copy_edge e :: acc) s.edges []
+    Hashtbl.fold (fun _ e acc -> copy_edge e :: acc) t.edges []
     |> List.sort (fun a b ->
            match compare b.e_cycles a.e_cycles with
            | 0 -> compare (a.e_wanted, a.e_holder) (b.e_wanted, b.e_holder)
            | c -> c)
   in
-  { v_sites = sites; v_edges = edges; v_flight = flight s; v_open = open_spans }
+  {
+    v_sites = sites;
+    v_edges = edges;
+    v_flight = flight t;
+    v_open = t.open_at_end;
+  }
 
-let latch ~open_spans = Domain.DLS.set last_key (Some (current ~open_spans))
-let last () = Domain.DLS.get last_key
+(* No copy and no sort at run end: the finished run's tables become the
+   last run's, and the ones they replace, cleared, are recorded into by
+   the next run.  A view already handed out is a copy, so the recycling
+   cannot change it. *)
+let latch ~open_spans =
+  let s = st () in
+  let finished = s.live in
+  finished.open_at_end <- open_spans;
+  s.live <- (match s.last with Some t -> t | None -> new_tables ());
+  clear s.live;
+  s.last <- Some finished;
+  s.last_view <- None
+
+let last () =
+  let s = st () in
+  match (s.last_view, s.last) with
+  | (Some _ as v), _ -> v
+  | None, None -> None
+  | None, Some t ->
+      let v = Some (view_of t) in
+      s.last_view <- v;
+      v
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)
@@ -273,7 +311,7 @@ let pp_flight ppf v =
    no spans (the §7 holder never releases), but what every thread still
    HOLDS at dump time is exactly the evidence the cycle is made of. *)
 let flight_dump ~open_spans =
-  let v = { empty_view with v_flight = flight (st ()) } in
+  let v = { empty_view with v_flight = flight (st ()).live } in
   if v.v_flight = [] && open_spans = [] then ""
   else
     Format.asprintf "%a%a" pp_flight v

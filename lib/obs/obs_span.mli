@@ -15,8 +15,9 @@
     engine randomness nor charges simulated cycles — a spans-on run is
     schedule- and stats-identical to a spans-off run.
 
-    Post-run readers use the {!view} the engine {!latch}es at run end
-    (before the [Run_reset] hook clears the live tables); in-run
+    Post-run readers use {!last}: at run end the engine {!latch}es the
+    finished run's tables (before the [Run_reset] hook clears the live
+    ones), and the view is built from them when it is first read; in-run
     post-mortems (the deadlock flight dump) read the live tables. *)
 
 type kind = Lock | Event | Ipc | Vm
@@ -88,16 +89,16 @@ type view = {
 
 val empty_view : view
 
-val current : open_spans:int -> view
-(** Snapshot of the live (in-run) state; [open_spans] is the number of
-    spans the threads' contexts still hold open. *)
-
 val latch : open_spans:int -> unit
-(** Freeze {!current} as the last-run view; the engine calls this at run
-    end, before [Run_reset] clears the live tables. *)
+(** Keep the live tables as the last run's, with [open_spans] spans
+    still open, and record into the previous last run's tables, cleared,
+    from now on; the engine calls this at run end, before [Run_reset]
+    clears the live tables.  Nothing is copied or sorted here. *)
 
 val last : unit -> view option
-(** The view latched at the end of the most recent run, if any. *)
+(** The view of the tables latched at the end of the most recent run, if
+    any, built at the first read after the latch.  A view, once read, is
+    not changed by later runs. *)
 
 val reset : unit -> unit
 (** Clear the live tables (sites, edges, flight rings); the engine

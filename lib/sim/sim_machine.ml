@@ -29,8 +29,11 @@ let context = Sim_engine.context
 let handoff_fault = Sim_engine.handoff_fault
 let fatal = Sim_engine.fatal
 
-(* One domain hosts at most one simulation at a time, and concurrent
-   explorations in other domains must not share machine state. *)
+(* A simulated machine lives for one run: one domain hosts at most one
+   simulation at a time, concurrent explorations in other domains must
+   not share machine state, and every run starts from a fresh [init ()]
+   (the engine runs the [Run_reset] hooks at set-up and teardown). *)
 let machine_local init =
   let key = Domain.DLS.new_key init in
+  Mach_core.Run_reset.register (fun () -> Domain.DLS.set key (init ()));
   fun () -> Domain.DLS.get key

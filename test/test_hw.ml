@@ -110,6 +110,18 @@ let test_event_wakeup_native () =
   List.iter Domain.join sleepers;
   check_int "all woken" domains (Atomic.get woken)
 
+(* Event ids are drawn from one counter by every domain: no two draws
+   return the same id. *)
+let test_event_ids_unique_native () =
+  let n = 50_000 in
+  let drawn =
+    Run.parallel_with_barrier domains (fun _ () ->
+        Array.init n (fun _ -> HS.Ev.fresh_event ()))
+  in
+  let seen = Hashtbl.create (domains * n) in
+  List.iter (Array.iter (fun ev -> Hashtbl.replace seen ev ())) drawn;
+  check_int "distinct ids" (domains * n) (Hashtbl.length seen)
+
 let test_refcount_native () =
   let r = HS.Ref.make () in
   let iters = 20_000 in
@@ -147,6 +159,33 @@ let test_no_wait_edges_native () =
   in
   check_bool "off on every native domain" false (List.mem true seen)
 
+(* The native machine's event layer is process-wide, built once, and a
+   simulated run's per-run resets do not touch it: a native sleeper is
+   still woken after a simulation has run.  A sleeper whose wait was
+   lost would stay parked for good, so it is joined only once woken,
+   and the test fails rather than hangs. *)
+let test_sim_run_keeps_native_events () =
+  let ev = HS.Ev.fresh_event () in
+  let asleep = Atomic.make false and woken = Atomic.make false in
+  let sleeper =
+    Domain.spawn (fun () ->
+        HS.Ev.assert_wait ev;
+        Atomic.set asleep true;
+        ignore (HS.Ev.thread_block ());
+        Atomic.set woken true)
+  in
+  while not (Atomic.get asleep) do
+    Domain.cpu_relax ()
+  done;
+  ignore (Mach_sim.Sim_engine.run (fun () -> ()));
+  let deadline = Sys.time () +. 1.0 in
+  while (not (Atomic.get woken)) && Sys.time () < deadline do
+    ignore (HS.Ev.thread_wakeup ev);
+    Domain.cpu_relax ()
+  done;
+  if Atomic.get woken then Domain.join sleeper;
+  check_bool "sleeper woken after a simulated run" true (Atomic.get woken)
+
 let () =
   Alcotest.run "hw"
     [
@@ -169,5 +208,9 @@ let () =
         [
           Alcotest.test_case "event wakeup" `Quick test_event_wakeup_native;
           Alcotest.test_case "refcount exact" `Slow test_refcount_native;
+          Alcotest.test_case "a simulated run keeps native waits" `Quick
+            test_sim_run_keeps_native_events;
+          Alcotest.test_case "event ids unique across domains" `Quick
+            test_event_ids_unique_native;
         ] );
     ]

@@ -338,6 +338,30 @@ let test_divergence_detected () =
         true
         (contains msg "6 candidates, expected 4")
 
+(* The checker paces the major GC by heap growth at execution
+   boundaries: searching one cell again and again in one process keeps
+   the heap where the first searches put it.  The heap's high-water mark
+   after the last of twenty searches stays within eight 32 KB pools of
+   its mark after the third.  Run first in its process, as it is here,
+   the mark rises by 8,000-12,000 words paced and by 74,000-87,000
+   unpaced (x86-64, OCaml 5.1.1); after the rest of the suite, an
+   unpaced process has already grown and the searches show little. *)
+let test_heap_flat_across_searches () =
+  let top () = (Gc.quick_stat ()).Gc.top_heap_words in
+  Gc.compact ();
+  let after_third = ref 0 in
+  for i = 1 to 20 do
+    let r = Mc.check ~cpus:2 Scenarios.scache_rw in
+    check_bool "verified" true r.Mc.verified;
+    if i = 3 then after_third := top ()
+  done;
+  let grown = top () - !after_third in
+  if grown > 32_768 then
+    Alcotest.failf
+      "heap high-water mark rose by %d words over 17 searches after the \
+       third (limit 32,768)"
+      grown
+
 let test_faults_excluded () =
   let cfg =
     {
@@ -359,6 +383,12 @@ let test_faults_excluded () =
 let () =
   Alcotest.run "mc"
     [
+      (* First, so that its searches run in a fresh process. *)
+      ( "memory",
+        [
+          Alcotest.test_case "heap flat across searches" `Quick
+            test_heap_flat_across_searches;
+        ] );
       ( "verdicts",
         [
           Alcotest.test_case "section 7 disciplined: verified" `Quick

@@ -84,6 +84,23 @@ let test_hist_merge_and_reset () =
   check_int "reset count" 0 (Hist.count a);
   check_int "reset max" 0 (Hist.max_value a)
 
+(* The bucket counts are kept off the OCaml heap: sixteen histograms,
+   one registry entry's shards, add a few hundred words of live heap
+   where 16 flat arrays of 1,920 counts would add about 30,800. *)
+let test_hist_storage_off_heap () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let hs = List.init 16 (fun _ -> Hist.make ()) in
+  let added = live () - before in
+  List.iter (fun h -> Hist.record h 5) hs;
+  check_int "every histogram still usable" 16
+    (List.fold_left (fun n h -> n + Hist.count h) 0 hs);
+  if added >= 1_000 then
+    Alcotest.failf "16 histograms added %d live words (limit 1,000)" added
+
 (* ------------------------------------------------------------------ *)
 (* Trace ring accounting                                                *)
 (* ------------------------------------------------------------------ *)
@@ -622,6 +639,59 @@ let test_spans_reset_between_runs () =
     (summarize v1 = summarize v2);
   check_int "no spans left open across runs" 0 v2.Span.v_open
 
+(* The engine latches a finished run's span tables without copying them
+   and hands the previous run's tables, cleared, to the next run.  A
+   view once read is a copy: later runs, including one that records the
+   same site into the recycled tables, leave it as it was.  And each
+   run's view lists only that run's sites and flight spans. *)
+let test_span_latch_recycles () =
+  let module K = Mach_ksync.Ksync in
+  let run name times =
+    let cfg = { Config.default with Config.cpus = 2; seed = 1 } in
+    ignore
+      (Engine.run ~cfg (fun () ->
+           let l = K.Slock.make ~name () in
+           for _ = 1 to times do
+             K.Slock.lock l;
+             Engine.pause ();
+             K.Slock.unlock l
+           done));
+    match Span.last () with
+    | Some v -> v
+    | None -> Alcotest.fail "no span view latched"
+  in
+  let summary v =
+    ( List.map
+        (fun s -> (s.Span.s_label, s.Span.s_spans, s.Span.s_busy))
+        v.Span.v_sites,
+      List.map
+        (fun (cpu, l) ->
+          (cpu, List.map (fun fs -> (fs.Span.f_label, fs.Span.f_t0)) l))
+        v.Span.v_flight )
+  in
+  let labels v =
+    List.sort_uniq compare
+      (List.map (fun s -> s.Span.s_label) v.Span.v_sites
+      @ List.concat_map
+          (fun (_, l) -> List.map (fun fs -> fs.Span.f_label) l)
+          v.Span.v_flight)
+  in
+  let a = run "latch-a" 1 in
+  let a_read = summary a in
+  let b = run "latch-b" 2 in
+  check_bool "A's view unchanged by run B" true (summary a = a_read);
+  Alcotest.(check (list string)) "B lists only its own spans" [ "lock:latch-b" ]
+    (labels b);
+  check_int "B's flight spans" 2
+    (List.length (List.concat_map snd b.Span.v_flight));
+  let c = run "latch-a" 3 in
+  check_bool "A's view unchanged by a run that reuses its tables" true
+    (summary a = a_read);
+  Alcotest.(check (list string)) "C lists only its own spans" [ "lock:latch-a" ]
+    (labels c);
+  check_int "C's spans alone" 3
+    (List.fold_left (fun n s -> n + s.Span.s_spans) 0 c.Span.v_sites)
+
 (* vm_allocate_at must bracket every exit path — including the
    Error `Overlap early return — in its Vm span: after successes and
    failures on both map disciplines, the site shows all calls closed
@@ -751,6 +821,8 @@ let () =
           test_case "percentiles on a known distribution" `Quick
             test_hist_percentiles_known_distribution;
           test_case "merge and reset" `Quick test_hist_merge_and_reset;
+          test_case "buckets off the scanned heap" `Quick
+            test_hist_storage_off_heap;
         ] );
       ( "trace",
         [
@@ -792,5 +864,7 @@ let () =
             test_chrome_export_has_spans;
           test_case "a range lock's ranges close their own spans" `Quick
             test_range_spans_close_their_own_range;
+          test_case "a latched view survives later runs" `Quick
+            test_span_latch_recycles;
         ] );
     ]
