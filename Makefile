@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check build test bench perf perf-smoke perf-gate perf-gate-selftest perf-reference trace-smoke report-smoke chaos-smoke mc-smoke vm-smoke cache-smoke rpc-smoke smoke-all clean
+.PHONY: all check build test bench perf perf-smoke perf-gate perf-gate-selftest perf-reference trace-smoke report-smoke chaos-smoke mc-smoke vm-smoke cache-smoke rpc-smoke locks-smoke smoke-all clean
 
 all: build
 
@@ -206,11 +206,22 @@ rpc-smoke:
 	grep -q "shutdown drain: clean" /tmp/bench-E20.out
 	@echo "rpc-smoke passed"
 
+# Lock-protocol smoke (~40s): regenerate the E15 protocol sweep (the
+# section 2 family and the queue locks, 2-64 cpus, plus the read-mostly
+# rows) and check BENCH_locks.json is unchanged, then the E12 lock-order
+# sweep, whose backout rows run the library's section 5 protocol.  E12
+# writes no BENCH file of its own: its BENCH_observability.json section
+# (per-class acquisitions, contention and wait cycles) pins it.
+locks-smoke:
+	$(call bench_regen_check,BENCH_locks.json,E15)
+	$(call bench_regen_check,BENCH_observability.json,E12)
+	@echo "locks-smoke passed"
+
 # Every *-smoke target, so a local `make smoke-all` runs exactly what CI
 # runs.  Each smoke's log goes to /tmp/smoke-<target>.log; a pass/fail
 # table is printed and, when $GITHUB_STEP_SUMMARY is set (CI), appended
 # to the job's step summary.  Exits nonzero if any smoke failed.
-SMOKE_TARGETS = trace-smoke report-smoke chaos-smoke mc-smoke vm-smoke cache-smoke rpc-smoke perf-smoke
+SMOKE_TARGETS = trace-smoke report-smoke chaos-smoke mc-smoke vm-smoke cache-smoke rpc-smoke locks-smoke perf-smoke
 
 smoke-all:
 	@status=0; summary=/tmp/smoke-summary.md; \

@@ -15,7 +15,7 @@
 module Engine = Mach_sim.Sim_engine
 module Config = Mach_sim.Sim_config
 module Explore = Mach_sim.Sim_explore
-module Spin = Mach_core.Spin
+module Lock_proto = Mach_core.Lock_proto
 module K = Mach_ksync.Ksync
 module Vm = Mach_vm
 module Scenarios = Mach_kernel.Scenarios
@@ -24,8 +24,8 @@ open Bench_util
 
 let cpu_sweep = [ 1; 2; 4; 8; 16 ]
 
-let protocols =
-  List.map (fun p -> (Spin.protocol_name p, p)) Spin.all_protocols
+(* Protocols as table rows, named as their locks report them. *)
+let named = List.map (fun p -> (Lock_proto.name p, p))
 
 (* ================================================================== *)
 (* N0: native per-operation costs (Bechamel, real multicore hardware)  *)
@@ -87,14 +87,14 @@ module E1 = struct
   (* Workers contend for one lock; the critical section updates shared
      kernel data (so spin bus traffic delays useful work).  [cap]
     overrides the ttas-backoff delay ceiling (default 1024 cycles). *)
-  let workload ?cap protocol cpus =
+  let workload ?cap proto cpus =
     let tweak cfg =
       match cap with
       | Some c -> { cfg with Config.spin_max_backoff = c }
       | None -> cfg
     in
     sim_run ~cpus ~tweak (fun () ->
-        Scenarios.contention ~lock:(K.Slock.make ~name:"l" ~protocol ())
+        Scenarios.contention ~lock:(K.Slock.make ~name:"l" ~proto ())
           ~iters:30 ())
 
   let tuned_cap = 128
@@ -108,14 +108,14 @@ module E1 = struct
         "test-and-test-and-set avoids cache misses while spinning; plain \
          test-and-set wastes bus bandwidth and slows everyone down (s.2)";
     let configs =
-      List.map (fun (name, p) -> (name, (None, p))) protocols
+      List.map (fun (name, p) -> (name, (None, p))) (named K.Locks.spin)
       @ [
           (* Backoff cap tuned to the workload: at 128 cycles — a
              fraction of the ~500-cycle lock hold — waiters re-probe a
              few times per hold instead of sleeping through whole release
              windows as the generic 1024-cycle cap does. *)
           ( Printf.sprintf "ttas-backoff(cap=%d)" tuned_cap,
-            (Some tuned_cap, Spin.Ttas_backoff) );
+            (Some tuned_cap, K.Locks.ttas_backoff) );
         ]
     in
     ignore
@@ -141,11 +141,11 @@ module E2 = struct
     | Some c -> (c.acquisitions, c.contended)
     | None -> (0, 0)
 
-  let workload protocol cpus =
+  let workload proto cpus =
     let a0, c0 = counts () in
     let s =
       sim_run ~cpus (fun () ->
-          let lock = K.Slock.make ~name:"l" ~protocol () in
+          let lock = K.Slock.make ~name:"l" ~proto () in
           let worker () =
             for _ = 1 to 30 do
               K.Slock.lock lock;
@@ -180,7 +180,7 @@ module E2 = struct
              (* Every spin pause of this workload is a failed attempt. *)
              col "spins" int (fun p -> (fst p.res).Engine.spin_pauses);
            ])
-         (grid ~sweep:[ 2; 8 ] protocols (fun p cpus ->
+         (grid ~sweep:[ 2; 8 ] (named K.Locks.spin) (fun p cpus ->
               Some (workload p cpus))))
 end
 
@@ -602,9 +602,9 @@ module E12 = struct
   (* The reduced form of the section 5 conflict: forward workers need
      pmap-then-pv; reverse workers need pv-then-pmap.  The arbiter
      strategy runs forward under a read lock and reverse under a write
-     lock on a third lock; the backout strategy has reverse workers lock
-     pv, then make a single attempt on pmap, releasing and retrying on
-     failure. *)
+     lock on a third lock; the backout strategy has reverse workers run
+     the library's backout protocol ({!Mach_core.Lock_order}): lock pv,
+     make a single attempt on pmap, and release and retry on failure. *)
   let workload strategy cpus =
     let retries = ref 0 in
     let s =
@@ -646,21 +646,12 @@ module E12 = struct
                   K.Slock.unlock pv_lock;
                   K.Clock.lock_done psys
               | `Backout ->
-                  let rec attempt () =
-                    K.Slock.lock pv_lock;
-                    if K.Slock.try_lock pmap_lock then begin
-                      Engine.cycles 30;
-                      K.Slock.unlock pmap_lock;
-                      K.Slock.unlock pv_lock
-                    end
-                    else begin
-                      incr retries;
-                      K.Slock.unlock pv_lock;
-                      Engine.pause ();
-                      attempt ()
-                    end
-                  in
-                  attempt ());
+                  retries :=
+                    !retries
+                    + K.Order.backout_lock_pair ~first:pv_lock
+                        ~second:pmap_lock;
+                  Engine.cycles 30;
+                  K.Order.unlock_both pmap_lock pv_lock);
               Engine.cycles 100
             done
           in
@@ -997,8 +988,6 @@ end
 (* ================================================================== *)
 
 module E15 = struct
-  module Lock_proto = Mach_core.Lock_proto
-
   (* E1's contention workload pushed to 64 cpus and extended with the
      lib/locks queue protocols.  Fewer iterations than E1 so the 64-cpu
      rows stay in smoke-test range; the contention level per acquire is
@@ -1006,14 +995,7 @@ module E15 = struct
   let sweep = [ 2; 8; 16; 32; 64 ]
   let iters = 12
 
-  let protos =
-    List.map
-      (fun (name, p) -> (name, fun () -> K.Slock.make ~name:"l" ~protocol:p ()))
-      protocols
-    @ List.map
-        (fun f ->
-          (Lock_proto.name f, fun () -> K.Slock.make ~name:"l" ~proto:f ()))
-        K.Locks.all
+  let protos = named (K.Locks.spin @ K.Locks.queue)
 
   (* Read-mostly workload (~5% writes): big-reader lock vs the complex
      readers/writer lock vs a plain ttas mutex. *)
@@ -1051,7 +1033,7 @@ module E15 = struct
                   write ();
                   K.Clock.lock_done l)
           | `Ttas ->
-              let l = K.Slock.make ~name:"m" ~protocol:Spin.Ttas () in
+              let l = K.Slock.make ~name:"m" ~proto:K.Locks.ttas () in
               run_ops
                 (fun () ->
                   K.Slock.lock l;
@@ -1075,10 +1057,12 @@ module E15 = struct
          makespan; a big-reader lock makes read-mostly data near-free to \
          read (s.2)";
     let mutex =
-      grid ~sweep protos (fun mk cpus ->
+      grid ~sweep protos (fun proto cpus ->
           Some
             (sim_run ~cpus (fun () ->
-                 Scenarios.contention ~lock:(mk ()) ~iters ())))
+                 Scenarios.contention
+                   ~lock:(K.Slock.make ~name:"l" ~proto ())
+                   ~iters ())))
     in
     let mutex_json = tabulate E1.cols mutex in
     (* Crossover: smallest cpu count at which a queue protocol beats ttas
@@ -1099,7 +1083,7 @@ module E15 = struct
           col "crossover-cpus" ~key:"crossover_cpus" (opt int) (fun n ->
               crossover ~beats:(beats n) sweep);
         ]
-        (List.map Lock_proto.name K.Locks.all)
+        (List.map Lock_proto.name K.Locks.queue)
     in
     printf "\nread-mostly (%d%% writes):\n" (100 / rw_ops);
     let rw =
@@ -1190,7 +1174,7 @@ module E18 = struct
      acceptance run uses). *)
   let contention ~iters () =
     Scenarios.contention
-      ~lock:(K.Slock.make ~name:"contended" ~protocol:Spin.Ttas ())
+      ~lock:(K.Slock.make ~name:"contended" ~proto:K.Locks.ttas ())
       ~iters ()
 
   (* The handoff row runs under the random policy (as E13's chaos sweeps

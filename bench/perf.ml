@@ -30,7 +30,7 @@ module Scenarios = Mach_kernel.Scenarios
 (* The E1 contention workload on a ttas lock. *)
 let contention ~iters () =
   Scenarios.contention
-    ~lock:(K.Slock.make ~name:"e1" ~protocol:Mach_core.Spin.Ttas ())
+    ~lock:(K.Slock.make ~name:"e1" ~proto:K.Locks.ttas ())
     ~iters ()
 
 let wall f =

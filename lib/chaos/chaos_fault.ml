@@ -29,9 +29,6 @@ let name = function
   | Preempt_acquire -> "preempt-acquire"
   | Drop_handoff -> "drop-handoff"
 
-let of_name s =
-  List.find_opt (fun c -> name c = s) all
-
 (* [intensity] is the 1-in-N odds given to the class; lower = more
    aggressive.  1 fires on every opportunity. *)
 let apply ~intensity cls (f : Sim_config.faults) =
@@ -44,11 +41,8 @@ let apply ~intensity cls (f : Sim_config.faults) =
   | Preempt_acquire -> { f with Sim_config.preempt_on_acquire = intensity }
   | Drop_handoff -> { f with Sim_config.drop_handoff = intensity }
 
-let mix ?(intensity = 2) ?(fault_seed = 0) classes =
-  List.fold_left
-    (fun f c -> apply ~intensity c f)
-    { Sim_config.no_faults with Sim_config.fault_seed }
-    classes
+let mix ?(intensity = 2) classes =
+  List.fold_left (fun f c -> apply ~intensity c f) Sim_config.no_faults classes
 
 let mix_classes (f : Sim_config.faults) =
   List.filter

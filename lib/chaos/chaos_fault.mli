@@ -13,12 +13,11 @@ type cls =
 
 val all : cls list
 val name : cls -> string
-val of_name : string -> cls option
 
 val apply : intensity:int -> cls -> Mach_sim.Sim_config.faults -> Mach_sim.Sim_config.faults
 (** Set the class's odds field to 1-in-[intensity]. *)
 
-val mix : ?intensity:int -> ?fault_seed:int -> cls list -> Mach_sim.Sim_config.faults
+val mix : ?intensity:int -> cls list -> Mach_sim.Sim_config.faults
 (** A faults record with every listed class at [intensity] (default 2:
     1-in-2 odds per opportunity). *)
 

@@ -27,14 +27,14 @@ module Make
     (E : module type of Event.Make (M) (Slock)) : sig
   type t
 
-  val make :
-    ?name:string -> ?proto:Lock_proto.factory -> can_sleep:bool -> unit -> t
+  val make : ?name:string -> ?proto:Lock_proto.t -> can_sleep:bool -> unit -> t
   (** [lock_init]: declare and initialize.  [can_sleep] enables the Sleep
       option (most complex locks use it, including the memory-map lock).
-      [proto] selects the spin protocol of the interlock guarding the
-      lock's state, so a complex lock can ride any lib/locks queue lock
-      (the machine-independent layer is untouched; only the interlock's
-      spin changes, per the paper's section 4 split). *)
+      [proto] is the spin protocol of the interlock guarding the lock's
+      state ({!Simple_lock.Make.make}'s default when absent), so a complex
+      lock can ride any protocol, a lib/locks queue lock included (the
+      machine-independent layer is untouched; only the interlock's spin
+      changes, per the paper's section 4 split). *)
 
   (** {1 Locking and unlocking (Appendix B.2)} *)
 

@@ -20,22 +20,15 @@ struct
       Slock.unlock b
     end
 
-  (* Between backouts, delay with the same capped exponential backoff as
-     the Ttas_backoff spin protocol: contending backout threads otherwise
-     retry in lockstep and burn bus bandwidth on doomed try_locks. *)
   let backout_lock_pair ~first ~second =
-    let max_backoff = M.spin_max_backoff () in
-    let rec attempt backouts delay =
+    let rec attempt backouts =
       Slock.lock first;
       if Slock.try_lock second then backouts
       else begin
         Slock.unlock first;
         M.spin_pause ();
-        for _ = 1 to delay do
-          M.cycles 1
-        done;
-        attempt (backouts + 1) (Stdlib.min (delay * 2) max_backoff)
+        attempt (backouts + 1)
       end
     in
-    attempt 0 1
+    attempt 0
 end

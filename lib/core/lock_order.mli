@@ -25,9 +25,8 @@ module Make
   (** {1 Backout protocol} *)
 
   val backout_lock_pair : first:Slock.t -> second:Slock.t -> int
-  (** Acquire [second] then [first] when convention orders them
-      [first]-then-[second]: hold [second]... — concretely: lock [first];
-      a single attempt on [second]; on failure release [first] and retry
-      after a capped exponential backoff (the [spin_max_backoff] cap).
-      Returns the number of backouts that were needed. *)
+  (** Hold both locks, taking them against the usual order: lock
+      [first]; a single attempt on [second]; on failure release [first],
+      make one spin pause and start again.  Returns the number of
+      backouts that were needed. *)
 end

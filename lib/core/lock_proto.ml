@@ -1,23 +1,23 @@
-(** The common signature of scalable spin-lock protocols.
+(** The spin protocol behind a simple lock.
 
-    The tas/ttas family in {!Spin} operates on a single shared cell; the
-    queue locks of lib/locks (ticket, MCS, Anderson) carry per-lock state
-    of their own (tickets, qnode pools, slot arrays).  [LOCK_PROTO]
-    abstracts over that state so {!Simple_lock} — and through it
-    {!Complex_lock} — can be instantiated over any protocol while the
-    checking, statistics, waits-for and observability layers stay
-    identical.
+    Appendix A of the paper: "the only machine dependency is the simple
+    lock implementation".  A protocol is that implementation: the
+    section 2 tas/ttas family over one cell ({!Spin}) and the lib/locks
+    queue locks (ticket, MCS, Anderson, the writer sides of the
+    big-reader and scache locks) all satisfy [S].  {!Simple_lock} — and
+    through it {!Complex_lock} — calls the protocol it was given through
+    one path, so checking, statistics, waits-for edges and observability
+    are the same for every protocol.
 
     The types live in lib/core (next to {!Machine_intf}) so that the
     protocol implementations in lib/locks can depend on lib/core without
-    a cycle: lib/core never depends on lib/locks; it only consumes packed
-    {!instance} values handed in by the caller. *)
+    a cycle. *)
 
 module type S = sig
   type t
 
   val proto_name : string
-  (** Short protocol name ("ticket", "mcs", "anderson", ...), used in
+  (** Short protocol name ("tas+ttas", "ticket", "mcs", ...), used in
       stats tables and diagnostics. *)
 
   val make : name:string -> t
@@ -25,8 +25,7 @@ module type S = sig
 
   val acquire : t -> int
   (** Spin until the lock is held; returns the number of spin iterations
-      (0 = uncontended first-try acquisition, mirroring
-      {!Spin.Make.acquire}). *)
+      (0 = uncontended first-try acquisition). *)
 
   val try_acquire : t -> bool
   (** One bounded attempt; never spins waiting for another thread. *)
@@ -39,20 +38,17 @@ module type S = sig
   (** Momentary observation, diagnostics only. *)
 end
 
-(** One lock instance packed with its operations: what a protocol-generic
-    simple lock stores. *)
+(** A protocol is the module itself. *)
+type t = (module S)
+
+let name ((module P) : t) = P.proto_name
+
+(** One lock's state packed with its protocol's operations: what a simple
+    lock stores. *)
 type instance = Instance : (module S with type t = 'a) * 'a -> instance
 
-(** A protocol selector: [fname] names the protocol in tables and golden
-    rows; [instantiate] allocates one lock's state.  Obtain factories
-    from [Mach_locks.Locks.Make(M)] (or build custom ones). *)
-type factory = { fname : string; instantiate : name:string -> instance }
-
-let name (f : factory) = f.fname
-let make (f : factory) ~name = f.instantiate ~name
-
+let make ((module P) : t) ~name = Instance ((module P), P.make ~name)
 let acquire (Instance ((module P), l)) = P.acquire l
 let try_acquire (Instance ((module P), l)) = P.try_acquire l
 let release (Instance ((module P), l)) = P.release l
 let is_locked (Instance ((module P), l)) = P.is_locked l
-let proto_name (Instance ((module P), _)) = P.proto_name

@@ -17,14 +17,12 @@ struct
 
   let next_id = Atomic.make 0
 
-  let make ?name ?(initial = 1) () =
+  let make ?name () =
     let id = Atomic.fetch_and_add next_id 1 in
     let rname =
       match name with Some n -> n | None -> Printf.sprintf "ref%d" id
     in
-    if initial < 0 then
-      M.fatal (Printf.sprintf "refcount %s: negative initial count" rname);
-    { cell = M.Cell.make ~name:rname initial; rname }
+    { cell = M.Cell.make ~name:rname 1; rname }
 
   let clone t =
     let old = M.Cell.fetch_and_add t.cell 1 in

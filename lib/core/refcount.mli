@@ -19,9 +19,8 @@ module Make
     (E : module type of Event.Make (M) (Slock)) : sig
   type t
 
-  val make : ?name:string -> ?initial:int -> unit -> t
-  (** An object is created with a single reference held by its creator
-      ([initial] defaults to 1). *)
+  val make : ?name:string -> unit -> t
+  (** An object is created with a single reference held by its creator. *)
 
   val clone : t -> unit
   (** Acquire an additional reference.  Never blocks.  Fatal (checking

@@ -1,18 +1,10 @@
 module Make (M : Machine_intf.MACHINE) = struct
-  module S = Spin.Make (M)
   module Ev = Lock_events.Make (M)
-
-  (* A lock spins either on one flat cell via a {!Spin} protocol (the
-     tas/ttas family) or on protocol-private state behind a packed
-     {!Lock_proto.instance} (the lib/locks queue locks).  Everything
-     above the spin — checking and lock events — is shared. *)
-  type impl =
-    | Flat of { cell : M.Cell.t; protocol : Spin.protocol }
-    | Queued of Lock_proto.instance
+  module Spin = Spin.Make (M)
 
   type t = {
     id : int;
-    impl : impl;
+    impl : Lock_proto.instance;
     lname : string;
     site : Lock_events.site;
     mutable holder : M.thread option;
@@ -39,16 +31,12 @@ module Make (M : Machine_intf.MACHINE) = struct
 
   let next_id = Atomic.make 0
 
-  let make ?name ?(protocol = Spin.Tas_then_ttas) ?proto ?spl () =
+  let make ?name ?(proto = Spin.tas_then_ttas) ?spl () =
     let id = Atomic.fetch_and_add next_id 1 in
     let lname =
       match name with Some n -> n | None -> Printf.sprintf "slock%d" id
     in
-    let impl =
-      match proto with
-      | Some f -> Queued (Lock_proto.make f ~name:lname)
-      | None -> Flat { cell = M.Cell.make ~name:lname 0; protocol }
-    in
+    let impl = Lock_proto.make proto ~name:lname in
     {
       id;
       impl;
@@ -61,11 +49,6 @@ module Make (M : Machine_intf.MACHINE) = struct
       acquired_spl = spl;
       acquired_at = 0;
     }
-
-  let protocol_name t =
-    match t.impl with
-    | Flat { protocol; _ } -> Spin.protocol_name protocol
-    | Queued q -> Lock_proto.proto_name q
 
   let bump_held delta =
     let ctx = M.context (M.self ()) in
@@ -129,11 +112,7 @@ module Make (M : Machine_intf.MACHINE) = struct
          (the span enclosing its hold). *)
       let blocker = t.holder in
       Ev.wait_begin t.site;
-      let spins =
-        match t.impl with
-        | Flat { cell; protocol } -> S.acquire protocol cell
-        | Queued q -> Lock_proto.acquire q
-      in
+      let spins = Lock_proto.acquire t.impl in
       Ev.wait_end t.site;
       let wait_cycles = if spins > 0 then max 0 (M.now_cycles () - t0) else 0 in
       (* A contended wait whose entry snapshot missed the holder (it
@@ -157,20 +136,14 @@ module Make (M : Machine_intf.MACHINE) = struct
     if not (Atomic.get uniprocessor) then begin
       let held_cycles = max 0 (M.now_cycles () - t.acquired_at) in
       note_released t;
-      (match t.impl with
-      | Flat { cell; _ } -> S.release cell
-      | Queued q -> Lock_proto.release q);
+      Lock_proto.release t.impl;
       Ev.released t.site ~held_cycles
     end
 
   let try_lock t =
     if Atomic.get uniprocessor then true
     else begin
-      let ok =
-        match t.impl with
-        | Flat { cell; _ } -> S.try_acquire cell
-        | Queued q -> Lock_proto.try_acquire q
-      in
+      let ok = Lock_proto.try_acquire t.impl in
       if ok then begin
         check_spl t;
         Ev.acquired t.site ~spins:0 ~wait_cycles:0;
@@ -189,10 +162,7 @@ module Make (M : Machine_intf.MACHINE) = struct
         unlock t;
         raise e
 
-  let is_locked t =
-    match t.impl with
-    | Flat { cell; _ } -> M.Cell.get cell <> 0
-    | Queued q -> Lock_proto.is_locked q
+  let is_locked t = Lock_proto.is_locked t.impl
   let holder t = t.holder
 
   let held_by_self t =

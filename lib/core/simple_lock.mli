@@ -17,26 +17,16 @@
 module Make (M : Machine_intf.MACHINE) : sig
   type t
 
-  val make :
-    ?name:string ->
-    ?protocol:Spin.protocol ->
-    ?proto:Lock_proto.factory ->
-    ?spl:Spl.t ->
-    unit ->
-    t
+  val make : ?name:string -> ?proto:Lock_proto.t -> ?spl:Spl.t -> unit -> t
   (** Declare and initialize a simple lock in the unlocked state.  [spl]
       optionally pins the lock's interrupt priority level up front; without
       it the level is learned from the first attempt (checking mode then
       enforces consistency, per section 7).
 
-      The spin implementation is [protocol] (a flat-cell {!Spin} loop) by
-      default; passing [proto] instead selects a queue-lock protocol from
-      lib/locks (ticket / MCS / Anderson), in which case [protocol] is
-      ignored.  Checking, statistics, waits-for edges and observability
-      are identical either way. *)
-
-  val protocol_name : t -> string
-  (** Name of the spin protocol this lock uses ("tas+ttas", "mcs", ...). *)
+      [proto] is the spin protocol (default tas+ttas): one of the
+      section 2 family in {!Spin} or a lib/locks queue lock.  Checking,
+      statistics, waits-for edges and observability are the same for
+      every protocol. *)
 
   val lock : t -> unit
   (** Spin until the lock is acquired. *)

@@ -1,13 +1,3 @@
-type protocol = Tas | Ttas | Tas_then_ttas | Ttas_backoff
-
-let all_protocols = [ Tas; Ttas; Tas_then_ttas; Ttas_backoff ]
-
-let protocol_name = function
-  | Tas -> "tas"
-  | Ttas -> "ttas"
-  | Tas_then_ttas -> "tas+ttas"
-  | Ttas_backoff -> "ttas-backoff"
-
 module Make (M : Machine_intf.MACHINE) = struct
   (* Spin on the cacheable read until the lock looks free, then attempt the
      atomic instruction; repeat.  Counts iterations for statistics. *)
@@ -49,18 +39,28 @@ module Make (M : Machine_intf.MACHINE) = struct
     in
     loop 0
 
-  let acquire protocol cell =
-    match protocol with
-    | Tas -> tas_loop cell
-    | Ttas -> ttas_loop cell
-    | Tas_then_ttas ->
-        if M.Cell.test_and_set cell = 0 then 0
-        else begin
-          M.spin_pause ();
-          1 + ttas_loop cell
-        end
-    | Ttas_backoff -> ttas_backoff_loop cell
+  let tas_then_ttas_loop cell =
+    if M.Cell.test_and_set cell = 0 then 0
+    else begin
+      M.spin_pause ();
+      1 + ttas_loop cell
+    end
 
-  let try_acquire cell = M.Cell.test_and_set cell = 0
-  let release cell = M.Cell.set cell 0
+  let on_cell proto_name acquire : Lock_proto.t =
+    (module struct
+      type t = M.Cell.t
+
+      let proto_name = proto_name
+      let make ~name = M.Cell.make ~name 0
+      let acquire = acquire
+      let try_acquire cell = M.Cell.test_and_set cell = 0
+      let release cell = M.Cell.set cell 0
+      let is_locked cell = M.Cell.get cell <> 0
+    end)
+
+  let tas = on_cell "tas" tas_loop
+  let ttas = on_cell "ttas" ttas_loop
+  let tas_then_ttas = on_cell "tas+ttas" tas_then_ttas_loop
+  let ttas_backoff = on_cell "ttas-backoff" ttas_backoff_loop
+  let spin = [ tas; ttas; tas_then_ttas; ttas_backoff ]
 end

@@ -1,4 +1,4 @@
-(** Spin-acquisition protocols over a test-and-set cell.
+(** The section 2 spin protocols over one test-and-set cell.
 
     Section 2 of the paper describes the progression of spin protocols on
     cached multiprocessors: plain test-and-set wastes bus bandwidth while
@@ -7,27 +7,27 @@
     further refinement attempts the atomic instruction first, resorting to
     test-and-test-and-set only if that fails — exploiting the observation
     that most locks in a well designed system are acquired on the first
-    attempt.  [Ttas_backoff] adds bounded exponential backoff as a modern
-    extension (flagged as such in DESIGN.md). *)
+    attempt.  [ttas_backoff] adds bounded exponential backoff as a modern
+    extension (flagged as such in DESIGN.md).
 
-type protocol =
-  | Tas            (** always spin on the atomic test-and-set *)
-  | Ttas           (** test and test-and-set *)
-  | Tas_then_ttas  (** one test-and-set attempt, then test-and-test-and-set *)
-  | Ttas_backoff   (** test-and-test-and-set with exponential backoff *)
-
-val all_protocols : protocol list
-
-val protocol_name : protocol -> string
+    Each is a {!Lock_proto.t} whose state is one cell (0 free, 1 held);
+    only the acquisition loop differs. *)
 
 module Make (M : Machine_intf.MACHINE) : sig
-  val acquire : protocol -> M.Cell.t -> int
-  (** Spin until the cell is acquired (0 -> 1); returns the number of spin
-      iterations that were needed (0 = acquired on the first attempt). *)
+  val tas : Lock_proto.t
+  (** "tas": always spin on the atomic test-and-set. *)
 
-  val try_acquire : M.Cell.t -> bool
-  (** A single test-and-set attempt. *)
+  val ttas : Lock_proto.t
+  (** "ttas": test and test-and-set. *)
 
-  val release : M.Cell.t -> unit
-  (** Reset the cell to 0. *)
+  val tas_then_ttas : Lock_proto.t
+  (** "tas+ttas": one test-and-set attempt, then test-and-test-and-set;
+      the {!Simple_lock} default. *)
+
+  val ttas_backoff : Lock_proto.t
+  (** "ttas-backoff": test-and-test-and-set with capped exponential
+      backoff (the machine's [spin_max_backoff]). *)
+
+  val spin : Lock_proto.t list
+  (** The four, in the order above. *)
 end

@@ -5,7 +5,6 @@ module Make (M : Machine_intf.MACHINE) = struct
   module Clock = Complex_lock.Make (M) (Slock) (Ev)
   module Ref = Refcount.Make (M) (Slock) (Ev)
   module Order = Lock_order.Make (M) (Slock)
-  module Sp = Spin.Make (M)
   module Span = Lock_events.Spans (M)
 
   let set_checking b =

@@ -3,5 +3,5 @@
 
 include Mach_core.Sync.Make (Hw_machine)
 
-(** The queue-lock suite on real atomics. *)
+(** Every simple-lock protocol on real atomics. *)
 module Locks = Mach_locks.Locks.Make (Hw_machine)

@@ -49,7 +49,6 @@ let create ?(name = "space") ?(shards = 1) ?(walk_cycles = 0) () =
   }
 
 let name t = t.sp_name
-let shard_count t = Array.length t.shards
 
 (* Fibonacci-style multiplicative hash: deterministic across runs and
    spreads consecutive names (the common allocation pattern) across

@@ -23,7 +23,6 @@ val create : ?name:string -> ?shards:int -> ?walk_cycles:int -> unit -> t
     operation, modeling the hash + chain walk the lock serializes. *)
 
 val name : t -> string
-val shard_count : t -> int
 
 val insert : t -> pname:int -> Port.t -> (unit, insert_error) result
 (** Register [port] under [pname]; the table takes its own reference

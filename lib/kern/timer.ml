@@ -8,7 +8,6 @@ type t = {
   low : Engine.Cell.t;
   high : Engine.Cell.t;
   check : Engine.Cell.t; (* copy of [high], written after it *)
-  mutable retried : int;
 }
 
 let create ?(name = "timer") ~owner_cpu () =
@@ -18,7 +17,6 @@ let create ?(name = "timer") ~owner_cpu () =
     low = Engine.Cell.make ~name:(name ^ ".low") 0;
     high = Engine.Cell.make ~name:(name ^ ".high") 0;
     check = Engine.Cell.make ~name:(name ^ ".check") 0;
-    retried = 0;
   }
 
 let owner_cpu t = t.owner
@@ -56,7 +54,6 @@ let read t =
     let high = Engine.Cell.get t.high in
     if high = c then (high * low_modulus) + low
     else begin
-      t.retried <- t.retried + 1;
       Engine.spin_hint (t.tname ^ ".read");
       Engine.pause ();
       snapshot ()
@@ -70,8 +67,6 @@ let read_unchecked t =
   let low = Engine.Cell.get t.low in
   let high = Engine.Cell.get t.high in
   (high * low_modulus) + low
-
-let reads_retried t = t.retried
 
 module Usage = struct
   type u = { timers : t array }

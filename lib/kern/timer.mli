@@ -41,9 +41,6 @@ val read_unchecked : t -> int
 (** A deliberately naive reader that can return torn values during a
     carry.  For demonstration only. *)
 
-val reads_retried : t -> int
-(** How many reader snapshots were discarded by the check (diagnostic). *)
-
 (** {1 Per-processor usage aggregation} *)
 
 module Usage : sig

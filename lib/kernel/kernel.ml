@@ -131,8 +131,7 @@ let install_routines t =
       | Some _, _ -> Error Mig.err_bad_arguments
       | None, _ -> Error err_wrong_object)
 
-let start ?cpus_hint ?(pages = 256) ?(name = "kernel") () =
-  ignore cpus_hint;
+let start ?(pages = 256) ?(name = "kernel") () =
   let ctx = Vm_map.make_context ~name ~pages () in
   let ktask = Task.create ~name:(name ^ ".task") ctx in
   let host = Port.create ~name:(name ^ ".host") () in

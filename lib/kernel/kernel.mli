@@ -29,7 +29,7 @@ module Op : sig
   val null_op : int
 end
 
-val start : ?cpus_hint:int -> ?pages:int -> ?name:string -> unit -> t
+val start : ?pages:int -> ?name:string -> unit -> t
 (** Create the kernel: VM context, kernel task, host port, dispatch
     table, and a kernel server thread serving the host port and every
     task port registered through {!serve_port}. *)

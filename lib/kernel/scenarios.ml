@@ -270,7 +270,7 @@ let queue_locks () =
             Engine.cycles 20;
             K.Slock.unlock l
           done))
-    K.Locks.all;
+    K.Locks.queue;
   let br = K.Locks.Brlock.make ~name:"ql.br" in
   spawn_all (fun () ->
       for _ = 1 to 5 do
@@ -678,13 +678,15 @@ let scache_ww () =
 let scache_rr () =
   ignore (scache_pair ~m1:`Read ~m2:`Read ~expect_parallel:true ())
 
+let write_every = 32
+
 (* The E19 workload: a page cache warmed to full residency, then
    [threads] workers doing read-mostly lookups with an occasional
    evict-and-refill (1 in [write_every] ops takes the write side).
    Under the scache index lock the lookups touch only the caller's own
    refcount slot; under the mutex baseline every lookup serializes. *)
 let vm_cache_ops ?(locking = Vm_cache.Scache) ?threads ?(pages = 64)
-    ?(ops = 64) ?(write_every = 32) () =
+    ?(ops = 64) () =
   let threads =
     match threads with Some t -> t | None -> Engine.cpu_count ()
   in
@@ -773,10 +775,16 @@ let scache_rrw () =
 (* High-throughput RPC serving (experiment E20)                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The first end-to-end workload: [clients] threads hammer [servers]
-   port-based RPC servers through the full section 10 reference
-   protocol — name-to-port translation ({!Mach_ipc.Port_space.lookup}
-   clones a port reference under a shard lock), send (the queued message
+(* Simulated cycles of one name-table walk under its shard lock, and of
+   the echo routine's work. *)
+let walk_cycles = 64
+let work_cycles = 4
+
+(* The first end-to-end workload: one client thread per cpu not serving
+   hammers [cpus / 8] (at least one) port-based RPC servers through the
+   full section 10 reference protocol — name-to-port translation
+   ({!Mach_ipc.Port_space.lookup} clones a port reference under a shard
+   lock, walking [walk_cycles] inside it), send (the queued message
    references the port and its rights), server receive, port-to-object
    translation (an object reference per request), dispatch, reply, and
    reference releases at every step.  The two throughput mechanisms
@@ -795,16 +803,11 @@ let scache_rrw () =
    double release (count below it) is fatal.
 
    Returns (completed RPCs, requests drained in flight). *)
-let rpc_serve ?(shards = 1) ?(batch = 1) ?servers ?clients ?(calls_each = 8)
-    ?(work_cycles = 4) ?(walk_cycles = 64) ?(spin = 8192)
+let rpc_serve ?(shards = 1) ?(batch = 1) ?(calls_each = 8) ?(spin = 8192)
     ?(drain_under_load = false) () =
   let cpus = Engine.cpu_count () in
-  let servers =
-    match servers with Some s -> s | None -> max 1 (cpus / 8)
-  in
-  let clients =
-    match clients with Some c -> c | None -> max 1 (cpus - servers)
-  in
+  let servers = max 1 (cpus / 8) in
+  let clients = max 1 (cpus - servers) in
   let space = Port_space.create ~name:"rpc.space" ~shards ~walk_cycles () in
   let lat = Obs_metrics.histogram "rpc.latency_cycles" in
   let completed = Engine.Cell.make ~name:"rpc.completed" 0 in
@@ -1016,7 +1019,7 @@ let all =
     entry "contention"
       "every cpu hammers one ttas lock (the E1/E15 workload shape)" (fun () ->
         contention
-          ~lock:(K.Slock.make ~name:"contended" ~protocol:Mach_core.Spin.Ttas ())
+          ~lock:(K.Slock.make ~name:"contended" ~proto:K.Locks.ttas ())
           ~iters:10 ());
     entry "interrupt-deadlock" ~min_cpus:3 ~expect:Deadlocks
       "the section 7 three-processor barrier deadlock (buggy variant)"

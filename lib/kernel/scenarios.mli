@@ -183,13 +183,12 @@ val vm_cache_ops :
   ?threads:int ->
   ?pages:int ->
   ?ops:int ->
-  ?write_every:int ->
   unit ->
   unit
 (** The E19 workload: a fully-warmed page cache, then [threads] (default
     [cpu_count]) workers doing [ops] read-mostly lookups each, with 1 in
-    [write_every] operations evicting and refilling its page (the write
-    side).  Run inside a simulation; makespan is read from run stats. *)
+    32 operations evicting and refilling its page (the write side).  Run
+    inside a simulation; makespan is read from run stats. *)
 
 val scache_rrw : unit -> bool
 (** The 3-cpu scache matrix cell: two readers racing one writer on one
@@ -204,22 +203,17 @@ val scache_rrw : unit -> bool
 val rpc_serve :
   ?shards:int ->
   ?batch:int ->
-  ?servers:int ->
-  ?clients:int ->
   ?calls_each:int ->
-  ?work_cycles:int ->
-  ?walk_cycles:int ->
   ?spin:int ->
   ?drain_under_load:bool ->
   unit ->
   int * int
-(** [clients] (default [cpu_count - servers]) client threads each make
-    [calls_each] RPCs to [servers] (default [cpu_count / 8]) server
-    ports through the full reference protocol: name translation via a
-    [shards]-way {!Mach_ipc.Port_space} ([walk_cycles] simulated cycles
-    under the shard lock per operation), send, batched receive
-    ([batch] requests per port-lock acquisition), port-to-object
-    translation, dispatch, reply.  Shutdown drains in-flight requests
+(** [max 1 (cpu_count - servers)] client threads each make [calls_each]
+    RPCs to [servers = max 1 (cpu_count / 8)] server ports through the
+    full reference protocol: name translation via a [shards]-way
+    {!Mach_ipc.Port_space} (64 simulated cycles under the shard lock per
+    operation), send, batched receive ([batch] requests per port-lock
+    acquisition), port-to-object translation, dispatch, reply.  Shutdown drains in-flight requests
     with [err_deactivated] replies ({!Mach_ipc.Mig.drain}) — under load
     if [drain_under_load], after the clients finish otherwise — then
     ([spin], default 8192, is the spin-then-block budget on both the

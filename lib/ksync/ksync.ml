@@ -6,10 +6,13 @@
 
 include Mach_core.Sync.Make (Mach_sim.Sim_machine)
 
-(** The scalable queue-lock suite on the same machine; [Locks.ticket],
-    [Locks.mcs], [Locks.anderson] are factories for [Slock.make ?proto]
-    (and [Clock.make ?proto]); [Locks.Brlock] is the big-reader
-    readers/writer lock. *)
+(** Every simple-lock protocol on the same machine, for [Slock.make
+    ?proto] (and [Clock.make ?proto]): the section 2 family
+    ([Locks.spin]: [tas], [ttas], [tas_then_ttas], [ttas_backoff]), the
+    queue locks ([Locks.queue]: [ticket], [mcs], [anderson]) and the
+    writer sides of the two readers/writer locks, [Locks.Brlock] (the
+    big-reader lock) and [Locks.Scache] ([brlock_writer],
+    [scache_writer]); [Locks.all] lists all nine. *)
 module Locks = Mach_locks.Locks.Make (Mach_sim.Sim_machine)
 
 (** The list-based range lock (Kogan et al.) on the same machine,

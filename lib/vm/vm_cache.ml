@@ -23,7 +23,6 @@ type t = {
   rw : rw;
   mutable n_hits : int;
   mutable n_misses : int;
-  mutable n_evictions : int;
 }
 
 let create ?(name = "vm_cache") ?(locking = Scache) ~pool ~size () =
@@ -39,7 +38,6 @@ let create ?(name = "vm_cache") ?(locking = Scache) ~pool ~size () =
       | Mutex -> Rw_mutex (K.Slock.make ~name:(name ^ ".mu") ()));
     n_hits = 0;
     n_misses = 0;
-    n_evictions = 0;
   }
 
 let name t = t.cname
@@ -81,7 +79,6 @@ let evict_locked t ~offset =
           | Some _ ->
               let ppn = Option.get (Vm_object.remove_page t.vobj ~offset) in
               Hashtbl.remove t.index offset;
-              t.n_evictions <- t.n_evictions + 1;
               Some ppn)
 
 (* Shortage path, caller holds the write side: steal any unwired page. *)
@@ -186,4 +183,3 @@ let terminate t =
 let resident t = Vm_object.resident_count t.vobj
 let hits t = t.n_hits
 let misses t = t.n_misses
-let evictions t = t.n_evictions

@@ -57,4 +57,3 @@ val terminate : t -> unit
 val resident : t -> int
 val hits : t -> int
 val misses : t -> int
-val evictions : t -> int

@@ -3,9 +3,6 @@ module Obs_span = Mach_obs.Obs_span
 
 type fault_error = [ `Bad_address | `Object_terminated ]
 
-let retried = Atomic.make 0
-let faults_retried () = Atomic.get retried
-
 (* The fault holds only the faulting page's range ([va, va+1)) for
    reading: on a Range map, faults on different pages — and allocations
    of disjoint regions — proceed in parallel; on a Coarse map this is
@@ -69,7 +66,6 @@ let rec fault_inner ~wire ~prealloc map ~va =
                    locks to wait for memory (section 7.1), then retries.
                    Note that only the fault's OWN read lock is dropped —
                    an enclosing recursive read hold remains. *)
-                ignore (Atomic.fetch_and_add retried 1);
                 Vm_object.paging_end obj;
                 Vm_object.unlock obj;
                 Vm_map.unlock_range map h;

@@ -21,6 +21,3 @@ val fault : ?wire:bool -> Vm_map.t -> va:int -> (int, fault_error) result
     the page, map it, and return the physical page number.  [wire] also
     wires the page (the vm_map_pageable path).  Blocks (dropping all
     locks) while physical memory is short. *)
-
-val faults_retried : unit -> int
-(** How many faults had to wait for memory (diagnostics/benchmarks). *)

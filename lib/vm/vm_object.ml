@@ -155,8 +155,6 @@ let ensure_pager_ports t =
   in
   wait_created ()
 
-let pager_ports_created t = t.ports_created
-
 let terminate t =
   lock t;
   if Kobj.deactivate t.obj then begin

@@ -70,8 +70,6 @@ val ensure_pager_ports : t -> Mach_ipc.Port.t * Mach_ipc.Port.t * Mach_ipc.Port.
     without holding the object's simple lock across the (blocking)
     allocations.  Concurrent callers wait for the creator. *)
 
-val pager_ports_created : t -> bool
-
 (** {1 Termination} *)
 
 val terminate : t -> unit

@@ -44,12 +44,7 @@ let reclaim_from_map map =
   Vm_map.unlock_range map h;
   !freed
 
-type daemon = {
-  thread : Engine.thread;
-  stop_flag : bool ref;
-  reclaimed : int ref;
-  pool : Vm_page.t;
-}
+type daemon = { thread : Engine.thread; stop_flag : bool ref; pool : Vm_page.t }
 
 let start_daemon ~victims =
   let pool =
@@ -58,22 +53,17 @@ let start_daemon ~victims =
     | m :: _ -> (Vm_map.context m).Vm_map.pool
   in
   let stop_flag = ref false in
-  let reclaimed = ref 0 in
   let thread =
     Engine.spawn ~name:"pageout" (fun () ->
         while not !stop_flag do
           Vm_page.wait_free_wanted pool;
           if not !stop_flag then
-            List.iter
-              (fun m -> reclaimed := !reclaimed + reclaim_from_map m)
-              victims
+            List.iter (fun m -> ignore (reclaim_from_map m)) victims
         done)
   in
-  { thread; stop_flag; reclaimed; pool }
+  { thread; stop_flag; pool }
 
 let stop_daemon d =
   d.stop_flag := true;
   Vm_page.shortage_event_kick d.pool;
   Engine.join d.thread
-
-let pages_reclaimed d = !(d.reclaimed)

@@ -20,5 +20,3 @@ val start_daemon : victims:Vm_map.t list -> daemon
 
 val stop_daemon : daemon -> unit
 (** Ask the daemon to exit and join it. *)
-
-val pages_reclaimed : daemon -> int

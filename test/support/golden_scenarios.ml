@@ -17,8 +17,8 @@ module Scenarios = Mach_kernel.Scenarios
    golden rows run it over the default protocol and over each lib/locks
    queue-lock protocol, pinning the exact cell-op sequence (and hence
    schedule and cost model) of every protocol. *)
-let contention ?protocol ?proto () =
-  Scenarios.contention ~lock:(K.Slock.make ~name:"golden" ?protocol ?proto ())
+let contention ~proto () =
+  Scenarios.contention ~lock:(K.Slock.make ~name:"golden" ~proto ())
     ~iters:20 ()
 
 (* Read-mostly workers over a readers/writer lock: one write per eight
@@ -88,7 +88,7 @@ let rpc_serve () =
    differently from the registry entries of the same name. *)
 let scenarios : (string * (unit -> unit)) list =
   [
-    ("contention", fun () -> contention ~protocol:Mach_core.Spin.Tas_then_ttas ());
+    ("contention", fun () -> contention ~proto:K.Locks.tas_then_ttas ());
     ("shootdown", (Scenarios.get "shootdown").run);
     ("pageout", (Scenarios.get "wire-rewritten").run);
     ("contention-ticket", fun () -> contention ~proto:K.Locks.ticket ());

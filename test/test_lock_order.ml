@@ -60,9 +60,9 @@ let test_lock_both_by_uid_orders () =
       K.Order.unlock_both a a;
       check_bool "self pair released" false (K.Slock.is_locked a))
 
-(* Two threads running the backout protocol against an opposing-order
-   holder: must complete on every schedule (the protocol exists for
-   exactly this), and the capped backoff keeps retries bounded. *)
+(* The backout protocol against an opposing-order holder: it completes
+   (the protocol exists for exactly this), and each failed attempt on
+   the second lock releases the first and counts one backout. *)
 let test_backout_backs_off () =
   let backouts = ref (-1) in
   let firsts () =

@@ -12,16 +12,9 @@ module Mc = Mach_mc.Mc
 module Scenarios = Mach_kernel.Scenarios
 open Test_support
 
-let mutex_factories =
-  [
-    K.Locks.ticket;
-    K.Locks.mcs;
-    K.Locks.anderson;
-    K.Locks.brlock_writer;
-    K.Locks.scache_writer;
-  ]
-
-let factory_name = Lock_proto.name
+(* Every protocol past the section 2 family: the queue locks and the
+   writer sides of the two readers/writer locks. *)
+let mutexes = K.Locks.(queue @ [ brlock_writer; scache_writer ])
 
 (* ------------------------------------------------------------------ *)
 (* Lockstep conformance (qcheck): a queue-lock Slock and a flat Slock    *)
@@ -75,10 +68,11 @@ let conformance_tests =
     (fun proto ->
       QCheck_alcotest.to_alcotest
         (QCheck.Test.make ~count:120
-           ~name:(Printf.sprintf "lockstep: %s == flat" (factory_name proto))
+           ~name:
+             (Printf.sprintf "lockstep: %s == flat" (Lock_proto.name proto))
            QCheck.(list_of_size (Gen.int_range 1 40) (int_range 0 11))
            (conformance_script proto)))
-    mutex_factories
+    mutexes
 
 (* ------------------------------------------------------------------ *)
 (* Mutual exclusion under contention                                     *)
@@ -117,7 +111,7 @@ let test_mutual_exclusion () =
           let cfg = Config.exploration ~cpus:4 ~seed () in
           in_sim ~cfg (exclusion_scenario ~proto ~workers:4 ~iters:6))
         [ 1; 2; 3 ])
-    mutex_factories
+    mutexes
 
 (* ------------------------------------------------------------------ *)
 (* FIFO grant order (ticket, MCS, Anderson are all FIFO by construction) *)
@@ -162,13 +156,13 @@ let test_fifo_order () =
             (List.rev !arrivals, List.rev !grants))
       in
       Alcotest.(check (list int))
-        (Printf.sprintf "%s: all four waiters arrived" (factory_name proto))
+        (Printf.sprintf "%s: all four waiters arrived" (Lock_proto.name proto))
         [ 0; 1; 2; 3 ]
         (List.sort compare arrivals);
       Alcotest.(check (list int))
-        (Printf.sprintf "%s grants in arrival order" (factory_name proto))
+        (Printf.sprintf "%s grants in arrival order" (Lock_proto.name proto))
         arrivals grants)
-    [ K.Locks.ticket; K.Locks.mcs; K.Locks.anderson ]
+    K.Locks.queue
 
 (* ------------------------------------------------------------------ *)
 (* Big-reader lock semantics                                             *)
@@ -242,7 +236,7 @@ let test_brlock_read_local () =
           B.with_read br (fun () -> Engine.cycles 5)
         done)
   in
-  let tt = K.Slock.make ~name:"tt" ~protocol:Mach_core.Spin.Ttas () in
+  let tt = K.Slock.make ~name:"tt" ~proto:K.Locks.ttas () in
   let ttas_bus =
     runs (fun () ->
         for _ = 1 to 30 do

@@ -560,7 +560,7 @@ let cp_sums_prop =
    contention run produces byte-identical stats with spans on and off. *)
 let contention_scenario () =
   let module K = Mach_ksync.Ksync in
-  let l = K.Slock.make ~name:"contended" ~protocol:Mach_core.Spin.Ttas () in
+  let l = K.Slock.make ~name:"contended" ~proto:K.Locks.ttas () in
   let ts =
     List.init 4 (fun k ->
         Engine.spawn ~name:(Printf.sprintf "w%d" k) (fun () ->

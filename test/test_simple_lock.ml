@@ -5,7 +5,7 @@
 module Engine = Mach_sim.Sim_engine
 module Explore = Mach_sim.Sim_explore
 module Spl = Mach_core.Spl
-module Spin = Mach_core.Spin
+module Lock_proto = Mach_core.Lock_proto
 module K = Mach_ksync.Ksync
 
 let check_int = Alcotest.(check int)
@@ -47,10 +47,10 @@ let test_all_protocols_acquire () =
   in_sim (fun () ->
       List.iter
         (fun p ->
-          let l = K.Slock.make ~protocol:p () in
+          let l = K.Slock.make ~proto:p () in
           K.Slock.lock l;
           K.Slock.unlock l)
-        Spin.all_protocols)
+        K.Locks.all)
 
 let test_unlock_by_non_holder_panics () =
   match
@@ -106,8 +106,8 @@ let test_spl_pinned_at_creation () =
 let test_mutual_exclusion_explored () =
   (* The fundamental property, over many schedules: no two threads inside
      the critical section at once. *)
-  let scenario protocol () =
-    let l = K.Slock.make ~protocol () in
+  let scenario proto () =
+    let l = K.Slock.make ~proto () in
     let inside = ref 0 in
     let worker () =
       for _ = 1 to 5 do
@@ -132,9 +132,9 @@ let test_mutual_exclusion_explored () =
           (scenario p)
       in
       check_bool
-        (Spin.protocol_name p ^ " exclusion holds on all schedules")
+        (Lock_proto.name p ^ " exclusion holds on all schedules")
         true (Explore.all_completed v))
-    Spin.all_protocols
+    K.Locks.spin
 
 (* The profiler's count for the lock's class, as a difference: it adds
    up over every run of the process. *)
