@@ -115,19 +115,25 @@ report-smoke:
 	grep -q "waits-for cycle" /tmp/machsim-cycle.out
 	@echo "report-smoke passed"
 
-# Regenerate a committed BENCH file with one bench experiment and fail,
-# with a diff, if it moved, or if the experiment's section of
-# BENCH_observability.json moved (the run keeps every other section):
-# their deterministic fields pin the experiment.  $(1) is the file, $(2)
-# the experiment id; the run's output is left in /tmp/bench-$(2).out.
+# Regenerate a committed BENCH file with one bench experiment and fail
+# if it moved, or if the experiment's section of BENCH_observability.json
+# moved (the run keeps every other section): their deterministic fields
+# pin the experiment.  A moved file is answered with the JSON path and
+# both values of each moved field (bench/bench_diff.exe).  $(1) is the
+# file, $(2) the experiment id; the run's output is left in
+# /tmp/bench-$(2).out.
 define bench_regen_check
 	cp $(1) /tmp/$(1).committed
 	cp BENCH_observability.json /tmp/BENCH_observability.json.committed
 	dune exec bench/main.exe -- $(2) | tee /tmp/bench-$(2).out
 	grep -q "All requested experiments completed" /tmp/bench-$(2).out
-	cmp -s /tmp/$(1).committed $(1) || { diff /tmp/$(1).committed $(1); exit 1; }
+	cmp -s /tmp/$(1).committed $(1) \
+		|| { dune exec bench/bench_diff.exe -- /tmp/$(1).committed $(1); exit 1; }
 	cmp -s /tmp/BENCH_observability.json.committed BENCH_observability.json \
-		|| { echo "BENCH_observability.json: the $(2) section moved"; exit 1; }
+		|| { echo "BENCH_observability.json: the $(2) section moved"; \
+		dune exec bench/bench_diff.exe -- \
+			/tmp/BENCH_observability.json.committed BENCH_observability.json; \
+		exit 1; }
 endef
 
 # Fault-injection smoke: reproduce and detect the section 7 interrupt

@@ -150,7 +150,8 @@ module type MACHINE = sig
       natively (real time is measured by the benchmark harness). *)
 
   val now_cycles : unit -> int
-  (** Current processor's cycle clock (native: a monotonic tick counter). *)
+  (** Current processor's cycle clock (native: elapsed microseconds, read
+      from the wall clock). *)
 
   (** {1 Per-thread context} *)
 

@@ -126,9 +126,13 @@ let set_spl level =
 let get_spl () = (self ()).spl
 let cycles _ = ()
 
-(* A coarse monotonic tick so that held-time statistics are non-trivial
-   natively; granularity is whatever [Sys.time] offers. *)
-let now_cycles () = int_of_float (Sys.time () *. 1e6)
+(* Elapsed microseconds since the process started, from the wall clock:
+   a hold or wait reads the time that passed, not the CPU time of every
+   domain summed, and on Linux the read is a vDSO call, not a system
+   call.  The wall clock may step back, so every duration taken from it
+   is clamped at 0. *)
+let epoch = Unix.gettimeofday ()
+let now_cycles () = int_of_float ((Unix.gettimeofday () -. epoch) *. 1e6)
 
 let context t = t.context
 

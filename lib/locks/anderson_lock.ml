@@ -25,11 +25,13 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
   let proto_name = "anderson"
   let n_slots = 128
 
+  (* The slot cells' name suffixes, built once. *)
+  let s_suffix = Array.init n_slots (fun i -> ".s" ^ string_of_int i)
+
   let make ~name =
     let slots =
       Array.init n_slots (fun i ->
-          M.Cell.make ~name:(Printf.sprintf "%s.s%d" name i)
-            (if i = 0 then 1 else 0))
+          M.Cell.make ~name:(name ^ s_suffix.(i)) (if i = 0 then 1 else 0))
     in
     { slots; tail = M.Cell.make ~name:(name ^ ".tail") 0; holder_slot = 0 }
 

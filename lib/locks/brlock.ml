@@ -66,14 +66,16 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
   let wf_uid_base = 2_000_000
   let next_id = Atomic.make 0
 
+  (* The slot cells' name suffixes, built once. *)
+  let r_suffix = Array.init n_slots (fun i -> ".r" ^ string_of_int i)
+
   let make ~name =
     let uid = wf_uid_base + Atomic.fetch_and_add next_id 1 in
     let res = Waits_for.Slock { uid; name } in
     {
       bname = name;
       readers =
-        Array.init n_slots (fun i ->
-            M.Cell.make ~name:(Printf.sprintf "%s.r%d" name i) 0);
+        Array.init n_slots (fun i -> M.Cell.make ~name:(name ^ r_suffix.(i)) 0);
       writer = M.Cell.make ~name:(name ^ ".w") 0;
       wq_ticket = Atomic.make 0;
       wq_grant = Atomic.make 0;

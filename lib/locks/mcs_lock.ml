@@ -50,14 +50,22 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
   let proto_name = "mcs"
   let pool_size = 128
 
+  (* The qnode cells' name suffixes, ".q0.go" and ".q0.next" on, built
+     once. *)
+  let q_suffix field =
+    Array.init pool_size (fun i -> ".q" ^ string_of_int i ^ field)
+
+  let go_suffix = q_suffix ".go"
+  let next_suffix = q_suffix ".next"
+
   let make ~name =
     {
       tail = M.Cell.make ~name:(name ^ ".tail") 0;
       pool =
         Array.init pool_size (fun i ->
             {
-              go = M.Cell.make ~name:(Printf.sprintf "%s.q%d.go" name i) 0;
-              next = M.Cell.make ~name:(Printf.sprintf "%s.q%d.next" name i) 0;
+              go = M.Cell.make ~name:(name ^ go_suffix.(i)) 0;
+              next = M.Cell.make ~name:(name ^ next_suffix.(i)) 0;
             });
       alloc = Atomic.make 0;
       holder = 0;

@@ -78,6 +78,10 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
      not report: Simple_lock reports for it. *)
   let wf_uid_base = 1_000_000
 
+  (* The slot cells' name suffixes, ".rc0" .. ".rc63", built once: a
+     model-checking pass makes a fresh lock at every execution. *)
+  let rc_suffix = Array.init n_slots (fun i -> ".rc" ^ string_of_int i)
+
   let make ~name =
     let uid = wf_uid_base + Atomic.fetch_and_add next_id 1 in
     let res = Waits_for.Slock { uid; name } in
@@ -85,7 +89,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
       sname = name;
       refcounts =
         Array.init n_slots (fun i ->
-            M.Cell.make ~name:(Printf.sprintf "%s.rc%d" name i) 0);
+            M.Cell.make ~name:(name ^ rc_suffix.(i)) 0);
       exc = M.Cell.make ~name:(name ^ ".exc") free;
       wticket = M.Cell.make ~name:(name ^ ".wticket") 0;
       wgrant = M.Cell.make ~name:(name ^ ".wgrant") 0;

@@ -234,9 +234,12 @@ type cpu = {
          would only re-run the same spin-wait iteration and the
          transition is not offered.  -1 = not marked. *)
   mutable here : (cpu * frame) option;
-      (* [Some (c, f)] for the frame [f] this cpu last resumed: [resume]
-         sets [e.cur] to it again while [f] stays on top, so a spinning
-         cpu allocates no new one each step *)
+      (* [Some (c, f)] for the frame [f] this cpu last resumed or found
+         waiting on top: [e.cur] is set to it again while [f] stays on
+         top, so a spinning cpu allocates no new one each step *)
+  mutable cwait : wait;
+      (* action 4 (see "Candidate picking"): the top frame's wait,
+         cached when the cpu's action was refreshed *)
 }
 
 type mstats = {
@@ -350,7 +353,7 @@ type engine = {
   idle_identity : thread array; (* self() for interrupts on idle cpus *)
   (* The candidate picker's state, kept between steps (see "Candidate
      picking" below). *)
-  act : int array; (* 0 none / 1 deliver / 2 resume / 3 dispatch *)
+  act : int array; (* 0 none / 1 deliver / 2 resume / 3 dispatch / 4 wait *)
   cand_set : Cpuset.t; (* act <> 0 *)
   mutable ncand : int;
   idle_set : Cpuset.t; (* cpus with no frame *)
@@ -361,6 +364,9 @@ type engine = {
          tmin + window, in ascending cpu order *)
   mutable nnear : int;
   mutable tmin : int; (* Timed: the least candidate clock *)
+  mutable tout : int;
+      (* Timed: at most the least clock of a candidate outside [near]
+         ([max_int] when there is none) *)
   mutable near_stale : bool; (* candidacy changed since tmin was computed *)
   mutable last_pick : int; (* the cpu the last step ran, -1 once refreshed *)
   mutable pick_clock : int; (* its clock before that step *)
@@ -498,7 +504,9 @@ let set_wait f w =
 (* The predicate of an engine-run wait performed machine operation [op]
    while the engine evaluated it.  [spin_until]'s predicate may read
    plain memory only, [Cell.await]'s also the value read: anything else
-   would run outside the fiber it belongs to. *)
+   would run outside the fiber it belongs to, and a wait iteration that
+   spawned, woke a thread or posted an interrupt would change what the
+   scheduler skips refreshing after it (see "Candidate picking"). *)
 let broken_wait e op =
   e.in_ready <- false;
   let wait =
@@ -641,7 +649,7 @@ let spin_hint s =
    pause, check again.  The first check (and [Cell.await]'s first read)
    runs in the fiber.  When it fails, [start_wait] makes the pause the
    literal loop would make and records the rest of the wait on the
-   running frame; [resume] then runs every later iteration itself
+   running frame; the engine then runs every later iteration itself
    ([wait_step]) and continues the fiber only once the predicate holds
    or the budget is spent.  Each step charges, counts and notes exactly
    what the fiber's loop would, so schedules are unchanged; what goes is
@@ -958,6 +966,7 @@ let enqueue e t =
 
 let spawn ?name ?bound f =
   let e = eng_exn () in
+  if e.in_ready then broken_wait e "spawn";
   e.name_ctr <- e.name_ctr + 1;
   let tname =
     match name with
@@ -1000,6 +1009,7 @@ let unpark t =
   match the_engine () with
   | None -> no_engine () (* outside simulation: nothing can be parked *)
   | Some e ->
+      if e.in_ready then broken_wait e "unpark";
       if e.faults_on && t.state = Parked && chaos_hit e e.cfg.faults.drop_wakeup
       then begin
         (* Dropped wakeup: the caller believes the waiter is awake; the
@@ -1069,6 +1079,7 @@ let join target =
 
 let post_interrupt ?(name = "ipi") ~cpu ~level handler =
   let e = eng_exn () in
+  if e.in_ready then broken_wait e "post_interrupt";
   if cpu < 0 || cpu >= e.cfg.cpus then
     fatal (Printf.sprintf "post_interrupt: no cpu %d" cpu);
   let i =
@@ -1246,51 +1257,62 @@ let check_ready e c f w =
       raise
         (Kernel_panic (Printf.sprintf "[cpu%d %s] %s" c.idx (frame_name f) why))
 
-(* One step of an engine-run wait, the step the fiber's loop would take:
-   a read step (a [Cell.get] without the fiber), or a check step that
-   either pauses or ends the wait and runs the fiber on.  No RNG draw
-   and no productive operation, like the loop itself.  True when the
-   wait goes on: the step changed none of the cpu's frames, spl or
-   pending mask. *)
-let wait_step e c f w =
+(* [c.here] made [Some (c, f)] for [c]'s top frame [f]. *)
+let set_here c f =
+  match c.here with
+  | Some (_, g) when g == f -> ()
+  | _ -> c.here <- Some (c, f)
+
+(* One step of the engine-run wait [w] of cpu [c]'s top frame, the step
+   the fiber's loop would take: a read step (a [Cell.get] without the
+   fiber), or a check step that either pauses or ends the wait and runs
+   the fiber on.  No RNG draw and no productive operation, like the loop
+   itself.  Only a check step makes the frame current, from [c.here],
+   which the caller has set: its predicate may read the context.  True
+   when the wait goes on: the step changed none of the cpu's frames, spl
+   or pending mask. *)
+let wait_step e c w =
   if w.read_next then begin
     (match w.wcell with Some t -> w.last <- Cell.read e c t | None -> ());
     w.read_next <- false;
     true
   end
-  else if w.left > 0 && not (check_ready e c f w) then begin
-    w.left <- w.left - 1;
-    w.pauses <- w.pauses + 1;
-    spin_pause_on e c;
-    (match w.wcell with Some _ -> w.read_next <- true | None -> ());
-    true
-  end
-  else begin
-    set_wait f None;
-    run_frame e f;
-    false
-  end
+  else
+    match c.here with
+    | None -> fatal "internal: wait step with no current frame"
+    | Some (_, f) as here ->
+        e.cur <- here;
+        let waiting =
+          if w.left > 0 && not (check_ready e c f w) then begin
+            w.left <- w.left - 1;
+            w.pauses <- w.pauses + 1;
+            spin_pause_on e c;
+            (match w.wcell with Some _ -> w.read_next <- true | None -> ());
+            true
+          end
+          else begin
+            set_wait f None;
+            run_frame e f;
+            false
+          end
+        in
+        e.cur <- None;
+        waiting
 
 (* Resume cpu [c]'s top frame for one step; true when the step was one
    more iteration of an engine-run wait. *)
 let resume e c =
   match c.frames with
   | [] -> fatal "internal: resume on idle cpu"
-  | f :: _ ->
-      (match c.here with
-      | Some (_, g) when g == f -> ()
-      | _ -> c.here <- Some (c, f));
-      e.cur <- c.here;
-      let waiting =
-        match f with
-        | Fthread { wait = Some w; _ } | Fintr { iwait = Some w; _ } ->
-            wait_step e c f w
-        | _ ->
-            run_frame e f;
-            false
-      in
-      e.cur <- None;
-      waiting
+  | f :: _ -> (
+      set_here c f;
+      match frame_wait f with
+      | Some w -> wait_step e c w
+      | None ->
+          e.cur <- c.here;
+          run_frame e f;
+          e.cur <- None;
+          false)
 
 (* Highest deliverable level: hardware priority fixes the level, so only
    FIFO position *within* it is ever a choice. *)
@@ -1723,13 +1745,22 @@ let mkstats e =
    marks its picked cpu unless it was one more iteration of an
    engine-run wait (which changes none of the cpu's frames, spl or
    pending mask), and [update_candidates] refreshes exactly those plus
-   the idle cpus when the run queue flipped. *)
+   the idle cpus when the run queue flipped.  A cpu whose top frame is
+   in an engine-run wait gets its own action, 4, and its wait record and
+   [here] are cached when that action is computed: the step runs
+   [wait_step] on them directly, without [resume]'s frame matching. *)
 
 let action e c =
   if deliverable c then 1
   else
     match c.frames with
-    | _ :: _ -> 2
+    | f :: _ -> (
+        match frame_wait f with
+        | Some w ->
+            c.cwait <- w;
+            set_here c f;
+            4
+        | None -> 2)
     | [] -> if dispatchable e c then 3 else 0
 
 let refresh e i =
@@ -1779,26 +1810,33 @@ let min_clock e (s : Cpuset.t) =
   !lo
 
 (* [near] := the candidates whose clock is within the window of the
-   least, in ascending cpu order. *)
+   least, in ascending cpu order; [tout] := the least clock of the
+   others. *)
 let recompute_near e =
   e.tmin <- min_clock e e.cand_set;
-  let limit = e.tmin + timed_window and n = ref 0 in
+  let limit = e.tmin + timed_window and n = ref 0 and out = ref max_int in
   for w = 0 to Array.length e.cand_set - 1 do
     let x = ref e.cand_set.(w) and i = ref (w lsl 5) in
     while !x <> 0 do
-      if !x land 1 <> 0 && e.cpus.(!i).clock <= limit then begin
-        e.near.(!n) <- !i;
-        incr n
+      if !x land 1 <> 0 then begin
+        let clk = e.cpus.(!i).clock in
+        if clk <= limit then begin
+          e.near.(!n) <- !i;
+          incr n
+        end
+        else if clk < !out then out := clk
       end;
       x := !x lsr 1;
       incr i
     done
   done;
   e.nnear <- !n;
+  e.tout <- !out;
   e.near_stale <- false
 
-(* Remove cpu [p] from [near], keeping the rest in order. *)
-let drop_near e p =
+(* Cpu [p], now at clock [clk], leaves [near], keeping the rest in
+   order. *)
+let drop_near e p clk =
   let n = e.nnear - 1 in
   let k = ref 0 in
   while e.near.(!k) <> p do
@@ -1807,7 +1845,49 @@ let drop_near e p =
   for j = !k to n - 1 do
     e.near.(j) <- e.near.(j + 1)
   done;
-  e.nnear <- n
+  e.nnear <- n;
+  if clk < e.tout then e.tout <- clk
+
+(* Bring the Timed window up to date with the last step, which ran
+   cpu [last_pick].  Clocks only move forward, and a step moves only
+   its picked cpu's.  If candidacy is unchanged, then:
+     - if the picked cpu's clock was above the minimum before its step,
+       another candidate holds the minimum, and only the picked cpu can
+       leave [near]: it was in it exactly when its clock before the step
+       was within the window, and it leaves once its clock is past it;
+     - if it held the minimum, the new minimum is the least clock in
+       [near] unless [tout] is smaller, and the window can only move up,
+       so every other member of [near] stays in it.  A cpu outside
+       [near] can enter it only if [tout] is within the new window; only
+       then is every candidate scanned again.
+   [tout] stays at most the least clock outside [near]: it takes the
+   clock of every cpu that leaves, and the clocks outside only grow. *)
+let update_window e =
+  (match e.cfg.policy with
+  | Sim_config.Timed when e.ncand > 0 ->
+      let p = e.last_pick in
+      if e.near_stale then recompute_near e
+      else if p >= 0 then begin
+        let clk = e.cpus.(p).clock in
+        if e.pick_clock <= e.tmin then begin
+          let lo = ref max_int in
+          for k = 0 to e.nnear - 1 do
+            let c = e.cpus.(e.near.(k)).clock in
+            if c < !lo then lo := c
+          done;
+          let limit = !lo + timed_window in
+          if e.tout <= limit then recompute_near e
+          else begin
+            e.tmin <- !lo;
+            if clk > limit then drop_near e p clk
+          end
+        end
+        else
+          let limit = e.tmin + timed_window in
+          if e.pick_clock <= limit && clk > limit then drop_near e p clk
+      end
+  | _ -> ());
+  e.last_pick <- -1
 
 (* Bring the picker up to date with everything since the last pick. *)
 let update_candidates e =
@@ -1825,25 +1905,7 @@ let update_candidates e =
       x := !x lxor low
     done
   done;
-  (match e.cfg.policy with
-  | Sim_config.Timed when e.ncand > 0 ->
-      (* Clocks only move forward.  If candidacy is unchanged and the
-         picked cpu's clock was above the minimum before its step,
-         another candidate holds the minimum and no other clock moved:
-         only the picked cpu can leave [near].  It was in it exactly
-         when its clock before the step was within the window, and it
-         leaves once its clock is past it.  Anything else recomputes
-         from scratch. *)
-      let p = e.last_pick in
-      if e.near_stale || (p >= 0 && e.pick_clock <= e.tmin) then
-        recompute_near e
-      else if p >= 0 then begin
-        let limit = e.tmin + timed_window in
-        if e.pick_clock <= limit && e.cpus.(p).clock > limit then
-          drop_near e p
-      end
-  | _ -> ());
-  e.last_pick <- -1
+  update_window e
 
 (* Delayed interrupt delivery: defer a deliverable cpu to its
    alternative action for this step when it has one.  Never suppress
@@ -1927,6 +1989,13 @@ let maybe_spurious e =
         unpark_now e t
   end
 
+(* One step of the seeded scheduler is the prologue ([loop]: the end
+   of the run, the step limit and the watchdog, the fault hooks,
+   [update_candidates], a deadlock) and then the pick and the action
+   ([step]).  A step that was one more wait iteration moved no frame,
+   spl, pending mask or queue, so with faults off the next step needs
+   only the step limit, the watchdog and the Timed window from the
+   prologue, at the same step as [loop] would check them. *)
 let sched_loop e =
   let watchdog_fired () =
     let report =
@@ -1937,13 +2006,15 @@ let sched_loop e =
     in
     raise (Deadlock (Spin_deadlock, report))
   in
+  let limit = Option.value e.cfg.max_steps ~default:max_int in
+  let check_limits () =
+    if e.st.m_steps >= limit then raise Step_limit;
+    if e.stale > e.cfg.watchdog_steps then watchdog_fired ()
+  in
   let rec loop () =
     if e.live = 0 then mkstats e
     else begin
-      (match e.cfg.max_steps with
-      | Some limit when e.st.m_steps >= limit -> raise Step_limit
-      | _ -> ());
-      if e.stale > e.cfg.watchdog_steps then watchdog_fired ();
+      check_limits ();
       if e.faults_on then begin
         deliver_delayed e ~force:false;
         maybe_spurious e
@@ -1967,27 +2038,36 @@ let sched_loop e =
           in
           raise (Deadlock (Sleep_deadlock, report))
         end
-      else begin
-        if e.faults_on then delay_interrupts e;
-        e.st.m_steps <- e.st.m_steps + 1;
-        e.stale <- e.stale + 1;
-        let idx = pick_cpu e in
-        let c = e.cpus.(idx) in
-        e.last_pick <- idx;
-        e.pick_clock <- c.clock;
-        let waiting =
-          match e.act.(idx) with
-          | 1 ->
-              deliver e c;
-              false
-          | 2 -> resume e c
-          | _ ->
-              dispatch e c;
-              false
-        in
-        if not waiting then Cpuset.add e.dirty idx;
-        loop ()
-      end
+      else step ()
+    end
+  and step () =
+    if e.faults_on then delay_interrupts e;
+    e.st.m_steps <- e.st.m_steps + 1;
+    e.stale <- e.stale + 1;
+    let idx = pick_cpu e in
+    let c = e.cpus.(idx) in
+    e.last_pick <- idx;
+    e.pick_clock <- c.clock;
+    let waiting =
+      match e.act.(idx) with
+      | 4 -> wait_step e c c.cwait
+      | 1 ->
+          deliver e c;
+          false
+      | 2 -> resume e c
+      | _ ->
+          dispatch e c;
+          false
+    in
+    if not waiting then begin
+      Cpuset.add e.dirty idx;
+      loop ()
+    end
+    else if e.faults_on then loop ()
+    else begin
+      check_limits ();
+      update_window e;
+      step ()
     end
   in
   loop ()
@@ -2224,6 +2304,17 @@ let dummy_intr =
     iwait = None;
   }
 
+(* A cpu's [cwait] until it first waits; never stepped. *)
+let no_wait =
+  {
+    wcell = None;
+    ready = (fun _ -> false);
+    left = 0;
+    pauses = 0;
+    last = 0;
+    read_next = false;
+  }
+
 (* Events a traced run keeps, over all cpus' rings together. *)
 let trace_capacity = 65_536
 
@@ -2311,6 +2402,7 @@ let run ?(cfg = Sim_config.default) main =
               pend_count = 0;
               spin_mark = -1;
               here = None;
+              cwait = no_wait;
             });
       anyq = Tq.make qdummy;
       boundq = Array.init cfg.cpus (fun _ -> Tq.make qdummy);
@@ -2352,6 +2444,7 @@ let run ?(cfg = Sim_config.default) main =
       near = Array.make cfg.cpus 0;
       nnear = 0;
       tmin = 0;
+      tout = max_int;
       near_stale = true;
       last_pick = -1;
       pick_clock = 0;

@@ -2,7 +2,8 @@ module K = Mach_ksync.Ksync
 
 type t = {
   lock : K.Slock.t;
-  mutable free_pages : int list;
+  mutable free_pages : int list; (* LIFO: the last page freed goes first *)
+  is_free : Bytes.t; (* one byte per page, '\001' while it is free *)
   total : int;
   mutable free_wanted : bool;
   page_event : K.Ev.event; (* allocators wait here *)
@@ -13,6 +14,7 @@ let create ?(name = "page-pool") ~pages () =
   {
     lock = K.Slock.make ~name:(name ^ ".lock") ();
     free_pages = List.init pages (fun i -> i);
+    is_free = Bytes.make pages '\001';
     total = pages;
     free_wanted = false;
     page_event = K.Ev.fresh_event ();
@@ -24,12 +26,16 @@ let total t = t.total
 let free_count t =
   K.Slock.with_lock t.lock (fun () -> List.length t.free_pages)
 
+let take t p rest =
+  t.free_pages <- rest;
+  Bytes.set t.is_free p '\000'
+
 let alloc t =
   K.Slock.with_lock t.lock (fun () ->
       match t.free_pages with
       | [] -> None
       | p :: rest ->
-          t.free_pages <- rest;
+          take t p rest;
           Some p)
 
 let alloc_blocking t =
@@ -37,7 +43,7 @@ let alloc_blocking t =
     K.Slock.lock t.lock;
     match t.free_pages with
     | p :: rest ->
-        t.free_pages <- rest;
+        take t p rest;
         K.Slock.unlock t.lock;
         p
     | [] ->
@@ -51,12 +57,14 @@ let alloc_blocking t =
 
 let free t page =
   K.Slock.lock t.lock;
-  if List.mem page t.free_pages || page < 0 || page >= t.total then begin
+  if page < 0 || page >= t.total || Bytes.get t.is_free page <> '\000'
+  then begin
     K.Slock.unlock t.lock;
     K.Machine.fatal (Printf.sprintf "vm_page: bad free of page %d" page)
   end
   else begin
     t.free_pages <- page :: t.free_pages;
+    Bytes.set t.is_free page '\001';
     t.free_wanted <- false;
     ignore (K.Ev.thread_wakeup t.page_event);
     K.Slock.unlock t.lock

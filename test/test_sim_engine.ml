@@ -520,36 +520,56 @@ let wait_scenario form ~cpus () =
   List.iter Engine.join waiters;
   (!results, !seen)
 
+(* Rows of (cpus, policy, seed, fault odds).  The 16-cpu Timed row has
+   most cpus outside the Timed window, so the window follows its least
+   clock rather than rescanning; the faulted row delays deliverable
+   interrupts, often on a cpu whose top frame waits, so that cpu resumes
+   its wait in place of its cached wait action, and every step runs the
+   fault hooks. *)
 let test_engine_wait_equals_literal () =
+  let faulted =
+    { Config.no_faults with Config.delay_interrupt = 2; spurious_wakeup = 8 }
+  in
   List.iter
-    (fun (cpus, policy, seed) ->
+    (fun (cpus, policy, seed, faults) ->
       let go form =
         let out = ref ([], []) in
         let stats =
-          run ~cpus ~seed ~policy (fun () -> out := wait_scenario form ~cpus ())
+          Engine.run
+            ~cfg:{ (cfg ~cpus ~seed ~policy ()) with Config.faults }
+            (fun () -> out := wait_scenario form ~cpus ())
         in
-        (stats, !out)
+        (stats, !out, Option.get (Engine.last_chaos ()))
       in
-      let s1, (r1, v1) = go Engine_run in
-      let s2, (r2, v2) = go Literal in
+      let s1, (r1, v1), c1 = go Engine_run in
+      let s2, (r2, v2), c2 = go Literal in
+      let injected = faults <> Config.no_faults in
       let what =
-        Printf.sprintf "%d cpus, %s, seed %d" cpus (Config.policy_name policy)
+        Printf.sprintf "%d cpus, %s, seed %d%s" cpus
+          (Config.policy_name policy)
           seed
+          (if injected then ", faulted" else "")
       in
       check_bool (what ^ ": stats") true (s1 = s2);
+      check_bool (what ^ ": chaos") true (c1 = c2);
       Alcotest.(check (list (pair string int))) (what ^ ": pauses") r2 r1;
       Alcotest.(check (list int)) (what ^ ": values read") v2 v1;
       check_bool (what ^ ": some wait ran out of budget") true
         (List.exists (fun (_, p) -> p = 3) r1);
       check_bool (what ^ ": some budgeted wait did not") true
-        (List.exists (fun (_, p) -> p > 3 && p < 1_000_000) r1))
+        (List.exists (fun (_, p) -> p > 3 && p < 1_000_000) r1);
+      if injected then
+        check_bool (what ^ ": interrupts delayed, threads woken") true
+          (c1.Engine.delayed_interrupts > 0 && c1.spurious_wakeups > 0))
     [
-      (4, Config.Random_policy, 1);
-      (4, Config.Round_robin, 2);
-      (4, Config.Timed, 3);
-      (64, Config.Random_policy, 4);
-      (64, Config.Round_robin, 5);
-      (64, Config.Timed, 6);
+      (4, Config.Random_policy, 1, Config.no_faults);
+      (4, Config.Round_robin, 2, Config.no_faults);
+      (4, Config.Timed, 3, Config.no_faults);
+      (16, Config.Timed, 7, Config.no_faults);
+      (8, Config.Timed, 8, faulted);
+      (64, Config.Random_policy, 4, Config.no_faults);
+      (64, Config.Round_robin, 5, Config.no_faults);
+      (64, Config.Timed, 6, Config.no_faults);
     ]
 
 (* The same equivalence under the model checker: a waiter in each shape
@@ -619,6 +639,11 @@ let test_wait_predicate_contract () =
       ("park", fun _ -> Engine.park ());
       ("cycles", fun _ -> Engine.cycles 1);
       ("set_spl", fun _ -> ignore (Engine.set_spl Spl.Splhigh));
+      ("unpark", fun _ -> Engine.unpark (Engine.self ()));
+      ("spawn", fun _ -> ignore (Engine.spawn (fun () -> ())));
+      ( "post_interrupt",
+        fun _ -> Engine.post_interrupt ~cpu:1 ~level:Spl.Splvm (fun () -> ())
+      );
     ]
 
 let test_wait_outside_a_thread () =

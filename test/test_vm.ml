@@ -41,16 +41,32 @@ let test_pool_blocking_alloc () =
          Engine.join waiter;
          check_bool "served" true (!got = Some p0)))
 
+(* Freeing a page twice, one never allocated or one outside the pool is
+   the fatal [vm_page: bad free]; a good free goes back on top of the
+   free list. *)
 let test_pool_double_free_panics () =
-  match
-    Engine.run_outcome (fun () ->
-        let pool = Vm.Vm_page.create ~pages:2 () in
-        let p = Option.get (Vm.Vm_page.alloc pool) in
-        Vm.Vm_page.free pool p;
-        Vm.Vm_page.free pool p)
-  with
-  | Engine.Panicked msg -> check_bool "bad free" true (contains msg "bad free")
-  | _ -> Alcotest.fail "double free must panic"
+  List.iter
+    (fun page ->
+      match
+        Engine.run_outcome (fun () ->
+            let pool = Vm.Vm_page.create ~pages:4 () in
+            let p = Option.get (Vm.Vm_page.alloc pool) in
+            let q = Option.get (Vm.Vm_page.alloc pool) in
+            Vm.Vm_page.free pool q;
+            Vm.Vm_page.free pool p;
+            check_int "last freed, first allocated" p
+              (Option.get (Vm.Vm_page.alloc pool));
+            Vm.Vm_page.free pool p;
+            Vm.Vm_page.free pool page)
+      with
+      | Engine.Panicked msg ->
+          check_bool
+            (Printf.sprintf "page %d: %s" page msg)
+            true
+            (contains msg (Printf.sprintf "vm_page: bad free of page %d" page))
+      | _ -> Alcotest.failf "freeing page %d must panic" page)
+    (* page 0 is the one just freed, 3 was never allocated *)
+    [ 0; 3; -1; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Pmap + TLB + shootdown                                               *)
