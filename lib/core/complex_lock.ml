@@ -141,7 +141,7 @@ struct
       t.writer <- Some (M.self ());
       t.write_acquired_at <- M.now_cycles ();
       Ev.acquired ?blocker t.site ~spins:!waits
-        ~wait_cycles:(if !waits > 0 then max 0 (M.now_cycles () - t0) else 0);
+        ~wait_cycles:(if !waits > 0 then Int.max 0 (M.now_cycles () - t0) else 0);
       bump_spin_held t 1;
       Slock.unlock t.interlock
     end
@@ -158,7 +158,7 @@ struct
     else begin
       let excluded () =
         if t.writers_priority then t.want_write || t.want_upgrade
-        else t.writer <> None
+        else Option.is_some t.writer
       in
       Ev.attempt t.site;
       let t0 = M.now_cycles () in
@@ -170,7 +170,7 @@ struct
       done;
       t.read_count <- t.read_count + 1;
       Ev.acquired ?blocker t.site ~spins:!waits
-        ~wait_cycles:(if !waits > 0 then max 0 (M.now_cycles () - t0) else 0);
+        ~wait_cycles:(if !waits > 0 then Int.max 0 (M.now_cycles () - t0) else 0);
       bump_spin_held t 1;
       Slock.unlock t.interlock
     end
@@ -190,7 +190,7 @@ struct
       (* Another upgrade is pending: fail, releasing the read lock. *)
       if t.read_count = 0 then lock_wakeup t;
       bump_spin_held t (-1);
-      Ev.released t.site;
+      Ev.released t.site ~held_cycles:Ev.untimed;
       Slock.unlock t.interlock;
       true
     end
@@ -226,7 +226,7 @@ struct
     t.writer <- None;
     (* The write portion of the hold ends here; the (untimed) read hold
        keeps the held entry and the span. *)
-    Ev.downgraded ~held_cycles:(max 0 (M.now_cycles () - t.write_acquired_at));
+    Ev.downgraded ~held_cycles:(Int.max 0 (M.now_cycles () - t.write_acquired_at));
     lock_wakeup t;
     Slock.unlock t.interlock
 
@@ -240,7 +240,7 @@ struct
         t.recursive_reads <- t.recursive_reads - 1
       else begin
         bump_spin_held t (-1);
-        Ev.released t.site
+        Ev.released t.site ~held_cycles:Ev.untimed
       end
     end
     else if self_is t t.writer && t.recursion_depth > 0 then
@@ -251,7 +251,7 @@ struct
       t.writer <- None;
       bump_spin_held t (-1);
       Ev.released t.site
-        ~held_cycles:(max 0 (M.now_cycles () - t.write_acquired_at))
+        ~held_cycles:(Int.max 0 (M.now_cycles () - t.write_acquired_at))
     end
     else begin
       Slock.unlock t.interlock;
@@ -272,7 +272,7 @@ struct
       end
       else if
         if t.writers_priority then t.want_write || t.want_upgrade
-        else t.writer <> None
+        else Option.is_some t.writer
       then false
       else begin
         t.read_count <- t.read_count + 1;
@@ -401,7 +401,7 @@ struct
     Slock.with_lock t.interlock (fun () -> t.read_count)
 
   let held_for_write t =
-    Slock.with_lock t.interlock (fun () -> t.writer <> None)
+    Slock.with_lock t.interlock (fun () -> Option.is_some t.writer)
 
   let held_for_write_by_self t =
     Slock.with_lock t.interlock (fun () -> self_is t t.writer)

@@ -17,6 +17,9 @@ struct
 
   let null_event = 0
 
+  (* A waiter's tag before its first event span. *)
+  let no_tag = Obs_span.tag Obs_span.Event ""
+
   (* Per-thread wait state.  All transitions of [state] and [event] happen
      under the bucket lock of the event involved, except the owner-only
      Woken -> Running reset in [thread_block] (at which point the waiter is
@@ -27,6 +30,8 @@ struct
     mutable state : wstate;
     mutable interruptible : bool;
     mutable wait_started : int; (* cycle clock at assert_wait *)
+    mutable tag_event : event; (* the event [tag] names; none at first *)
+    mutable tag : Obs_span.tag;
   }
 
   and wstate = Running | Waiting | Woken of wait_result
@@ -117,12 +122,27 @@ struct
                 state = Running;
                 interruptible = false;
                 wait_started = 0;
+                tag_event = null_event;
+                tag = no_tag;
               }
             in
             Hashtbl.add s.registry tid w;
             w)
 
   let my_waiter () = waiter_of (M.self ())
+
+  let waits_on ev w = match w.event with Some e -> e = ev | None -> false
+  let is_waiting w = match w.state with Waiting -> true | _ -> false
+
+  (* The span tag of the event [w] waits on.  A thread waits on one
+     event again and again (a server on its port, a client on its reply
+     port), so the label is built when the event changes. *)
+  let span_tag w ev =
+    if w.tag_event <> ev then begin
+      w.tag <- Obs_span.tag Obs_span.Event ("evt" ^ string_of_int ev);
+      w.tag_event <- ev
+    end;
+    w.tag
 
   let set_in_assert_wait v = (M.context (M.self ())).in_assert_wait <- v
 
@@ -150,8 +170,7 @@ struct
     (* The wait->wake span: closed at the wake in [thread_block] (or at
        [cancel_assert]) with [exit_kind] — the waiter's event slot is
        cleared by then, and a thread has at most one outstanding wait. *)
-    if Obs_span.enabled () then
-      Spans.enter Obs_span.Event ("evt" ^ string_of_int ev);
+    if Obs_span.enabled () then Spans.enter (span_tag w ev);
     if Obs_trace.enabled () then
       Obs_trace.emit (Obs_event.Event_wait { event = ev });
     set_in_assert_wait true
@@ -187,10 +206,8 @@ struct
       | Woken r ->
           w.state <- Running;
           set_in_assert_wait false;
-          Obs_metrics.observe
-            ~cpu:(M.current_cpu ())
-            h_wait
-            (max 0 (M.now_cycles () - w.wait_started));
+          Obs_metrics.observe (M.current_cpu ()) h_wait
+            (Int.max 0 (M.now_cycles () - w.wait_started));
           Spans.exit_kind Obs_span.Event;
           r
       | Waiting ->
@@ -232,7 +249,7 @@ struct
       | Some ev ->
           let b = bucket_of ev in
           Slock.lock b.block;
-          if w.event = Some ev && w.state = Waiting then begin
+          if waits_on ev w && is_waiting w then begin
             b.waiters <- List.filter (fun w' -> w' != w) b.waiters;
             w.event <- None;
             w.state <- Running;
@@ -252,7 +269,7 @@ struct
     let b = bucket_of ev in
     Slock.lock b.block;
     let matching, rest =
-      List.partition (fun w -> w.event = Some ev) b.waiters
+      List.partition (waits_on ev) b.waiters
     in
     b.waiters <- rest;
     List.iter
@@ -273,7 +290,7 @@ struct
     Slock.lock b.block;
     let rec first = function
       | [] -> None
-      | w :: _ when w.event = Some ev -> Some w
+      | w :: _ when waits_on ev w -> Some w
       | _ :: tl -> first tl
     in
     let woke =
@@ -297,7 +314,7 @@ struct
       | Some ev ->
           let b = bucket_of ev in
           Slock.lock b.block;
-          if w.event = Some ev && w.state = Waiting then
+          if waits_on ev w && is_waiting w then
             if only_interruptible && not w.interruptible then begin
               Slock.unlock b.block;
               false
@@ -334,5 +351,5 @@ struct
      contending for the bucket. *)
   let waiters_count ev =
     let b = bucket_of ev in
-    List.length (List.filter (fun w -> w.event = Some ev) b.waiters)
+    List.length (List.filter (waits_on ev) b.waiters)
 end

@@ -17,34 +17,34 @@ let site = Thread_ctx.site
 let with_res = Thread_ctx.with_res
 
 module Spans (M : Machine_intf.MACHINE) = struct
-  let close (ctx : Thread_ctx.t) kind label t0 =
-    Obs_span.close ~kind ~label ~t0 ~t1:(M.now_cycles ())
-      ~cpu:(M.current_cpu ()) ~tname:ctx.tname
+  let close (ctx : Thread_ctx.t) tag t0 =
+    Obs_span.close tag ~t0 ~t1:(M.now_cycles ()) ~cpu:(M.current_cpu ())
+      ~tname:ctx.tname
 
-  let enter kind name =
+  let enter tag =
     if Obs_span.enabled () then begin
       let ctx = M.context (M.self ()) in
-      let label = Obs_span.label kind name in
-      ctx.stack <-
-        Thread_ctx.Span { kind; label; t0 = M.now_cycles () } :: ctx.stack
+      ctx.stack <- Thread_ctx.Span { tag; t0 = M.now_cycles () } :: ctx.stack
     end
 
-  let exit_matching p =
+  let exit_matching matches key =
     let ctx = M.context (M.self ()) in
-    match Thread_ctx.take ctx p with
-    | Some (Thread_ctx.Span s) -> close ctx s.kind s.label s.t0
+    match Thread_ctx.take ctx matches key with
+    | Some (Thread_ctx.Span s) -> close ctx s.tag s.t0
     | _ -> ()
 
-  let exit kind name =
-    if Obs_span.enabled () then
-      let label = Obs_span.label kind name in
-      exit_matching (function
-        | Thread_ctx.Span s -> s.label = label
-        | _ -> false)
+  let span_of tag = function
+    | Thread_ctx.Span s -> s.tag == tag
+    | Thread_ctx.Hold _ -> false
+
+  let span_kind kind = function
+    | Thread_ctx.Span s -> Obs_span.tag_kind s.tag = kind
+    | Thread_ctx.Hold _ -> false
+
+  let exit tag = if Obs_span.enabled () then exit_matching span_of tag
 
   let exit_kind kind =
-    if Obs_span.enabled () then
-      exit_matching (function Thread_ctx.Span s -> s.kind = kind | _ -> false)
+    if Obs_span.enabled () then exit_matching span_kind kind
 end
 
 module Make (M : Machine_intf.MACHINE) = struct
@@ -69,12 +69,16 @@ module Make (M : Machine_intf.MACHINE) = struct
     | Thread_ctx.Hold h :: _ -> Some h.site.cls
     | _ :: rest -> innermost_hold rest
 
+  let rec mem_class c = function
+    | [] -> false
+    | x :: rest -> String.equal x c || mem_class c rest
+
   (* Once per (held class, wanted site) and profile generation: a
      repeated pair allocates nothing and touches no table. *)
   let rec note_holds (site : site) tname = function
     | [] -> ()
     | Thread_ctx.Hold { site = h; _ } :: rest ->
-        if not (List.mem h.cls site.ordered) then begin
+        if not (mem_class h.cls site.ordered) then begin
           site.ordered <- h.cls :: site.ordered;
           Obs_profile.note_attempt ~held:h.cls ~wanted:site.cls
             ~witness:(tname, h.name, site.name)
@@ -83,30 +87,25 @@ module Make (M : Machine_intf.MACHINE) = struct
     | Thread_ctx.Span _ :: rest -> note_holds site tname rest
 
   let attempt (site : site) =
-    Thread_ctx.build_strings site;
-    let gen = Obs_profile.generation () in
-    if site.ordered_gen <> gen then begin
-      site.ordered <- [];
-      site.ordered_gen <- gen
-    end;
+    Thread_ctx.refresh site;
     let ctx = M.context (M.self ()) in
     note_holds site ctx.tname ctx.stack
 
   let acquired ?blocker (site : site) ~spins ~wait_cycles =
-    Thread_ctx.build_strings site;
+    Thread_ctx.refresh site;
     let cpu = M.current_cpu () in
     let contended = spins > 0 in
-    Obs_metrics.incr ~cpu m_acquisitions;
-    if contended then Obs_metrics.incr ~cpu m_contentions;
-    Obs_metrics.observe ~cpu h_wait wait_cycles;
+    Obs_metrics.incr cpu m_acquisitions;
+    if contended then Obs_metrics.incr cpu m_contentions;
+    Obs_metrics.observe cpu h_wait wait_cycles;
     let ctx = M.context (M.self ()) in
     let holder = if contended then innermost_hold ctx.stack else None in
-    Obs_profile.note_acquire ~cls:site.cls ~holder ~contended ~wait_cycles;
+    Obs_profile.note_acquire site.prof ~holder ~contended ~wait_cycles;
     let spans = Obs_span.enabled () in
     (if spans then
        match blocker with
        | Some b when contended ->
-           Obs_span.blocked ~kind:Obs_span.Lock ~label:site.span
+           Obs_span.blocked site.span
              ~holder:(Thread_ctx.holder_context (M.context b) site.span)
              ~wait_cycles
        | _ -> ());
@@ -117,31 +116,34 @@ module Make (M : Machine_intf.MACHINE) = struct
     ctx.stack <-
       Thread_ctx.Hold { site; seq = Thread_ctx.next_seq (); t0 } :: ctx.stack
 
-  let released ?held_cycles (site : site) =
+  let untimed = -1
+
+  let hold_of site = function
+    | Thread_ctx.Hold h -> h.site == site
+    | Thread_ctx.Span _ -> false
+
+  let released (site : site) ~held_cycles =
     (* A machine operation before any recorder: a release made while a
        finished run unwinds stops here, having recorded nothing. *)
     let ctx = M.context (M.self ()) in
+    Thread_ctx.refresh site;
     let held =
-      match held_cycles with
-      | Some c ->
-          Obs_metrics.observe ~cpu:(M.current_cpu ()) h_hold c;
-          c
-      | None -> 0
+      if held_cycles = untimed then 0
+      else begin
+        Obs_metrics.observe (M.current_cpu ()) h_hold held_cycles;
+        held_cycles
+      end
     in
-    Obs_profile.note_release ~cls:site.cls ~held_cycles:held;
+    Obs_profile.note_release site.prof ~held_cycles:held;
     (* Releases need not nest: drop this site's innermost hold. *)
-    (match
-       Thread_ctx.take ctx (function
-         | Thread_ctx.Hold h -> h.site == site
-         | _ -> false)
-     with
+    (match Thread_ctx.take ctx hold_of site with
     | Some (Thread_ctx.Hold h) when Obs_span.enabled () ->
-        Spans.close ctx Obs_span.Lock site.span h.t0
+        Spans.close ctx site.span h.t0
     | _ -> ());
     if Obs_trace.enabled () then
       Obs_trace.emit
         (Obs_event.Lock_release { lock = site.name; held_cycles = held })
 
   let downgraded ~held_cycles =
-    Obs_metrics.observe ~cpu:(M.current_cpu ()) h_hold held_cycles
+    Obs_metrics.observe (M.current_cpu ()) h_hold held_cycles
 end

@@ -22,14 +22,16 @@ val with_res : site -> Waits_for.resource -> site
 
 (** Spans other than lock holds — event waits, IPC and VM operations —
     pushed on and popped from the running thread's context.  Each call
-    is a no-op when spans are off. *)
+    is a no-op when spans are off.  A caller keeps one
+    {!Mach_obs.Obs_span.tag} per site (per port, map or event), so
+    neither entering nor closing a span builds a label. *)
 module Spans (M : Machine_intf.MACHINE) : sig
-  val enter : Mach_obs.Obs_span.kind -> string -> unit
-  (** Open a span at site ["kind:name"]. *)
+  val enter : Mach_obs.Obs_span.tag -> unit
+  (** Open a span at the tag's site. *)
 
-  val exit : Mach_obs.Obs_span.kind -> string -> unit
-  (** Close the innermost open span at that site.  No-op if none is
-      open (unbalanced calls are tolerated, never fatal). *)
+  val exit : Mach_obs.Obs_span.tag -> unit
+  (** Close the innermost open span entered with this tag.  No-op if
+      none is open (unbalanced calls are tolerated, never fatal). *)
 
   val exit_kind : Mach_obs.Obs_span.kind -> unit
   (** Close the innermost open span of the kind, whatever its site —
@@ -53,10 +55,12 @@ module Make (M : Machine_intf.MACHINE) : sig
       for blocked-by attribution.  A successful try is an acquisition
       with zero spins; a failed try is not reported. *)
 
-  val released : ?held_cycles:int -> site -> unit
-  (** Removes this exact site's innermost hold.  Without [held_cycles]
-      the hold is untimed (read holds) and is not observed in
-      ["lock.hold_cycles"]. *)
+  val untimed : int
+  (** The [held_cycles] of an untimed hold (a read hold). *)
+
+  val released : site -> held_cycles:int -> unit
+  (** Removes this exact site's innermost hold.  An {!untimed} hold is
+      not observed in ["lock.hold_cycles"]. *)
 
   val downgraded : held_cycles:int -> unit
   (** A write hold became a read hold: observes the write hold time;

@@ -114,7 +114,7 @@ module Make (M : Machine_intf.MACHINE) = struct
       Ev.wait_begin t.site;
       let spins = Lock_proto.acquire t.impl in
       Ev.wait_end t.site;
-      let wait_cycles = if spins > 0 then max 0 (M.now_cycles () - t0) else 0 in
+      let wait_cycles = if spins > 0 then Int.max 0 (M.now_cycles () - t0) else 0 in
       (* A contended wait whose entry snapshot missed the holder (it
          released before our first test) still spun behind SOMEBODY:
          [last_holder] is whoever held the lock during the final wait
@@ -134,7 +134,7 @@ module Make (M : Machine_intf.MACHINE) = struct
 
   let unlock t =
     if not (Atomic.get uniprocessor) then begin
-      let held_cycles = max 0 (M.now_cycles () - t.acquired_at) in
+      let held_cycles = Int.max 0 (M.now_cycles () - t.acquired_at) in
       note_released t;
       Lock_proto.release t.impl;
       Ev.released t.site ~held_cycles

@@ -1,36 +1,55 @@
 (* The per-thread context (see the interface).  A lock site's profile
-   class and span label are built at its first acquisition, never
-   again: no string is built on a lock operation, and locks made but
-   never taken (the event layer rebuilds 64 bucket locks per run) cost
-   nothing. *)
+   class and span tag are built at its first report, never again: no
+   string is built on a lock operation, and locks made but never taken
+   cost nothing.  Its class record is resolved once per profile
+   generation, so a lock event looks nothing up by name. *)
 
 module Obs_span = Mach_obs.Obs_span
+module Obs_profile = Mach_obs.Obs_profile
 
 type site = {
   name : string;
   mutable cls : string;
-  mutable span : string;
+  mutable span : Obs_span.tag;
   res : Waits_for.resource;
+  mutable prof : Obs_profile.class_stats;
   mutable ordered : string list;
-  mutable ordered_gen : int;
+  mutable gen : int;
 }
 
-let site ~name res =
-  { name; cls = ""; span = ""; res; ordered = []; ordered_gen = -1 }
+(* Every site's tag until its first report. *)
+let unbuilt = Obs_span.tag Obs_span.Lock ""
 
-let build_strings s =
-  if String.length s.cls = 0 then begin
-    s.cls <- Mach_obs.Obs_profile.class_of_name s.name;
-    s.span <- Obs_span.label Obs_span.Lock s.name
+let site ~name res =
+  {
+    name;
+    cls = "";
+    span = unbuilt;
+    res;
+    prof = Obs_profile.placeholder;
+    ordered = [];
+    gen = -1;
+  }
+
+let refresh s =
+  let gen = Obs_profile.generation () in
+  if s.gen <> gen then begin
+    if String.length s.cls = 0 then begin
+      s.cls <- Obs_profile.class_of_name s.name;
+      s.span <- Obs_span.tag Obs_span.Lock s.name
+    end;
+    s.prof <- Obs_profile.resolve s.cls;
+    s.ordered <- [];
+    s.gen <- gen
   end
 
 let with_res s res =
-  build_strings s;
+  refresh s;
   { s with res }
 
 type entry =
   | Hold of { site : site; seq : int; t0 : int }
-  | Span of { kind : Obs_span.kind; label : string; t0 : int }
+  | Span of { tag : Obs_span.tag; t0 : int }
 
 type t = {
   tid : int;
@@ -83,12 +102,17 @@ let rec remove_first p = function
         | Some (y, rest') -> Some (y, x :: rest')
         | None -> None)
 
-let take t p =
-  match remove_first p t.stack with
-  | Some (e, rest) ->
+let take t matches key =
+  match t.stack with
+  | e :: rest when matches key e ->
       t.stack <- rest;
       Some e
-  | None -> None
+  | stack -> (
+      match remove_first (matches key) stack with
+      | Some (e, rest) ->
+          t.stack <- rest;
+          Some e
+      | None -> None)
 
 let held t =
   List.filter_map
@@ -102,6 +126,10 @@ let describe_holds t =
 
 let note_wait t res = t.waits <- res :: t.waits
 
+(* A lock's wait ends on the resource it began on; an event's is
+   rebuilt from the id. *)
+let same_res a b = a == b || a = b
+
 let wait_done t res =
   (match res with
   | Waits_for.Event { id } -> t.last_event <- Some id
@@ -109,24 +137,27 @@ let wait_done t res =
   (* The wait ending is almost always the latest one: take it off the
      head without allocating. *)
   match t.waits with
-  | r :: rest when r = res -> t.waits <- rest
+  | r :: rest when same_res r res -> t.waits <- rest
   | waits -> (
-      match remove_first (fun r -> r = res) waits with
+      match remove_first (same_res res) waits with
       | Some (_, rest) -> t.waits <- rest
       | None -> ())
 
-let span_label = function Hold h -> h.site.span | Span s -> s.label
+let span_tag = function Hold h -> h.site.span | Span s -> s.tag
+let span_label e = Obs_span.tag_label (span_tag e)
 
 let open_spans t =
   List.map
-    (function Hold h -> (h.site.span, h.t0) | Span s -> (s.label, s.t0))
+    (function
+      | Hold h -> (Obs_span.tag_label h.site.span, h.t0)
+      | Span s -> (Obs_span.tag_label s.tag, s.t0))
     t.stack
 
 let holder_context t wanted =
   let innermost = function [] -> "(top-level)" | e :: _ -> span_label e in
   let rec after = function
     | [] -> innermost t.stack
-    | e :: rest -> if span_label e = wanted then innermost rest else after rest
+    | e :: rest -> if span_tag e == wanted then innermost rest else after rest
   in
   after t.stack
 

@@ -29,19 +29,26 @@
 
 type site = {
   name : string;
-  mutable cls : string;  (** profile class; [""] until first acquired *)
-  mutable span : string;  (** span label; [""] until first acquired *)
+  mutable cls : string;  (** profile class; [""] until first reported *)
+  mutable span : Mach_obs.Obs_span.tag;
+      (** span tag ["lock:name"]; a placeholder until first reported *)
   res : Waits_for.resource;
+  mutable prof : Mach_obs.Obs_profile.class_stats;
+      (** the class record of generation [gen] *)
   mutable ordered : string list;
-      (** held classes with an order edge to this site already recorded *)
-  mutable ordered_gen : int;  (** the profile generation of [ordered] *)
+      (** held classes with an order edge to this site already recorded
+          in generation [gen] *)
+  mutable gen : int;  (** the profile generation of [prof] and [ordered] *)
 }
 (** A lock (or one side of it), built once when the lock is made. *)
 
 val site : name:string -> Waits_for.resource -> site
 
-val build_strings : site -> unit
-(** Build the site's profile class and span label, once. *)
+val refresh : site -> unit
+(** Make the site's records current before it reports: the class and
+    span tag are built at the first call, and the class record is
+    resolved again (and [ordered] emptied) when the profile generation
+    has moved. *)
 
 val with_res : site -> Waits_for.resource -> site
 (** The same site over another resource: a range lock waits for and
@@ -55,7 +62,7 @@ type entry =
       (** A lock hold: [seq] orders the holders of one resource by
           acquisition; [t0] is the span start clock (0 when spans are
           off). *)
-  | Span of { kind : Mach_obs.Obs_span.kind; label : string; t0 : int }
+  | Span of { tag : Mach_obs.Obs_span.tag; t0 : int }
 
 type t = {
   tid : int;
@@ -77,8 +84,10 @@ val clear : t -> unit
 val next_seq : unit -> int
 (** The next acquisition sequence number of this run. *)
 
-val take : t -> (entry -> bool) -> entry option
-(** Remove and return the innermost entry satisfying the predicate. *)
+val take : t -> ('a -> entry -> bool) -> 'a -> entry option
+(** [take t matches key] removes and returns the innermost entry [e]
+    with [matches key e].  The innermost entry of all, the usual case,
+    is popped without rebuilding the stack. *)
 
 val held : t -> (string * Waits_for.resource) list
 (** The lock holds (site name, resource), innermost first. *)
@@ -101,7 +110,7 @@ val open_spans : t -> (string * int) list
 (** Span label and start clock of each entry, innermost first.
     Meaningful only when spans are on. *)
 
-val holder_context : t -> string -> string
+val holder_context : t -> Mach_obs.Obs_span.tag -> string
 (** The label of the span enclosing the thread's span [wanted]: what the
     holder was doing when it took the resource.  Falls back to the
     innermost span, then to ["(top-level)"]. *)

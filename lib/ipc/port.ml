@@ -23,7 +23,15 @@ type t = {
      and the unconditional wakeup was the dominant cost per message. *)
   mutable recv_waiters : int;
   mutable send_waiters : int;
-  mutable probe_hint : string; (* "<port>.queue", built at the first probe *)
+  mutable names : names option; (* built at the first span or probe *)
+}
+
+(* What the port is called in reports: its span tags and the spin hint
+   of its queue probe, built once per port, never on a message path. *)
+and names = {
+  send_tag : Obs_span.tag; (* "ipc:send:<port>" *)
+  recv_tag : Obs_span.tag; (* "ipc:recv:<port>" *)
+  probe_hint : string; (* "<port>.queue" *)
 }
 
 and element = Int of int | Str of string | Port_right of t
@@ -52,13 +60,27 @@ let create ?name ?(queue_limit = 16) () =
       space_event = K.Ev.fresh_event ();
       recv_waiters = 0;
       send_waiters = 0;
-      probe_hint = "";
+      names = None;
     }
   in
   Kobj.set_payload p.pobj (Port_payload p);
   p
 
 let name t = Kobj.name t.pobj
+
+let names t =
+  match t.names with
+  | Some n -> n
+  | None ->
+      let n =
+        {
+          send_tag = Obs_span.tag Obs_span.Ipc ("send:" ^ name t);
+          recv_tag = Obs_span.tag Obs_span.Ipc ("recv:" ^ name t);
+          probe_hint = name t ^ ".queue";
+        }
+      in
+      t.names <- Some n;
+      n
 let uid t = Kobj.uid t.pobj
 let kobj t = t.pobj
 let reference t = Kobj.reference t.pobj
@@ -126,7 +148,7 @@ let enqueue_locked t msg =
    IPC latency (what the RPC scorecard measures), not just lock time. *)
 let send t msg =
   let spans = Obs_span.enabled () in
-  if spans then K.Span.enter Obs_span.Ipc ("send:" ^ name t);
+  if spans then K.Span.enter (names t).send_tag;
   let rec attempt ~waited =
     Kobj.lock t.pobj;
     if waited then t.send_waiters <- t.send_waiters - 1;
@@ -147,7 +169,7 @@ let send t msg =
     end
   in
   let r = attempt ~waited:false in
-  if spans then K.Span.exit Obs_span.Ipc ("send:" ^ name t);
+  if spans then K.Span.exit (names t).send_tag;
   r
 
 let try_send t msg =
@@ -189,8 +211,7 @@ let dequeue_locked t =
    observe destroy promptly.  The probe names the queue as its spin
    hint, so a report never blames the last lock the thread waited for. *)
 let spin_for_message t spin =
-  if t.probe_hint = "" then t.probe_hint <- name t ^ ".queue";
-  K.Machine.spin_hint t.probe_hint;
+  K.Machine.spin_hint (names t).probe_hint;
   let pauses =
     K.Machine.spin_until ~budget:spin (fun () ->
         t.q_len > 0 || not (Kobj.is_active t.pobj))
@@ -207,7 +228,7 @@ let spin_for_message t spin =
 let receive_loop ~block ~spin t ~max =
   if max < 1 then invalid_arg "Port.receive_batch: max must be >= 1";
   let spans = block && Obs_span.enabled () in
-  if spans then K.Span.enter Obs_span.Ipc ("recv:" ^ name t);
+  if spans then K.Span.enter (names t).recv_tag;
   let rec take n acc =
     if n = 0 then acc
     else
@@ -246,7 +267,7 @@ let receive_loop ~block ~spin t ~max =
           Ok (List.map (fun q -> q.qm) batch)
   in
   let r = attempt ~waited:false ~spin in
-  if spans then K.Span.exit Obs_span.Ipc ("recv:" ^ name t);
+  if spans then K.Span.exit (names t).recv_tag;
   r
 
 let receive_batch ?(spin = 0) t ~max = receive_loop ~block:true ~spin t ~max

@@ -432,7 +432,7 @@ let shootdown ?(removals = 8) () =
   (* On a uniprocessor there is nobody to shoot down: the removals still
      run (local invalidates only) rather than waiting forever for a victim
      that can never be dispatched. *)
-  let participants = max 0 (Engine.cpu_count () - 1) in
+  let participants = Int.max 0 (Engine.cpu_count () - 1) in
   let stop = Engine.Cell.make ~name:"stop" 0 in
   let victims =
     List.init participants (fun k ->
@@ -882,7 +882,7 @@ let rpc_serve ?(shards = 1) ?(batch = 1) ?(calls_each = 8) ?(spin = 8192)
                 (match reply with
                 | [ Port.Int a; Port.Int b ] when a = i && b = k -> ()
                 | _ -> Engine.fatal "rpc: reply does not echo the request");
-                Obs_metrics.observe lat (Engine.now_cycles () - t0);
+                Obs_metrics.observe 0 lat (Engine.now_cycles () - t0);
                 ignore (Engine.Cell.fetch_and_add completed 1);
                 go (k - 1)
             | Error `Dead_port when drain_under_load -> ()

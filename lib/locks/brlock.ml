@@ -116,12 +116,12 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
     in
     let slot = go () in
     Ev.acquired t.rsite ~spins:!spins
-      ~wait_cycles:(if !spins > 0 then max 0 (M.now_cycles () - t0) else 0);
+      ~wait_cycles:(if !spins > 0 then Int.max 0 (M.now_cycles () - t0) else 0);
     slot
 
   (* Read holds are untimed: the slot token carries no clock. *)
   let read_unlock t ~slot =
-    Ev.released t.rsite;
+    Ev.released t.rsite ~held_cycles:Ev.untimed;
     ignore (M.Cell.fetch_and_add t.readers.(slot) (-1))
 
   let write_acquire t =
@@ -164,7 +164,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
     for i = 0 to n_slots - 1 do
       sweep := !sweep + M.Cell.await t.readers.(i) (fun n -> n = 0)
     done;
-    Obs_metrics.observe ~cpu:(M.current_cpu ()) h_sweep !sweep;
+    Obs_metrics.observe (M.current_cpu ()) h_sweep !sweep;
     spins + !sweep
 
   let write_release t = M.Cell.set t.writer 0
@@ -177,12 +177,12 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
     Ev.wait_end t.wsite;
     t.write_acquired_at <- M.now_cycles ();
     Ev.acquired t.wsite ~spins
-      ~wait_cycles:(if spins > 0 then max 0 (M.now_cycles () - t0) else 0);
+      ~wait_cycles:(if spins > 0 then Int.max 0 (M.now_cycles () - t0) else 0);
     spins
 
   let write_unlock t =
     Ev.released t.wsite
-      ~held_cycles:(max 0 (M.now_cycles () - t.write_acquired_at));
+      ~held_cycles:(Int.max 0 (M.now_cycles () - t.write_acquired_at));
     write_release t
 
   let with_read t f =

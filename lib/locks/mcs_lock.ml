@@ -112,9 +112,9 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
   let handoff t qn =
     let succ = M.Cell.get qn.next in
     if M.handoff_fault () then
-      Obs_metrics.incr ~cpu:(M.current_cpu ()) m_dropped
+      Obs_metrics.incr (M.current_cpu ()) m_dropped
     else begin
-      Obs_metrics.incr ~cpu:(M.current_cpu ()) m_handoffs;
+      Obs_metrics.incr (M.current_cpu ()) m_handoffs;
       M.Cell.set (node t succ).go 0
     end
 

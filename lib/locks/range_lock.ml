@@ -183,7 +183,7 @@ module Make
     wait_loop ();
     r.r_acquired_at <- M.now_cycles ();
     Ev.acquired ?blocker r.r_site ~spins:!waits
-      ~wait_cycles:(if !waits > 0 then max 0 (M.now_cycles () - t0) else 0);
+      ~wait_cycles:(if !waits > 0 then Int.max 0 (M.now_cycles () - t0) else 0);
     Slock.unlock t.il;
     r
 
@@ -218,7 +218,7 @@ module Make
     end;
     t.reqs <- List.filter (fun r' -> r' != r) t.reqs;
     Ev.released r.r_site
-      ~held_cycles:(max 0 (M.now_cycles () - r.r_acquired_at));
+      ~held_cycles:(Int.max 0 (M.now_cycles () - r.r_acquired_at));
     (* Mach's wakeup is broadcast: every waiter re-checks its own grant
        condition; newly admissible disjoint requests all proceed. *)
     if t.waiting then begin

@@ -133,12 +133,12 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
     in
     let slot = step Read_pending in
     Ev.acquired t.rsite ~spins:!spins
-      ~wait_cycles:(if !spins > 0 then max 0 (M.now_cycles () - t0) else 0);
+      ~wait_cycles:(if !spins > 0 then Int.max 0 (M.now_cycles () - t0) else 0);
     slot
 
   (* Read holds are untimed: the slot token carries no clock. *)
   let read_unlock t ~slot =
-    Ev.released t.rsite;
+    Ev.released t.rsite ~held_cycles:Ev.untimed;
     ignore (M.Cell.fetch_and_add t.refcounts.(slot) (-1))
 
   let write_acquire t =
@@ -164,7 +164,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
     done;
     M.Cell.set t.exc exc_lock_obtained;
     t.holder_ticket <- my;
-    Obs_metrics.observe ~cpu:(M.current_cpu ()) h_sweep !sweep;
+    Obs_metrics.observe (M.current_cpu ()) h_sweep !sweep;
     spins + !sweep
 
   let write_release t =
@@ -176,10 +176,10 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
        advance — a lost handoff). *)
     let successor_queued = M.Cell.get t.wticket <> next in
     if successor_queued && M.handoff_fault () then
-      Obs_metrics.incr ~cpu:(M.current_cpu ()) m_dropped
+      Obs_metrics.incr (M.current_cpu ()) m_dropped
     else begin
       if successor_queued then
-        Obs_metrics.incr ~cpu:(M.current_cpu ()) m_handoffs;
+        Obs_metrics.incr (M.current_cpu ()) m_handoffs;
       M.Cell.set t.wgrant next
     end
 
@@ -191,12 +191,12 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
     Ev.wait_end t.wsite;
     t.write_acquired_at <- M.now_cycles ();
     Ev.acquired t.wsite ~spins
-      ~wait_cycles:(if spins > 0 then max 0 (M.now_cycles () - t0) else 0);
+      ~wait_cycles:(if spins > 0 then Int.max 0 (M.now_cycles () - t0) else 0);
     spins
 
   let write_unlock t =
     Ev.released t.wsite
-      ~held_cycles:(max 0 (M.now_cycles () - t.write_acquired_at));
+      ~held_cycles:(Int.max 0 (M.now_cycles () - t.write_acquired_at));
     write_release t
 
   let with_read t f =

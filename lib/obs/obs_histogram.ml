@@ -31,7 +31,7 @@ let bucket_index v =
     (b * sub_buckets) + (v lsr b)
 
 let bucket_bounds i =
-  let b = Stdlib.max 0 ((i / sub_buckets) - 1) in
+  let b = Int.max 0 ((i / sub_buckets) - 1) in
   let sub = i - (b * sub_buckets) in
   (sub lsl b, ((sub + 1) lsl b) - 1)
 

@@ -53,15 +53,13 @@ let histogram name =
         })
     (function Histogram h -> Some h | _ -> None)
 
-let add ?(cpu = 0) c n =
-  ignore (Atomic.fetch_and_add c.c_shards.(shard_of cpu) n)
-
-let incr ?cpu c = add ?cpu c 1
+let add cpu c n = ignore (Atomic.fetch_and_add c.c_shards.(shard_of cpu) n)
+let incr cpu c = add cpu c 1
 
 let counter_value c =
   Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c.c_shards
 
-let observe ?(cpu = 0) h v = Obs_histogram.record h.h_shards.(shard_of cpu) v
+let observe cpu h v = Obs_histogram.record h.h_shards.(shard_of cpu) v
 
 let merged h =
   let out = Obs_histogram.make () in

@@ -27,11 +27,13 @@ type histogram
 val counter : string -> counter
 val histogram : string -> histogram
 
-(** {1 Updating} ([cpu] selects the shard; defaults to 0) *)
+(** {1 Updating}
 
-val add : ?cpu:int -> counter -> int -> unit
-val incr : ?cpu:int -> counter -> unit
-val observe : ?cpu:int -> histogram -> int -> unit
+    The first argument is the updating cpu, which selects the shard. *)
+
+val add : int -> counter -> int -> unit
+val incr : int -> counter -> unit
+val observe : int -> histogram -> int -> unit
 
 (** {1 Reading} (shards are merged at read time) *)
 

@@ -66,29 +66,47 @@ let edge_locked key =
       Hashtbl.add order_tbl key e;
       e
 
-let note_acquire ~cls ~holder ~contended ~wait_cycles =
-  locked (fun () ->
-      let cs = class_stats_locked cls in
-      cs.acquisitions <- cs.acquisitions + 1;
-      if contended then cs.contended <- cs.contended + 1;
-      if wait_cycles > 0 then cs.wait_cycles <- cs.wait_cycles + wait_cycles;
-      Obs_histogram.record cs.wait_hist wait_cycles;
-      if contended then
-        match holder with
-        | Some h when h <> cls ->
-            let e = edge_locked (h, cls) in
-            e.count <- e.count + 1
-        | _ -> ())
+(* The cold step: a lock site resolves its class once per generation
+   and records into the record it got, under the mutex but with no
+   table lookup and no closure. *)
+let resolve cls = locked (fun () -> class_stats_locked cls)
 
-let note_release ~cls ~held_cycles =
-  locked (fun () ->
-      let cs = class_stats_locked cls in
-      if held_cycles > 0 then cs.hold_cycles <- cs.hold_cycles + held_cycles)
+let placeholder =
+  {
+    cls = "";
+    acquisitions = 0;
+    contended = 0;
+    wait_cycles = 0;
+    hold_cycles = 0;
+    wait_hist = Obs_histogram.make ();
+  }
+
+let note_acquire cs ~holder ~contended ~wait_cycles =
+  Mutex.lock mu;
+  cs.acquisitions <- cs.acquisitions + 1;
+  if contended then begin
+    cs.contended <- cs.contended + 1;
+    match holder with
+    | Some h when not (String.equal h cs.cls) ->
+        let e = edge_locked (h, cs.cls) in
+        e.count <- e.count + 1
+    | _ -> ()
+  end;
+  if wait_cycles > 0 then cs.wait_cycles <- cs.wait_cycles + wait_cycles;
+  Obs_histogram.record cs.wait_hist wait_cycles;
+  Mutex.unlock mu
+
+let note_release cs ~held_cycles =
+  if held_cycles > 0 then begin
+    Mutex.lock mu;
+    cs.hold_cycles <- cs.hold_cycles + held_cycles;
+    Mutex.unlock mu
+  end
 
 let note_attempt ~held ~wanted ~witness =
   locked (fun () ->
       let e = edge_locked (held, wanted) in
-      if e.witness = None then e.witness <- Some witness)
+      if Option.is_none e.witness then e.witness <- Some witness)
 
 let note_finding f =
   locked (fun () -> if not (List.mem f !noted) then noted := f :: !noted)

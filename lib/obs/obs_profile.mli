@@ -23,20 +23,32 @@ type class_stats = {
 val class_of_name : string -> string
 (** Lock name -> class: digits deleted; "lock" when nothing remains. *)
 
-(** {1 Recording} (called from the lock layer) *)
+(** {1 Recording} (called from the lock layer)
+
+    A lock site resolves its class record once per {!generation} and
+    records into it: the class name is looked up on that cold step
+    only, and every update is made under the profiler's mutex. *)
+
+val resolve : string -> class_stats
+(** The record of class [cls] in the current {!generation}, made at the
+    class's first use; {!classes} lists it until the next {!reset}. *)
+
+val placeholder : class_stats
+(** A record of no class, for a site not yet resolved; never recorded
+    into. *)
 
 val note_acquire :
-  cls:string ->
+  class_stats ->
   holder:string option ->
   contended:bool ->
   wait_cycles:int ->
   unit
-(** Record an acquisition of class [cls]; when contended, also counts the
+(** Record an acquisition of the class; when contended, also counts the
     waits-for edge from [holder] (the class of the acquiring thread's
-    innermost held lock) unless it is [cls] itself. *)
+    innermost held lock) unless it is the class itself. *)
 
-val note_release : cls:string -> held_cycles:int -> unit
-(** Record a release of class [cls] held for [held_cycles] (0: untimed). *)
+val note_release : class_stats -> held_cycles:int -> unit
+(** Record a release of the class held for [held_cycles] (0: untimed). *)
 
 val note_attempt :
   held:string -> wanted:string -> witness:string * string * string -> unit
@@ -44,7 +56,8 @@ val note_attempt :
     edge keeps its first witness (thread, held lock, wanted lock). *)
 
 val generation : unit -> int
-(** Changes at every {!reset}, which a memo of recorded edges outlives. *)
+(** Changes at every {!reset}, which a lock site's resolved class record
+    and its memo of recorded edges outlive. *)
 
 val note_finding : string -> unit
 (** A same-spl mismatch with checking off; each distinct text once. *)

@@ -19,7 +19,13 @@
    ones for the next run; post-run reporting ([machsim report], bench
    E18) reads [last], which builds its sorted view only when it is read,
    while in-run post-mortems (the deadlock flight dump) read the live
-   tables. *)
+   tables.
+
+   A caller names a span site with a [tag], built once per lock, port,
+   map or event: its label, and the live tables' site record, resolved
+   by label at the tag's first close or contended wait of each run.  A
+   close then allocates nothing: the flight recorder writes into
+   preallocated per-cpu arrays. *)
 
 type kind = Lock | Event | Ipc | Vm
 
@@ -69,22 +75,38 @@ let empty_view = { v_sites = []; v_edges = []; v_flight = []; v_open = 0 }
 
 (* Bounded per-cpu ring of recently closed spans (the flight recorder).
    Sixteen per cpu is enough to reconstruct "what was everyone doing"
-   at a post-mortem without letting a long run grow without bound. *)
+   at a post-mortem without letting a long run grow without bound.  A
+   ring is one array per field, written in place: slot [i] of each
+   holds one closed span, and a close allocates nothing. *)
 let flight_cap = 16
 
 type flight_ring = {
-  fbuf : flight_span option array;
-  mutable fnext : int;
+  f_labels : string array;
+  f_tnames : string array;
+  f_t0s : int array;
+  f_t1s : int array;
+  mutable fnext : int; (* the slot the next close overwrites *)
+  mutable fcount : int; (* slots holding a span, up to [flight_cap] *)
 }
 
 (* One run's tables.  A domain keeps two sets: the live one, which the
-   running simulation records into, and the last finished run's. *)
+   running simulation records into, and the last finished run's.
+   [stamp] is drawn afresh whenever the tables start a run, from a
+   counter every domain shares, so a tag's resolved site record is
+   valid for exactly one run of one domain. *)
 type tables = {
   sites : (string, site) Hashtbl.t;
   edges : (string * string, edge) Hashtbl.t;
   mutable flight : flight_ring array; (* index cpu+1; slot 0 = off-cpu *)
   mutable open_at_end : int; (* spans still open when latched *)
+  mutable stamp : int;
 }
+
+(* A site as its caller keeps it.  [resolved] pairs a tables stamp with
+   that run's site record, in one immutable block, so a tag shared by
+   two domains is never read half-updated. *)
+type tag = { t_kind : kind; t_label : string; mutable resolved : resolved }
+and resolved = { r_stamp : int; r_site : site }
 
 type state = {
   mutable on : bool;
@@ -93,12 +115,16 @@ type state = {
   mutable last_view : view option; (* [last]'s view, once it is read *)
 }
 
+let stamps = Atomic.make 0
+let fresh_stamp () = Atomic.fetch_and_add stamps 1 + 1
+
 let new_tables () =
   {
     sites = Hashtbl.create 64;
     edges = Hashtbl.create 64;
     flight = [||];
     open_at_end = 0;
+    stamp = fresh_stamp ();
   }
 
 let state_key : state Domain.DLS.key =
@@ -110,11 +136,17 @@ let st () = Domain.DLS.get state_key
 let set_enabled b = (st ()).on <- b
 let enabled () = (st ()).on
 
+(* The rings keep their arrays: a cleared ring only forgets its spans. *)
 let clear t =
   Hashtbl.reset t.sites;
   Hashtbl.reset t.edges;
-  t.flight <- [||];
-  t.open_at_end <- 0
+  Array.iter
+    (fun r ->
+      r.fnext <- 0;
+      r.fcount <- 0)
+    t.flight;
+  t.open_at_end <- 0;
+  t.stamp <- fresh_stamp ()
 
 (* Clears the per-run tables only: the enabled gate belongs to the
    engine's run lifecycle, not to the [Run_reset] hook (which also fires
@@ -124,8 +156,6 @@ let reset () = clear (st ()).live
 (* ------------------------------------------------------------------ *)
 (* Recording                                                            *)
 (* ------------------------------------------------------------------ *)
-
-let label kind name = kind_name kind ^ ":" ^ name
 
 let site_of s kind lbl =
   match Hashtbl.find_opt s.sites lbl with
@@ -145,54 +175,95 @@ let site_of s kind lbl =
       Hashtbl.add s.sites lbl site;
       site
 
+(* No run's tables carry stamp 0. *)
+let unresolved =
+  {
+    r_stamp = 0;
+    r_site =
+      {
+        s_label = "";
+        s_kind = Lock;
+        s_spans = 0;
+        s_busy = 0;
+        s_max = 0;
+        s_blocked = 0;
+        s_blocked_cycles = 0;
+      };
+  }
+
+let tag kind name =
+  { t_kind = kind; t_label = kind_name kind ^ ":" ^ name; resolved = unresolved }
+
+let tag_kind t = t.t_kind
+let tag_label t = t.t_label
+
+(* The tag's site record in tables [s], looked up by label once per
+   run. *)
+let site_of_tag s t =
+  let r = t.resolved in
+  if r.r_stamp = s.stamp then r.r_site
+  else begin
+    let site = site_of s t.t_kind t.t_label in
+    t.resolved <- { r_stamp = s.stamp; r_site = site };
+    site
+  end
+
+let new_ring () =
+  {
+    f_labels = Array.make flight_cap "";
+    f_tnames = Array.make flight_cap "";
+    f_t0s = Array.make flight_cap 0;
+    f_t1s = Array.make flight_cap 0;
+    fnext = 0;
+    fcount = 0;
+  }
+
 let ring_of s cpu =
   let i = if cpu < 0 then 0 else cpu + 1 in
   let n = Array.length s.flight in
-  if i >= n then begin
-    let bigger =
-      Array.init (i + 1) (fun k ->
-          if k < n then s.flight.(k)
-          else { fbuf = Array.make flight_cap None; fnext = 0 })
-    in
-    s.flight <- bigger
-  end;
+  if i >= n then
+    s.flight <-
+      Array.init (i + 1) (fun k -> if k < n then s.flight.(k) else new_ring ());
   s.flight.(i)
 
-let push_flight s fs =
-  let r = ring_of s fs.f_cpu in
-  r.fbuf.(r.fnext) <- Some fs;
-  r.fnext <- (r.fnext + 1) mod flight_cap
-
-let close ~kind ~label ~t0 ~t1 ~cpu ~tname =
+let close t ~t0 ~t1 ~cpu ~tname =
   let s = (st ()).live in
-  let dur = max 0 (t1 - t0) in
-  let site = site_of s kind label in
+  let dur = Int.max 0 (t1 - t0) in
+  let site = site_of_tag s t in
   site.s_spans <- site.s_spans + 1;
   site.s_busy <- site.s_busy + dur;
   if dur > site.s_max then site.s_max <- dur;
-  push_flight s
-    { f_label = label; f_tname = tname; f_cpu = cpu; f_t0 = t0; f_t1 = t1 };
+  let r = ring_of s cpu in
+  let i = r.fnext in
+  r.f_labels.(i) <- t.t_label;
+  r.f_tnames.(i) <- tname;
+  r.f_t0s.(i) <- t0;
+  r.f_t1s.(i) <- t1;
+  r.fnext <- (if i + 1 = flight_cap then 0 else i + 1);
+  if r.fcount < flight_cap then r.fcount <- r.fcount + 1;
   if Obs_trace.enabled () then
     Obs_trace.emit
-      (Obs_event.Span_close { kind = kind_name kind; site = label; dur })
+      (Obs_event.Span_close
+         { kind = kind_name t.t_kind; site = t.t_label; dur })
 
-let blocked ~kind ~label:wanted ~holder ~wait_cycles =
+let blocked t ~holder ~wait_cycles =
   let s = (st ()).live in
-  let site = site_of s kind wanted in
+  let site = site_of_tag s t in
+  let wait_cycles = Int.max 0 wait_cycles in
   site.s_blocked <- site.s_blocked + 1;
-  site.s_blocked_cycles <- site.s_blocked_cycles + max 0 wait_cycles;
-  let key = (wanted, holder) in
+  site.s_blocked_cycles <- site.s_blocked_cycles + wait_cycles;
+  let key = (t.t_label, holder) in
   match Hashtbl.find_opt s.edges key with
   | Some e ->
       e.e_count <- e.e_count + 1;
-      e.e_cycles <- e.e_cycles + max 0 wait_cycles
+      e.e_cycles <- e.e_cycles + wait_cycles
   | None ->
       Hashtbl.add s.edges key
         {
-          e_wanted = wanted;
+          e_wanted = t.t_label;
           e_holder = holder;
           e_count = 1;
-          e_cycles = max 0 wait_cycles;
+          e_cycles = wait_cycles;
         }
 
 (* ------------------------------------------------------------------ *)
@@ -202,16 +273,21 @@ let blocked ~kind ~label:wanted ~holder ~wait_cycles =
 let copy_site s = { s with s_label = s.s_label }
 let copy_edge e = { e with e_wanted = e.e_wanted }
 
-let flight_of_ring r =
-  let out = ref [] in
-  for i = 0 to flight_cap - 1 do
-    let idx = (r.fnext + i) mod flight_cap in
-    match r.fbuf.(idx) with Some fs -> out := fs :: !out | None -> ()
-  done;
-  List.rev !out
+(* Oldest first.  A ring holds the spans of one cpu (ring 0: every
+   negative cpu, reported as -1). *)
+let flight_of_ring cpu r =
+  List.init r.fcount (fun k ->
+      let i = (r.fnext - r.fcount + k + flight_cap) mod flight_cap in
+      {
+        f_label = r.f_labels.(i);
+        f_tname = r.f_tnames.(i);
+        f_cpu = cpu;
+        f_t0 = r.f_t0s.(i);
+        f_t1 = r.f_t1s.(i);
+      })
 
 let flight s =
-  Array.to_list (Array.mapi (fun i r -> (i - 1, flight_of_ring r)) s.flight)
+  Array.to_list (Array.mapi (fun i r -> (i - 1, flight_of_ring (i - 1) r)) s.flight)
   |> List.filter (fun (_, l) -> l <> [])
 
 let view_of t =

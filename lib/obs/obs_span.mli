@@ -35,20 +35,27 @@ val enabled : unit -> bool
 
 (** {1 Recording} *)
 
-val label : kind -> string -> string
-(** ["kind:name"]; the lock layer builds it once per lock. *)
+type tag
+(** A span site as its caller keeps it, built once per lock, port, map
+    or event: the label ["kind:name"], and the current run's site
+    record, looked up by label at the tag's first record in each run.
+    Two tags with one label record into one site. *)
 
-val close :
-  kind:kind -> label:string -> t0:int -> t1:int -> cpu:int -> tname:string ->
-  unit
+val tag : kind -> string -> tag
+(** The tag of site ["kind:name"]. *)
+
+val tag_kind : tag -> kind
+val tag_label : tag -> string
+
+val close : tag -> t0:int -> t1:int -> cpu:int -> tname:string -> unit
 (** One span closed on thread [tname] running on [cpu]: updates the
-    site's stats, appends to the cpu's flight ring, and emits an
-    {!Obs_event.Span_close} when tracing is on. *)
+    site's stats, writes the span into the cpu's flight ring, and emits
+    an {!Obs_event.Span_close} when tracing is on.  Allocates nothing
+    once the tag is resolved in the run. *)
 
-val blocked :
-  kind:kind -> label:string -> holder:string -> wait_cycles:int -> unit
-(** Record one contended wait: the running thread wanted the site
-    [label] while another thread held it, inside its span [holder] (the
+val blocked : tag -> holder:string -> wait_cycles:int -> unit
+(** Record one contended wait: the running thread wanted the site of
+    the tag while another thread held it, inside its span [holder] (the
     span enclosing its hold — what the holder was doing when it took the
     resource).  Accumulates an edge from the wanted site to [holder],
     weighted by count and [wait_cycles]. *)
@@ -83,7 +90,9 @@ type edge = {
 type view = {
   v_sites : site list;  (** sorted by label *)
   v_edges : edge list;  (** heaviest (blocked cycles) first *)
-  v_flight : (int * flight_span list) list;  (** per cpu, oldest first *)
+  v_flight : (int * flight_span list) list;
+      (** per cpu, the newest 16 spans, oldest first; a negative cpu is
+          reported as -1 *)
   v_open : int;  (** spans still open when the view was taken *)
 }
 
@@ -101,7 +110,8 @@ val last : unit -> view option
     not changed by later runs. *)
 
 val reset : unit -> unit
-(** Clear the live tables (sites, edges, flight rings); the engine
+(** Clear the live tables (sites, edges, flight rings; the rings keep
+    their arrays) and invalidate every tag's resolved site; the engine
     registers this with [Run_reset].  The gate and the latched view are
     left alone. *)
 

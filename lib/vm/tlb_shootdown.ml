@@ -98,8 +98,8 @@ let shootdown ~pmap_id ~targets ~invalidate ~commit =
   commit ();
   invalidate ~cpu:me;
   Engine.Cell.set go 1;
-  let cycles = max 0 (Engine.now_cycles () - started_at) in
-  Obs_metrics.observe ~cpu:me h_round_trip cycles;
+  let cycles = Int.max 0 (Engine.now_cycles () - started_at) in
+  Obs_metrics.observe me h_round_trip cycles;
   if Obs_trace.enabled () then
     Obs_trace.emit (Obs_event.Tlb_shootdown_done { participants = n; cycles });
   ignore (Atomic.fetch_and_add performed 1)

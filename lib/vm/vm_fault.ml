@@ -76,7 +76,7 @@ let rec fault_inner ~wire ~prealloc map ~va =
    duration is the full latency the faulting thread observed. *)
 let fault ?(wire = false) map ~va =
   let spans = Obs_span.enabled () in
-  if spans then K.Span.enter Obs_span.Vm ("fault:" ^ Vm_map.name map);
+  if spans then K.Span.enter (Vm_map.fault_tag map);
   let r = fault_inner ~wire ~prealloc:None map ~va in
-  if spans then K.Span.exit Obs_span.Vm ("fault:" ^ Vm_map.name map);
+  if spans then K.Span.exit (Vm_map.fault_tag map);
   r

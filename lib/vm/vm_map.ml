@@ -47,6 +47,15 @@ type t = {
      entry is not inserted yet, so a concurrent vm_allocate_at cannot
      hand out an overlapping region.  Always empty in Coarse mode. *)
   mutable reserved : (int * int) list;
+  mutable tags : tags option; (* built at the map's first span *)
+}
+
+(* The map's span tags, one per operation, built once per map. *)
+and tags = {
+  alloc_at_tag : Obs_span.tag;
+  alloc_tag : Obs_span.tag;
+  dealloc_tag : Obs_span.tag;
+  fault_tag : Obs_span.tag;
 }
 
 (* Unnamed maps are numbered per run, as thread contexts number their
@@ -80,9 +89,28 @@ let create ?name ?(locking = Coarse) ctx =
     ver = 0;
     next_va = 0x1000;
     reserved = [];
+    tags = None;
   }
 
 let name t = t.mname
+
+let tags t =
+  match t.tags with
+  | Some g -> g
+  | None ->
+      let tag op = Obs_span.tag Obs_span.Vm (op ^ ":" ^ t.mname) in
+      let g =
+        {
+          alloc_at_tag = tag "alloc_at";
+          alloc_tag = tag "alloc";
+          dealloc_tag = tag "dealloc";
+          fault_tag = tag "fault";
+        }
+      in
+      t.tags <- Some g;
+      g
+
+let fault_tag t = (tags t).fault_tag
 let context t = t.ctx
 let pmap t = t.map_pmap
 let map_lock t = t.lock
@@ -201,7 +229,7 @@ let unreserve t ~va =
 
 let vm_allocate_at t ~va ~size =
   let spans = Obs_span.enabled () in
-  if spans then K.Span.enter Obs_span.Vm ("alloc_at:" ^ t.mname);
+  if spans then K.Span.enter (tags t).alloc_at_tag;
   let r =
     match t.locking with
     | Coarse ->
@@ -244,12 +272,12 @@ let vm_allocate_at t ~va ~size =
           Ok va
         end
   in
-  if spans then K.Span.exit Obs_span.Vm ("alloc_at:" ^ t.mname);
+  if spans then K.Span.exit (tags t).alloc_at_tag;
   r
 
 let vm_allocate t ~size =
   let spans = Obs_span.enabled () in
-  if spans then K.Span.enter Obs_span.Vm ("alloc:" ^ t.mname);
+  if spans then K.Span.enter (tags t).alloc_tag;
   let va =
     match t.locking with
     | Coarse ->
@@ -279,7 +307,7 @@ let vm_allocate t ~size =
         K.Rlock.release t.rlock h;
         va
   in
-  if spans then K.Span.exit Obs_span.Vm ("alloc:" ^ t.mname);
+  if spans then K.Span.exit (tags t).alloc_tag;
   va
 
 (* Tear one entry down: break its mappings, free its resident pages,
@@ -309,7 +337,7 @@ let destroy_entry_locked t e =
 
 let vm_deallocate t ~va =
   let spans = Obs_span.enabled () in
-  if spans then K.Span.enter Obs_span.Vm ("dealloc:" ^ t.mname);
+  if spans then K.Span.enter (tags t).dealloc_tag;
   let r =
     match t.locking with
     | Coarse -> (
@@ -362,7 +390,7 @@ let vm_deallocate t ~va =
         in
         attempt ()
   in
-  if spans then K.Span.exit Obs_span.Vm ("dealloc:" ^ t.mname);
+  if spans then K.Span.exit (tags t).dealloc_tag;
   r
 
 let release t =

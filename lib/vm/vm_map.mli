@@ -56,6 +56,11 @@ val create : ?name:string -> ?locking:locking -> context -> t
     N counting the unnamed maps created so far in this simulated run. *)
 
 val name : t -> string
+
+val fault_tag : t -> Mach_obs.Obs_span.tag
+(** The span tag of a fault on the map (["vm:fault:<map>"]), built once
+    per map. *)
+
 val context : t -> context
 val pmap : t -> Pmap.t
 

@@ -35,14 +35,23 @@ let queue_iters = 1_000
 
 let test_mutual_exclusion_native () =
   (* A non-atomic counter protected by the simple lock: any exclusion
-     failure loses increments.  Every protocol of the native suite runs. *)
+     failure loses increments.  Every protocol of the native suite runs.
+     The lock's class record in the profiler is updated by every domain
+     under the profiler's mutex, so it counts every acquisition too
+     (the lock is taken once before the domains start, which resolves
+     its class). *)
+  let module Profile = Mach_obs.Obs_profile in
   List.iter
     (fun proto ->
-      let l = HS.Slock.make ~proto () in
+      let name = "native-" ^ Mach_core.Lock_proto.name proto in
+      let l = HS.Slock.make ~name ~proto () in
       let counter = ref 0 in
       let iters =
         if List.memq proto HS.Locks.spin then 10_000 else queue_iters
       in
+      Profile.reset ();
+      HS.Slock.lock l;
+      HS.Slock.unlock l;
       ignore
         (Run.parallel_with_barrier domains (fun _ () ->
              for _ = 1 to iters do
@@ -50,9 +59,17 @@ let test_mutual_exclusion_native () =
                counter := !counter + 1;
                HS.Slock.unlock l
              done));
-      check_int
-        (Mach_core.Lock_proto.name proto ^ " exclusion")
-        (domains * iters) !counter)
+      check_int (name ^ " exclusion") (domains * iters) !counter;
+      let cls = Profile.class_of_name name in
+      check_int (name ^ " acquisitions profiled")
+        ((domains * iters) + 1)
+        (match
+           List.find_opt
+             (fun (c : Profile.class_stats) -> c.cls = cls)
+             (Profile.classes ())
+         with
+        | Some c -> c.acquisitions
+        | None -> 0))
     HS.Locks.all
 
 let test_try_lock_native () =

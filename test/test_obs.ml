@@ -228,8 +228,8 @@ let test_json_parser () =
 let test_metrics_registry () =
   Metrics.reset ();
   let c = Metrics.counter "test.counter" in
-  Metrics.incr c;
-  Metrics.add ~cpu:3 c 4;
+  Metrics.incr 0 c;
+  Metrics.add 3 c 4;
   check_int "shards merge at read" 5 (Metrics.counter_value c);
   check_bool "interning returns the same counter" true
     (Metrics.counter_value (Metrics.counter "test.counter") = 5);
@@ -237,8 +237,8 @@ let test_metrics_registry () =
   | _ -> Alcotest.fail "type clash must raise"
   | exception Invalid_argument _ -> ());
   let h = Metrics.histogram "test.hist" in
-  Metrics.observe ~cpu:0 h 10;
-  Metrics.observe ~cpu:7 h 30;
+  Metrics.observe 0 h 10;
+  Metrics.observe 7 h 30;
   check_int "histogram shards merge" 2 (Hist.count (Metrics.merged h));
   Metrics.reset ();
   check_int "reset zeroes counters" 0 (Metrics.counter_value c);
@@ -253,12 +253,12 @@ let test_profile_classes_and_edges () =
   check_bool "all-digit name falls back" true
     (Profile.class_of_name "42" = "lock");
   (* a thread holding a pmap lock contends on a pv lock: edge *)
-  Profile.note_acquire ~cls:"pmap" ~holder:None ~contended:false
-    ~wait_cycles:0;
-  Profile.note_acquire ~cls:"pv" ~holder:(Some "pmap") ~contended:true
+  let pmap = Profile.resolve "pmap" and pv = Profile.resolve "pv" in
+  Profile.note_acquire pmap ~holder:None ~contended:false ~wait_cycles:0;
+  Profile.note_acquire pv ~holder:(Some "pmap") ~contended:true
     ~wait_cycles:250;
-  Profile.note_release ~cls:"pv" ~held_cycles:10;
-  Profile.note_release ~cls:"pmap" ~held_cycles:100;
+  Profile.note_release pv ~held_cycles:10;
+  Profile.note_release pmap ~held_cycles:100;
   (match Profile.edges () with
   | [ (holder, wanted, n) ] ->
       check_bool "edge holder" true (holder = "pmap");
@@ -290,9 +290,10 @@ let test_first_attempt_rate_edges () =
   in
   check_bool "no acquisitions -> rate 1.0" true
     (Profile.first_attempt_rate empty = 1.0);
+  let l = Profile.resolve "l" in
   for _ = 1 to 3 do
-    Profile.note_acquire ~cls:"l" ~holder:None ~contended:true ~wait_cycles:5;
-    Profile.note_release ~cls:"l" ~held_cycles:1
+    Profile.note_acquire l ~holder:None ~contended:true ~wait_cycles:5;
+    Profile.note_release l ~held_cycles:1
   done;
   (match Profile.classes () with
   | [ c ] ->
@@ -431,10 +432,12 @@ type span_entry = Hold of int | Sp of int * int (* kind, name *)
 let apply_ops ops =
   let module K = Mach_ksync.Ksync in
   let kinds = [| Span.Event; Span.Ipc; Span.Vm |] in
-  let sp_label (k, n) = Span.label kinds.(k) (if n = 0 then "x" else "y") in
+  let tags =
+    Array.map (fun k -> [| Span.tag k "x"; Span.tag k "y" |]) kinds
+  in
   let entry_label = function
     | Hold i -> Printf.sprintf "lock:pl%d" i
-    | Sp (k, n) -> sp_label (k, n)
+    | Sp (k, n) -> Span.tag_label tags.(k).(n)
   in
   let model = ref [] and closed = Hashtbl.create 8 in
   let close e =
@@ -476,12 +479,12 @@ let apply_ops ops =
               end
               else if op < 12 then begin
                 let k = (op - 6) / 2 and n = (op - 6) mod 2 in
-                K.Span.enter kinds.(k) (if n = 0 then "x" else "y");
+                K.Span.enter tags.(k).(n);
                 model := Sp (k, n) :: !model
               end
               else if op < 18 then begin
                 let k = (op - 12) / 2 and n = (op - 12) mod 2 in
-                K.Span.exit kinds.(k) (if n = 0 then "x" else "y");
+                K.Span.exit tags.(k).(n);
                 remove_first (( = ) (Sp (k, n)))
               end
               else begin
@@ -692,6 +695,83 @@ let test_span_latch_recycles () =
   check_int "C's spans alone" 3
     (List.fold_left (fun n s -> n + s.Span.s_spans) 0 c.Span.v_sites)
 
+(* A lock site keeps its class record for one profile generation and
+   its span site for one run; an IPC tag keeps its span site for one
+   run.  A lock and a tag made outside the runs of one domain must
+   record each run into that run's tables: a run's view and the profile
+   after its reset count that run only.  The third run records into the
+   tables the first run latched, recycled, with the tag last resolved
+   in the first. *)
+let test_cached_records_per_run () =
+  let module K = Mach_ksync.Ksync in
+  let l = K.Slock.make ~name:"kept" () in
+  let tag = Span.tag Span.Ipc "kept" in
+  let run times =
+    Profile.reset ();
+    let cfg = { Config.default with Config.cpus = 1 } in
+    ignore
+      (Engine.run ~cfg (fun () ->
+           for _ = 1 to times do
+             K.Span.enter tag;
+             K.Slock.lock l;
+             Engine.cycles 5;
+             K.Slock.unlock l;
+             K.Span.exit tag
+           done));
+    let v =
+      match Span.last () with
+      | Some v -> v
+      | None -> Alcotest.fail "no span view latched"
+    in
+    let spans label =
+      match List.find_opt (fun s -> s.Span.s_label = label) v.Span.v_sites with
+      | Some s -> s.Span.s_spans
+      | None -> 0
+    in
+    let acquisitions =
+      match List.find_opt (fun c -> c.Profile.cls = "kept") (Profile.classes ()) with
+      | Some c -> c.Profile.acquisitions
+      | None -> 0
+    in
+    [ spans "lock:kept"; spans "ipc:kept"; acquisitions ]
+  in
+  Alcotest.(check (list int)) "first run" [ 3; 3; 3 ] (run 3);
+  Alcotest.(check (list int)) "a run that takes nothing" [ 0; 0; 0 ] (run 0);
+  Alcotest.(check (list int)) "the third run counts only itself" [ 5; 5; 5 ]
+    (run 5)
+
+(* The flight ring keeps the newest 16 spans of a cpu, oldest first,
+   once it has wrapped; a later run of the domain starts from an empty
+   ring. *)
+let test_flight_ring_wraps () =
+  let module K = Mach_ksync.Ksync in
+  let flight prefix n =
+    let cfg = { Config.default with Config.cpus = 1 } in
+    ignore
+      (Engine.run ~cfg (fun () ->
+           for i = 0 to n - 1 do
+             let l = K.Slock.make ~name:(Printf.sprintf "%s%d" prefix i) () in
+             K.Slock.lock l;
+             Engine.cycles 5;
+             K.Slock.unlock l
+           done));
+    match Span.last () with
+    | Some v ->
+        List.map
+          (fun (cpu, l) -> (cpu, List.map (fun fs -> fs.Span.f_label) l))
+          v.Span.v_flight
+    | None -> Alcotest.fail "no span view latched"
+  in
+  let labels prefix lo hi =
+    List.init (hi - lo) (fun i -> Printf.sprintf "lock:%s%d" prefix (lo + i))
+  in
+  Alcotest.(check (list (pair int (list string))))
+    "the newest 16 of 20, oldest first" [ (0, labels "w" 4 20) ]
+    (flight "w" 20);
+  Alcotest.(check (list (pair int (list string))))
+    "the next run's ring holds its own spans" [ (0, labels "z" 0 3) ]
+    (flight "z" 3)
+
 (* vm_allocate_at must bracket every exit path — including the
    Error `Overlap early return — in its Vm span: after successes and
    failures on both map disciplines, the site shows all calls closed
@@ -866,5 +946,9 @@ let () =
             test_range_spans_close_their_own_range;
           test_case "a latched view survives later runs" `Quick
             test_span_latch_recycles;
+          test_case "cached records never outlive their run" `Quick
+            test_cached_records_per_run;
+          test_case "the flight ring keeps the newest spans" `Quick
+            test_flight_ring_wraps;
         ] );
     ]

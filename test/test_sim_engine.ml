@@ -606,14 +606,16 @@ let test_engine_wait_equals_literal_mc () =
   check_bool "same counts" true (a = b)
 
 let test_wait_predicate_contract () =
-  (* A predicate that performs a machine operation while the engine
-     evaluates it is a named fatal error, not an unhandled effect.  The
-     first check runs in the fiber, where the operation is legal. *)
+  (* A predicate that performs a machine operation or reads the running
+     context while the engine evaluates it is a named fatal error, not
+     an unhandled effect or a read of no frame's context.  The first
+     check runs in the fiber, where the operation is legal. *)
   List.iter
     (fun (op, misbehave) ->
       match
         Engine.run_outcome ~cfg:(cfg ~cpus:2 ()) (fun () ->
             let c = Engine.Cell.make ~name:"probe" 0 in
+            let me = Engine.self () in
             let t =
               Engine.spawn (fun () ->
                   Engine.cycles 100;
@@ -622,7 +624,7 @@ let test_wait_predicate_contract () =
             let first = ref true in
             ignore
               (Engine.spin_until (fun () ->
-                   if not !first then misbehave c;
+                   if not !first then misbehave c me;
                    first := false;
                    Engine.Cell.get c = 1));
             Engine.join t)
@@ -634,16 +636,20 @@ let test_wait_predicate_contract () =
             (contains msg "predicate of spin_until" && contains msg op)
       | _ -> Alcotest.failf "%s inside spin_until's predicate must panic" op)
     [
-      ("a cell operation", fun c -> ignore (Engine.Cell.get c));
-      ("pause", fun _ -> Engine.pause ());
-      ("park", fun _ -> Engine.park ());
-      ("cycles", fun _ -> Engine.cycles 1);
-      ("set_spl", fun _ -> ignore (Engine.set_spl Spl.Splhigh));
-      ("unpark", fun _ -> Engine.unpark (Engine.self ()));
-      ("spawn", fun _ -> ignore (Engine.spawn (fun () -> ())));
+      ("a cell operation", fun c _ -> ignore (Engine.Cell.get c));
+      ("pause", fun _ _ -> Engine.pause ());
+      ("park", fun _ _ -> Engine.park ());
+      ("cycles", fun _ _ -> Engine.cycles 1);
+      ("set_spl", fun _ _ -> ignore (Engine.set_spl Spl.Splhigh));
+      ("unpark", fun _ me -> Engine.unpark me);
+      ("spawn", fun _ _ -> ignore (Engine.spawn (fun () -> ())));
       ( "post_interrupt",
-        fun _ -> Engine.post_interrupt ~cpu:1 ~level:Spl.Splvm (fun () -> ())
-      );
+        fun _ _ ->
+          Engine.post_interrupt ~cpu:1 ~level:Spl.Splvm (fun () -> ()) );
+      ("self", fun _ _ -> ignore (Engine.self ()));
+      ("now_cycles", fun _ _ -> ignore (Engine.now_cycles ()));
+      ("current_cpu", fun _ _ -> ignore (Engine.current_cpu ()));
+      ("get_spl", fun _ _ -> ignore (Engine.get_spl ()));
     ]
 
 let test_wait_outside_a_thread () =

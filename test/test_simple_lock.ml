@@ -162,6 +162,44 @@ let test_contention_counted () =
       List.iter Engine.join ts;
       check_int "all acquisitions recorded" 40 (acquisitions () - before))
 
+(* The uncontended path allocates what it keeps: the two cell
+   operations' continuations, the hold and the wait edge on the
+   thread's context, the holder.  A lock pair's words are measured
+   against a test-and-set + set pair's, the same two cell operations
+   without the lock layer, in the same process on a 1-cpu machine, so
+   the bound holds whatever a cell operation costs on the compiler in
+   use.  Spans are on, as they ship. *)
+let test_uncontended_allocation () =
+  let n = 2_000 in
+  let per_op f =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let cfg = { Mach_sim.Sim_config.default with cpus = 1 } in
+  ignore
+    (Engine.run ~cfg (fun () ->
+         let c = Engine.Cell.make ~name:"bare" 0 in
+         let l = K.Slock.make ~name:"uncontended" () in
+         let cells () =
+           ignore (Engine.Cell.test_and_set c);
+           Engine.Cell.set c 0
+         in
+         let pair () =
+           K.Slock.lock l;
+           K.Slock.unlock l
+         in
+         (* The first pair builds the site's class and span tag. *)
+         pair ();
+         let cells = per_op cells and pair = per_op pair in
+         if pair > cells +. 24. then
+           Alcotest.failf
+             "an uncontended lock pair allocates %.1f words, %.1f beyond \
+              its two cell operations (at most 24)"
+             pair (pair -. cells)))
+
 let test_uniprocessor_mode () =
   in_sim (fun () ->
       K.Slock.set_uniprocessor true;
@@ -395,6 +433,8 @@ let () =
           Alcotest.test_case "stats" `Quick test_contention_counted;
           Alcotest.test_case "uniprocessor compile-out" `Quick
             test_uniprocessor_mode;
+          Alcotest.test_case "uncontended allocation" `Quick
+            test_uncontended_allocation;
         ] );
       ( "design rules",
         [
