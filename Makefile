@@ -61,14 +61,16 @@ perf-gate-selftest:
 # change: run the full engine measurement, then edit
 # bench/perf_reference.json's engine.vs_baseline to the new value
 # (rounded down to absorb runner jitter).  After an intentional change
-# to the simulated timing model, also copy the vm, cache and rpc
-# makespans (vm.coarse_makespan -> vm.exact_coarse_makespan, and so on
-# for every exact_* field) from BENCH_sim_perf.json: they are exact, so
-# any other move of them is a regression.
+# to the simulated timing model or the schedules, also copy the vm,
+# cache and rpc makespans and the engine, engine64 and mc step and
+# transition counts (vm.coarse_makespan -> vm.exact_coarse_makespan,
+# engine.steps -> engine.exact_steps, and so on for every exact_* field)
+# from BENCH_sim_perf.json: they are exact, so any other move of them is
+# a regression.
 perf-reference:
 	dune exec bench/perf.exe -- --engine-only
 	@echo "update bench/perf_reference.json from BENCH_sim_perf.json's engine.vs_baseline"
-	@echo "and, after a timing-model change, each exact_* field from the makespan it names"
+	@echo "and, after a timing-model or schedule change, each exact_* field from the value it names"
 
 # Run the shootdown scenario with tracing, export Chrome trace-event
 # JSON, and verify it parses and contains the shootdown events (machsim

@@ -20,7 +20,10 @@
    RPC serving run) and `mc` (best-of-N DPOR transitions/sec on the
    E14 herd cell) are checked the same way: `vs_baseline` and
    `vs_calib` against [min_ratio] times their committed references,
-   failing only when both are below.
+   failing only when both are below.  The work each of the three
+   host-time rows times is deterministic, and the reference pins it
+   (exact_steps, exact_transitions): a run that did less work would
+   otherwise pass as a faster one.
 
    The cost of spans, which are on by default, is checked on
    `engine.spans.on_vs_off`: spans-on over spans-off steps/sec of the
@@ -160,8 +163,9 @@ type row = {
   check : unit -> bool; (* true when the row fails *)
 }
 
-(* One makespan behind a deterministic ratio against the reference's
-   exact_[field].  An injected slowdown doubles it. *)
+(* A deterministic value behind a row (a makespan behind a ratio, or
+   the steps or transitions a host-time row times) against the
+   reference's exact_[field].  An injected slowdown doubles it. *)
 let exact_check ~section field =
   match lookup !reference [ section; "exact_" ^ field ] with
   | None -> false
@@ -176,9 +180,8 @@ let exact_check ~section field =
             (if injected then "  [injected 2x slowdown]" else "");
           if m <> want then
             Printf.printf
-              "perf-gate: FAIL: %s: %s moved from %.0f to %.0f cycles \
-               (deterministic simulated time: the timing changed; see `make \
-               perf-reference`)\n"
+              "perf-gate: FAIL: %s: %s moved from %.0f to %.0f (deterministic: \
+               the work behind the row changed; see `make perf-reference`)\n"
               section field want m;
           m <> want)
 
@@ -204,19 +207,24 @@ let det_row ~section ~label ~ref_field ~meas_field ~makespans ~fail_text =
   }
 
 (* A host-time row checked like the engine row, when the reference has
-   it. *)
-let host_row section label fail_msg =
+   it, with the work it timed pinned by exact_[work]. *)
+let host_row section ~work label fail_msg =
   Obs_json.member section (json_of_file !reference) <> None
-  && both_below ~section (fun r -> min_ratio *. r) label fail_msg
+  &&
+  let slow = both_below ~section (fun r -> min_ratio *. r) label fail_msg in
+  let moved = exact_check ~section work in
+  slow || moved
 
-let estimator_fields section =
-  [ (section, "vs_baseline"); (section, "vs_calib") ]
+let host_fields section ~work =
+  [
+    (section, "vs_baseline"); (section, "vs_calib"); (section, "exact_" ^ work);
+  ]
 
 let rows =
   [
     {
       row = "engine";
-      reads = estimator_fields "engine";
+      reads = host_fields "engine" ~work:"steps";
       check =
         (fun () ->
           let ratio_failed =
@@ -246,7 +254,8 @@ let rows =
                   observability hooks are not free"
                  (100. *. max_spans_overhead))
           in
-          ratio_failed || spans_failed);
+          let moved = exact_check ~section:"engine" "steps" in
+          ratio_failed || spans_failed || moved);
     };
     (* The shipped configuration: spans are on by default.  The engine
        row measures spans off and on in the same process, best-of-N
@@ -301,10 +310,10 @@ let rows =
     (* The model checker's host cost per transition (E14 herd cell). *)
     {
       row = "mc";
-      reads = estimator_fields "mc";
+      reads = host_fields "mc" ~work:"transitions";
       check =
         (fun () ->
-          host_row "mc" "model checker"
+          host_row "mc" ~work:"transitions" "model checker"
             (Printf.sprintf
                "DPOR transitions/sec on the E14 herd cell is below %.0f%% of \
                 the committed reference on every estimator; the checker's \
@@ -316,10 +325,10 @@ let rows =
        engine row. *)
     {
       row = "engine64";
-      reads = estimator_fields "engine64";
+      reads = host_fields "engine64" ~work:"steps";
       check =
         (fun () ->
-          host_row "engine64" "64-cpu engine"
+          host_row "engine64" ~work:"steps" "64-cpu engine"
             (Printf.sprintf
                "64-cpu engine steps/sec is below %.0f%% of the committed \
                 reference on every estimator; the scheduler's per-step host \

@@ -41,15 +41,22 @@ type cell = {
 }
 
 (* An engine-run spin-wait (see "engine-run waits" below): what is left
-   of a [spin_until] or [Cell.await] loop whose first check failed. *)
-type wait = {
-  wcell : cell option; (* [Cell.await]'s cell; None for [spin_until] *)
-  ready : int -> bool; (* given [last]; [spin_until]'s ignores it *)
-  mutable left : int; (* checks the budget still allows *)
-  mutable pauses : int; (* pauses made so far: the wait's result *)
-  mutable last : int; (* the value the last read step returned *)
-  mutable read_next : bool; (* a read step comes next, else a check *)
-}
+   of a [spin_until] or [Cell.await] loop whose first check failed.
+   Each holds its predicate as the caller gave it. *)
+type wait =
+  | No_wait
+  | Until of {
+      until : unit -> bool;
+      mutable left : int; (* checks the budget still allows *)
+      mutable pauses : int; (* pauses made so far: the wait's result *)
+    }
+  | Await of {
+      cell : cell;
+      ready : int -> bool; (* given [last] *)
+      mutable pauses : int;
+      mutable last : int; (* the value the last read step returned *)
+      mutable read_next : bool; (* a read step comes next, else a check *)
+    }
 
 type thread = {
   tid : int;
@@ -75,7 +82,7 @@ type thread = {
          Values a spin loop tests were read during the streak, so
          "[prod_ctr] still equals the anchor" certifies the loop would
          re-read the same values. *)
-  mutable wait : wait option; (* the engine-run wait this frame is in *)
+  mutable wait : wait; (* the engine-run wait this frame is in *)
 }
 
 type intr = {
@@ -86,7 +93,7 @@ type intr = {
   mutable isaved_spl : Spl.t;
   mutable ihint : string option;
   mutable iprod_anchor : int; (* as [thread.prod_anchor] *)
-  mutable iwait : wait option; (* as [thread.wait] *)
+  mutable iwait : wait; (* as [thread.wait] *)
 }
 
 type frame = Fthread of thread | Fintr of intr
@@ -400,7 +407,7 @@ let make_thread ?(bound = None) tname =
     enq_seq = 0;
     tseq = 0;
     prod_anchor = -1;
-    wait = None;
+    wait = No_wait;
   }
 
 let engine_key : engine option Domain.DLS.key =
@@ -656,7 +663,7 @@ let spin_hint s =
    the effect round trip and the fiber code per iteration. *)
 
 (* A counted spin pause on cpu [c], short of ending the step. *)
-let spin_pause_on e c =
+let[@inline] spin_pause_on e c =
   c.clock <- c.clock + Sim_config.pause_cost;
   e.st.m_spin_pauses <- e.st.m_spin_pauses + 1;
   e.explicit_pause <- true
@@ -670,9 +677,9 @@ let spin_pause () =
 
 let start_wait e c f w =
   spin_pause_on e c;
-  set_wait f (Some w);
+  set_wait f w;
   Effect.perform Pause_eff;
-  w.pauses
+  match w with Until u -> u.pauses | Await a -> a.pauses | No_wait -> 0
 
 (* Outside a simulated thread nothing else runs, so a failed check can
    never come true: a bounded wait spends its budget (each pause is
@@ -689,14 +696,7 @@ let spin_until ?(budget = max_int) ready =
     match the_engine () with
     | Some ({ cur = Some (c, f); _ } as e) ->
         start_wait e c f
-          {
-            wcell = None;
-            ready = (fun _ -> ready ());
-            left = budget - 1;
-            pauses = 1;
-            last = 0;
-            read_next = false;
-          }
+          (Until { until = ready; left = budget - 1; pauses = 1 })
     | e -> wait_outside e ~budget
 
 (* ------------------------------------------------------------------ *)
@@ -809,14 +809,7 @@ module Cell = struct
       match the_engine () with
       | Some ({ cur = Some (c, f); _ } as e) ->
           start_wait e c f
-            {
-              wcell = Some t;
-              ready;
-              left = max_int;
-              pauses = 1;
-              last = v;
-              read_next = true;
-            }
+            (Await { cell = t; ready; pauses = 1; last = v; read_next = true })
       | e -> wait_outside e ~budget:max_int
 
   let set t v =
@@ -1078,7 +1071,7 @@ let post_interrupt ?(name = "ipi") ~cpu ~level handler =
       isaved_spl = Spl.Spl0;
       ihint = None;
       iprod_anchor = -1;
-      iwait = None;
+      iwait = No_wait;
     }
   in
   let c = e.cpus.(cpu) in
@@ -1234,40 +1227,65 @@ let[@inline] run_frame e f =
           Effect.Deep.continue k ()
       | None, None -> fatal "internal: interrupt frame w/o continuation")
 
-(* Evaluate a wait's predicate for frame [f] on cpu [c], as the fiber
-   would, with a failure annotated as the fiber's own would be.  The
+(* A predicate raised [exn] while the engine evaluated it for cpu [c]'s
+   top frame: the panic the fiber's own would be, annotated as a fiber's
+   failure is. *)
+let[@inline never] predicate_failed e c w exn =
+  e.in_ready <- false;
+  let frame =
+    match c.here with
+    | Some (_, f) -> frame_name f
+    | None -> fatal "internal: wait step with no current frame"
+  in
+  let why =
+    match exn with
+    | Broken_wait op ->
+        Printf.sprintf
+          "the predicate of %s performed %s; a wait predicate may read only \
+           plain memory and the value read"
+          (match w with
+          | Await a -> "Cell.await on " ^ a.cell.cname
+          | Until _ | No_wait -> "spin_until")
+          op
+    | Kernel_panic msg -> msg
+    | exn -> "unhandled exception: " ^ Printexc.to_string exn
+  in
+  raise (Kernel_panic (Printf.sprintf "[cpu%d %s] %s" c.idx frame why))
+
+(* Evaluate the predicate of cpu [c]'s wait [w], as the fiber would.  The
    frame is not made current: a predicate reads plain memory and the
    value read, and every machine operation or context read it makes is
    refused on the no-frame path ([no_frame]). *)
-let check_ready e c f w =
+let[@inline] check_ready e c w =
   e.in_ready <- true;
-  match w.ready w.last with
+  match
+    match w with
+    | Until u -> u.until ()
+    | Await a -> a.ready a.last
+    | No_wait -> fatal "internal: a check of no wait"
+  with
   | ok ->
       e.in_ready <- false;
       ok
-  | exception exn ->
-      e.in_ready <- false;
-      let why =
-        match exn with
-        | Broken_wait op ->
-            Printf.sprintf
-              "the predicate of %s performed %s; a wait predicate may read \
-               only plain memory and the value read"
-              (match w.wcell with
-              | Some t -> "Cell.await on " ^ t.cname
-              | None -> "spin_until")
-              op
-        | Kernel_panic msg -> msg
-        | exn -> "unhandled exception: " ^ Printexc.to_string exn
-      in
-      raise
-        (Kernel_panic (Printf.sprintf "[cpu%d %s] %s" c.idx (frame_name f) why))
+  | exception exn -> predicate_failed e c w exn
 
 (* [c.here] made [Some (c, f)] for [c]'s top frame [f]. *)
 let set_here c f =
   match c.here with
   | Some (_, g) when g == f -> ()
   | _ -> c.here <- Some (c, f)
+
+(* The step that ends cpu [c]'s wait: its top frame, from [c.here],
+   leaves the wait and runs on.  False, as [wait_step]. *)
+let end_wait e c =
+  match c.here with
+  | None -> fatal "internal: wait step with no current frame"
+  | Some (_, f) as here ->
+      set_wait f No_wait;
+      e.cur <- here;
+      run_frame e f;
+      e.cur <- None;
+      false
 
 (* One step of the engine-run wait [w] of cpu [c]'s top frame, the step
    the fiber's loop would take: a read step (a [Cell.get] without the
@@ -1277,31 +1295,33 @@ let set_here c f =
    from [c.here], which the caller has set; the predicate runs with no
    current frame, so a step that goes on waiting stores nothing into
    the engine record.  True when the wait goes on: the step changed
-   none of the cpu's frames, spl or pending mask. *)
-let wait_step e c w =
-  if w.read_next then begin
-    (match w.wcell with Some t -> w.last <- Cell.read e c t | None -> ());
-    w.read_next <- false;
-    true
-  end
-  else
-    match c.here with
-    | None -> fatal "internal: wait step with no current frame"
-    | Some (_, f) as here ->
-        if w.left > 0 && not (check_ready e c f w) then begin
-          w.left <- w.left - 1;
-          w.pauses <- w.pauses + 1;
-          spin_pause_on e c;
-          (match w.wcell with Some _ -> w.read_next <- true | None -> ());
-          true
-        end
-        else begin
-          set_wait f None;
-          e.cur <- here;
-          run_frame e f;
-          e.cur <- None;
-          false
-        end
+   none of the cpu's frames, spl or pending mask.  Inlined into each of
+   its callers, so a step that goes on waiting makes no call but the
+   predicate's. *)
+let[@inline] wait_step e c w =
+  match w with
+  | Until u ->
+      if u.left > 0 && not (check_ready e c w) then begin
+        u.left <- u.left - 1;
+        u.pauses <- u.pauses + 1;
+        spin_pause_on e c;
+        true
+      end
+      else end_wait e c
+  | Await a ->
+      if a.read_next then begin
+        a.last <- Cell.read e c a.cell;
+        a.read_next <- false;
+        true
+      end
+      else if not (check_ready e c w) then begin
+        a.pauses <- a.pauses + 1;
+        a.read_next <- true;
+        spin_pause_on e c;
+        true
+      end
+      else end_wait e c
+  | No_wait -> fatal "internal: a wait step of no wait"
 
 (* Resume cpu [c]'s top frame for one step; true when the step was one
    more iteration of an engine-run wait. *)
@@ -1311,12 +1331,12 @@ let resume e c =
   | f :: _ -> (
       set_here c f;
       match frame_wait f with
-      | Some w -> wait_step e c w
-      | None ->
+      | No_wait ->
           e.cur <- c.here;
           run_frame e f;
           e.cur <- None;
-          false)
+          false
+      | w -> wait_step e c w)
 
 (* Highest deliverable level: hardware priority fixes the level, so only
    FIFO position *within* it is ever a choice. *)
@@ -1411,8 +1431,8 @@ let all_threads_report e =
                    (* An unbudgeted wait starts at [max_int] checks. *)
                    let left =
                      match frame_wait f with
-                     | Some w when w.left < max_int / 2 ->
-                         Printf.sprintf ", %d checks left" w.left
+                     | Until { left; _ } when left < max_int / 2 ->
+                         Printf.sprintf ", %d checks left" left
                      | _ -> ""
                    in
                    frame_name f
@@ -1760,11 +1780,11 @@ let action e c =
     match c.frames with
     | f :: _ -> (
         match frame_wait f with
-        | Some w ->
+        | No_wait -> 2
+        | w ->
             c.cwait <- w;
             set_here c f;
-            4
-        | None -> 2)
+            4)
     | [] -> if dispatchable e c then 3 else 0
 
 let refresh e i =
@@ -1852,9 +1872,24 @@ let drop_near e p clk =
   e.nnear <- n;
   if clk < e.tout then e.tout <- clk
 
+(* The picked cpu [p], now at clock [clk], held the minimum before its
+   step (see [slide_window]). *)
+let window_from_min e p clk =
+  let lo = ref max_int in
+  for k = 0 to e.nnear - 1 do
+    let c = e.cpus.(e.near.(k)).clock in
+    if c < !lo then lo := c
+  done;
+  let limit = !lo + timed_window in
+  if e.tout <= limit then recompute_near e
+  else begin
+    e.tmin <- !lo;
+    if clk > limit then drop_near e p clk
+  end
+
 (* Bring the Timed window up to date with the last step, which ran
-   cpu [last_pick].  Clocks only move forward, and a step moves only
-   its picked cpu's.  If candidacy is unchanged, then:
+   cpu [p] from clock [pick_clock].  Clocks only move forward, and a
+   step moves only its picked cpu's.  If candidacy is unchanged, then:
      - if the picked cpu's clock was above the minimum before its step,
        another candidate holds the minimum, and only the picked cpu can
        leave [near]: it was in it exactly when its clock before the step
@@ -1866,30 +1901,19 @@ let drop_near e p clk =
        then is every candidate scanned again.
    [tout] stays at most the least clock outside [near]: it takes the
    clock of every cpu that leaves, and the clocks outside only grow. *)
+let[@inline] slide_window e p =
+  let clk = e.cpus.(p).clock in
+  if e.pick_clock <= e.tmin then window_from_min e p clk
+  else
+    let limit = e.tmin + timed_window in
+    if e.pick_clock <= limit && clk > limit then drop_near e p clk
+
+(* The window after a refresh: rescanned when candidacy changed. *)
 let update_window e =
   (match e.cfg.policy with
   | Sim_config.Timed when e.ncand > 0 ->
-      let p = e.last_pick in
       if e.near_stale then recompute_near e
-      else if p >= 0 then begin
-        let clk = e.cpus.(p).clock in
-        if e.pick_clock <= e.tmin then begin
-          let lo = ref max_int in
-          for k = 0 to e.nnear - 1 do
-            let c = e.cpus.(e.near.(k)).clock in
-            if c < !lo then lo := c
-          done;
-          let limit = !lo + timed_window in
-          if e.tout <= limit then recompute_near e
-          else begin
-            e.tmin <- !lo;
-            if clk > limit then drop_near e p clk
-          end
-        end
-        else
-          let limit = e.tmin + timed_window in
-          if e.pick_clock <= limit && clk > limit then drop_near e p clk
-      end
+      else if e.last_pick >= 0 then slide_window e e.last_pick
   | _ -> ());
   e.last_pick <- -1
 
@@ -1939,26 +1963,44 @@ let delay_interrupts e =
    the cpus in ascending order would: the r-th candidate (Random, and a
    chaos-perturbed pick), the first candidate at or after [rr_next]
    (Round_robin), the r-th near cpu (Timed). *)
+let[@inline] random_pick e rng =
+  Cpuset.select e.cand_set (Sim_rng.int rng e.ncand)
+
+let[@inline] timed_pick e = e.near.(Sim_rng.int e.rng e.nnear)
+
+let rr_pick e =
+  let idx =
+    match Cpuset.next e.cand_set e.rr_next with
+    | -1 -> Cpuset.next e.cand_set 0
+    | idx -> idx
+  in
+  e.rr_next <- (idx + 1) mod Array.length e.cpus;
+  idx
+
 let pick_cpu e =
   if e.faults_on && chaos_hit e e.cfg.faults.perturb_pick then begin
     (* Perturbed pick: override the policy with a uniform draw from the
        chaos RNG — adversarial scheduling noise under any policy. *)
     e.ch.c_perturbed <- e.ch.c_perturbed + 1;
-    Cpuset.select e.cand_set (Sim_rng.int e.crng e.ncand)
+    random_pick e e.crng
   end
   else
     match e.cfg.policy with
-    | Sim_config.Random_policy ->
-        Cpuset.select e.cand_set (Sim_rng.int e.rng e.ncand)
-    | Sim_config.Round_robin ->
-        let idx =
-          match Cpuset.next e.cand_set e.rr_next with
-          | -1 -> Cpuset.next e.cand_set 0
-          | idx -> idx
-        in
-        e.rr_next <- (idx + 1) mod Array.length e.cpus;
-        idx
-    | Sim_config.Timed -> e.near.(Sim_rng.int e.rng e.nnear)
+    | Sim_config.Random_policy -> random_pick e e.rng
+    | Sim_config.Round_robin -> rr_pick e
+    | Sim_config.Timed -> timed_pick e
+
+(* Count a step whose pick comes next. *)
+let[@inline] count_step e =
+  e.st.m_steps <- e.st.m_steps + 1;
+  e.stale <- e.stale + 1
+
+(* Record pick [i] for the window update after its step. *)
+let[@inline] record_pick e i =
+  let c = e.cpus.(i) in
+  e.last_pick <- i;
+  e.pick_clock <- c.clock;
+  c
 
 (* Deliver chaos-delayed wakeups whose due step has arrived ([force]
    delivers everything: used when the machine would otherwise be declared
@@ -1993,32 +2035,73 @@ let maybe_spurious e =
         unpark_now e t
   end
 
+let[@inline never] watchdog_fired e =
+  let report =
+    "no productive operation for "
+    ^ string_of_int e.cfg.watchdog_steps
+    ^ " steps; machine state:\n" ^ all_threads_report e
+    ^ analyze_deadlock e ~sleep:false
+  in
+  raise (Deadlock (Spin_deadlock, report))
+
+(* The first exits of every step: the step limit and the watchdog. *)
+let[@inline] check_limits e limit =
+  if e.st.m_steps >= limit then raise Step_limit;
+  if e.stale > e.cfg.watchdog_steps then watchdog_fired e
+
+(* Record pick [i] of a step in a run of wait iterations, and run its
+   iteration when its cpu waits: true when the wait goes on. *)
+let[@inline] wait_pick e i =
+  let c = record_pick e i in
+  e.act.(i) = 4 && wait_step e c c.cwait
+
+(* A run of wait iterations, after a step that was one, with faults off.
+   Such a step moved no frame, spl, pending mask or queue, so the next
+   step needs only three parts of the prologue: the step limit and the
+   watchdog, at the same step as [sched_loop] would check them, and the
+   Timed window for the previous pick, with candidacy unchanged since
+   the refresh before the run.  Each step then counts, draws and, while
+   the picked cpu waits, runs its iteration ([wait_step], inlined).  The
+   policy is matched once per run, not per step.  The run ends at the
+   step limit, at the watchdog, or at the first pick that is not a
+   continuing wait iteration: it returns that pick, drawn and counted,
+   either a wait that ended (its fiber has run) or another action for
+   [sched_loop] to run. *)
+let wait_run e limit =
+  let waiting = ref true in
+  (match e.cfg.policy with
+  | Sim_config.Timed ->
+      while !waiting do
+        check_limits e limit;
+        slide_window e e.last_pick;
+        count_step e;
+        waiting := wait_pick e (timed_pick e)
+      done
+  | Sim_config.Random_policy ->
+      while !waiting do
+        check_limits e limit;
+        count_step e;
+        waiting := wait_pick e (random_pick e e.rng)
+      done
+  | Sim_config.Round_robin ->
+      while !waiting do
+        check_limits e limit;
+        count_step e;
+        waiting := wait_pick e (rr_pick e)
+      done);
+  e.last_pick
+
 (* One step of the seeded scheduler is the prologue ([loop]: the end
    of the run, the step limit and the watchdog, the fault hooks,
    [update_candidates], a deadlock) and then the pick and the action
-   ([step]).  A step that was one more wait iteration moved no frame,
-   spl, pending mask or queue, so with faults off the next step needs
-   only the step limit, the watchdog and the Timed window from the
-   prologue, at the same step as [loop] would check them. *)
+   ([step]).  After a step that was one more wait iteration, with
+   faults off, [wait_run] takes the steps up to the next that is not. *)
 let sched_loop e =
-  let watchdog_fired () =
-    let report =
-      "no productive operation for "
-      ^ string_of_int e.cfg.watchdog_steps
-      ^ " steps; machine state:\n" ^ all_threads_report e
-      ^ analyze_deadlock e ~sleep:false
-    in
-    raise (Deadlock (Spin_deadlock, report))
-  in
   let limit = Option.value e.cfg.max_steps ~default:max_int in
-  let check_limits () =
-    if e.st.m_steps >= limit then raise Step_limit;
-    if e.stale > e.cfg.watchdog_steps then watchdog_fired ()
-  in
   let rec loop () =
     if e.live = 0 then mkstats e
     else begin
-      check_limits ();
+      check_limits e limit;
       if e.faults_on then begin
         deliver_delayed e ~force:false;
         maybe_spurious e
@@ -2042,16 +2125,15 @@ let sched_loop e =
           in
           raise (Deadlock (Sleep_deadlock, report))
         end
-      else step ()
+      else begin
+        if e.faults_on then delay_interrupts e;
+        count_step e;
+        let idx = pick_cpu e in
+        step idx (record_pick e idx)
+      end
     end
-  and step () =
-    if e.faults_on then delay_interrupts e;
-    e.st.m_steps <- e.st.m_steps + 1;
-    e.stale <- e.stale + 1;
-    let idx = pick_cpu e in
-    let c = e.cpus.(idx) in
-    e.last_pick <- idx;
-    e.pick_clock <- c.clock;
+  (* The action of pick [idx], counted, drawn and recorded. *)
+  and step idx c =
     let waiting =
       match e.act.(idx) with
       | 4 -> wait_step e c c.cwait
@@ -2068,11 +2150,16 @@ let sched_loop e =
       loop ()
     end
     else if e.faults_on then loop ()
-    else begin
-      check_limits ();
-      update_window e;
-      step ()
-    end
+    else
+      let idx = wait_run e limit in
+      (* The run's last pick.  A wait that ended leaves its cpu's action
+         "wait" until the refresh, and is marked like any other finished
+         step; any other action runs here, without a second draw. *)
+      if e.act.(idx) = 4 then begin
+        Cpuset.add e.dirty idx;
+        loop ()
+      end
+      else step idx e.cpus.(idx)
   in
   loop ()
 
@@ -2305,18 +2392,7 @@ let dummy_intr =
     isaved_spl = Spl.Spl0;
     ihint = None;
     iprod_anchor = -1;
-    iwait = None;
-  }
-
-(* A cpu's [cwait] until it first waits; never stepped. *)
-let no_wait =
-  {
-    wcell = None;
-    ready = (fun _ -> false);
-    left = 0;
-    pauses = 0;
-    last = 0;
-    read_next = false;
+    iwait = No_wait;
   }
 
 (* Events a traced run keeps, over all cpus' rings together. *)
@@ -2406,7 +2482,7 @@ let run ?(cfg = Sim_config.default) main =
               pend_count = 0;
               spin_mark = -1;
               here = None;
-              cwait = no_wait;
+              cwait = No_wait;
             });
       anyq = Tq.make qdummy;
       boundq = Array.init cfg.cpus (fun _ -> Tq.make qdummy);

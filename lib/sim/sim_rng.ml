@@ -17,7 +17,7 @@ let[@inline] next_int64 t =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let next t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+let[@inline] next t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Sim_rng.int: bound must be positive";

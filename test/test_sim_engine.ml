@@ -460,6 +460,16 @@ let literal_await c ready =
 
 type wait_form = Engine_run | Literal
 
+let until form ?budget ready =
+  match form with
+  | Engine_run -> Engine.spin_until ?budget ready
+  | Literal -> literal_until ?budget ready
+
+let await form c ready =
+  match form with
+  | Engine_run -> Engine.Cell.await c ready
+  | Literal -> literal_await c ready
+
 (* Bound waiters on cpus 1.. wait for a writer that flips a cell (and a
    plain flag with it) after some work: [Cell.await] on the cell, an
    unbounded [spin_until] on the flag, one whose budget runs out and one
@@ -468,16 +478,7 @@ type wait_form = Engine_run | Literal
    running (often a waiting thread frame).  Returns the pause counts,
    in completion order, and every value a predicate was given. *)
 let wait_scenario form ~cpus () =
-  let until ?budget ready =
-    match form with
-    | Engine_run -> Engine.spin_until ?budget ready
-    | Literal -> literal_until ?budget ready
-  in
-  let await c ready =
-    match form with
-    | Engine_run -> Engine.Cell.await c ready
-    | Literal -> literal_await c ready
-  in
+  let until = until form and await = await form in
   let flag = Engine.Cell.make ~name:"flag" 0 in
   let work = Engine.Cell.make ~name:"work" 0 in
   let plain = ref false in
@@ -519,6 +520,23 @@ let wait_scenario form ~cpus () =
   Engine.join writer;
   List.iter Engine.join waiters;
   (!results, !seen)
+
+(* Waiters of each kind on cpus 1.. for a flag nothing sets, while main
+   waits in [join] and is no candidate: once every waiter has started,
+   each step is one more wait iteration, until the step limit or the
+   watchdog ends the run. *)
+let stuck_waiters form ~cpus () =
+  let flag = Engine.Cell.make ~name:"flag" 0 in
+  let plain = ref false in
+  let waiters =
+    List.init (cpus - 1) (fun i ->
+        Engine.spawn ~bound:(i + 1) (fun () ->
+            match i mod 3 with
+            | 0 -> ignore (await form flag (fun v -> v = 1))
+            | 1 -> ignore (until form (fun () -> !plain))
+            | _ -> ignore (until form ~budget:1_000_000 (fun () -> !plain))))
+  in
+  List.iter Engine.join waiters
 
 (* Rows of (cpus, policy, seed, fault odds).  The 16-cpu Timed row has
    most cpus outside the Timed window, so the window follows its least
@@ -570,7 +588,39 @@ let test_engine_wait_equals_literal () =
       (64, Config.Random_policy, 4, Config.no_faults);
       (64, Config.Round_robin, 5, Config.no_faults);
       (64, Config.Timed, 6, Config.no_faults);
-    ]
+    ];
+  (* The step limit and the watchdog end a run of wait iterations at the
+     same step as the literal loops, under every seeded policy. *)
+  List.iter
+    (fun (policy, seed) ->
+      let base = cfg ~cpus:8 ~seed ~policy () in
+      List.iter
+        (fun (exit, cfg, ended) ->
+          let go form =
+            let outcome = Engine.run_outcome ~cfg (stuck_waiters form ~cpus:8) in
+            (outcome, Option.get (Engine.last_stats ()))
+          in
+          let o1, s1 = go Engine_run and o2, s2 = go Literal in
+          let what = Config.policy_name policy ^ ", " ^ exit in
+          check_bool (what ^ ": ended as expected") true (ended o1 s1);
+          check_bool (what ^ ": same outcome") true (o1 = o2);
+          Alcotest.(check (list int))
+            (what ^ ": steps, spin pauses, makespan")
+            [ s2.Engine.steps; s2.spin_pauses; s2.makespan ]
+            [ s1.Engine.steps; s1.spin_pauses; s1.makespan ];
+          check_bool (what ^ ": stats") true (s1 = s2))
+        [
+          ( "step limit",
+            { base with Config.max_steps = Some 5_000 },
+            fun o s -> o = Engine.Hit_step_limit && s.Engine.steps = 5_000 );
+          ( "watchdog",
+            { base with Config.watchdog_steps = 3_000 },
+            fun o _ ->
+              match o with
+              | Engine.Deadlocked (Engine.Spin_deadlock, _) -> true
+              | _ -> false );
+        ])
+    [ (Config.Timed, 9); (Config.Random_policy, 10); (Config.Round_robin, 11) ]
 
 (* The same equivalence under the model checker: a waiter in each shape
    against a writer, explored exhaustively by DPOR. *)
@@ -604,6 +654,48 @@ let test_engine_wait_equals_literal_mc () =
   in
   let a = summary Engine_run and b = summary Literal in
   check_bool "same counts" true (a = b)
+
+(* A run of wait iterations allocates nothing, per run or per step.  One
+   16-cpu storm of [spin_until] and [Cell.await] waiters, at two lengths:
+   main pauses [n] times, charging [work] cycles before each pause, and
+   then sets the flag.  Under the Timed policy the waiters catch up with
+   main's clock between its steps, about 800 wait iterations a time, so
+   the longer storm adds 100 runs and 79,000 wait iterations.  Main's
+   100 more steps allocate about 4 words each, 0.005 words a step in
+   all; 11 words more per run would make it 0.019. *)
+let test_wait_run_allocates_nothing () =
+  let storm n =
+    let before = Gc.minor_words () in
+    let stats =
+      Engine.run ~cfg:(cfg ~cpus:16 ~policy:Config.Timed ()) (fun () ->
+          let flag = Engine.Cell.make ~name:"flag" 0 in
+          let plain = ref false in
+          let waiters =
+            List.init 15 (fun i ->
+                Engine.spawn ~bound:(i + 1) (fun () ->
+                    if i mod 2 = 0 then
+                      ignore (Engine.spin_until (fun () -> !plain))
+                    else ignore (Engine.Cell.await flag (fun v -> v = 1))))
+          in
+          for _ = 1 to n do
+            Engine.cycles 170;
+            Engine.pause ()
+          done;
+          Engine.Cell.set flag 1;
+          plain := true;
+          List.iter Engine.join waiters)
+    in
+    (Gc.minor_words () -. before, stats.Engine.steps)
+  in
+  (* The first run in a process also builds what later runs reuse. *)
+  ignore (storm 1);
+  let w1, s1 = storm 50 in
+  let w2, s2 = storm 150 in
+  let per_step = (w2 -. w1) /. float_of_int (s2 - s1) in
+  check_bool
+    (Printf.sprintf "%.0f more words over %d more steps: %.4f a step" (w2 -. w1)
+       (s2 - s1) per_step)
+    true (per_step < 0.01)
 
 let test_wait_predicate_contract () =
   (* A predicate that performs a machine operation or reads the running
@@ -939,6 +1031,8 @@ let () =
             test_engine_wait_equals_literal_mc;
           Alcotest.test_case "predicate contract" `Quick
             test_wait_predicate_contract;
+          Alcotest.test_case "a wait run allocates nothing" `Quick
+            test_wait_run_allocates_nothing;
           Alcotest.test_case "outside a thread" `Quick
             test_wait_outside_a_thread;
         ] );
