@@ -45,10 +45,13 @@ perf-gate:
 # as of HEAD), not into the file `make perf-gate` has just rewritten: a
 # host-time row measured in a fast window can stay above its floor when
 # halved, so a fresh measurement would make the selftest fail on noise.
+# The committed measurement must pass un-injected first: a row that
+# already fails there would trip on every injection, whatever it reads.
 PERF_COMMITTED = /tmp/perf-gate-committed.json
 
 perf-gate-selftest:
 	git show HEAD:BENCH_sim_perf.json > $(PERF_COMMITTED)
+	dune exec bench/perf_gate.exe -- --perf $(PERF_COMMITTED)
 	dune exec bench/perf_gate.exe -- --perf $(PERF_COMMITTED) --inject-slowdown; \
 		test $$? -eq 1
 	for row in $$(dune exec bench/perf_gate.exe -- --list-rows); do \
@@ -97,7 +100,8 @@ trace-smoke:
 # same-spl deadlock must name it from the learned lock order (the
 # handler's self-loop on the lock) and the same-spl finding, and a plain
 # run of the section 7 interrupt deadlock, in the default configuration,
-# must name its waits-for cycle.
+# must end at the hang rule's exact verdict (not the backstop) and name
+# its waits-for cycle.
 report-smoke:
 	dune exec bin/machsim.exe -- report contention --cpus 16 \
 		| tee /tmp/machsim-report.out
@@ -114,7 +118,10 @@ report-smoke:
 		/tmp/machsim-order.out
 	dune exec bin/machsim.exe -- run interrupt-deadlock --cpus 3 > /tmp/machsim-cycle.out; \
 		test $$? -eq 1
-	grep -q "waits-for cycle" /tmp/machsim-cycle.out
+	grep -q "spinning with no possible writer" /tmp/machsim-cycle.out
+	grep -q "waits-for cycle: interrupt barrier on cpu0 -> pending interrupt barrier on cpu1 at splvm -> p2 -> simple lock the-lock -> p1" \
+		/tmp/machsim-cycle.out
+	! grep -q "no productive operation" /tmp/machsim-cycle.out
 	@echo "report-smoke passed"
 
 # Regenerate a committed BENCH file with one bench experiment and fail
@@ -156,7 +163,11 @@ chaos-smoke:
 # section 7 same-spl rule, find the section 7 deadlocks WITHOUT fault
 # injection (two-cpu handler-vs-holder and the three-processor barrier
 # cycle), then regenerate the E14 exploration table.  Exit codes: mc
-# returns 0 verified / 1 failure found / 2 incomplete.  The seeded
+# returns 0 verified / 1 failure found / 2 incomplete.  Budgeted IPC
+# receive probes get an expiry, not a false livelock: rpc-serve-drain
+# ends in no livelock, and task-lifecycle finds no failure in its first
+# 300 schedules (its full search at bound 1 is far larger: 20,000
+# schedules take over five minutes).  The seeded
 # same-spl-buggy sweep must print the same verdict on one domain and on
 # two: a switch one domain's run (or its teardown) flips must not reach
 # another domain's runs.
@@ -167,6 +178,12 @@ mc-smoke:
 	grep -q "0 preemption" /tmp/machsim-mc.out
 	dune exec bin/machsim.exe -- mc interrupt-deadlock --cpus 3 --no-baseline \
 		| grep -q "waits-for cycle"
+	dune exec bin/machsim.exe -- mc rpc-serve-drain --cpus 2 --bound 1 --no-baseline \
+		> /tmp/machsim-mc-drain.out; test $$? -ne 2
+	! grep -q "no possible writer" /tmp/machsim-mc-drain.out
+	dune exec bin/machsim.exe -- mc task-lifecycle --cpus 2 --bound 1 --no-baseline \
+		--max-execs 300 > /tmp/machsim-mc-tl.out; test $$? -eq 2
+	grep -q "NO FAILURE FOUND" /tmp/machsim-mc-tl.out
 	dune exec bin/machsim.exe -- explore same-spl-buggy --cpus 2 --seeds 200 \
 		--domains 1 > /tmp/machsim-explore-1.out; test $$? -eq 1
 	dune exec bin/machsim.exe -- explore same-spl-buggy --cpus 2 --seeds 200 \

@@ -5,9 +5,10 @@
 type detection =
   | Cycle       (** detector found a waits-for cycle *)
   | Orphan      (** detector found an orphaned waiter / lost wakeup *)
-  | Watchdog    (** spin deadlock, no cycle diagnosed *)
+  | Livelock    (** spin deadlock, no cycle or orphan diagnosed *)
   | Sleep       (** sleep deadlock, no analysis produced *)
-  | Step_limit  (** step bound hit (e.g. watchdog kept being reset) *)
+  | Step_limit  (** step bound hit (e.g. spurious wakeups count as
+                    productive, so a hung run never settles) *)
   | Panic
   | Clean       (** run completed *)
 
@@ -22,13 +23,13 @@ type result = { seed : int; detection : detection; report : string }
 val run_one :
   ?cpus:int ->
   ?max_steps:int ->
-  ?watchdog:int ->
   seed:int ->
   faults:Mach_sim.Sim_config.faults ->
   (unit -> unit) ->
   result
 (** One exploration run with [faults] injected, spans on and the given
-    step bound and watchdog. *)
+    step bound (default 400,000).  A hung run ends at the engine's hang
+    rule. *)
 
 type sweep = {
   runs : int;
@@ -42,7 +43,6 @@ val detection_rate : sweep -> float
 val sweep :
   ?cpus:int ->
   ?max_steps:int ->
-  ?watchdog:int ->
   ?seeds:int ->
   faults:Mach_sim.Sim_config.faults ->
   (unit -> unit) ->
@@ -54,7 +54,6 @@ val pp_sweep : Format.formatter -> sweep -> unit
 val find_first_failure :
   ?cpus:int ->
   ?max_steps:int ->
-  ?watchdog:int ->
   ?max_seeds:int ->
   faults:Mach_sim.Sim_config.faults ->
   (unit -> unit) ->
@@ -64,15 +63,13 @@ val find_first_failure :
 val minimize :
   ?cpus:int ->
   ?max_steps:int ->
-  ?watchdog:int ->
   seed:int ->
   faults:Mach_sim.Sim_config.faults ->
   (unit -> unit) ->
   Mach_sim.Sim_config.faults
 (** Greedily drop fault classes from a failing mix while [seed] keeps
-    failing (re-checked through {!Mach_sim.Sim_explore.run}); returns a
-    locally-minimal mix, possibly empty for scenarios that fail without
-    injection. *)
+    failing (re-checked with {!run_one}); returns a locally-minimal mix,
+    possibly empty for scenarios that fail without injection. *)
 
 val scenarios : Mach_kernel.Scenarios.entry list
 (** The chaos set, in sweep order: [interrupt-deadlock] (the section 7

@@ -101,7 +101,11 @@ module type MACHINE = sig
   val spin_pause : unit -> unit
   (** Called once per iteration of a spin loop that is not a read-only
       wait (see {!spin_until}).  Native: cpu relax.  Sim: a preemption
-      point that also charges spin cycles. *)
+      point that also charges spin cycles, and one iteration of a
+      condition wait to the simulator's hang rule: a loop that pauses
+      without changing shared state must be waiting for another
+      processor to change it, so a second such pause with nothing
+      changed since may end the run as hung. *)
 
   val spin_until : ?budget:int -> (unit -> bool) -> int
   (** [spin_until ?budget ready] is the read-only spin-wait on plain

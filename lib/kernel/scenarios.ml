@@ -451,9 +451,11 @@ let shootdown ?(removals = 8) () =
           Pmap.enter pm ~va:(0x1000 + j) ~ppn:j ~prot:Mach_vm.Tlb.Read_write
         done;
         Engine.spin_hint "activation";
-        while List.length (Pmap.active_cpus pm) < participants do
-          Engine.pause ()
-        done;
+        (* [active_cpus] is plain memory: a plain-pause loop over it
+           would never be marked by the hang rule (see [Engine.pause]). *)
+        ignore
+          (Engine.spin_until (fun () ->
+               List.length (Pmap.active_cpus pm) >= participants));
         for j = 0 to removals - 1 do
           ignore (Pmap.remove pm ~va:(0x1000 + j))
         done;
@@ -914,14 +916,11 @@ let rpc_serve ?(shards = 1) ?(batch = 1) ?(calls_each = 8) ?(spin = 8192)
       Some
         (Engine.spawn ~name:"terminator" (fun () ->
              Engine.spin_hint "rpc.completed";
-             (* Bounded wait: under fault injection (chaos) a client can
-                be orphaned before [threshold] completions ever happen.
-                Giving up and draining anyway converts that hang into a
-                parked waiter the deadlock analyzer can attribute — a
-                terminator spinning forever would mask it as livelock. *)
-             let budget = ref 50_000 in
-             while Engine.Cell.get completed < threshold && !budget > 0 do
-               decr budget;
+             (* A condition wait: if the threshold can never be reached (a
+                client orphaned by an injected fault), the engine's hang
+                rule ends the run once the terminator is all that can
+                still act. *)
+             while Engine.Cell.get completed < threshold do
                Engine.pause ()
              done;
              shutdown ()))
@@ -1107,7 +1106,9 @@ let all =
       "the same workload through the single global registry, batch=1 (the \
        unsharded baseline)"
       (fun () -> serve ());
-    entry "rpc-serve-drain"
+    (* Two cpus at least: on one, the terminator's wait would hold the only
+       cpu the clients it waits for need. *)
+    entry "rpc-serve-drain" ~min_cpus:2
       "RPC serving terminated under load: in-flight requests are answered \
        err_deactivated, refcounts audited"
       (serve ~shards:4 ~batch:4 ~drain_under_load:true);

@@ -25,6 +25,7 @@ let pp_transition ppf (t : C.mc_transition) =
       Format.fprintf ppf "c%d deliver slot=%d level=%s %s" t.mc_cpu slot level
         intr
   | C.Mc_resume { frame } -> Format.fprintf ppf "c%d resume %s" t.mc_cpu frame
+  | C.Mc_expire { frame } -> Format.fprintf ppf "c%d expire %s" t.mc_cpu frame
   | C.Mc_dispatch { thread; tseq } ->
       Format.fprintf ppf "c%d dispatch tseq=%d %s" t.mc_cpu tseq thread
 
@@ -60,13 +61,17 @@ let trace_of_string s =
                   }
             | None -> fail "bad slot")
         | _ -> fail "bad deliver line")
-    | cpu :: "resume" :: rest when String.length cpu > 1 && cpu.[0] = 'c' -> (
+    | cpu :: (("resume" | "expire") as what) :: rest
+      when String.length cpu > 1 && cpu.[0] = 'c' -> (
         match int_of_string_opt (String.sub cpu 1 (String.length cpu - 1)) with
         | Some mc_cpu ->
+            let frame = String.concat " " rest in
             Ok
               {
                 C.mc_cpu;
-                mc_what = C.Mc_resume { frame = String.concat " " rest };
+                mc_what =
+                  (if what = "resume" then C.Mc_resume { frame }
+                   else C.Mc_expire { frame });
               }
         | None -> fail "bad cpu")
     | cpu :: "dispatch" :: tseq :: rest
@@ -177,7 +182,7 @@ let same_transition (a : C.mc_transition) (b : C.mc_transition) =
   &&
   match (a.mc_what, b.mc_what) with
   | C.Mc_deliver x, C.Mc_deliver y -> x.slot = y.slot
-  | C.Mc_resume _, C.Mc_resume _ -> true
+  | C.Mc_resume _, C.Mc_resume _ | C.Mc_expire _, C.Mc_expire _ -> true
   | C.Mc_dispatch x, C.Mc_dispatch y -> x.tseq = y.tseq
   | _ -> false
 
@@ -280,11 +285,18 @@ let preemptions_of s tr_len =
 
 (* A candidate costs one unit of preemption budget iff taking it switches
    away from the previously-running cpu while that cpu could still run.
-   There is always a zero-cost candidate: if the previous cpu is enabled,
-   its own candidate costs zero; if it is not, nothing is preemptive. *)
+   A cpu that offers only its expiry spins in a budgeted wait whose
+   resume the hang rule suppressed: leaving it is a yield, as leaving an
+   unbudgeted spinner is.  There is always a zero-cost candidate: if the
+   previous cpu is enabled, its own candidate costs zero; if it is not,
+   nothing is preemptive. *)
 let candidate_costs prev_cpu (cands : C.mc_transition array) =
   let prev_enabled =
-    prev_cpu >= 0 && Array.exists (fun t -> t.C.mc_cpu = prev_cpu) cands
+    Array.exists
+      (fun t ->
+        t.C.mc_cpu = prev_cpu
+        && match t.C.mc_what with C.Mc_expire _ -> false | _ -> true)
+      cands
   in
   Array.map
     (fun t -> if prev_enabled && t.C.mc_cpu <> prev_cpu then 1 else 0)
@@ -321,7 +333,7 @@ let next_candidate s node =
 let proc_of (t : C.mc_transition) =
   match t.C.mc_what with
   | C.Mc_dispatch { thread; _ } -> thread
-  | C.Mc_resume { frame } ->
+  | C.Mc_resume { frame } | C.Mc_expire { frame } ->
       if String.length frame >= 5 && String.sub frame 0 5 = "intr:" then
         Printf.sprintf "%s@%d" frame t.C.mc_cpu
       else frame
@@ -530,25 +542,6 @@ let backtrack s =
   in
   go (s.stack_len - 1)
 
-let preemptions (tr : trace) =
-  (* Recomputed from the trace alone: a transition is preemptive iff the
-     previous transition's cpu differs and still appears later-or-now as
-     enabled... the trace does not carry enabled sets, so count cpu
-     switches where the previous cpu reappears later in the trace (it
-     still had work). *)
-  let n = Array.length tr in
-  let p = ref 0 in
-  for i = 1 to n - 1 do
-    let prev = tr.(i - 1).C.mc_cpu and cur = tr.(i).C.mc_cpu in
-    if cur <> prev then begin
-      let rec reappears j =
-        j < n && (tr.(j).C.mc_cpu = prev || reappears (j + 1))
-      in
-      if reappears i then incr p
-    end
-  done;
-  !p
-
 (* ------------------------------------------------------------------ *)
 (* The search driver                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -642,29 +635,30 @@ let stats_of s =
     truncated = s.st_truncated;
   }
 
+let new_search ~mode ~bound ~cpus =
+  {
+    s_mode = mode;
+    s_bound = (match bound with None -> max_int | Some b -> b);
+    s_cpus = cpus;
+    stack_arr = [||];
+    stack_len = 0;
+    depth = 0;
+    replayed = 0;
+    pending_sleep = [];
+    procs = Hashtbl.create 16;
+    st_executions = 0;
+    st_pruned = 0;
+    st_transitions = 0;
+    st_choice_points = 0;
+    st_max_depth = 0;
+    st_truncated = 0;
+  }
+
 (* Exhaust one subtree sequentially.  [forced] freezes a choice prefix
    (empty outside the domain fan-out). *)
 let search_subtree ~mode ~bound ~cpus ~max_steps ~max_executions ~forced
     scenario =
-  let s =
-    {
-      s_mode = mode;
-      s_bound = (match bound with None -> max_int | Some b -> b);
-      s_cpus = cpus;
-      stack_arr = [||];
-      stack_len = 0;
-      depth = 0;
-      replayed = 0;
-      pending_sleep = [];
-      procs = Hashtbl.create 16;
-      st_executions = 0;
-      st_pruned = 0;
-      st_transitions = 0;
-      st_choice_points = 0;
-      st_max_depth = 0;
-      st_truncated = 0;
-    }
-  in
+  let s = new_search ~mode ~bound ~cpus in
   let failure = ref None in
   let hit_cap = ref false in
   let continue_ = ref true in
@@ -718,25 +712,7 @@ let zero_stats =
    start with empty sleep sets at the branch node — a sound superset of
    the sequential exploration. *)
 let probe_branch_point ~bound ~cpus ~max_steps scenario =
-  let s =
-    {
-      s_mode = Naive;
-      s_bound = (match bound with None -> max_int | Some b -> b);
-      s_cpus = cpus;
-      stack_arr = [||];
-      stack_len = 0;
-      depth = 0;
-      replayed = 0;
-      pending_sleep = [];
-      procs = Hashtbl.create 16;
-      st_executions = 0;
-      st_pruned = 0;
-      st_transitions = 0;
-      st_choice_points = 0;
-      st_max_depth = 0;
-      st_truncated = 0;
-    }
-  in
+  let s = new_search ~mode:Naive ~bound ~cpus in
   ignore (run_one s ~cpus ~max_steps ~forced:[||] scenario);
   let arr = s.stack_arr and len = s.stack_len in
   let rec find d =

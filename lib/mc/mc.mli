@@ -5,8 +5,8 @@
     this module {e enumerates} them: the engine's model-checking hooks
     ({!Mach_sim.Sim_config.mc_hooks}) reify every scheduler decision —
     which pending interrupt slot to deliver, which cpu's context to
-    resume, which queued thread an idle cpu dispatches — and a
-    depth-first search over choice prefixes re-executes the scenario once
+    resume or whose hung budgeted wait expires, which queued thread an
+    idle cpu dispatches — and a depth-first search re-executes it once
     per distinct schedule, in the stateless style of Verisoft and CHESS.
     A run is fully determined by its choice trace, so any counterexample
     replays byte-identically from the printed trace alone.
@@ -137,6 +137,3 @@ val replay :
     diverges from the scenario — e.g. it was recorded for different
     code, a different cpu count, or has been edited. *)
 
-val preemptions : trace -> int
-(** Number of preemptive cpu switches in a schedule (a switch away from
-    a cpu that still had an enabled transition). *)

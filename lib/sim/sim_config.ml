@@ -60,6 +60,9 @@ type mc_action =
          deliverable level) on this cpu *)
   | Mc_resume of { frame : string }
       (* run the cpu's top frame to its next preemption point *)
+  | Mc_expire of { frame : string }
+      (* spend the rest of the top frame's budgeted wait, whose checks
+         could only fail again, and run the frame on *)
   | Mc_dispatch of { thread : string; tseq : int }
       (* context-switch the queued thread with per-run spawn index [tseq]
          onto this (idle) cpu *)
@@ -105,7 +108,6 @@ type t = {
   seed : int;
   policy : policy;
   spin_max_backoff : int;
-  watchdog_steps : int;
   max_steps : int option;
   trace : bool;
   spans : bool;
@@ -120,7 +122,6 @@ let default =
     seed = 1;
     policy = Timed;
     spin_max_backoff = 1024;
-    watchdog_steps = 1_000_000;
     max_steps = None;
     trace = false;
     spans = true;
@@ -129,13 +130,7 @@ let default =
   }
 
 let exploration ?(cpus = 4) ~seed () =
-  {
-    default with
-    cpus;
-    seed;
-    policy = Random_policy;
-    watchdog_steps = 200_000;
-  }
+  { default with cpus; seed; policy = Random_policy }
 
 let bench ?(cpus = 8) () =
   { default with cpus; policy = Timed }

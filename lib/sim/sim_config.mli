@@ -69,6 +69,10 @@ type mc_action =
           the cpu's highest deliverable level *)
   | Mc_resume of { frame : string }
       (** run the cpu's top frame to its next preemption point *)
+  | Mc_expire of { frame : string }
+      (** the top frame waits in a budgeted [spin_until] whose checks
+          could only fail again: charge its remaining pauses and run the
+          frame on with the budget spent *)
   | Mc_dispatch of { thread : string; tseq : int }
       (** context-switch the queued thread with per-run spawn index
           [tseq] onto this (idle) cpu *)
@@ -130,9 +134,6 @@ type t = {
   spin_max_backoff : int;
       (** cap (in cycles) on the exponential-backoff delay of the
           [Ttas_backoff] spin protocol *)
-  watchdog_steps : int;
-      (** scheduler steps without productive work before declaring a
-          spin deadlock / livelock *)
   max_steps : int option;   (** hard step bound, None = unbounded *)
   trace : bool;
       (** record an event trace: 65,536 events over all cpus' rings *)
@@ -148,10 +149,10 @@ type t = {
 }
 
 val default : t
-(** 4 cpus, seed 1, [Timed], checking-friendly watchdog. *)
+(** 4 cpus, seed 1, [Timed], no step bound, spans on. *)
 
 val exploration : ?cpus:int -> seed:int -> unit -> t
-(** Random policy and a tighter watchdog: the configuration used by the
+(** {!default} under the [Random_policy]: the configuration used by the
     schedule-exploration tests. *)
 
 val bench : ?cpus:int -> unit -> t

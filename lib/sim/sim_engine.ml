@@ -76,12 +76,6 @@ type thread = {
   mutable tseq : int;
       (* per-run spawn sequence: the execution-independent thread
          identity used by mc transition descriptors and footprints *)
-  mutable prod_anchor : int;
-      (* mc: engine [prod_ctr] at the start of this frame's current
-         streak of consecutive unproductive slices; -1 = no streak.
-         Values a spin loop tests were read during the streak, so
-         "[prod_ctr] still equals the anchor" certifies the loop would
-         re-read the same values. *)
   mutable wait : wait; (* the engine-run wait this frame is in *)
 }
 
@@ -92,7 +86,6 @@ type intr = {
   mutable icont : cont option;
   mutable isaved_spl : Spl.t;
   mutable ihint : string option;
-  mutable iprod_anchor : int; (* as [thread.prod_anchor] *)
   mutable iwait : wait; (* as [thread.wait] *)
 }
 
@@ -233,13 +226,13 @@ type cpu = {
   pend : intr Tq.t array; (* queued interrupts, FIFO per level rank *)
   mutable pend_mask : int; (* bit r set iff pend.(r) is non-empty *)
   mutable pend_count : int;
+  (* The hang rule's state (see "The hang rule"), each a [prod_ctr]
+     value: the epoch of this cpu's last unproductive slice, of the
+     first read of the loop iteration its top frame is in (-1 before
+     one), and of its last mark. *)
+  mutable anchor : int;
+  mutable read : int;
   mutable spin_mark : int;
-      (* mc stutter suppression: [prod_ctr] value recorded after this
-         cpu's last resume slice ended at an explicit spin pause having
-         performed no productive operation; while it still equals the
-         engine's counter no shared value has changed, so re-resuming
-         would only re-run the same spin-wait iteration and the
-         transition is not offered.  -1 = not marked. *)
   mutable here : (cpu * frame) option;
       (* [Some (c, f)] for the frame [f] this cpu last resumed or found
          waiting on top: [e.cur] is set to it again while [f] stays on
@@ -285,6 +278,10 @@ type cstate = {
   mutable c_preempted : int;
   mutable c_handoff : int;
 }
+
+(* Where a frame's slice ended: at a cell operation or any other
+   preemption point, at [pause], or at a counted spin pause. *)
+type ending = At_op | At_pause | At_spin
 
 (* What the waits-for detector concluded about the most recent deadlock:
    the cycle (node labels in order, closing back on the first) and/or
@@ -333,9 +330,9 @@ type engine = {
   mutable fp : Sim_config.mc_access list;
   mutable prod_ctr : int; (* total productive operations this run *)
   mutable cell_ctr : int; (* per-run cell ids (negative), mc mode only *)
-  mutable explicit_pause : bool;
-      (* the current slice ended at [pause] (a declared spin-wait yield)
-         rather than an implicit cell-op preemption point *)
+  mutable ended : ending; (* how the current slice ended *)
+  mutable marked : int; (* cpus marked in epoch [mark_epoch] *)
+  mutable mark_epoch : int;
   mutable in_ready : bool; (* the engine is evaluating a wait predicate *)
   ch : cstate;
   mutable delayed : (int * thread) list; (* (due step, victim) in order *)
@@ -350,7 +347,7 @@ type engine = {
   mutable enq_ctr : int;
   mutable threads : thread list; (* every thread ever spawned, for reports *)
   mutable live : int;
-  mutable stale : int; (* steps since the last productive operation *)
+  mutable prod_step : int; (* the step of the last productive operation *)
   mutable bus_free_at : int;
   trace : Sim_trace.t option; (* None: the run does not trace *)
   st : mstats;
@@ -406,7 +403,6 @@ let make_thread ?(bound = None) tname =
     on_cpu = -1;
     enq_seq = 0;
     tseq = 0;
-    prod_anchor = -1;
     wait = No_wait;
   }
 
@@ -530,8 +526,14 @@ let frame_wait = function Fthread t -> t.wait | Fintr i -> i.iwait
 let set_wait f w =
   match f with Fthread t -> t.wait <- w | Fintr i -> i.iwait <- w
 
+(* The checks a budgeted wait has left; an unbudgeted one starts at
+   [max_int] checks. *)
+let budget_left = function
+  | Until { left; _ } when left < max_int / 2 -> Some left
+  | _ -> None
+
 let productive e =
-  e.stale <- 0;
+  e.prod_step <- e.st.m_steps;
   e.prod_ctr <- e.prod_ctr + 1
 
 (* Append one access to the current slice's footprint (fresh mc steps
@@ -582,7 +584,7 @@ let pause () =
   match the_engine () with
   | Some ({ cur = Some _; _ } as e) ->
       charge e Sim_config.pause_cost;
-      e.explicit_pause <- true;
+      e.ended <- At_pause;
       Effect.perform Pause_eff
   | e -> no_frame e "pause"
 
@@ -666,7 +668,7 @@ let spin_hint s =
 let[@inline] spin_pause_on e c =
   c.clock <- c.clock + Sim_config.pause_cost;
   e.st.m_spin_pauses <- e.st.m_spin_pauses + 1;
-  e.explicit_pause <- true
+  e.ended <- At_spin
 
 let spin_pause () =
   match the_engine () with
@@ -833,7 +835,7 @@ module Cell = struct
      when the value is unchanged: test-and-set always writes (this is
      precisely the bus-bandwidth waste of spinning on it, section 2),
      while a failed compare-and-swap does not take the line exclusive.
-     Only an actual value change counts as progress for the watchdog. *)
+     Only an actual value change counts as progress for the hang rule. *)
   let atomic_op t ~stores f =
     match the_engine () with
     | Some ({ cur = Some (c, _); _ } as e) ->
@@ -1070,7 +1072,6 @@ let post_interrupt ?(name = "ipi") ~cpu ~level handler =
       icont = None;
       isaved_spl = Spl.Spl0;
       ihint = None;
-      iprod_anchor = -1;
       iwait = No_wait;
     }
   in
@@ -1096,248 +1097,6 @@ let deliverable c = c.pend_mask lsr (Spl.rank c.spl + 1) <> 0
 let dispatchable e c =
   not (Tq.is_empty e.anyq && Tq.is_empty e.boundq.(c.idx))
 
-let finish_frame e (c : cpu) (f : frame) =
-  (match c.frames with
-  | top :: rest when top == f -> c.frames <- rest
-  | _ -> fatal "internal: finishing a frame that is not on top");
-  productive e;
-  match f with
-  | Fthread t ->
-      t.state <- Dead;
-      t.on_cpu <- -1;
-      e.live <- e.live - 1;
-      c.spl <- Spl.Spl0;
-      note e (Sim_config.Mc_thread t.tseq);
-      note e (Sim_config.Mc_spl c.idx);
-      if e.cfg.trace then
-        trace_e e (Obs_event.Thread_exit { thread = t.tname });
-      List.iter unpark t.joiners;
-      t.joiners <- []
-  | Fintr i ->
-      c.spl <- i.isaved_spl;
-      note e (Sim_config.Mc_spl c.idx);
-      if e.cfg.trace then trace_e e (Obs_event.Intr_done { name = i.iname })
-
-(* The handler closures must find the *current* cpu and frame at effect
-   time (from [e.cur], which [resume] maintains): a thread that parks and
-   is later dispatched again may be running on a different cpu than the
-   one it started on, while the handler installed by [match_with] stays
-   the same for the fiber's whole life.  So each is built once per
-   fiber, and an effect allocates only its continuation.  A fiber that
-   ends with no current frame was discontinued by [unwind] after its run
-   ended: it ends quietly, whatever it raised, since the run's outcome
-   is fixed. *)
-let run_fiber e (body : unit -> unit) =
-  let open Effect.Deep in
-  let cur () =
-    match e.cur with
-    | Some cf -> cf
-    | None -> fatal "internal: fiber effect with no current frame"
-  in
-  let pause =
-    Some
-      (fun (k : (unit, unit) continuation) ->
-        (* Stay on the cpu, suspended at a preemption point. *)
-        match cur () with
-        | _, Fthread t -> t.cont <- Some k
-        | _, Fintr i -> i.icont <- Some k)
-  in
-  let park =
-    Some
-      (fun (k : (unit, unit) continuation) ->
-        match cur () with
-        | c, (Fthread t as f) ->
-            t.cont <- Some k;
-            t.state <- Parked;
-            t.saved_spl <- c.spl;
-            t.on_cpu <- -1;
-            (match c.frames with
-            | top :: rest when top == f -> c.frames <- rest
-            | _ -> fatal "internal: parking a non-top frame");
-            c.spl <- Spl.Spl0;
-            note e (Sim_config.Mc_spl c.idx)
-        | _, Fintr _ -> fatal "internal: park effect in interrupt")
-  in
-  let preempt =
-    Some
-      (fun (k : (unit, unit) continuation) ->
-        (* Like parking, but the thread stays runnable and goes straight
-           back on the run queue. *)
-        match cur () with
-        | c, (Fthread t as f) ->
-            t.cont <- Some k;
-            t.saved_spl <- c.spl;
-            t.on_cpu <- -1;
-            t.ready_clock <- c.clock;
-            (match c.frames with
-            | top :: rest when top == f -> c.frames <- rest
-            | _ -> fatal "internal: preempting a non-top frame");
-            c.spl <- Spl.Spl0;
-            enqueue e t
-        | _, Fintr _ -> fatal "internal: preempt effect in interrupt")
-  in
-  match_with body ()
-    {
-      retc =
-        (fun () ->
-          match e.cur with Some (c, f) -> finish_frame e c f | None -> ());
-      exnc =
-        (fun exn ->
-          (* A fiber exception is a kernel panic: annotate and propagate
-             out of the scheduler. *)
-          match (e.cur, exn) with
-          | None, _ -> ()
-          | Some (c, f), Kernel_panic msg ->
-              raise
-                (Kernel_panic
-                   (Printf.sprintf "[cpu%d %s] %s" c.idx (frame_name f) msg))
-          | Some (c, f), exn ->
-              raise
-                (Kernel_panic
-                   (Printf.sprintf "[cpu%d %s] unhandled exception: %s"
-                      c.idx (frame_name f) (Printexc.to_string exn))));
-      effc =
-        (fun (type a) (eff : a Effect.t) :
-             ((a, unit) continuation -> unit) option ->
-          match eff with
-          | Pause_eff -> pause
-          | Park_eff -> park
-          | Preempt_eff -> preempt
-          | _ -> None);
-    }
-
-let[@inline] run_frame e f =
-  match f with
-  | Fthread t -> (
-      match (t.start, t.cont) with
-      | Some body, _ ->
-          t.start <- None;
-          run_fiber e body
-      | None, Some k ->
-          t.cont <- None;
-          Effect.Deep.continue k ()
-      | None, None -> fatal "internal: thread frame with no continuation")
-  | Fintr i -> (
-      match (i.ihandler, i.icont) with
-      | Some body, _ ->
-          i.ihandler <- None;
-          run_fiber e body
-      | None, Some k ->
-          i.icont <- None;
-          Effect.Deep.continue k ()
-      | None, None -> fatal "internal: interrupt frame w/o continuation")
-
-(* A predicate raised [exn] while the engine evaluated it for cpu [c]'s
-   top frame: the panic the fiber's own would be, annotated as a fiber's
-   failure is. *)
-let[@inline never] predicate_failed e c w exn =
-  e.in_ready <- false;
-  let frame =
-    match c.here with
-    | Some (_, f) -> frame_name f
-    | None -> fatal "internal: wait step with no current frame"
-  in
-  let why =
-    match exn with
-    | Broken_wait op ->
-        Printf.sprintf
-          "the predicate of %s performed %s; a wait predicate may read only \
-           plain memory and the value read"
-          (match w with
-          | Await a -> "Cell.await on " ^ a.cell.cname
-          | Until _ | No_wait -> "spin_until")
-          op
-    | Kernel_panic msg -> msg
-    | exn -> "unhandled exception: " ^ Printexc.to_string exn
-  in
-  raise (Kernel_panic (Printf.sprintf "[cpu%d %s] %s" c.idx frame why))
-
-(* Evaluate the predicate of cpu [c]'s wait [w], as the fiber would.  The
-   frame is not made current: a predicate reads plain memory and the
-   value read, and every machine operation or context read it makes is
-   refused on the no-frame path ([no_frame]). *)
-let[@inline] check_ready e c w =
-  e.in_ready <- true;
-  match
-    match w with
-    | Until u -> u.until ()
-    | Await a -> a.ready a.last
-    | No_wait -> fatal "internal: a check of no wait"
-  with
-  | ok ->
-      e.in_ready <- false;
-      ok
-  | exception exn -> predicate_failed e c w exn
-
-(* [c.here] made [Some (c, f)] for [c]'s top frame [f]. *)
-let set_here c f =
-  match c.here with
-  | Some (_, g) when g == f -> ()
-  | _ -> c.here <- Some (c, f)
-
-(* The step that ends cpu [c]'s wait: its top frame, from [c.here],
-   leaves the wait and runs on.  False, as [wait_step]. *)
-let end_wait e c =
-  match c.here with
-  | None -> fatal "internal: wait step with no current frame"
-  | Some (_, f) as here ->
-      set_wait f No_wait;
-      e.cur <- here;
-      run_frame e f;
-      e.cur <- None;
-      false
-
-(* One step of the engine-run wait [w] of cpu [c]'s top frame, the step
-   the fiber's loop would take: a read step (a [Cell.get] without the
-   fiber), or a check step that either pauses or ends the wait and runs
-   the fiber on.  No RNG draw and no productive operation, like the loop
-   itself.  Only the step that ends the wait makes the frame current,
-   from [c.here], which the caller has set; the predicate runs with no
-   current frame, so a step that goes on waiting stores nothing into
-   the engine record.  True when the wait goes on: the step changed
-   none of the cpu's frames, spl or pending mask.  Inlined into each of
-   its callers, so a step that goes on waiting makes no call but the
-   predicate's. *)
-let[@inline] wait_step e c w =
-  match w with
-  | Until u ->
-      if u.left > 0 && not (check_ready e c w) then begin
-        u.left <- u.left - 1;
-        u.pauses <- u.pauses + 1;
-        spin_pause_on e c;
-        true
-      end
-      else end_wait e c
-  | Await a ->
-      if a.read_next then begin
-        a.last <- Cell.read e c a.cell;
-        a.read_next <- false;
-        true
-      end
-      else if not (check_ready e c w) then begin
-        a.pauses <- a.pauses + 1;
-        a.read_next <- true;
-        spin_pause_on e c;
-        true
-      end
-      else end_wait e c
-  | No_wait -> fatal "internal: a wait step of no wait"
-
-(* Resume cpu [c]'s top frame for one step; true when the step was one
-   more iteration of an engine-run wait. *)
-let resume e c =
-  match c.frames with
-  | [] -> fatal "internal: resume on idle cpu"
-  | f :: _ -> (
-      set_here c f;
-      match frame_wait f with
-      | No_wait ->
-          e.cur <- c.here;
-          run_frame e f;
-          e.cur <- None;
-          false
-      | w -> wait_step e c w)
-
 (* Highest deliverable level: hardware priority fixes the level, so only
    FIFO position *within* it is ever a choice. *)
 let deliverable_rank c =
@@ -1348,60 +1107,6 @@ let deliverable_rank c =
     else r
   in
   find (n_spl - 1)
-
-let deliver_intr e c r i =
-  (* [i] has already been removed from [c.pend.(r)]. *)
-  if Tq.is_empty c.pend.(r) then c.pend_mask <- c.pend_mask land lnot (1 lsl r);
-  c.pend_count <- c.pend_count - 1;
-  i.isaved_spl <- c.spl;
-  c.spl <- i.ilevel;
-  c.frames <- Fintr i :: c.frames;
-  c.clock <- c.clock + Sim_config.interrupt_cost;
-  e.st.m_intrs <- e.st.m_intrs + 1;
-  productive e;
-  note e (Sim_config.Mc_intrq c.idx);
-  note e (Sim_config.Mc_spl c.idx);
-  if e.cfg.trace then begin
-    e.cur <- Some (c, Fintr i);
-    trace_e e
-      (Obs_event.Intr_deliver
-         { name = i.iname; level = Spl.to_string i.ilevel });
-    e.cur <- None
-  end
-
-let deliver e c =
-  (* FIFO within the level (the order the old single pending list
-     produced). *)
-  let r = deliverable_rank c in
-  deliver_intr e c r (Tq.pop c.pend.(r))
-
-(* Dispatch whichever eligible head (unbound, or bound to this cpu) was
-   enqueued first -- identical to scanning the old global FIFO for the
-   first thread this cpu may run. *)
-let take_thread e c =
-  let bq = e.boundq.(c.idx) in
-  if Tq.is_empty bq then Tq.pop e.anyq
-  else if Tq.is_empty e.anyq then Tq.pop bq
-  else if (Tq.peek e.anyq).enq_seq < (Tq.peek bq).enq_seq then Tq.pop e.anyq
-  else Tq.pop bq
-
-let dispatch_thread e c t =
-  t.on_cpu <- c.idx;
-  c.clock <- Int.max c.clock t.ready_clock + Sim_config.context_switch_cost;
-  c.spl <- t.saved_spl;
-  c.frames <- [ Fthread t ];
-  e.st.m_switches <- e.st.m_switches + 1;
-  productive e;
-  note e Sim_config.Mc_runq;
-  note e (Sim_config.Mc_thread t.tseq);
-  note e (Sim_config.Mc_spl c.idx);
-  if e.cfg.trace then
-    trace_e e (Obs_event.Dispatch { thread = t.tname; cpu = c.idx })
-
-let dispatch e c =
-  if not (dispatchable e c) then
-    fatal "internal: dispatch with empty run queue";
-  dispatch_thread e c (take_thread e c)
 
 (* All queued-but-not-running threads in global enqueue order (the order
    the old single run-queue list reported). *)
@@ -1428,12 +1133,10 @@ let all_threads_report e =
                      | Fthread t -> t.hint
                      | Fintr i -> i.ihint
                    in
-                   (* An unbudgeted wait starts at [max_int] checks. *)
                    let left =
-                     match frame_wait f with
-                     | Until { left; _ } when left < max_int / 2 ->
-                         Printf.sprintf ", %d checks left" left
-                     | _ -> ""
+                     match budget_left (frame_wait f) with
+                     | Some left -> Printf.sprintf ", %d checks left" left
+                     | None -> ""
                    in
                    frame_name f
                    ^ match hint with
@@ -1755,6 +1458,437 @@ let mkstats e =
   }
 
 (* ------------------------------------------------------------------ *)
+(* The hang rule                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* One rule ends every hung run, seeded or model-checked: the stutter
+   rule.  An epoch is a value of [prod_ctr]; within one no shared value
+   changes.  A cpu is marked when an unproductive slice of its top frame
+   ends one more iteration of a wait whose condition it read in the
+   epoch: at a counted spin pause ([spin_pause], an engine-run wait's
+   check), after any earlier unproductive slice of the epoch; at a plain
+   [pause], when the iteration it ends read a cell and all its reads fell
+   in the epoch (so neither a delay loop nor a snapshot begun before the
+   last productive operation marks).  Every loop that pauses without
+   producing is a condition wait (the wait contract), so a marked cpu
+   would only repeat that iteration until another cpu produces; once no
+   cpu could act but a marked one, the run is hung.  The model checker
+   stops offering a marked cpu's resume; the seeded scheduler keeps
+   running it, counts the epoch's marks, and confirms the verdict with
+   [moves].  A cpu's frames change only with a productive operation, so
+   the epochs live on the cpu. *)
+
+let expirable c =
+  match c.frames with
+  | f :: _ -> Option.value ~default:0 (budget_left (frame_wait f)) > 0
+  | [] -> false
+
+(* The transitions the model checker offers: a deliverable cpu each
+   pending interrupt of its highest deliverable level, a busy one its
+   top frame unless the cpu is marked (then only the expiry of a
+   budgeted wait with checks left), an idle one each thread it may
+   dispatch.  Zero is the hang test of both schedulers. *)
+let moves e =
+  let n = ref 0 in
+  for i = 0 to Array.length e.cpus - 1 do
+    let c = e.cpus.(i) in
+    if deliverable c then n := !n + c.pend.(deliverable_rank c).Tq.len
+    else
+      match c.frames with
+      | _ :: _ -> if c.spin_mark <> e.prod_ctr || expirable c then incr n
+      | [] -> n := !n + e.anyq.Tq.len + e.boundq.(c.idx).Tq.len
+  done;
+  !n
+
+(* Steps with no productive operation after which a seeded run ends
+   though some cpu never marked: only a loop outside the wait contract,
+   one that repeats without producing or waiting on a condition, gets
+   here. *)
+let backstop_steps = 1_000_000
+
+(* End a hung run: its verdict's header, the machine state and the
+   waits-for analysis.  [stalled]: the backstop ended it. *)
+let[@inline never] hang ?(stalled = false) e =
+  let busy = Array.fold_left (fun k c -> k + min 1 (List.length c.frames)) 0 in
+  let kind, header =
+    match (stalled, busy e.cpus) with
+    | true, _ ->
+        ( Spin_deadlock,
+          Printf.sprintf
+            "no productive operation for %d steps, yet not every cpu is in \
+             a hung wait (a loop outside the wait contract)"
+            backstop_steps )
+    | false, 0 ->
+        ( Sleep_deadlock,
+          Printf.sprintf
+            "all cpus idle, run queue empty, but %d thread(s) still parked"
+            e.live )
+    | false, n ->
+        ( Spin_deadlock,
+          Printf.sprintf
+            "%d context(s) spinning with no possible writer (livelock)" n )
+  in
+  let state = all_threads_report e in
+  raise
+    (Deadlock
+       ( kind,
+         header ^ "; machine state:\n" ^ state
+         ^ analyze_deadlock e ~sleep:(kind = Sleep_deadlock) ))
+
+(* The seeded verdict: the epoch's marks reach the candidates and none
+   of them can act: nothing deliverable or dispatchable (a chaos
+   interrupt delay lasts one step), no budgeted wait with checks left, no
+   delayed wakeup owed. *)
+let hung e =
+  e.mark_epoch = e.prod_ctr && e.marked >= e.ncand && e.delayed = []
+  && moves e = 0
+
+(* Mark cpu [c] in the current epoch. *)
+let[@inline never] mark e c =
+  let p = e.prod_ctr in
+  c.spin_mark <- p;
+  if e.mark_epoch <> p then begin
+    e.mark_epoch <- p;
+    e.marked <- 0
+  end;
+  e.marked <- e.marked + 1;
+  if (not e.mc_on) && hung e then hang e
+
+(* An unproductive slice of cpu [c] ended at a spin pause. *)
+let[@inline] stutter_spin e c =
+  let p = e.prod_ctr in
+  if c.anchor <> p then c.anchor <- p else if c.spin_mark <> p then mark e c
+
+(* The rule after a slice of cpu [c] that began in epoch [before]; a
+   pause ends the loop iteration. *)
+let after_slice e c before =
+  let p = e.prod_ctr in
+  if p <> before then c.read <- -1
+  else
+    match e.ended with
+    | At_op ->
+        c.anchor <- p;
+        if c.read < 0 then c.read <- p
+    | At_spin ->
+        c.read <- -1;
+        stutter_spin e c
+    | At_pause ->
+        let read = c.read in
+        c.read <- -1;
+        if read <> p then c.anchor <- p
+        else if c.spin_mark <> p then mark e c
+
+let finish_frame e (c : cpu) (f : frame) =
+  (match c.frames with
+  | top :: rest when top == f -> c.frames <- rest
+  | _ -> fatal "internal: finishing a frame that is not on top");
+  productive e;
+  match f with
+  | Fthread t ->
+      t.state <- Dead;
+      t.on_cpu <- -1;
+      e.live <- e.live - 1;
+      c.spl <- Spl.Spl0;
+      note e (Sim_config.Mc_thread t.tseq);
+      note e (Sim_config.Mc_spl c.idx);
+      if e.cfg.trace then
+        trace_e e (Obs_event.Thread_exit { thread = t.tname });
+      List.iter unpark t.joiners;
+      t.joiners <- []
+  | Fintr i ->
+      c.spl <- i.isaved_spl;
+      note e (Sim_config.Mc_spl c.idx);
+      if e.cfg.trace then trace_e e (Obs_event.Intr_done { name = i.iname })
+
+(* The handler closures must find the *current* cpu and frame at effect
+   time (from [e.cur], which [resume] maintains): a thread that parks and
+   is later dispatched again may be running on a different cpu than the
+   one it started on, while the handler installed by [match_with] stays
+   the same for the fiber's whole life.  So each is built once per
+   fiber, and an effect allocates only its continuation.  A fiber that
+   ends with no current frame was discontinued by [unwind] after its run
+   ended: it ends quietly, whatever it raised, since the run's outcome
+   is fixed. *)
+let run_fiber e (body : unit -> unit) =
+  let open Effect.Deep in
+  let cur () =
+    match e.cur with
+    | Some cf -> cf
+    | None -> fatal "internal: fiber effect with no current frame"
+  in
+  let pause =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        (* Stay on the cpu, suspended at a preemption point. *)
+        match cur () with
+        | _, Fthread t -> t.cont <- Some k
+        | _, Fintr i -> i.icont <- Some k)
+  in
+  let park =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        match cur () with
+        | c, (Fthread t as f) ->
+            t.cont <- Some k;
+            t.state <- Parked;
+            t.saved_spl <- c.spl;
+            t.on_cpu <- -1;
+            (match c.frames with
+            | top :: rest when top == f -> c.frames <- rest
+            | _ -> fatal "internal: parking a non-top frame");
+            c.spl <- Spl.Spl0;
+            note e (Sim_config.Mc_spl c.idx)
+        | _, Fintr _ -> fatal "internal: park effect in interrupt")
+  in
+  let preempt =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        (* Like parking, but the thread stays runnable and goes straight
+           back on the run queue. *)
+        match cur () with
+        | c, (Fthread t as f) ->
+            t.cont <- Some k;
+            t.saved_spl <- c.spl;
+            t.on_cpu <- -1;
+            t.ready_clock <- c.clock;
+            (match c.frames with
+            | top :: rest when top == f -> c.frames <- rest
+            | _ -> fatal "internal: preempting a non-top frame");
+            c.spl <- Spl.Spl0;
+            enqueue e t
+        | _, Fintr _ -> fatal "internal: preempt effect in interrupt")
+  in
+  match_with body ()
+    {
+      retc =
+        (fun () ->
+          match e.cur with Some (c, f) -> finish_frame e c f | None -> ());
+      exnc =
+        (fun exn ->
+          (* A fiber exception is a kernel panic: annotate and propagate
+             out of the scheduler. *)
+          match (e.cur, exn) with
+          | None, _ -> ()
+          | Some (c, f), Kernel_panic msg ->
+              raise
+                (Kernel_panic
+                   (Printf.sprintf "[cpu%d %s] %s" c.idx (frame_name f) msg))
+          | Some (c, f), exn ->
+              raise
+                (Kernel_panic
+                   (Printf.sprintf "[cpu%d %s] unhandled exception: %s"
+                      c.idx (frame_name f) (Printexc.to_string exn))));
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
+          match eff with
+          | Pause_eff -> pause
+          | Park_eff -> park
+          | Preempt_eff -> preempt
+          | _ -> None);
+    }
+
+let[@inline] run_frame e f =
+  match f with
+  | Fthread t -> (
+      match (t.start, t.cont) with
+      | Some body, _ ->
+          t.start <- None;
+          run_fiber e body
+      | None, Some k ->
+          t.cont <- None;
+          Effect.Deep.continue k ()
+      | None, None -> fatal "internal: thread frame with no continuation")
+  | Fintr i -> (
+      match (i.ihandler, i.icont) with
+      | Some body, _ ->
+          i.ihandler <- None;
+          run_fiber e body
+      | None, Some k ->
+          i.icont <- None;
+          Effect.Deep.continue k ()
+      | None, None -> fatal "internal: interrupt frame w/o continuation")
+
+(* A predicate raised [exn] while the engine evaluated it for cpu [c]'s
+   top frame: the panic the fiber's own would be, annotated as a fiber's
+   failure is. *)
+let[@inline never] predicate_failed e c w exn =
+  e.in_ready <- false;
+  let frame =
+    match c.here with
+    | Some (_, f) -> frame_name f
+    | None -> fatal "internal: wait step with no current frame"
+  in
+  let why =
+    match exn with
+    | Broken_wait op ->
+        Printf.sprintf
+          "the predicate of %s performed %s; a wait predicate may read only \
+           plain memory and the value read"
+          (match w with
+          | Await a -> "Cell.await on " ^ a.cell.cname
+          | Until _ | No_wait -> "spin_until")
+          op
+    | Kernel_panic msg -> msg
+    | exn -> "unhandled exception: " ^ Printexc.to_string exn
+  in
+  raise (Kernel_panic (Printf.sprintf "[cpu%d %s] %s" c.idx frame why))
+
+(* Evaluate the predicate of cpu [c]'s wait [w], as the fiber would.  The
+   frame is not made current: a predicate reads plain memory and the
+   value read, and every machine operation or context read it makes is
+   refused on the no-frame path ([no_frame]). *)
+let[@inline] check_ready e c w =
+  e.in_ready <- true;
+  match
+    match w with
+    | Until u -> u.until ()
+    | Await a -> a.ready a.last
+    | No_wait -> fatal "internal: a check of no wait"
+  with
+  | ok ->
+      e.in_ready <- false;
+      ok
+  | exception exn -> predicate_failed e c w exn
+
+(* [c.here] made [Some (c, f)] for [c]'s top frame [f]. *)
+let set_here c f =
+  match c.here with
+  | Some (_, g) when g == f -> ()
+  | _ -> c.here <- Some (c, f)
+
+(* Run cpu [c]'s top frame [f], with [c.here] set for it, to its next
+   preemption point, and apply the hang rule to the slice. *)
+let run_slice e c f =
+  let before = e.prod_ctr in
+  e.ended <- At_op;
+  e.cur <- c.here;
+  run_frame e f;
+  e.cur <- None;
+  after_slice e c before
+
+(* The step that ends cpu [c]'s wait: its top frame, from [c.here],
+   leaves the wait and runs on.  False, as [wait_step]. *)
+let end_wait e c =
+  match c.here with
+  | None -> fatal "internal: wait step with no current frame"
+  | Some (_, f) ->
+      set_wait f No_wait;
+      run_slice e c f;
+      false
+
+(* One step of the engine-run wait [w] of cpu [c]'s top frame, the step
+   the fiber's loop would take: a read step (a [Cell.get] without the
+   fiber), or a check step that either pauses or ends the wait and runs
+   the fiber on.  No RNG draw and no productive operation, like the loop
+   itself, and the hang rule as for the loop's slice.  Only the step
+   that ends the wait makes the frame current,
+   from [c.here], which the caller has set; the predicate runs with no
+   current frame, so a step that goes on waiting stores nothing into
+   the engine record.  True when the wait goes on: the step changed
+   none of the cpu's frames, spl or pending mask.  Inlined into each of
+   its callers, so a step that goes on waiting makes no call but the
+   predicate's. *)
+let[@inline] wait_step e c w =
+  match w with
+  | Until u ->
+      if u.left > 0 && not (check_ready e c w) then begin
+        u.left <- u.left - 1;
+        u.pauses <- u.pauses + 1;
+        spin_pause_on e c;
+        (* A budgeted wait is no hang while checks are left; the model
+           checker marks it to offer its expiry. *)
+        if u.left > max_int / 2 || e.mc_on then stutter_spin e c;
+        true
+      end
+      else end_wait e c
+  | Await a ->
+      if a.read_next then begin
+        a.last <- Cell.read e c a.cell;
+        a.read_next <- false;
+        c.anchor <- e.prod_ctr;
+        true
+      end
+      else if not (check_ready e c w) then begin
+        a.pauses <- a.pauses + 1;
+        a.read_next <- true;
+        spin_pause_on e c;
+        stutter_spin e c;
+        true
+      end
+      else end_wait e c
+  | No_wait -> fatal "internal: a wait step of no wait"
+
+(* Resume cpu [c]'s top frame for one step; true when the step was one
+   more iteration of an engine-run wait. *)
+let resume e c =
+  match c.frames with
+  | [] -> fatal "internal: resume on idle cpu"
+  | f :: _ -> (
+      set_here c f;
+      match frame_wait f with
+      | No_wait ->
+          run_slice e c f;
+          false
+      | w -> wait_step e c w)
+
+let deliver_intr e c r i =
+  (* [i] has already been removed from [c.pend.(r)]. *)
+  if Tq.is_empty c.pend.(r) then c.pend_mask <- c.pend_mask land lnot (1 lsl r);
+  c.pend_count <- c.pend_count - 1;
+  i.isaved_spl <- c.spl;
+  c.spl <- i.ilevel;
+  c.frames <- Fintr i :: c.frames;
+  c.read <- -1;
+  c.clock <- c.clock + Sim_config.interrupt_cost;
+  e.st.m_intrs <- e.st.m_intrs + 1;
+  productive e;
+  note e (Sim_config.Mc_intrq c.idx);
+  note e (Sim_config.Mc_spl c.idx);
+  if e.cfg.trace then begin
+    e.cur <- Some (c, Fintr i);
+    trace_e e
+      (Obs_event.Intr_deliver
+         { name = i.iname; level = Spl.to_string i.ilevel });
+    e.cur <- None
+  end
+
+let deliver e c =
+  (* FIFO within the level (the order the old single pending list
+     produced). *)
+  let r = deliverable_rank c in
+  deliver_intr e c r (Tq.pop c.pend.(r))
+
+(* Dispatch whichever eligible head (unbound, or bound to this cpu) was
+   enqueued first -- identical to scanning the old global FIFO for the
+   first thread this cpu may run. *)
+let take_thread e c =
+  let bq = e.boundq.(c.idx) in
+  if Tq.is_empty bq then Tq.pop e.anyq
+  else if Tq.is_empty e.anyq then Tq.pop bq
+  else if (Tq.peek e.anyq).enq_seq < (Tq.peek bq).enq_seq then Tq.pop e.anyq
+  else Tq.pop bq
+
+let dispatch_thread e c t =
+  t.on_cpu <- c.idx;
+  c.clock <- Int.max c.clock t.ready_clock + Sim_config.context_switch_cost;
+  c.spl <- t.saved_spl;
+  c.frames <- [ Fthread t ];
+  c.read <- -1;
+  e.st.m_switches <- e.st.m_switches + 1;
+  productive e;
+  note e Sim_config.Mc_runq;
+  note e (Sim_config.Mc_thread t.tseq);
+  note e (Sim_config.Mc_spl c.idx);
+  if e.cfg.trace then
+    trace_e e (Obs_event.Dispatch { thread = t.tname; cpu = c.idx })
+
+let dispatch e c =
+  if not (dispatchable e c) then
+    fatal "internal: dispatch with empty run queue";
+  dispatch_thread e c (take_thread e c)
+
+(* ------------------------------------------------------------------ *)
 (* Candidate picking                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1991,9 +2125,7 @@ let pick_cpu e =
     | Sim_config.Timed -> timed_pick e
 
 (* Count a step whose pick comes next. *)
-let[@inline] count_step e =
-  e.st.m_steps <- e.st.m_steps + 1;
-  e.stale <- e.stale + 1
+let[@inline] count_step e = e.st.m_steps <- e.st.m_steps + 1
 
 (* Record pick [i] for the window update after its step. *)
 let[@inline] record_pick e i =
@@ -2014,7 +2146,10 @@ let deliver_delayed e ~force =
         else List.partition (fun (d, _) -> d <= e.st.m_steps) l
       in
       e.delayed <- future;
-      List.iter (fun (_, t) -> unpark_now e t) due
+      List.iter (fun (_, t) -> unpark_now e t) due;
+      (* A wakeup of a thread that has died since produces nothing, so
+         the marks of the epoch may already be a verdict. *)
+      if future = [] && hung e then hang e
 
 (* Spurious wakeup: unpark a chaos-chosen parked thread.  Correct wait
    loops re-check their predicate and re-park; protocols that treat a
@@ -2035,19 +2170,10 @@ let maybe_spurious e =
         unpark_now e t
   end
 
-let[@inline never] watchdog_fired e =
-  let report =
-    "no productive operation for "
-    ^ string_of_int e.cfg.watchdog_steps
-    ^ " steps; machine state:\n" ^ all_threads_report e
-    ^ analyze_deadlock e ~sleep:false
-  in
-  raise (Deadlock (Spin_deadlock, report))
-
-(* The first exits of every step: the step limit and the watchdog. *)
+(* The first exits of every step: the step limit and the backstop. *)
 let[@inline] check_limits e limit =
   if e.st.m_steps >= limit then raise Step_limit;
-  if e.stale > e.cfg.watchdog_steps then watchdog_fired e
+  if e.st.m_steps - e.prod_step > backstop_steps then hang ~stalled:true e
 
 (* Record pick [i] of a step in a run of wait iterations, and run its
    iteration when its cpu waits: true when the wait goes on. *)
@@ -2058,15 +2184,15 @@ let[@inline] wait_pick e i =
 (* A run of wait iterations, after a step that was one, with faults off.
    Such a step moved no frame, spl, pending mask or queue, so the next
    step needs only three parts of the prologue: the step limit and the
-   watchdog, at the same step as [sched_loop] would check them, and the
+   backstop, at the same step as [sched_loop] would check them, and the
    Timed window for the previous pick, with candidacy unchanged since
    the refresh before the run.  Each step then counts, draws and, while
    the picked cpu waits, runs its iteration ([wait_step], inlined).  The
    policy is matched once per run, not per step.  The run ends at the
-   step limit, at the watchdog, or at the first pick that is not a
-   continuing wait iteration: it returns that pick, drawn and counted,
-   either a wait that ended (its fiber has run) or another action for
-   [sched_loop] to run. *)
+   step limit, at the backstop, at a hang ([mark]), or at the first pick
+   that is not a continuing wait iteration: it returns that pick, drawn
+   and counted, either a wait that ended (its fiber has run) or another
+   action for [sched_loop] to run. *)
 let wait_run e limit =
   let waiting = ref true in
   (match e.cfg.policy with
@@ -2092,7 +2218,7 @@ let wait_run e limit =
   e.last_pick
 
 (* One step of the seeded scheduler is the prologue ([loop]: the end
-   of the run, the step limit and the watchdog, the fault hooks,
+   of the run, the step limit and the backstop, the fault hooks,
    [update_candidates], a deadlock) and then the pick and the action
    ([step]).  After a step that was one more wait iteration, with
    faults off, [wait_run] takes the steps up to the next that is not. *)
@@ -2115,16 +2241,7 @@ let sched_loop e =
           deliver_delayed e ~force:true;
           loop ()
         end
-        else begin
-          let report =
-            "all cpus idle, run queue empty, but "
-            ^ string_of_int e.live
-            ^ " thread(s) still parked; machine state:\n"
-            ^ all_threads_report e
-            ^ analyze_deadlock e ~sleep:true
-          in
-          raise (Deadlock (Sleep_deadlock, report))
-        end
+        else hang e
       else begin
         if e.faults_on then delay_interrupts e;
         count_step e;
@@ -2175,46 +2292,18 @@ let sched_loop e =
        as the seeded scheduler), but any FIFO slot within the highest
        deliverable level is a genuine hardware race, so each is its own
        transition;
-     - a busy cpu resumes its top frame -- unless its last slice was an
-       unproductive spin iteration and nothing productive has happened
-       since ([spin_mark]): re-running the wait loop under unchanged
-       shared state would stutter, so the transition is suppressed and
-       counted instead.  This is what keeps spin loops from exploding
-       the search space, and it makes livelock detection exact: when
-       every enabled transition is a suppressed stutter, no future
-       productive operation is possible.  (Contract: every loop that
-       pauses without a productive operation must be a condition wait --
-       true of every wait loop in this codebase.)
+     - a busy cpu resumes its top frame -- unless the hang rule marked
+       it ([spin_mark]): re-running the wait loop under unchanged shared
+       state would stutter, so the transition is suppressed.  This keeps
+       spin loops from exploding the search space, and makes livelock
+       detection exact.  A marked budgeted wait with checks left offers
+       its expiry instead: its checks could only fail again until
+       another cpu produces, so the two outcomes, the write first or the
+       budget spent first, cover every behaviour;
      - an idle cpu may dispatch any eligible queued thread (the seeded
        scheduler always takes the FIFO head; the run-queue pick is a
-       scheduling freedom mc explores). *)
-let get_anchor = function
-  | Fthread t -> t.prod_anchor
-  | Fintr i -> i.iprod_anchor
-
-let set_anchor f v =
-  match f with
-  | Fthread t -> t.prod_anchor <- v
-  | Fintr i -> i.iprod_anchor <- v
-
-(* The number of enabled transitions: a deliverable cpu offers each
-   pending interrupt of its highest deliverable level, a busy one its top
-   frame (unless the stutter rule suppresses it), an idle one each thread
-   it may dispatch.  A replayed step needs only this count. *)
-let mc_count e =
-  let n = ref 0 in
-  for i = 0 to Array.length e.cpus - 1 do
-    let c = e.cpus.(i) in
-    if deliverable c then n := !n + c.pend.(deliverable_rank c).Tq.len
-    else
-      match c.frames with
-      | _ :: _ -> if c.spin_mark <> e.prod_ctr then incr n
-      | [] -> n := !n + e.anyq.Tq.len + e.boundq.(c.idx).Tq.len
-  done;
-  !n
-
-(* The [n] enabled transitions themselves, cpu by cpu; an idle cpu's in
-   enqueue order, merging the two run queues (each already is). *)
+       scheduling freedom mc explores).
+   A replayed step needs only their number, [moves]. *)
 let mc_enabled e n =
   let trans =
     Array.make n
@@ -2241,6 +2330,8 @@ let mc_enabled e n =
         | f :: _ ->
             if c.spin_mark <> e.prod_ctr then
               add c.idx (Sim_config.Mc_resume { frame = frame_name f })
+            else if expirable c then
+              add c.idx (Sim_config.Mc_expire { frame = frame_name f })
         | [] ->
             let a = e.anyq and b = e.boundq.(c.idx) in
             let i = ref 0 and j = ref 0 in
@@ -2261,41 +2352,24 @@ let mc_enabled e n =
 let mc_execute e (tr : Sim_config.mc_transition) =
   let c = e.cpus.(tr.mc_cpu) in
   match tr.mc_what with
-  | Sim_config.Mc_resume _ ->
-      let f =
-        match c.frames with
-        | f :: _ -> f
-        | [] -> fatal "mc: resume on an idle cpu"
-      in
-      let before = e.prod_ctr in
-      e.explicit_pause <- false;
-      ignore (resume e c);
-      (* Stutter bookkeeping.  A frame's streak of consecutive
-         unproductive slices is anchored at the [prod_ctr] value in
-         force when the streak began; every value the frame's wait loop
-         tests was read during the streak.  Suppression at a declared
-         spin pause requires the anchor to have been established in a
-         *prior* slice and to still equal the counter: cell reads always
-         end their slice at the implicit preemption point, so an anchor
-         from a prior slice proves the condition's read happened inside
-         the streak under unchanged shared state — re-resuming would
-         re-run the identical wait iteration.  A slice whose anchor is
-         unset or stale (some productive event landed since the streak
-         began, perhaps between the read and the pause) restarts the
-         streak here and is never itself suppression grounds; nor is a
-         slice ending at an implicit (cell-op) preemption point, which
-         may hold a just-read value it has yet to act on. *)
-      let suppress =
-        e.prod_ctr = before && e.explicit_pause && get_anchor f = before
-      in
-      if e.prod_ctr <> before then set_anchor f (-1)
-      else if get_anchor f <> before then set_anchor f before;
-      c.spin_mark <- (if suppress then before else -1)
+  | Sim_config.Mc_resume _ -> ignore (resume e c)
+  | Sim_config.Mc_expire _ ->
+      (match frame_wait (List.hd c.frames) with
+      | Until u ->
+          (* The pauses its remaining checks would make; the step that
+             ends the wait runs the frame on. *)
+          c.clock <- c.clock + (u.left * Sim_config.pause_cost);
+          e.st.m_spin_pauses <- e.st.m_spin_pauses + u.left;
+          u.pauses <- u.pauses + u.left;
+          u.left <- 0
+      | Await _ | No_wait -> fatal "mc: expiry of an unbudgeted wait");
+      (* The frame leaves the wait, and the cpu its mark. *)
+      c.spin_mark <- -1;
+      ignore (resume e c)
   | Sim_config.Mc_deliver { slot; _ } ->
       let r = deliverable_rank c in
       if slot < 0 || slot >= c.pend.(r).Tq.len then
         fatal "mc: deliver slot out of range";
-      c.spin_mark <- -1;
       deliver_intr e c r (Tq.remove c.pend.(r) slot)
   | Sim_config.Mc_dispatch { tseq; _ } ->
       let take q =
@@ -2313,7 +2387,6 @@ let mc_execute e (tr : Sim_config.mc_transition) =
             | Some t -> t
             | None -> fatal "mc: dispatch of a thread that is not queued")
       in
-      c.spin_mark <- -1;
       dispatch_thread e c t
 
 let mc_sched_loop e (hooks : Sim_config.mc_hooks) =
@@ -2323,47 +2396,10 @@ let mc_sched_loop e (hooks : Sim_config.mc_hooks) =
       (match e.cfg.max_steps with
       | Some limit when e.st.m_steps >= limit -> raise Step_limit
       | _ -> ());
-      if e.stale > e.cfg.watchdog_steps then
-        raise
-          (Deadlock
-             ( Spin_deadlock,
-               "no productive operation for "
-               ^ string_of_int e.cfg.watchdog_steps
-               ^ " steps; machine state:\n" ^ all_threads_report e
-               ^ analyze_deadlock e ~sleep:false ));
-      let n = mc_count e in
-      if n = 0 then
-        (* Nothing is deliverable, so every cpu still holding a frame is
-           a suppressed spin-wait. *)
-        let suppressed =
-          Array.fold_left
-            (fun k c -> if c.frames = [] then k else k + 1)
-            0 e.cpus
-        in
-        if suppressed > 0 then
-          (* Every runnable context is a spin-wait whose condition no
-             remaining transition can change: a livelock, detected
-             exactly (no watchdog, no fault injection).  This is how the
-             section 7 deadlock surfaces under mc. *)
-          raise
-            (Deadlock
-               ( Spin_deadlock,
-                 string_of_int suppressed
-                 ^ " context(s) spinning with no possible writer \
-                    (livelock); machine state:\n" ^ all_threads_report e
-                 ^ analyze_deadlock e ~sleep:false ))
-        else
-          raise
-            (Deadlock
-               ( Sleep_deadlock,
-                 "all cpus idle, run queue empty, but "
-                 ^ string_of_int e.live
-                 ^ " thread(s) still parked; machine state:\n"
-                 ^ all_threads_report e
-                 ^ analyze_deadlock e ~sleep:true ))
+      let n = moves e in
+      if n = 0 then hang e
       else begin
         e.st.m_steps <- e.st.m_steps + 1;
-        e.stale <- e.stale + 1;
         (* A replayed step re-executes its recorded choice and nothing
            more: the driver already holds its candidates and footprint. *)
         (match hooks.mc_replay n with
@@ -2391,7 +2427,6 @@ let dummy_intr =
     icont = None;
     isaved_spl = Spl.Spl0;
     ihint = None;
-    iprod_anchor = -1;
     iwait = No_wait;
   }
 
@@ -2480,6 +2515,8 @@ let run ?(cfg = Sim_config.default) main =
               pend = Array.init n_spl (fun _ -> Tq.make dummy_intr);
               pend_mask = 0;
               pend_count = 0;
+              anchor = -1;
+              read = -1;
               spin_mark = -1;
               here = None;
               cwait = No_wait;
@@ -2490,7 +2527,7 @@ let run ?(cfg = Sim_config.default) main =
       enq_ctr = 0;
       threads = [];
       live = 0;
-      stale = 0;
+      prod_step = 0;
       bus_free_at = 0;
       trace =
         (if cfg.trace then
@@ -2534,7 +2571,9 @@ let run ?(cfg = Sim_config.default) main =
       fp = [];
       prod_ctr = 0;
       cell_ctr = 0;
-      explicit_pause = false;
+      ended = At_op;
+      marked = 0;
+      mark_epoch = -1;
       in_ready = false;
     }
   in

@@ -15,8 +15,8 @@
 
     The engine detects both deadlock flavours the paper's design rules
     exist to prevent: {e sleep deadlocks} (every thread parked, nothing
-    runnable) and {e spin deadlocks / livelocks} (a progress watchdog: no
-    productive operation for a configurable number of steps). *)
+    runnable) and {e spin deadlocks / livelocks} (every cpu that could act
+    only repeats a wait iteration; the model checker's stutter rule). *)
 
 type thread
 
@@ -118,11 +118,20 @@ val context : thread -> Mach_core.Thread_ctx.t
 (** {1 Preemption, time, spl} *)
 
 val pause : unit -> unit
-(** Preemption point; charges the configured pause cost. *)
+(** Preemption point; charges the configured pause cost.  The wait
+    contract: a pause ending an iteration whose cell reads all follow the
+    last productive operation marks its cpu as hung in a condition wait,
+    so a loop that reads and pauses a fixed number of times may end the
+    run as a spin deadlock once nothing else can act.  A loop that reads
+    no cell is never marked: a plain-memory condition waits with
+    {!spin_pause} or {!spin_until}. *)
 
 val spin_pause : unit -> unit
 (** {!pause}, counted in [stats.spin_pauses]: one iteration of a spin
-    loop that is not a read-only wait. *)
+    loop that is not a read-only wait.  To the hang rule a spin pause
+    always ends a wait iteration: one that follows another unproductive
+    slice of the cpu (a read, an earlier pause) with no productive
+    operation since marks the cpu, whatever the iteration read. *)
 
 val spin_until : ?budget:int -> (unit -> bool) -> int
 (** [spin_until ?budget ready]: check [ready ()], and after each failed

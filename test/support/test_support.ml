@@ -15,11 +15,13 @@ let in_sim ?cfg f =
 
 (* Condition-based synchronization for tests: simulated time offers no
    guarantee that "N pauses" let another thread progress, so tests must
-   wait on observable state.  The engine watchdog catches a condition
-   that never becomes true. *)
+   wait on observable state.  Each failed test is a counted spin pause,
+   one iteration of a condition wait, so a condition that never becomes
+   true ends at the engine's hang rule.  [pred] may read cells and take
+   locks, which rules out [Engine.spin_until]. *)
 let wait_until pred =
   while not (pred ()) do
-    Engine.pause ()
+    Engine.spin_pause ()
   done
 
 (* Shared deterministic RNG for tests that want arbitrary-but-stable

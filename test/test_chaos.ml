@@ -152,8 +152,7 @@ let test_scache_handoff_clean_without_faults () =
    port — every in-flight request gets an [err_deactivated] reply.  A
    dropped reply wakeup breaks exactly that promise; the analyzer must
    name the orphaned waiter ("never arrived") instead of the run hanging
-   silently.  The terminator's bounded give-up spin in [rpc_serve] is
-   what keeps this a sleep deadlock rather than a livelock.  [spin = 0]
+   silently.  [spin = 0]
    forces every wait onto the park path — with the default spin budget a
    dropped wakeup usually lands while the receiver is still probing and
    is recovered for free, which is the production configuration's

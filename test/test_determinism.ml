@@ -128,33 +128,31 @@ let verdict_testable =
   in
   Alcotest.testable pp ( = )
 
-let check_parallel_matches scenario ~seeds ~watchdog =
-  let tweak cfg = { cfg with Config.watchdog_steps = watchdog } in
+let check_parallel_matches scenario ~seeds =
   let seeds = List.init seeds (fun s -> s + 1) in
-  let sequential = Explore.run ~cpus:3 ~seeds ~tweak scenario in
+  let sequential = Explore.run ~cpus:3 ~seeds scenario in
   List.iter
     (fun domains ->
-      let par = Explore.run ~cpus:3 ~seeds ~tweak ~domains scenario in
+      let par = Explore.run ~cpus:3 ~seeds ~domains scenario in
       Alcotest.check verdict_testable
         (Printf.sprintf "domains=%d verdict" domains)
         sequential par)
     [ 1; 2; 4 ]
 
 let test_parallel_equivalence_clean () =
-  check_parallel_matches clean_scenario ~seeds:24 ~watchdog:200_000
+  check_parallel_matches clean_scenario ~seeds:24
 
 let test_parallel_equivalence_mixed () =
   let v =
     Explore.run ~cpus:3
       ~seeds:(List.init 40 (fun s -> s + 1))
-      ~tweak:(fun cfg -> { cfg with Config.watchdog_steps = 20_000 })
       abba_scenario
   in
   (* The scenario must actually produce both outcomes, or the test below
      proves nothing about failure aggregation. *)
   Alcotest.(check bool) "some seeds deadlock" true (Explore.some_deadlock v);
   Alcotest.(check bool) "some seeds complete" true (v.Explore.completed > 0);
-  check_parallel_matches abba_scenario ~seeds:40 ~watchdog:20_000
+  check_parallel_matches abba_scenario ~seeds:40
 
 (* wire-recursive creates an unnamed vm map, whose name shows in its
    deadlock reports: the name must come from the run, not from how many
@@ -164,11 +162,10 @@ let test_parallel_equivalence_unnamed_map () =
   let v =
     Explore.run ~cpus:3
       ~seeds:(List.init 40 (fun s -> s + 1))
-      ~tweak:(fun cfg -> { cfg with Config.watchdog_steps = 20_000 })
       scenario
   in
   Alcotest.(check bool) "some seeds deadlock" true (Explore.some_deadlock v);
-  check_parallel_matches scenario ~seeds:40 ~watchdog:20_000
+  check_parallel_matches scenario ~seeds:40
 
 let test_failures_first_ascending () =
   (* Every seed of a guaranteed deadlock: the failure list must hold the

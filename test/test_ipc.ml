@@ -47,13 +47,12 @@ let test_receive_blocks_until_send () =
          Port.destroy p;
          Port.release p))
 
-(* A receive probing an empty queue past the watchdog: the spin-deadlock
-   report names the probed queue and the checks its budget has left,
-   not the port lock the receiver last waited for. *)
+(* A receive probing an empty queue that no sender will fill: the probe
+   is no hang while its budget lasts, so it spends the budget, every
+   check paid for, and parks; the sleep-deadlock report names the port
+   through the receive span still open at the hang. *)
 let test_probe_named_in_report () =
-  let cfg =
-    { Mach_sim.Sim_config.default with cpus = 2; watchdog_steps = 200 }
-  in
+  let cfg = { Mach_sim.Sim_config.default with cpus = 2 } in
   match
     Engine.run_outcome ~cfg (fun () ->
         let p = Port.create ~name:"idle" () in
@@ -61,11 +60,13 @@ let test_probe_named_in_report () =
           (Engine.spawn ~name:"receiver" (fun () ->
                ignore (Port.receive ~spin:100_000 p))))
   with
-  | Engine.Deadlocked (Engine.Spin_deadlock, report) ->
-      check_bool "names the queue and its checks left" true
-        (contains report "receiver (spinning on idle.queue, 99"
-        && contains report " checks left)")
-  | _ -> Alcotest.fail "expected a spin deadlock"
+  | Engine.Deadlocked (Engine.Sleep_deadlock, report) ->
+      check_int "the budget spent" 100_000
+        (Option.get (Engine.last_stats ())).Engine.spin_pauses;
+      check_bool "names the port and the receiver's wait" true
+        (contains report "ipc:recv:idle"
+        && contains report "thread receiver: blocked on event")
+  | _ -> Alcotest.fail "expected a sleep deadlock"
 
 let test_send_blocks_when_full () =
   ignore

@@ -305,13 +305,7 @@ let test_drop_handoff_detected () =
   let faults =
     { Config.no_faults with Config.drop_handoff = 1 (* every handoff *) }
   in
-  let cfg =
-    {
-      (Config.exploration ~cpus:3 ~seed:5 ()) with
-      Config.faults;
-      watchdog_steps = 30_000;
-    }
-  in
+  let cfg = { (Config.exploration ~cpus:3 ~seed:5 ()) with Config.faults } in
   match
     Engine.run_outcome ~cfg (Scenarios.get "mcs-handoff").run
   with
@@ -498,12 +492,7 @@ let test_brlock_writer_no_starvation () =
    closes the cycle through it, and the cpu spinning on it says so
    (rather than naming the last lock it spun on). *)
 let test_brlock_abba_attributed () =
-  let cfg =
-    {
-      (Config.exploration ~cpus:2 ~seed:1 ()) with
-      Config.watchdog_steps = 30_000;
-    }
-  in
+  let cfg = Config.exploration ~cpus:2 ~seed:1 () in
   match
     Engine.run_outcome ~cfg (fun () ->
         let br = K.Locks.Brlock.make ~name:"abba.br" in
@@ -556,13 +545,7 @@ let test_scache_drop_handoff_detected () =
   let faults =
     { Config.no_faults with Config.drop_handoff = 1 (* every handoff *) }
   in
-  let cfg =
-    {
-      (Config.exploration ~cpus:3 ~seed:5 ()) with
-      Config.faults;
-      watchdog_steps = 30_000;
-    }
-  in
+  let cfg = { (Config.exploration ~cpus:3 ~seed:5 ()) with Config.faults } in
   match
     Engine.run_outcome ~cfg (Scenarios.get "scache-handoff").run
   with
@@ -597,8 +580,7 @@ let test_scache_drop_handoff_zero_draw () =
 module RL = Mach_locks.Range_lock
 
 (* Disjoint ranges never conflict: a single thread can hold both (a
-   blocking acquire would deadlock the simulation and trip the
-   watchdog), and try_acquire distinguishes overlap from disjointness. *)
+   blocking acquire would deadlock the simulation), and try_acquire distinguishes overlap from disjointness. *)
 let test_range_disjoint_nonblocking () =
   in_sim (fun () ->
       let l = K.Rlock.make ~name:"rdis" () in

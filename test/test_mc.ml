@@ -131,6 +131,76 @@ let test_trace_round_trip () =
       Alcotest.(check string) "round-trip identical" text
         (Mc.trace_to_string t)
 
+(* A budgeted wait against a writer: the waiter probes a plain flag
+   with [spin_until ~budget:8], and main, after a read, sets the flag
+   just before its write publishes it.  Once the waiter's checks could
+   only fail again, the checker offers the budget's expiry in place of
+   the suppressed resume, so both outcomes are explored: the write lands
+   first, or the budget runs out.  [~strict] makes a spent budget fatal, so the failing
+   schedule ends with the expiry. *)
+let budgeted_cell ~strict () =
+  let flag = ref false in
+  let published = Engine.Cell.make ~name:"published" 0 in
+  let waiter =
+    Engine.spawn ~name:"waiter" (fun () ->
+        let pauses = Engine.spin_until ~budget:8 (fun () -> !flag) in
+        if pauses = 8 && strict then Engine.fatal "budget spent";
+        ignore (Engine.Cell.get published))
+  in
+  ignore (Engine.Cell.get published);
+  flag := true;
+  Engine.Cell.set published 1;
+  Engine.join waiter
+
+let test_budget_expiry () =
+  let r = Mc.check ~cpus:2 (budgeted_cell ~strict:false) in
+  check_bool "verified" true r.Mc.verified;
+  check_exploration "budgeted" (2, 1, 24, 6) r;
+  let r = Mc.check ~cpus:2 (budgeted_cell ~strict:true) in
+  let f = Option.get r.Mc.failure in
+  let text = Mc.trace_to_string f.Mc.f_trace in
+  check_bool "the failing schedule ends with the expiry" true
+    (contains text "expire waiter");
+  match Mc.trace_of_string text with
+  | Error e -> Alcotest.failf "round-trip parse failed: %s" e
+  | Ok t -> (
+      Alcotest.(check string) "round-trip identical" text
+        (Mc.trace_to_string t);
+      match fst (Mc.replay ~cpus:2 ~trace:t (budgeted_cell ~strict:true)) with
+      | Engine.Panicked msg ->
+          check_bool "replays to the spent budget" true
+            (contains msg "budget spent")
+      | _ -> Alcotest.fail "the replay must end in the spent budget")
+
+(* After its budget expires, the waiter reads a cell without producing
+   and only then writes the cell main waits on: the expiry leaves the
+   wait, so the waiter stays offered until it writes, and every schedule
+   completes (as the seeded scheduler's run does). *)
+let expiry_then_write () =
+  let x = Engine.Cell.make ~name:"x" 0 in
+  let y = Engine.Cell.make ~name:"y" 0 in
+  let waiter =
+    Engine.spawn ~name:"waiter" (fun () ->
+        ignore (Engine.spin_until ~budget:4 (fun () -> false));
+        ignore (Engine.Cell.get x);
+        Engine.Cell.set y 1)
+  in
+  while Engine.Cell.get y = 0 do
+    Engine.pause ()
+  done;
+  Engine.join waiter
+
+let test_expiry_leaves_the_wait () =
+  let r = Mc.check ~cpus:2 expiry_then_write in
+  check_bool "verified" true r.Mc.verified;
+  check_exploration "expiry then write" (3, 0, 39, 11) r;
+  check_bool "the seeded run completes" true
+    (match
+       Engine.run_outcome ~cfg:{ Config.default with cpus = 2 } expiry_then_write
+     with
+    | Engine.Completed _ -> true
+    | _ -> false)
+
 let test_modes_agree () =
   (* Both modes explore the same state space: identical verdicts, and
      DPOR visits no more schedules than naive enumeration. *)
@@ -422,6 +492,9 @@ let () =
       ( "mechanics",
         [
           Alcotest.test_case "trace round-trip" `Quick test_trace_round_trip;
+          Alcotest.test_case "budget expiry" `Quick test_budget_expiry;
+          Alcotest.test_case "an expiry leaves the wait" `Quick
+            test_expiry_leaves_the_wait;
           Alcotest.test_case "modes agree; reduction holds" `Quick
             test_modes_agree;
           Alcotest.test_case "domain fan-out agrees" `Quick test_domains_agree;

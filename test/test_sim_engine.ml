@@ -110,7 +110,7 @@ let test_spin_deadlock_detected () =
   (* Two threads spin forever on cells that never change. *)
   let outcome =
     Engine.run_outcome
-      ~cfg:{ (cfg ()) with Config.watchdog_steps = 5_000 }
+      ~cfg:(cfg ())
       (fun () ->
         let c = Engine.Cell.make ~name:"never" 0 in
         let spinner () =
@@ -125,7 +125,116 @@ let test_spin_deadlock_detected () =
   in
   match outcome with
   | Engine.Deadlocked (Engine.Spin_deadlock, _) -> ()
-  | _ -> Alcotest.fail "expected a spin deadlock (watchdog)"
+  | _ -> Alcotest.fail "expected a spin deadlock"
+
+(* The wait contract: a loop that pauses after reading, in an epoch with
+   no productive operation, is taken for a condition wait.  A poll that
+   reads a cell and pauses a fixed number of times would end on its
+   own, but once nothing else can act the hang rule ends the run at its
+   first pause, as the model checker's stutter rule would. *)
+let test_counted_poll_is_a_wait () =
+  let polls = ref 0 in
+  match
+    Engine.run_outcome ~cfg:(cfg ~cpus:1 ()) (fun () ->
+        let c = Engine.Cell.make ~name:"polled" 0 in
+        for _ = 1 to 60 do
+          ignore (Engine.Cell.get c);
+          incr polls;
+          Engine.pause ()
+        done)
+  with
+  | Engine.Deadlocked (Engine.Spin_deadlock, report) ->
+      check_int "polls before the verdict" 1 !polls;
+      check_bool "livelock verdict" true
+        (contains report "1 context(s) spinning with no possible writer")
+  | _ -> Alcotest.fail "expected the hang rule to end the poll"
+
+(* A delayed wakeup still owed holds the verdict back; if the thread it
+   wakes has died meanwhile, its delivery produces nothing, and the run
+   ends at the verdict then rather than at the backstop.  Every unpark of
+   the parked sleeper is delayed: the waker's first wakes it, and the
+   second lands after it has exited, while main spins on a cell nobody
+   writes. *)
+let test_stale_delayed_wakeup () =
+  let faults = { Config.no_faults with Config.delay_wakeup = 1 } in
+  match
+    Engine.run_outcome
+      ~cfg:{ (cfg ~cpus:3 ~policy:Config.Round_robin ()) with Config.faults }
+      (fun () ->
+        let parked = Engine.Cell.make ~name:"parked" 0 in
+        let never = Engine.Cell.make ~name:"never" 0 in
+        let sleeper =
+          Engine.spawn ~name:"sleeper" (fun () ->
+              Engine.Cell.set parked 1;
+              Engine.park ())
+        in
+        ignore
+          (Engine.spawn ~name:"waker" (fun () ->
+               ignore (Engine.Cell.await parked (fun v -> v = 1));
+               for _ = 1 to 4 do
+                 Engine.pause ()
+               done;
+               Engine.unpark sleeper;
+               for i = 1 to 20 do
+                 Engine.Cell.set parked (i + 1)
+               done;
+               Engine.unpark sleeper));
+        ignore (Engine.Cell.await never (fun v -> v = 1)))
+  with
+  | Engine.Deadlocked (Engine.Spin_deadlock, report) ->
+      let s = Option.get (Engine.last_stats ()) in
+      check_int "both wakeups delayed" 2
+        (Option.get (Engine.last_chaos ())).Engine.delayed_wakeups;
+      check_int "both wakeups delivered, the second to a dead thread" 1
+        s.Engine.unparks;
+      check_bool
+        (Printf.sprintf "ended at step %d, not at the backstop" s.Engine.steps)
+        true (s.Engine.steps < 1_000);
+      check_bool "livelock verdict" true
+        (contains report "1 context(s) spinning with no possible writer")
+  | _ -> Alcotest.fail "expected the hang rule to end the run"
+
+(* A budgeted wait over a flag nobody sets is no hang: it spends its
+   budget, every check paid for, and the run completes. *)
+let test_budget_spent_not_hung () =
+  List.iter
+    (fun policy ->
+      let pauses = ref 0 in
+      let stats =
+        run ~cpus:2 ~policy (fun () ->
+            Engine.join
+              (Engine.spawn ~bound:1 (fun () ->
+                   pauses := Engine.spin_until ~budget:5_000 (fun () -> false))))
+      in
+      let what = Config.policy_name policy in
+      check_int (what ^ ": the full budget in pauses") 5_000 !pauses;
+      check_int (what ^ ": every pause counted") 5_000
+        stats.Engine.spin_pauses)
+    [ Config.Timed; Config.Random_policy; Config.Round_robin ]
+
+(* The section 7 deadlock at three cpus ends with its waits-for cycle as
+   soon as every cpu is marked, long before any step count a watchdog
+   would need, under every policy. *)
+let test_section7_hang_ends_early () =
+  List.iter
+    (fun policy ->
+      let what = Config.policy_name policy in
+      match
+        Engine.run_outcome ~cfg:(cfg ~cpus:3 ~seed:1 ~policy ())
+          (Mach_kernel.Scenarios.get "interrupt-deadlock").run
+      with
+      | Engine.Deadlocked (Engine.Spin_deadlock, report) ->
+          let steps = (Option.get (Engine.last_stats ())).Engine.steps in
+          check_bool
+            (Printf.sprintf "%s: ended at step %d" what steps)
+            true (steps <= 100);
+          check_bool (what ^ ": names the cycle") true
+            (contains report
+               "waits-for cycle: interrupt barrier on cpu0 -> pending \
+                interrupt barrier on cpu1 at splvm -> p2 -> simple lock \
+                the-lock -> p1")
+      | _ -> Alcotest.fail (what ^ ": expected a spin deadlock"))
+    [ Config.Timed; Config.Random_policy; Config.Round_robin ]
 
 let test_determinism () =
   let trace_of seed =
@@ -521,21 +630,34 @@ let wait_scenario form ~cpus () =
   List.iter Engine.join waiters;
   (!results, !seen)
 
-(* Waiters of each kind on cpus 1.. for a flag nothing sets, while main
-   waits in [join] and is no candidate: once every waiter has started,
-   each step is one more wait iteration, until the step limit or the
-   watchdog ends the run. *)
-let stuck_waiters form ~cpus () =
+(* Unbudgeted waiters of each kind on cpus 1.. for a flag nothing sets,
+   while main waits in [join] and is no candidate: once every waiter has
+   started, each step is one more wait iteration, until the hang rule
+   ends the run.  With [~busy], a waiter whose budget does not run out
+   joins them, and a worker on cpu 0 produces at every step, so that
+   only the step limit ends the run.  (A literal budgeted loop hides its
+   budget from the engine, so with no worker it would be marked like a
+   condition wait while the engine-run form expires.) *)
+let stuck_waiters form ~cpus ~busy () =
   let flag = Engine.Cell.make ~name:"flag" 0 in
   let plain = ref false in
+  let kinds = if busy then 3 else 2 in
   let waiters =
     List.init (cpus - 1) (fun i ->
         Engine.spawn ~bound:(i + 1) (fun () ->
-            match i mod 3 with
+            match i mod kinds with
             | 0 -> ignore (await form flag (fun v -> v = 1))
             | 1 -> ignore (until form (fun () -> !plain))
             | _ -> ignore (until form ~budget:1_000_000 (fun () -> !plain))))
   in
+  if busy then begin
+    let work = Engine.Cell.make ~name:"work" 0 in
+    ignore
+      (Engine.spawn ~name:"worker" ~bound:0 (fun () ->
+           while true do
+             ignore (Engine.Cell.fetch_and_add work 1)
+           done))
+  end;
   List.iter Engine.join waiters
 
 (* Rows of (cpus, policy, seed, fault odds).  The 16-cpu Timed row has
@@ -589,15 +711,17 @@ let test_engine_wait_equals_literal () =
       (64, Config.Round_robin, 5, Config.no_faults);
       (64, Config.Timed, 6, Config.no_faults);
     ];
-  (* The step limit and the watchdog end a run of wait iterations at the
+  (* The step limit and the hang rule end a run of wait iterations at the
      same step as the literal loops, under every seeded policy. *)
   List.iter
     (fun (policy, seed) ->
       let base = cfg ~cpus:8 ~seed ~policy () in
       List.iter
-        (fun (exit, cfg, ended) ->
+        (fun (exit, cfg, busy, ended) ->
           let go form =
-            let outcome = Engine.run_outcome ~cfg (stuck_waiters form ~cpus:8) in
+            let outcome =
+              Engine.run_outcome ~cfg (stuck_waiters form ~cpus:8 ~busy)
+            in
             (outcome, Option.get (Engine.last_stats ()))
           in
           let o1, s1 = go Engine_run and o2, s2 = go Literal in
@@ -612,10 +736,14 @@ let test_engine_wait_equals_literal () =
         [
           ( "step limit",
             { base with Config.max_steps = Some 5_000 },
+            true,
             fun o s -> o = Engine.Hit_step_limit && s.Engine.steps = 5_000 );
-          ( "watchdog",
-            { base with Config.watchdog_steps = 3_000 },
-            fun o _ ->
+          ( "hang",
+            base,
+            false,
+            fun o s ->
+              s.Engine.steps < 1_000
+              &&
               match o with
               | Engine.Deadlocked (Engine.Spin_deadlock, _) -> true
               | _ -> false );
@@ -797,10 +925,11 @@ let test_rng_stream_and_copy () =
 (* The report of [test_abandoned_fibers_unwound]'s run: its fibers are
    unwound only after the report is fixed. *)
 let abandoned_report =
-  "no productive operation for 2000 steps; machine state:\n\
-  \  cpu0 clock=4920 spl=spl0 frames=[spinner] pending=0\n\
+  "2 context(s) spinning with no possible writer (livelock); machine \
+   state:\n\
+  \  cpu0 clock=916 spl=spl0 frames=[spinner] pending=0\n\
   \  cpu1 clock=624 spl=spl0 frames=[] pending=0\n\
-  \  cpu2 clock=4797 spl=splvm frames=[intr:spin; awaiter] pending=0\n\
+  \  cpu2 clock=825 spl=splvm frames=[intr:spin; awaiter] pending=0\n\
   \  runq=[queued]\n\
   \  parked=[waker; main]\n"
 
@@ -818,7 +947,7 @@ let test_abandoned_fibers_unwound () =
   let outcome =
     Engine.run_outcome
       ~cfg:
-        { (cfg ~cpus:3 ()) with Config.watchdog_steps = 2_000; spans = false }
+        { (cfg ~cpus:3 ()) with Config.spans = false }
       (fun () ->
         protect "main" @@ fun () ->
         let never = Engine.Cell.make ~name:"never" 0 in
@@ -999,6 +1128,14 @@ let () =
             test_sleep_deadlock_detected;
           Alcotest.test_case "spin deadlock detected" `Quick
             test_spin_deadlock_detected;
+          Alcotest.test_case "a spent budget is no hang" `Quick
+            test_budget_spent_not_hung;
+          Alcotest.test_case "a counted poll is a wait" `Quick
+            test_counted_poll_is_a_wait;
+          Alcotest.test_case "a stale delayed wakeup" `Quick
+            test_stale_delayed_wakeup;
+          Alcotest.test_case "section 7 hang ends early" `Quick
+            test_section7_hang_ends_early;
         ] );
       ( "cells",
         [
